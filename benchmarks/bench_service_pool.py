@@ -1,12 +1,10 @@
-"""Experiment ISO: isolation-wall overhead, subprocess vs pool vs daemon.
+"""Experiment ISO: isolation-wall overhead, pool vs daemon.
 
 Times the same ``check_batch`` run over the ``examples/fg`` corpus under
-the two process-isolation modes, plus the same corpus through a warm
-``fg serve`` daemon.  The subprocess wall pays one interpreter spawn per
-attempt; the pool spawns ``pool_workers`` prelude-warmed processes once
-per batch and reuses them; the daemon keeps that pool alive *across*
-batches, so ``serve.warm_request`` measures the fully amortized
-steady-state cost — the three rows are the whole isolation trade-off
+pool isolation, plus the same corpus through a warm ``fg serve`` daemon.
+The pool spawns ``pool_workers`` prelude-warmed processes once per batch
+and reuses them; the daemon keeps that pool alive *across* batches, so
+``serve.warm_request`` measures the fully amortized steady-state cost
 (``fg bench --compare`` pairs by name across records).
 
 Rounds are pinned low via ``pedantic`` — every round forks real
@@ -46,14 +44,6 @@ def _policy(**overrides):
 
 
 class TestIsolationWall:
-    def test_batch_isolate_subprocess(self, benchmark):
-        items = _corpus()
-        report = benchmark.pedantic(
-            check_batch, args=(items, _policy(isolate="subprocess")),
-            rounds=5, iterations=1, warmup_rounds=1,
-        )
-        assert report.exit_code == 0
-
     def test_batch_isolate_pool(self, benchmark):
         items = _corpus()
         report = benchmark.pedantic(

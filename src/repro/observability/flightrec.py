@@ -1,8 +1,7 @@
 """Always-on flight recorder and ``repro/crash-bundle v1`` forensics.
 
-Every process in the serving stack — the batch coordinator, one-shot
-``--isolate=subprocess`` children, persistent pool workers, and the
-``fg serve`` daemon — keeps a :class:`FlightRecorder`: four fixed-size
+Every process in the serving stack — the batch coordinator, persistent
+pool workers, and the ``fg serve`` daemon — keeps a :class:`FlightRecorder`: four fixed-size
 rings (recently *completed* spans, ops events, metric samples, and
 model-resolution decisions) fed by one guarded call at each existing
 hook point (``Tracer._finish``/``adopt``, ``MetricsRegistry.observe``,

@@ -100,18 +100,26 @@ def profile_tracer(tracer) -> Profile:
 
     Works on any object with a ``spans`` list (a :class:`Tracer` or the
     null tracer, which yields an empty profile).  Open spans contribute a
-    zero duration, so profiling a tracer mid-run is safe.
+    zero duration, so profiling a tracer mid-run is safe.  A span nested
+    inside a same-name ancestor (recursion) adds nothing to its name's
+    inclusive time, which the outermost span of the chain already covers.
     """
     calls: Dict[str, int] = {}
     inclusive: Dict[str, int] = {}
     exclusive: Dict[str, int] = {}
     spans = tracer.spans
+    by_id = {span.id: span for span in spans}
     for span in spans:
         dur = span.duration_ns
         child_time = sum(c.duration_ns for c in span.children)
         name = span.name
         calls[name] = calls.get(name, 0) + 1
-        inclusive[name] = inclusive.get(name, 0) + dur
+        ancestor = by_id.get(span.parent_id)
+        while ancestor is not None and ancestor.name != name:
+            ancestor = by_id.get(ancestor.parent_id)
+        inclusive[name] = inclusive.get(name, 0) + (
+            dur if ancestor is None else 0
+        )
         # Clamp: an open child inside a closed parent could push this
         # negative; exclusive time is by definition non-negative.
         exclusive[name] = exclusive.get(name, 0) + max(0, dur - child_time)

@@ -385,35 +385,26 @@ def isolation_benchmark_rows(
     rounds: int,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Dict[str, object]]:
-    """Time the same batch under subprocess vs pool isolation.
+    """Time the ``examples/fg`` corpus as a pool-isolated batch.
 
-    The pair of rows is the pool's reason to exist in one number: the
-    subprocess wall pays one interpreter spawn *per attempt*, the pool
-    pays ``pool_workers`` spawns *per batch* and reuses the warm workers.
-    Both run the ``examples/fg`` corpus with parallelism 2 and no fault
-    schedule, so the delta is pure isolation overhead.
+    ``batch.isolate_pool`` pays ``pool_workers`` interpreter spawns per
+    batch and reuses the warm workers for every file; the batch runs with
+    parallelism 2 and no fault schedule, so the row is pure isolation
+    overhead plus checking.
     """
     from repro.service import BatchPolicy, RetryPolicy, check_batch
 
     items = _isolation_corpus()
-    rows: List[Dict[str, object]] = []
-    for name, overrides in (
-        ("batch.isolate_subprocess", {"isolate": "subprocess"}),
-        ("batch.isolate_pool", {"isolate": "pool", "pool_workers": 2}),
-    ):
-        policy = BatchPolicy(
-            jobs=2, deadline_ms=30_000.0,
-            retry=RetryPolicy(max_retries=0), **overrides,
-        )
-        if progress:
-            progress(f"bench {name} ({rounds} rounds, "
-                     f"{len(items)} files)")
-
-        def run(policy: BatchPolicy = policy) -> None:
-            check_batch(items, policy)
-
-        rows.append(_timed_row(name, "isolation", run, rounds))
-    return rows
+    name = "batch.isolate_pool"
+    policy = BatchPolicy(
+        jobs=2, deadline_ms=30_000.0, retry=RetryPolicy(max_retries=0),
+        isolate="pool", pool_workers=2,
+    )
+    if progress:
+        progress(f"bench {name} ({rounds} rounds, {len(items)} files)")
+    return [_timed_row(
+        name, "isolation", lambda: check_batch(items, policy), rounds,
+    )]
 
 
 def serve_benchmark_rows(
@@ -588,7 +579,7 @@ def run_bench_suite(
     Returns ``(benchmark_rows, instrumented)`` where ``instrumented`` has
     the one fully observed run's ``metrics``/``profile``/``memory_peak_kb``
     for :func:`build_record`.  Deterministic work, wall-clock timings.
-    ``isolation_rounds`` controls the subprocess-vs-pool batch comparison
+    ``isolation_rounds`` controls the pool batch row
     (:func:`isolation_benchmark_rows`) and the warm-daemon round trip
     (:func:`serve_benchmark_rows`); both spawn real worker processes, so
     ``0`` skips them.

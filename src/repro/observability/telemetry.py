@@ -2,7 +2,7 @@
 rolling-window reservoirs, daemon telemetry, and the operational event log.
 
 The observability layer (tracer/metrics/explain) is process-local by
-design; isolation walls (``--isolate=subprocess|pool``) would otherwise
+design; isolation walls (``--isolate=pool``) would otherwise
 swallow everything the worker saw.  This module is the bridge:
 
 - :func:`spans_to_wire` serializes a worker tracer's span forest into the

@@ -22,7 +22,7 @@ worker running concurrently in another.  :func:`current_faults` /
 :func:`install_faults` move a fault table across a thread boundary on
 purpose (the batch service does this for its watchdogged workers), and
 :mod:`repro.service.faults` serializes declarative fault specs across the
-subprocess boundary for ``isolate="subprocess"`` workers.
+process boundary for ``isolate="pool"`` workers.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def _run_stages(
     memory = instrumentation.memory if instrumentation is not None else None
     reporter = DiagnosticReporter(max_errors=max_errors)
     if prelude:
-        from repro.prelude import wrap
-
+        from repro.prelude import relocator, wrap
+        reporter.relocate = relocator(text, filename)
         text = wrap(text)
     _maybe_fault("parse")
     try:

@@ -6,8 +6,10 @@ Usage::
     value = prelude.run("accumulate[int](range(1, 11))")   # => 55
 """
 
-from typing import Tuple
+from typing import Callable, Tuple
 
+from repro.diagnostics.errors import Diagnostic
+from repro.diagnostics.source import Position, SourceText, Span
 from repro.fg import ast as G
 from repro.fg import typecheck as _typecheck
 from repro.prelude.source import (
@@ -22,9 +24,41 @@ from repro.systemf import ast as F
 from repro.systemf import evaluate as _sf_evaluate
 
 
+#: What :func:`wrap` puts in front of the user's program: it ends with a
+#: newline, so user columns are unchanged and only lines/offsets shift.
+_PREFIX = PRELUDE + "\n"
+_PREFIX_LINES = _PREFIX.count("\n")
+
+
 def wrap(program: str) -> str:
     """Prefix ``program`` with the full prelude."""
-    return PRELUDE + "\n" + program
+    return _PREFIX + program
+
+
+def _unshift(pos: Position) -> Position:
+    return Position(pos.line - _PREFIX_LINES, pos.column,
+                    pos.offset - len(_PREFIX))
+
+
+def relocator(program: str, filename: str) -> Callable[[Diagnostic], None]:
+    """A :class:`~repro.diagnostics.reporter.DiagnosticReporter` hook for a
+    run over ``wrap(program)``: moves each diagnostic's span from
+    wrapped-text coordinates back onto the user's file and re-points its
+    excerpt at the user's text.  A span inside the prelude itself is
+    attributed to ``<prelude>``, whose lines are the wrapped text's."""
+
+    def relocate(diag: Diagnostic) -> None:
+        span = diag.span
+        if span is None or span.filename == "<synthetic>":
+            return
+        if span.start.offset < len(_PREFIX):
+            diag.span = Span(span.start, span.end, "<prelude>")
+            return
+        diag.span = Span(_unshift(span.start), _unshift(span.end), filename)
+        if diag.source is not None:
+            diag.source = SourceText(program, filename)
+
+    return relocate
 
 
 def parse(program: str, filename: str = "<input>") -> G.Term:
@@ -55,6 +89,7 @@ __all__ = [
     "PRELUDE_HELPERS",
     "PRELUDE_MODELS",
     "parse",
+    "relocator",
     "run",
     "type_of",
     "typecheck",

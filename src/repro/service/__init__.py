@@ -3,8 +3,9 @@
 PR 1 made one ``check_source`` call fault-tolerant; this package protects a
 *batch* of them from each other.  ``check_batch(sources, policy)`` runs
 many checks under a worker pool with per-task deadlines (watchdog +
-cooperative cancellation), optional subprocess isolation for
-interpreter-killing failures, crash containment (worker death becomes a
+cooperative cancellation), optional process isolation in a supervised
+pool of persistent workers (``isolate="pool"``) for interpreter-killing
+failures, crash containment (worker death becomes a
 structured ``CrashReport`` on that file's outcome while the rest of the
 batch completes), a deterministic retry policy driven by a fault taxonomy
 (deadline misses and crashes are transient and retryable; type errors are

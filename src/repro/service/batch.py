@@ -47,11 +47,11 @@ from repro.service.policy import BatchPolicy
 from repro.service.report import AttemptRecord, BatchReport, FileOutcome
 from repro.service.worker import (
     AttemptResult,
-    run_attempt_subprocess,
     run_attempt_thread,
     telemetry_request,
 )
 
+#: Attempt status -> fault kind; a status not listed here is a result.
 _FAULT_KIND = {
     "timeout": FAULT_DEADLINE,
     "crash": FAULT_CRASH,
@@ -77,7 +77,7 @@ def check_batch(
     Never raises for anything the *inputs* do; see the module docstring for
     the containment contract.  ``fault_schedule`` is the chaos hook —
     declarative injected faults replayed deterministically (and shipped to
-    subprocess workers as JSON).  Ambient :func:`~repro.pipeline.inject_fault`
+    pool workers as JSON).  Ambient :func:`~repro.pipeline.inject_fault`
     state from the calling thread is propagated into every worker attempt.
 
     ``pool`` is an optional :class:`~repro.service.pool.PersistentPool`
@@ -93,7 +93,7 @@ def check_batch(
     # up front rather than silently dropping an injected fault.
     serialized_ambient = (
         serialize_exception_faults(ambient)
-        if policy.isolate in ("subprocess", "pool") else None
+        if policy.isolate == "pool" else None
     )
     tracer = (
         instrumentation.tracer if instrumentation is not None else NULL_TRACER
@@ -131,7 +131,7 @@ def check_batch(
             for index, (filename, text) in enumerate(items):
                 outcomes[index] = _check_one(
                     index, filename, text, policy, ambient,
-                    serialized_ambient, fault_schedule, instrumentation,
+                    fault_schedule, instrumentation,
                 )
         else:
             with ThreadPoolExecutor(
@@ -140,7 +140,7 @@ def check_batch(
                 futures = {
                     pool.submit(
                         _check_one, index, filename, text, policy, ambient,
-                        serialized_ambient, fault_schedule, instrumentation,
+                        fault_schedule, instrumentation,
                     ): index
                     for index, (filename, text) in enumerate(items)
                 }
@@ -183,8 +183,7 @@ def check_batch(
     if crashed:
         # Crash forensics for the batch coordinator: one bundle per batch
         # that saw CrashReport outcomes (advisory; no-op without a
-        # configured --crash-dir / $FG_CRASH_DIR).  The recorder already
-        # holds any one-shot worker rings folded at receive time.
+        # configured --crash-dir / $FG_CRASH_DIR).
         from repro.observability import flightrec
 
         flightrec.dump("crash-report", {
@@ -214,62 +213,134 @@ def check_batch(
     )
 
 
+class TaskState:
+    """One file's retry state machine, advanced attempt by attempt.
+
+    The single place the fault taxonomy, the retry budget and the circuit
+    breaker are applied: :func:`_check_one` drives it on a thread, the
+    pool supervisor (:mod:`repro.service.pool`) drives it across worker
+    processes, so every isolation mode records attempts identically.
+    ``home`` and ``ready_at`` are the pool's scheduling state.
+    """
+
+    __slots__ = ("index", "filename", "text", "home", "attempt",
+                 "consecutive", "attempts", "final", "quarantined", "done",
+                 "ready_at")
+
+    def __init__(self, index: int, filename: str, text: str, home: int = 0):
+        self.index = index
+        self.filename = filename
+        self.text = text
+        self.home = home
+        self.attempt = 0
+        self.consecutive = 0
+        self.attempts: List[AttemptRecord] = []
+        self.final: Optional[AttemptResult] = None
+        self.quarantined = False
+        self.done = False
+        self.ready_at = 0.0  # monotonic instant this task may redispatch
+
+    def resolve(self, result: AttemptResult, injected: Tuple[str, ...],
+                policy: BatchPolicy,
+                fault_override: Optional[str] = None) -> Optional[float]:
+        """Fold one attempt in; returns the backoff in ms when the task
+        should retry, ``None`` when it is finished."""
+        self.final = result
+        fault_kind = fault_override or _FAULT_KIND.get(result.status)
+        if fault_kind is None:
+            self.attempts.append(AttemptRecord(
+                attempt=self.attempt, status=result.status,
+                injected=injected, duration_ms=result.duration_ms,
+            ))
+            self.done = True
+            return None
+        self.consecutive += 1
+        retryable = is_retryable(fault_kind)
+        breaker_open = self.consecutive >= policy.quarantine_after
+        out_of_retries = self.attempt >= policy.retry.max_retries
+        will_retry = retryable and not breaker_open and not out_of_retries
+        backoff_ms = (
+            policy.retry.backoff_ms(self.consecutive - 1)
+            if will_retry else 0.0
+        )
+        self.attempts.append(AttemptRecord(
+            attempt=self.attempt, status=result.status, fault=fault_kind,
+            retryable=retryable, backoff_ms=backoff_ms, injected=injected,
+            duration_ms=result.duration_ms,
+        ))
+        if breaker_open:
+            self.quarantined = True
+            self.done = True
+            return None
+        if not will_retry:
+            self.done = True
+            return None
+        self.attempt += 1
+        return backoff_ms
+
+    def outcome(self) -> FileOutcome:
+        final = self.final
+        return FileOutcome(
+            file=self.filename,
+            index=self.index,
+            status=final.status,
+            ok=final.status == "ok",
+            quarantined=self.quarantined,
+            attempts=tuple(self.attempts),
+            diagnostics=tuple(final.diagnostics),
+            severities=dict(final.severities),
+            rendered=final.rendered,
+            crash=final.crash,
+        )
+
+
+def thread_attempt(
+    task: TaskState,
+    policy: BatchPolicy,
+    ambient: Dict[str, object],
+    schedule: Optional[FaultSchedule],
+    telemetry: Optional[Dict[str, object]],
+) -> Tuple[AttemptResult, Tuple[str, ...]]:
+    """Run the task's next attempt in-process with its scheduled faults
+    installed; returns the result and the injected fault tags."""
+    specs = (
+        schedule.for_attempt(task.index, task.attempt)
+        if schedule is not None else ()
+    )
+    faults = dict(ambient)
+    for spec in specs:
+        faults[spec.stage] = spec.materialize(schedule.hang_s)
+    result = run_attempt_thread(
+        task.text, task.filename, policy.check_kwargs(), faults,
+        policy.deadline_ms, telemetry=telemetry,
+    )
+    return result, tuple(spec.tag for spec in specs)
+
+
 def _check_one(
     index: int,
     filename: str,
     text: str,
     policy: BatchPolicy,
     ambient: Dict[str, object],
-    serialized_ambient,
     schedule: Optional[FaultSchedule],
     instrumentation: Optional[Instrumentation] = None,
 ) -> FileOutcome:
-    """The per-file retry loop: attempts → taxonomy → backoff → breaker.
+    """The per-file retry loop: attempt, :meth:`TaskState.resolve`, sleep
+    the returned backoff.
 
     Every attempt carries the coordinator's telemetry request across the
-    isolation wall and merges what the worker saw back under
-    :data:`_MERGE_LOCK`, so ``--stats``/``--explain``/``--trace`` are no
-    longer silently empty under ``--isolate=subprocess`` (or the thread
-    wall).
+    thread wall and merges what the worker saw back under
+    :data:`_MERGE_LOCK`, so ``--stats``/``--explain``/``--trace`` see the
+    attempts' own spans, metrics and explain entries.
     """
     telemetry = telemetry_request(instrumentation)
-    check_kwargs = {
-        "prelude": policy.prelude,
-        "ext": policy.ext,
-        "max_errors": policy.max_errors,
-        "limits": policy.effective_limits(),
-        "verify": policy.verify,
-        "evaluate": policy.evaluate,
-    }
-    attempts: List[AttemptRecord] = []
-    final: Optional[AttemptResult] = None
-    quarantined = False
-    consecutive = 0
-    attempt = 0
+    task = TaskState(index, filename, text)
     while True:
-        specs = (
-            schedule.for_attempt(index, attempt)
-            if schedule is not None else ()
-        )
         send_ns = time.perf_counter_ns()
-        if policy.isolate == "subprocess":
-            result = run_attempt_subprocess(
-                text, filename, check_kwargs, serialized_ambient, specs,
-                schedule.hang_s if schedule is not None else 0.5,
-                policy.deadline_ms,
-                telemetry=telemetry,
-                max_mem_mb=policy.max_worker_mem_mb,
-            )
-        else:
-            faults = dict(ambient)
-            for spec in specs:
-                faults[spec.stage] = spec.materialize(
-                    schedule.hang_s if schedule is not None else 0.5
-                )
-            result = run_attempt_thread(
-                text, filename, check_kwargs, faults, policy.deadline_ms,
-                telemetry=telemetry,
-            )
+        result, injected = thread_attempt(
+            task, policy, ambient, schedule, telemetry,
+        )
         if result.telemetry is not None:
             with _MERGE_LOCK:
                 merge_worker_telemetry(
@@ -277,49 +348,12 @@ def _check_one(
                     send_ns=send_ns, recv_ns=time.perf_counter_ns(),
                     span_name="service.attempt",
                     attrs={
-                        "file": filename, "attempt": attempt,
+                        "file": filename, "attempt": task.attempt,
                         "isolate": policy.isolate,
                     },
                 )
-        final = result
-        injected = tuple(spec.tag for spec in specs)
-        fault_kind = _FAULT_KIND.get(result.status)
-        if fault_kind is None:
-            attempts.append(AttemptRecord(
-                attempt=attempt, status=result.status, injected=injected,
-                duration_ms=result.duration_ms,
-            ))
-            break
-        consecutive += 1
-        retryable = is_retryable(fault_kind)
-        breaker_open = consecutive >= policy.quarantine_after
-        out_of_retries = attempt >= policy.retry.max_retries
-        will_retry = retryable and not breaker_open and not out_of_retries
-        backoff_ms = (
-            policy.retry.backoff_ms(consecutive - 1) if will_retry else 0.0
-        )
-        attempts.append(AttemptRecord(
-            attempt=attempt, status=result.status, fault=fault_kind,
-            retryable=retryable, backoff_ms=backoff_ms, injected=injected,
-            duration_ms=result.duration_ms,
-        ))
-        if breaker_open:
-            quarantined = True
-            break
-        if not will_retry:
-            break
+        backoff_ms = task.resolve(result, injected, policy)
+        if backoff_ms is None:
+            return task.outcome()
         if backoff_ms > 0:
             time.sleep(backoff_ms / 1000.0)
-        attempt += 1
-    return FileOutcome(
-        file=filename,
-        index=index,
-        status=final.status,
-        ok=final.status == "ok",
-        quarantined=quarantined,
-        attempts=tuple(attempts),
-        diagnostics=tuple(final.diagnostics),
-        severities=dict(final.severities),
-        rendered=final.rendered,
-        crash=final.crash,
-    )

@@ -17,8 +17,8 @@ retried.
 deterministic plan of injected faults — ``(file index × pipeline stage ×
 fault kind × attempt set)`` — layered over the thread-local
 :func:`repro.pipeline.inject_fault` hook.  Being plain data, a schedule
-crosses the subprocess boundary as JSON, so ``isolate="subprocess"``
-workers replay exactly the same faults.  The CLI accepts the compact text
+crosses the process boundary as JSON, so ``isolate="pool"`` workers
+replay exactly the same faults.  The CLI accepts the compact text
 form (``fg batch --chaos "1:check:crash,2:parse:hang"``) and the chaos
 harness (:func:`repro.testing.run_chaos`) derives schedules from a seed.
 """

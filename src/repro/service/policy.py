@@ -13,12 +13,10 @@ from typing import Dict, Optional
 from repro.diagnostics.limits import DEFAULT_LIMITS, Limits
 
 #: Worker isolation modes: ``"none"`` runs attempts on watchdogged daemon
-#: threads in-process; ``"subprocess"`` gives each attempt its own
-#: interpreter so even C-level faults and OOM kills are contained;
-#: ``"pool"`` keeps the process-level containment but amortizes the
-#: interpreter cost over a supervised pool of persistent, prelude-warmed
-#: workers (:mod:`repro.service.pool`).
-ISOLATION_MODES = ("none", "subprocess", "pool")
+#: threads in-process; ``"pool"`` runs them in a supervised pool of
+#: persistent, prelude-warmed worker processes (:mod:`repro.service.pool`)
+#: so even C-level faults and OOM kills are contained.
+ISOLATION_MODES = ("none", "pool")
 
 
 @dataclass(frozen=True)
@@ -128,6 +126,17 @@ class BatchPolicy:
             return base
         return replace(base, deadline_ms=self.deadline_ms)
 
+    def check_kwargs(self) -> Dict[str, object]:
+        """The per-file :func:`~repro.pipeline.check_source` keywords."""
+        return {
+            "prelude": self.prelude,
+            "ext": self.ext,
+            "max_errors": self.max_errors,
+            "limits": self.effective_limits(),
+            "verify": self.verify,
+            "evaluate": self.evaluate,
+        }
+
     def to_json(self) -> Dict[str, object]:
         """Project *every* field, so the report's policy echo pins the run.
 
@@ -163,7 +172,9 @@ class BatchPolicy:
         round-trip contract that makes resumed reports byte-identical
         (pinned by ``tests/service/test_journal.py``).  Unknown keys are
         rejected loudly — a journal written by a newer policy must not
-        silently replay under a truncated one.
+        silently replay under a truncated one.  The retired
+        ``isolate="subprocess"`` mode reads as ``"pool"``, so journals from
+        daemons that still offered it replay.
         """
         from dataclasses import fields
 
@@ -174,6 +185,8 @@ class BatchPolicy:
                 f"unknown BatchPolicy field(s) in echo: {sorted(unknown)}"
             )
         kwargs: Dict[str, object] = dict(blob)
+        if kwargs.get("isolate") == "subprocess":
+            kwargs["isolate"] = "pool"
         if kwargs.get("retry") is not None:
             kwargs["retry"] = RetryPolicy(**kwargs["retry"])
         if kwargs.get("limits") is not None:

@@ -1,11 +1,13 @@
 """Supervised persistent worker-process pool for the batch service.
 
-``--isolate=subprocess`` (PR 5) pays for crash containment with a fresh
-interpreter per attempt.  This module keeps the containment and drops the
-cost: a supervisor forks ``pool_workers`` persistent children *once* (each
-imports the pipeline and pre-checks the prelude at spawn, so warm attempts
-skip that cost), then feeds them over the framed pipe protocol
+The only process-isolation mode (``isolate="pool"``; the CLI spellings
+``--isolate`` and ``--isolate=subprocess`` select it too).  A supervisor
+spawns ``pool_workers`` persistent children *once* (each imports the
+pipeline and pre-checks the prelude at spawn, so warm attempts skip that
+cost), then feeds them over the framed pipe protocol
 (:mod:`repro.service.proto`) from per-worker deques with work stealing.
+Each file's retries run through the same
+:class:`~repro.service.batch.TaskState` as in-process batches.
 
 **Failure domains.**  A task that merely raises is contained *inside* the
 worker (a structured ``"crash"`` result; the worker survives).  The
@@ -52,30 +54,16 @@ from repro.observability import (
 )
 from repro.observability import flightrec
 from repro.service import proto
-from repro.service.faults import (
-    FAULT_CRASH,
-    FAULT_DEADLINE,
-    FAULT_MEMORY,
-    FAULT_WORKER_LOST,
-    FaultSchedule,
-    is_retryable,
-)
+from repro.service.batch import TaskState, thread_attempt
+from repro.service.faults import FAULT_WORKER_LOST, FaultSchedule
 from repro.service.policy import BatchPolicy
-from repro.service.report import AttemptRecord, CrashReport, FileOutcome
+from repro.service.report import CrashReport, FileOutcome
 from repro.service.worker import (
     AttemptResult,
-    _child_env,
     result_to_attempt,
-    run_attempt_thread,
     task_payload,
     telemetry_request,
 )
-
-_FAULT_KIND = {
-    "timeout": FAULT_DEADLINE,
-    "crash": FAULT_CRASH,
-    "memory": FAULT_MEMORY,
-}
 
 #: Monotonic suffix for trace ids: unique per supervisor within a process,
 #: combined with the pid for cross-process uniqueness.  Never enters the
@@ -145,86 +133,6 @@ class PoolStats:
         }
 
 
-class _TaskState:
-    """One file's retry state machine, advanced attempt by attempt.
-
-    Mirrors the classification in ``repro.service.batch._check_one``
-    exactly — same fault taxonomy, same breaker and budget arithmetic —
-    so a pool report is record-for-record comparable with the other
-    isolation modes.
-    """
-
-    __slots__ = ("index", "filename", "text", "home", "attempt",
-                 "consecutive", "attempts", "final", "quarantined", "done",
-                 "ready_at")
-
-    def __init__(self, index: int, filename: str, text: str, home: int):
-        self.index = index
-        self.filename = filename
-        self.text = text
-        self.home = home
-        self.attempt = 0
-        self.consecutive = 0
-        self.attempts: List[AttemptRecord] = []
-        self.final: Optional[AttemptResult] = None
-        self.quarantined = False
-        self.done = False
-        self.ready_at = 0.0  # monotonic instant this task may redispatch
-
-    def resolve(self, result: AttemptResult, injected: Tuple[str, ...],
-                policy: BatchPolicy,
-                fault_override: Optional[str] = None) -> Optional[float]:
-        """Fold one attempt in; returns the backoff in ms when the task
-        should retry, ``None`` when it is finished."""
-        self.final = result
-        fault_kind = fault_override or _FAULT_KIND.get(result.status)
-        if fault_kind is None:
-            self.attempts.append(AttemptRecord(
-                attempt=self.attempt, status=result.status,
-                injected=injected, duration_ms=result.duration_ms,
-            ))
-            self.done = True
-            return None
-        self.consecutive += 1
-        retryable = is_retryable(fault_kind)
-        breaker_open = self.consecutive >= policy.quarantine_after
-        out_of_retries = self.attempt >= policy.retry.max_retries
-        will_retry = retryable and not breaker_open and not out_of_retries
-        backoff_ms = (
-            policy.retry.backoff_ms(self.consecutive - 1)
-            if will_retry else 0.0
-        )
-        self.attempts.append(AttemptRecord(
-            attempt=self.attempt, status=result.status, fault=fault_kind,
-            retryable=retryable, backoff_ms=backoff_ms, injected=injected,
-            duration_ms=result.duration_ms,
-        ))
-        if breaker_open:
-            self.quarantined = True
-            self.done = True
-            return None
-        if not will_retry:
-            self.done = True
-            return None
-        self.attempt += 1
-        return backoff_ms
-
-    def outcome(self) -> FileOutcome:
-        final = self.final
-        return FileOutcome(
-            file=self.filename,
-            index=self.index,
-            status=final.status,
-            ok=final.status == "ok",
-            quarantined=self.quarantined,
-            attempts=tuple(self.attempts),
-            diagnostics=tuple(final.diagnostics),
-            severities=dict(final.severities),
-            rendered=final.rendered,
-            crash=final.crash,
-        )
-
-
 class _WorkerSlot:
     """A fixed seat at the pool: the process occupying it may be replaced,
     the slot index and its deque persist."""
@@ -242,7 +150,7 @@ class _WorkerSlot:
         self.reader = proto.FrameReader()
         self.queue: collections.deque = collections.deque()
         # In-flight dispatch: (task, injected tags, dispatch instant).
-        self.current: Optional[Tuple[_TaskState, Tuple[str, ...], float]] = \
+        self.current: Optional[Tuple[TaskState, Tuple[str, ...], float]] = \
             None
         # Set by the worker's hello frame.  Tasks are only dispatched to
         # warmed workers so the deadline clock never includes interpreter
@@ -268,6 +176,29 @@ class _WorkerSlot:
     @property
     def alive(self) -> bool:
         return self.proc is not None and self.proc.poll() is None
+
+
+def _child_env() -> Dict[str, str]:
+    """The child's environment, with this package's source root prepended.
+
+    The coordinator's crash-bundle directory (``--crash-dir`` or
+    ``$FG_CRASH_DIR``) is exported so worker processes arm their own
+    hard-death hooks into the same directory.
+    """
+    import repro
+    from repro.observability import flightrec
+
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    env = dict(os.environ)
+    prior = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        src_root if not prior else src_root + os.pathsep + prior
+    )
+    crash_dir = flightrec.bundle_directory()
+    if crash_dir:
+        env[flightrec.ENV_CRASH_DIR] = crash_dir
+    return env
 
 
 def _init_frame(policy: BatchPolicy) -> Dict[str, object]:
@@ -399,14 +330,7 @@ class _Supervisor:
             instrumentation, trace_id=self.trace_id,
         )
         self.hang_s = schedule.hang_s if schedule is not None else 0.5
-        self.check_kwargs = {
-            "prelude": policy.prelude,
-            "ext": policy.ext,
-            "max_errors": policy.max_errors,
-            "limits": policy.effective_limits(),
-            "verify": policy.verify,
-            "evaluate": policy.evaluate,
-        }
+        self.check_kwargs = policy.check_kwargs()
         if slots is None:
             n_workers = max(1, min(policy.pool_workers, len(items)))
             self.slots = [_WorkerSlot(i) for i in range(n_workers)]
@@ -419,7 +343,7 @@ class _Supervisor:
                 slot.queue.clear()
                 slot.current = None
         self.tasks = [
-            _TaskState(index, filename, text, index % n_workers)
+            TaskState(index, filename, text, index % n_workers)
             for index, (filename, text) in enumerate(items)
         ]
         for task in self.tasks:
@@ -538,7 +462,7 @@ class _Supervisor:
     # -- dispatch and stealing ---------------------------------------------
 
     def _next_task(self, slot: _WorkerSlot, now: float) \
-            -> Optional[_TaskState]:
+            -> Optional[TaskState]:
         for i, task in enumerate(slot.queue):
             if task.ready_at <= now:
                 del slot.queue[i]
@@ -564,7 +488,7 @@ class _Supervisor:
                 return spec
         return None
 
-    def _dispatch(self, slot: _WorkerSlot, task: _TaskState) -> None:
+    def _dispatch(self, slot: _WorkerSlot, task: TaskState) -> None:
         specs = (
             self.schedule.for_attempt(task.index, task.attempt)
             if self.schedule is not None else ()
@@ -655,7 +579,7 @@ class _Supervisor:
 
     # -- attempt resolution -------------------------------------------------
 
-    def _finish_attempt(self, task: _TaskState, result: AttemptResult,
+    def _finish_attempt(self, task: TaskState, result: AttemptResult,
                         injected: Tuple[str, ...],
                         fault_override: Optional[str] = None) -> None:
         if result.status == "timeout":
@@ -880,18 +804,9 @@ class _Supervisor:
                 wait = task.ready_at - time.monotonic()
                 if wait > 0:
                     time.sleep(wait)
-                specs = (
-                    self.schedule.for_attempt(task.index, task.attempt)
-                    if self.schedule is not None else ()
-                )
-                injected = tuple(spec.tag for spec in specs)
-                faults = dict(self.ambient)
-                for spec in specs:
-                    faults[spec.stage] = spec.materialize(self.hang_s)
-                result = run_attempt_thread(
-                    task.text, task.filename, self.check_kwargs, faults,
-                    self.policy.deadline_ms,
-                    telemetry=self._telemetry,
+                result, injected = thread_attempt(
+                    task, self.policy, self.ambient, self.schedule,
+                    self._telemetry,
                 )
                 if result.telemetry is not None:
                     # In-process attempts share this clock: the worker's
@@ -1032,8 +947,8 @@ class PersistentPool:
     ``fg serve`` daemon.
 
     Each :meth:`run_batch` borrows the slots for one supervised batch
-    (losses, deadline kills, and respawns behave exactly as in one-shot
-    pool mode) and hands the surviving warm workers back.  Between
+    (losses, deadline kills, and respawns behave exactly as in a
+    standalone pool batch) and hands the surviving warm workers back.  Between
     batches :meth:`ensure` revives dead or retired seats and
     :meth:`flush` consumes idle chatter (heartbeats, late hellos) so the
     64 KiB pipe never fills while the daemon sits idle.

@@ -1,9 +1,9 @@
 """Length-prefixed JSON framing for worker-process result channels.
 
-The one-shot subprocess handshake used to be "one JSON document on
-stdout", which any stray ``print`` — from checked code, from a debugging
-statement left in the pipeline, from a C library — could corrupt.  This
-module replaces it with a real wire protocol:
+A bare "one JSON document on stdout" result channel is corrupted by any
+stray ``print`` — from checked code, from a debugging statement left in
+the pipeline, from a C library.  This module is a real wire protocol
+instead:
 
 - **Frames.**  Every message is ``MAGIC (4 bytes) + length (u32, big
   endian) + payload (UTF-8 JSON)``.  The magic starts with a byte that is

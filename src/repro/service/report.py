@@ -73,10 +73,10 @@ class CrashReport:
     """A contained worker death, attached to the file that caused it.
 
     ``where`` says which containment wall caught it: ``"worker"`` (the
-    in-process worker thread), ``"subprocess"`` (an isolated child died —
-    ``returncode`` carries its wait status, negative for a signal kill), or
+    in-process worker thread, or an exception a pool worker contained) or
     ``"pool"`` (a persistent pool worker was lost with this attempt in
-    flight; the supervisor recorded it as the ``worker-lost`` fault).
+    flight; the supervisor recorded it as the ``worker-lost`` fault and
+    ``returncode`` carries its wait status, negative for a signal kill).
     """
 
     exc_type: str

@@ -80,7 +80,7 @@ from repro.service.journal import (
     done_record,
     report_digest,
 )
-from repro.service.policy import BatchPolicy
+from repro.service.policy import ISOLATION_MODES, BatchPolicy
 from repro.service.pool import PersistentPool
 from repro.service.signals import notify_on_termination
 
@@ -219,6 +219,13 @@ def resolve_policy(
     if overrides:
         if not isinstance(overrides, dict):
             raise ValueError("policy overrides must be an object")
+        if overrides.get("isolate", "pool") not in ISOLATION_MODES:
+            # from_json reads a journal's legacy "subprocess" as "pool";
+            # a live request naming a retired mode is refused instead.
+            raise ValueError(
+                f"isolate must be one of {ISOLATION_MODES}, "
+                f"not {overrides['isolate']!r}"
+            )
         base_deadline = blob.get("deadline_ms")
         request_deadline = overrides.get("deadline_ms")
         blob = dict(blob)

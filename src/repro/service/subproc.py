@@ -1,24 +1,18 @@
-"""Child entry points for isolated batch workers (one-shot and pool).
+"""Child entry point for pool workers: ``python -m repro.service.subproc
+--serve --task-fd N --result-fd M``.
 
-Two modes share one task codec:
-
-**One-shot** (``isolate="subprocess"``; no arguments): one JSON task on
-stdin, one *framed* result on the claimed stdout
-(:func:`repro.service.proto.shield_stdout` — a stray ``print`` from
-checked code or the pipeline lands on stderr, never inside the result
-stream).  The parent (:func:`repro.service.worker.run_attempt_subprocess`)
-enforces the deadline by killing this process.
-
-**Persistent** (``--serve``; spawned by :mod:`repro.service.pool`): the
-worker warms up once — imports the whole pipeline and pre-checks the
-prelude so warm attempts skip that cost — then loops over framed tasks on
-a dedicated task pipe, writing framed results and periodic heartbeats to
-a dedicated result pipe.  A heartbeat thread keeps ticking while a task
-runs, so the supervisor can tell "busy" from "wedged".  Exceptions inside
-a task are contained *by the worker* (a structured ``"crash"`` result;
-the worker survives for the next task); only process-killing faults —
-``os._exit``, SIGKILL, C-level crashes — take the worker down, and those
-are the supervisor's business (the ``worker-lost`` fault kind).
+Spawned by :mod:`repro.service.pool`, the worker warms up once — imports
+the whole pipeline and pre-checks the prelude so warm attempts skip that
+cost — then loops over framed tasks on a dedicated task pipe, writing
+framed results and periodic heartbeats to a dedicated result pipe.  Stdout
+is claimed (:func:`repro.service.proto.shield_stdout`), so a stray
+``print`` from checked code or the pipeline lands on stderr, never inside
+a pipe.  A heartbeat thread keeps ticking while a task runs, so the
+supervisor can tell "busy" from "wedged".  Exceptions inside a task are
+contained *by the worker* (a structured ``"crash"`` result; the worker
+survives for the next task); only process-killing faults — ``os._exit``,
+SIGKILL, C-level crashes — take the worker down, and those are the
+supervisor's business (the ``worker-lost`` fault kind).
 
 The task payload carries the chaos faults to replay — declarative
 :class:`~repro.service.faults.FaultSpec` entries plus serialized ambient
@@ -30,7 +24,6 @@ crash.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -40,8 +33,7 @@ import time
 def run_task(payload: dict) -> dict:
     """Execute one check task; always returns a result dict, never raises.
 
-    The shared task codec for both isolation modes: builds the limits and
-    fault table from the payload, runs :func:`~repro.pipeline.check_source`
+    Builds the limits and fault table from the payload, runs :func:`~repro.pipeline.check_source`
     under them, and projects the outcome (or the contained crash) to the
     JSON-ready result shape.
     """
@@ -163,31 +155,9 @@ def warm_up(prelude: bool, ext: bool) -> float:
     return round((time.perf_counter() - start) * 1e3, 3)
 
 
-def main() -> int:
-    """One-shot mode: task on stdin, one framed result on claimed stdout."""
-    from repro.observability import flightrec
-    from repro.service import proto
-
-    flightrec.arm()  # bundle directory (if any) comes from $FG_CRASH_DIR
-    result_fd = proto.shield_stdout()
-    payload = json.load(sys.stdin)
-    if payload.get("max_mem_mb") is not None:
-        # The one-shot child governs itself: the rlimit turns a runaway
-        # allocation into a contained MemoryError ("memory" result)
-        # instead of a kernel OOM kill of an anonymous process.
-        from repro.service.resources import apply_memory_limit
-
-        apply_memory_limit(payload["max_mem_mb"])
-    result = run_task(payload)
-    result["flightrec"] = flightrec.recorder().wire_tail()
-    proto.write_frame_fd(result_fd, result)
-    flightrec.disarm()
-    return 0
-
-
 def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
           max_mem_mb=None) -> int:
-    """Persistent mode: loop over framed tasks until shutdown or EOF."""
+    """Loop over framed tasks until shutdown or EOF."""
     from repro.observability import flightrec
     from repro.service import proto
     from repro.service.resources import apply_memory_limit, sample_rss_bytes
@@ -288,11 +258,8 @@ def _parse_serve_args(argv) -> dict:
 
 
 if __name__ == "__main__":
-    if "--serve" in sys.argv[1:]:
-        args = [a for a in sys.argv[1:] if a != "--serve"]
-        opts = _parse_serve_args(args)
-        sys.exit(serve(
-            opts["task_fd"], opts["result_fd"], opts["heartbeat_ms"],
-            max_mem_mb=opts["max_mem_mb"],
-        ))
-    sys.exit(main())
+    opts = _parse_serve_args([a for a in sys.argv[1:] if a != "--serve"])
+    sys.exit(serve(
+        opts["task_fd"], opts["result_fd"], opts["heartbeat_ms"],
+        max_mem_mb=opts["max_mem_mb"],
+    ))

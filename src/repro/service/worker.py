@@ -1,22 +1,22 @@
-"""Isolated execution of one check attempt: thread watchdog or subprocess.
+"""One check attempt: the in-process watchdog and the worker task codec.
 
-Two containment walls, chosen by ``BatchPolicy.isolate``:
+``BatchPolicy.isolate`` picks one of two containment walls:
 
-- **Watchdogged thread** (the default): the attempt runs on a daemon
-  thread; the watchdog joins it for ``deadline_ms`` and, on expiry,
-  *abandons* it and reports a deadline fault.  The abandoned thread is
-  harmless — it holds no shared mutable state (fault tables are
-  thread-local, budgets are per-run, and
+- **Watchdogged thread** (the default, :func:`run_attempt_thread`): the
+  attempt runs on a daemon thread; the watchdog joins it for
+  ``deadline_ms`` and, on expiry, *abandons* it and reports a deadline
+  fault.  The abandoned thread is harmless — it holds no shared mutable
+  state (fault tables are thread-local, budgets are per-run, and
   :func:`~repro.diagnostics.limits.scoped_recursion_limit` restores are
   guarded) and the cooperative deadline in :class:`~repro.diagnostics.Budget`
   usually reels it in shortly after.  Any non-``Diagnostic`` exception the
   attempt raises is contained as a :class:`~repro.service.report.CrashReport`.
 
-- **Subprocess** (``isolate="subprocess"``): the attempt runs in a fresh
-  interpreter via :mod:`repro.service.subproc`; deadline expiry kills the
-  child, and interpreter-killing failures — C-level recursion faults, OOM
-  kills, ``os._exit`` — surface as a crash report carrying the child's wait
-  status instead of taking the batch down.
+- **Worker pool** (``isolate="pool"``, :mod:`repro.service.pool`): the
+  attempt ships to a persistent worker process as a :func:`task_payload`
+  and comes back through :func:`result_to_attempt`; interpreter-killing
+  failures — C-level recursion faults, OOM kills, ``os._exit`` — take
+  down only that worker and read as a retryable ``worker-lost`` attempt.
 
 :func:`run_with_deadline` is the shared watchdog primitive; the single-file
 ``fg check --deadline-ms`` reuses it directly.
@@ -24,10 +24,7 @@ Two containment walls, chosen by ``BatchPolicy.isolate``:
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 import threading
 import time
 import traceback
@@ -256,29 +253,6 @@ def run_attempt_thread(
     )
 
 
-def _child_env() -> Dict[str, str]:
-    """The child's environment, with this package's source root prepended.
-
-    The coordinator's crash-bundle directory (``--crash-dir`` or
-    ``$FG_CRASH_DIR``) is exported so worker processes arm their own
-    hard-death hooks into the same directory.
-    """
-    import repro
-    from repro.observability import flightrec
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__)))
-    env = dict(os.environ)
-    prior = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not prior else src_root + os.pathsep + prior
-    )
-    crash_dir = flightrec.bundle_directory()
-    if crash_dir:
-        env[flightrec.ENV_CRASH_DIR] = crash_dir
-    return env
-
-
 def task_payload(
     text: str,
     filename: str,
@@ -287,9 +261,8 @@ def task_payload(
     fault_specs: Tuple[FaultSpec, ...],
     hang_s: float,
     telemetry: Optional[Dict[str, object]] = None,
-    max_mem_mb: Optional[float] = None,
 ) -> Dict[str, object]:
-    """The JSON task shape both isolation walls ship to a worker process.
+    """The JSON task shape the pool ships to a worker process.
 
     ``limits`` is projected field-by-field from the dataclass, so a new
     :class:`~repro.diagnostics.limits.Limits` budget crosses the process
@@ -313,7 +286,6 @@ def task_payload(
         "exception_faults": list(exception_faults),
         "fault_specs": [spec.to_json() for spec in fault_specs],
         "hang_s": hang_s,
-        "max_mem_mb": max_mem_mb,
     }
 
 
@@ -336,88 +308,3 @@ def result_to_attempt(result: Dict[str, object],
         duration_ms=duration_ms,
         telemetry=result.get("telemetry"),
     )
-
-
-def run_attempt_subprocess(
-    text: str,
-    filename: str,
-    check_kwargs: Dict[str, object],
-    exception_faults: List[Dict[str, str]],
-    fault_specs: Tuple[FaultSpec, ...],
-    hang_s: float,
-    deadline_ms: Optional[float],
-    telemetry: Optional[Dict[str, object]] = None,
-    max_mem_mb: Optional[float] = None,
-) -> AttemptResult:
-    """One attempt in a fresh interpreter (see :mod:`repro.service.subproc`).
-
-    The deadline kills the child outright; a dead child (nonzero exit,
-    signal, or a result channel with no complete frame) becomes a crash
-    report carrying its wait status and the tail of its stderr.  The result
-    travels as a length-prefixed frame on the child's *claimed* stdout
-    (:func:`repro.service.proto.shield_stdout`), so a stray ``print`` from
-    checked code or the pipeline cannot corrupt it.
-    """
-    from repro.service import proto
-
-    payload = task_payload(
-        text, filename, check_kwargs, exception_faults, fault_specs, hang_s,
-        telemetry=telemetry, max_mem_mb=max_mem_mb,
-    )
-    start = time.perf_counter()
-    start_ns = time.perf_counter_ns()
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.service.subproc"],
-            input=json.dumps(payload).encode("utf-8"),
-            capture_output=True,
-            timeout=deadline_ms / 1000.0 if deadline_ms is not None else None,
-            env=_child_env(),
-        )
-    except subprocess.TimeoutExpired:
-        duration_ms = round((time.perf_counter() - start) * 1e3, 3)
-        return AttemptResult(status="timeout", duration_ms=duration_ms)
-    duration_ms = round((time.perf_counter() - start) * 1e3, 3)
-    stderr_text = proc.stderr.decode("utf-8", errors="replace")
-    stderr_tail = tuple(stderr_text.rstrip().splitlines()[-TRACEBACK_TAIL:])
-    if proc.returncode != 0:
-        return AttemptResult(
-            status="crash",
-            crash=CrashReport(
-                exc_type="WorkerDeath",
-                message=(
-                    f"subprocess worker exited with status {proc.returncode}"
-                ),
-                where="subprocess",
-                traceback=stderr_tail,
-                returncode=proc.returncode,
-            ),
-            duration_ms=duration_ms,
-        )
-    try:
-        result, _ = proto.extract_frame(proc.stdout)
-    except proto.FrameError:
-        result = None
-    if result is None:
-        return AttemptResult(
-            status="crash",
-            crash=CrashReport(
-                exc_type="WorkerProtocolError",
-                message="subprocess worker produced no parseable result",
-                where="subprocess",
-                traceback=stderr_tail,
-                returncode=proc.returncode,
-            ),
-            duration_ms=duration_ms,
-        )
-    if result.get("flightrec"):
-        # Fold the one-shot worker's flight ring into the coordinator
-        # recorder at receive time: a later fault dump then carries the
-        # child's spans even though the child is already gone.
-        from repro.observability import flightrec, fold_worker_flightrec
-
-        fold_worker_flightrec(
-            flightrec.recorder(), result["flightrec"],
-            send_ns=start_ns, recv_ns=time.perf_counter_ns(),
-        )
-    return result_to_attempt(result, duration_ms)

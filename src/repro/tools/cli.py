@@ -57,10 +57,11 @@ exiting 1 on regression — the CI perf gate.
 checks under ``repro.service``: ``--jobs N`` workers, ``--deadline-ms T``
 per-task watchdog, ``--retries K`` with a deterministic backoff schedule,
 ``--isolate`` for worker processes that contain interpreter-killing
-failures (``subprocess`` = fresh interpreter per attempt; ``pool`` = a
-supervised pool of persistent prelude-warmed workers with heartbeats,
-respawn, and work stealing — ``--pool-workers``/``--max-respawns``), and a
-circuit breaker (``--quarantine-after N``).  ``--chaos`` injects a
+failures (a supervised pool of persistent prelude-warmed workers with
+heartbeats, respawn, and work stealing — ``--pool-workers``/
+``--max-respawns``; ``--isolate``, ``--isolate=pool`` and the older
+``--isolate=subprocess`` all select it), and a circuit breaker
+(``--quarantine-after N``).  ``--chaos`` injects a
 deterministic fault schedule and ``--kill-worker`` SIGKILLs pool workers
 mid-batch (the CI chaos-smoke hooks).
 
@@ -522,7 +523,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
 
-    if args.kill_worker and args.isolate != "pool":
+    if args.kill_worker and not args.isolate:
         print(
             "fg batch: --kill-worker requires --isolate=pool "
             "(there are no workers to kill otherwise)",
@@ -555,7 +556,7 @@ def _run_batch(args: argparse.Namespace) -> int:
                 backoff_base_ms=args.backoff_ms,
             ),
             quarantine_after=args.quarantine_after,
-            isolate=args.isolate if args.isolate else "none",
+            isolate="pool" if args.isolate else "none",
             pool_workers=args.pool_workers,
             max_respawns=args.max_respawns,
             heartbeat_ms=args.heartbeat_ms,
@@ -1176,9 +1177,9 @@ def main(argv=None) -> int:
     )
     bench.add_argument(
         "--isolation-rounds", type=int, default=2, metavar="N",
-        help="rounds for the subprocess-vs-pool batch isolation "
-        "comparison over examples/fg (default 2; 0 skips it — it spawns "
-        "real worker processes)",
+        help="rounds for the pool-isolated batch and warm-daemon rows "
+        "over examples/fg (default 2; 0 skips them — they spawn real "
+        "worker processes)",
     )
     bench.add_argument(
         "--tag", default=None,
@@ -1226,13 +1227,13 @@ def main(argv=None) -> int:
         "failures (default 3)",
     )
     batch.add_argument(
-        "--isolate", nargs="?", const="subprocess", default=None,
+        "--isolate", nargs="?", const="pool", default=None,
         choices=["subprocess", "pool"], metavar="MODE",
         help="contain interpreter-killing failures (C-level faults, OOM "
-        "kills) in worker processes: 'subprocess' (the default when the "
-        "flag is bare) forks a fresh interpreter per attempt; 'pool' "
-        "supervises persistent prelude-warmed workers with heartbeats, "
-        "respawn on worker loss, and work stealing",
+        "kills) in a supervised pool of persistent prelude-warmed worker "
+        "processes with heartbeats, respawn on worker loss, and work "
+        "stealing; a bare --isolate and the older 'subprocess' spelling "
+        "both select 'pool'",
     )
     batch.add_argument(
         "--pool-workers", type=int, default=2, metavar="N",

@@ -57,6 +57,33 @@ class TestAggregation:
         )
         assert profile.span_count == 3
 
+    def test_nested_same_name_spans_count_inclusive_once(self):
+        tracer = Tracer(clock=_fake_clock())
+        # parent 10..80; rec 20..70 wraps mid 30..60 wraps rec 40..50.
+        with tracer.span("parent"):
+            with tracer.span("rec"):
+                with tracer.span("mid"):
+                    with tracer.span("rec"):
+                        pass
+        by_name = {h.name: h for h in profile_tracer(tracer).hotspots}
+        assert by_name["rec"].calls == 2
+        assert by_name["rec"].inclusive_ns == 50  # the outer rec only
+        assert by_name["rec"].inclusive_ns <= by_name["parent"].inclusive_ns
+        assert by_name["rec"].exclusive_ns == 20 + 10
+        assert by_name["mid"].inclusive_ns == 30
+
+    def test_no_callsite_exceeds_the_enclosing_run(self):
+        tracer = Tracer()
+        check_source(PROGRAM, prelude=True, verify=True, evaluate=True,
+                     instrumentation=Instrumentation(tracer=tracer))
+        by_name = {h.name: h for h in profile_tracer(tracer).hotspots}
+        total = by_name["pipeline.check_source"].inclusive_ns
+        check = by_name["pipeline.check"].inclusive_ns
+        for hot in by_name.values():
+            assert hot.inclusive_ns <= total, hot.name
+            if hot.name.startswith("check."):
+                assert hot.inclusive_ns <= check, hot.name
+
     def test_order_is_calls_desc_then_name(self):
         tracer = Tracer(clock=_fake_clock())
         for _ in range(3):

@@ -236,19 +236,6 @@ class TestCliGate:
 
 @pytest.mark.slow
 class TestIsolationBenchmark:
-    def test_pool_beats_subprocess_wall_clock(self):
-        # The pool's reason to exist, measured: the subprocess wall spawns
-        # one interpreter per file, the pool spawns two workers per batch
-        # and reuses them warm.  Over the examples/fg corpus the pool must
-        # win on wall-clock, not just in principle.
-        rows = regress.isolation_benchmark_rows(rounds=2)
-        medians = {row["name"]: row["median_s"] for row in rows}
-        assert set(medians) == {
-            "batch.isolate_subprocess", "batch.isolate_pool",
-        }
-        assert medians["batch.isolate_pool"] \
-            < medians["batch.isolate_subprocess"]
-
     def test_rows_ride_the_regression_gate_shape(self):
         rows = regress.isolation_benchmark_rows(rounds=1)
         for row in rows:

@@ -121,3 +121,35 @@ class TestLocalOverrides:
         from repro.fg import verify_translation
 
         verify_translation(prelude.parse("accumulate[int](range(1, 4))"))
+
+
+class TestUserPositions:
+    """``--prelude`` diagnostics point into the user's file, not into the
+    wrapped text the checker actually saw."""
+
+    def test_redefining_a_prelude_concept_is_rejected_at_user_lines(self):
+        # A user file may not redefine a prelude concept: monoid.fg
+        # declares its own Semigroup/Monoid, so under --prelude it fails
+        # with two "already defined" errors on its own lines 1 and 2.
+        from pathlib import Path
+
+        from repro.pipeline import check_source
+
+        path = Path(__file__).resolve().parents[2] / "examples/fg/monoid.fg"
+        outcome = check_source(path.read_text(), "monoid.fg", prelude=True)
+        diags = outcome.report.to_json()
+        assert [(d["line"], d["col"]) for d in diags] == [(1, 1), (2, 1)]
+        assert all("already defined" in d["message"] for d in diags)
+        assert outcome.report.render().splitlines()[0].startswith(
+            "monoid.fg:1:1: type error: concept 'Semigroup'"
+        )
+
+    def test_parse_error_excerpt_quotes_the_user_line(self):
+        from repro.pipeline import check_source
+
+        text = "let a = 1 in\nlet b = (a in\nb"
+        plain = check_source(text, "u.fg").report
+        wrapped = check_source(text, "u.fg", prelude=True).report
+        assert wrapped.to_json() == plain.to_json()
+        assert wrapped.render() == plain.render()
+        assert "    2 | let b = (a in" in wrapped.render()

@@ -56,6 +56,6 @@ def test_chaos_through_the_subprocess_wall():
     files = [(f"<chaos{i}>", src) for i, src in enumerate(FUZZ_SEEDS[:2])]
     stats = run_chaos(
         rounds=1, seed=0, files=files, jobs=2,
-        deadline_ms=2_000.0, isolate="subprocess",
+        deadline_ms=2_000.0, isolate="pool",
     )
     assert stats["files"] == 2

@@ -128,23 +128,6 @@ class TestPoolBundles:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestSubprocessBundles:
-    def test_one_shot_worker_ring_folds_into_coordinator(self, crash_dir):
-        rec = flightrec.install(flightrec.FlightRecorder(capacity=64))
-        try:
-            policy = BatchPolicy(isolate="subprocess")
-            report = check_batch([("a.fg", GOOD)], policy)
-            assert report.files[0].ok
-            spans = flightrec.recorder().snapshot()["spans"]
-            folded = [s for s in spans
-                      if s["name"] == "worker.task"
-                      and (s.get("attrs") or {}).get("worker_pid")]
-            assert folded, spans
-            assert folded[0]["attrs"]["file"] == "a.fg"
-        finally:
-            flightrec.install(rec)
-
-
 class _Daemon:
     """A live in-process daemon for bundle tests."""
 

@@ -163,3 +163,35 @@ def test_policy_echo_round_trips_through_the_journal(tmp_path):
     (record,) = replay(path).unfinished
     rebuilt = BatchPolicy.from_json(record["policy"])
     assert rebuilt.to_json() == policy.to_json()
+
+
+def test_legacy_subprocess_isolation_replays_as_pool(tmp_path):
+    """Daemons that still offered ``isolate="subprocess"`` journaled it in
+    begin records; replay must rebuild those as pool policies instead of
+    aborting the daemon at startup."""
+    legacy = dict(BatchPolicy(isolate="pool").to_json(), isolate="subprocess")
+    path = _write(tmp_path, begin_record(1, [("a.fg", "1")], legacy, None))
+    (record,) = replay(path).unfinished
+    rebuilt = BatchPolicy.from_json(record["policy"])
+    assert rebuilt.isolate == "pool"
+    assert rebuilt.to_json() == BatchPolicy(isolate="pool").to_json()
+
+
+@pytest.mark.slow
+def test_resume_replays_a_legacy_subprocess_request(tmp_path):
+    from repro.service import ServeOptions, Server, check_batch
+
+    policy = BatchPolicy(isolate="pool", pool_workers=1)
+    legacy = dict(policy.to_json(), isolate="subprocess")
+    journal_path = str(tmp_path / "fg.journal")
+    with Journal(journal_path) as journal:
+        journal.append(begin_record(1, [("a.fg", "iadd(1, 2)")], legacy, None))
+    summary = Server(policy, ServeOptions(
+        socket_path=str(tmp_path / "unused.sock"),
+        journal_path=journal_path,
+        resume_only=True,
+    )).serve()
+    expected = report_digest(
+        check_batch([("a.fg", "iadd(1, 2)")], policy).canonical_json()
+    )
+    assert summary["resumed"] == {"1": expected}

@@ -60,6 +60,8 @@ class TestBatchPolicy:
         with pytest.raises(ValueError):
             BatchPolicy(isolate="container")
         with pytest.raises(ValueError):
+            BatchPolicy(isolate="subprocess")  # retired; the pool replaces it
+        with pytest.raises(ValueError):
             BatchPolicy(deadline_ms=0)
         with pytest.raises(ValueError):
             BatchPolicy(pool_workers=0)
@@ -76,7 +78,7 @@ class TestBatchPolicy:
     def test_policy_echo_is_json_stable(self):
         import json
 
-        policy = BatchPolicy(jobs=4, deadline_ms=100.0, isolate="subprocess")
+        policy = BatchPolicy(jobs=4, deadline_ms=100.0, isolate="pool")
         assert json.dumps(policy.to_json()) == json.dumps(policy.to_json())
 
     def test_policy_echo_projects_every_field(self):

@@ -45,6 +45,11 @@ class TestPoolBasics:
         assert [f.status for f in report.files] == ["ok"] * 5 + [
             "diagnostics"
         ]
+        # The diagnosed file's report survives the trip through a worker.
+        bad = report.files[5]
+        assert bad.severities.get("error", 0) >= 1
+        assert bad.diagnostics and bad.rendered
+        assert bad.crash is None
         assert report.pool is not None
         assert report.pool["workers"] == 2
         assert report.pool["respawns"] == 0
@@ -110,18 +115,25 @@ class TestWorkerLoss:
 
     def test_os_exit_inside_a_task_is_worker_lost(self):
         # The "kill" chaos kind calls os._exit(13) inside the worker; only
-        # the supervisor's process wall can catch that.
+        # the supervisor's process wall can catch that.  File 2 dies on
+        # every attempt, so its final crash report keeps the wait status.
         schedule = FaultSchedule(specs=(
             FaultSpec(0, "check", "kill", attempts=frozenset({0})),
+            FaultSpec(2, "check", "kill"),
         ))
         report = check_batch(
-            [("f0.fg", TINY), ("f1.fg", TINY)], pool_policy(),
+            [("f0.fg", TINY), ("f1.fg", TINY), ("f2.fg", TINY)],
+            pool_policy(max_respawns=6),
             fault_schedule=schedule,
         )
-        assert report.files[0].status == "ok"
+        assert [f.status for f in report.files] == ["ok", "ok", "crash"]
         first = report.files[0].attempts[0]
         assert (first.status, first.fault) == ("crash", "worker-lost")
-        assert report.pool["respawns"] >= 1
+        doomed = report.files[2]
+        assert [a.fault for a in doomed.attempts] == ["worker-lost"] * 3
+        assert doomed.crash.where == "pool"
+        assert doomed.crash.returncode == 13
+        assert report.pool["respawns"] >= 4
 
     def test_budget_exhaustion_degrades_to_in_process(self):
         schedule = FaultSchedule(kills=(

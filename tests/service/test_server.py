@@ -136,6 +136,9 @@ def test_resolve_policy_rejects_unknown_keys_and_bad_shapes():
         resolve_policy(base, {"no_such_knob": 1})
     with pytest.raises(ValueError):
         resolve_policy(base, ["not", "a", "dict"])
+    # Only journal replay reads the retired "subprocess" mode as "pool".
+    with pytest.raises(ValueError):
+        resolve_policy(base, {"isolate": "subprocess"})
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +378,17 @@ def test_malformed_requests_get_error_responses_not_death():
             {"type": "batch", "sources": [["one"]]},
             {"type": "batch", "sources": [["a.fg", GOOD]],
              "policy": {"bogus_knob": 1}},
+            {"type": "batch", "sources": [["a.fg", GOOD]],
+             "policy": {"isolate": "subprocess"}},
             {"type": "no-such-type"},
         ):
             response = roundtrip(daemon.socket_path, payload, timeout=10.0)
             assert response["type"] == "error", payload
-        # And the daemon is still alive.
+        # And the daemon is still alive and serving.
         assert health(daemon.socket_path)["status"] == "ok"
+        after = check_remote(daemon.socket_path, [("good.fg", GOOD)],
+                             timeout=60.0)
+        assert after["type"] == "report" and after["exit_code"] == 0
 
 
 @pytest.mark.slow

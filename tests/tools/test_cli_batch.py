@@ -153,6 +153,19 @@ class TestBatchReportOutput:
         assert len(outcome["attempts"]) == 2
         assert outcome["attempts"][0]["injected"] == ["check:crash"]
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("flag", ["--isolate", "--isolate=subprocess"])
+    def test_isolate_aliases_select_the_pool(self, capsys, corpus, flag):
+        code, out, _ = run_cli(
+            capsys, "batch", str(corpus / "a.fg"), str(corpus / "broken.fg"),
+            flag, "--pool-workers", "1", "--json",
+        )
+        assert code == EXIT_DIAGNOSTICS
+        blob = json.loads(out)
+        assert blob["policy"]["isolate"] == "pool"
+        assert blob["pool"]["workers"] == 1
+        assert [f["status"] for f in blob["files"]] == ["ok", "diagnostics"]
+
 
 class TestCheckDeadline:
     def test_deadline_generous_enough_is_invisible(self, capsys):
