@@ -70,3 +70,26 @@ class TestPreludeScale:
 
         term = parse("accumulate[int](range(1, 4))")
         benchmark(lambda: fg_typecheck(term))
+
+    @pytest.mark.parametrize("prelude", [False, True],
+                             ids=["plain", "prelude"])
+    def test_check_corpus(self, benchmark, prelude):
+        """Warm ``check_source`` over ``examples/fg`` (less ``monoid.fg``,
+        which redefines prelude concepts), with and without the prelude:
+        the pair tracks the target that ``--prelude`` stays within 1.2x of
+        no prelude."""
+        from pathlib import Path
+
+        from repro.pipeline import check_source
+
+        examples = Path(__file__).resolve().parents[1] / "examples" / "fg"
+        corpus = [(path.name, path.read_text())
+                  for path in sorted(examples.glob("*.fg"))
+                  if path.name != "monoid.fg"]
+
+        def check_corpus():
+            for name, text in corpus:
+                assert check_source(text, name, prelude=prelude).ok
+
+        check_corpus()  # warm: imports, and the one-time prelude build
+        benchmark(check_corpus)

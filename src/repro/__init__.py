@@ -30,6 +30,7 @@ Subpackages:
   parameterized models, member defaults, nested requirements).
 """
 
+from repro import prelude as _prelude
 from repro.fg import (
     evaluate as _fg_evaluate,
     translate as _fg_translate,
@@ -49,24 +50,31 @@ __version__ = "1.0.0"
 
 def fg_check(program: str, use_prelude: bool = False):
     """Typecheck an F_G source program; returns its F_G type."""
-    term = _parse(program, use_prelude)
-    fg_type, _ = _fg_typecheck(term)
+    if use_prelude:
+        return _prelude.type_of(program)
+    fg_type, _ = _fg_typecheck(parse_fg(program))
     return fg_type
 
 
 def fg_translate(program: str, use_prelude: bool = False):
     """Translate an F_G source program to a System F term."""
-    return _fg_translate(_parse(program, use_prelude))
+    if use_prelude:
+        return _prelude.typecheck(program)[1]
+    return _fg_translate(parse_fg(program))
 
 
 def fg_run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate an F_G source program."""
-    return _fg_evaluate(_parse(program, use_prelude))
+    if use_prelude:
+        return _prelude.run(program)
+    return _fg_evaluate(parse_fg(program))
 
 
 def fg_verify(program: str, use_prelude: bool = False):
     """Run the executable Theorem 1/2 check on an F_G source program."""
-    return _fg_verify(_parse(program, use_prelude))
+    if use_prelude:
+        return _prelude.verify(program)
+    return _fg_verify(parse_fg(program))
 
 
 def fg_check_all(program: str, use_prelude: bool = False, **options):
@@ -80,14 +88,6 @@ def fg_check_all(program: str, use_prelude: bool = False, **options):
     from repro.pipeline import check_source
 
     return check_source(program, prelude=use_prelude, **options)
-
-
-def _parse(program: str, use_prelude: bool):
-    if use_prelude:
-        from repro import prelude
-
-        return prelude.parse(program)
-    return parse_fg(program)
 
 
 __all__ = [

@@ -165,6 +165,18 @@ class Budget:
     def leave_depth(self) -> None:
         self._depth -= 1
 
+    @property
+    def depth(self) -> int:
+        """The checker's current nesting depth."""
+        return self._depth
+
+    def resume(self, depth: int, peak_depth: int) -> None:
+        """Continue a run that already stands ``depth`` deep and has
+        reached ``peak_depth`` — a pre-checked prefix such as the prelude
+        (:mod:`repro.prelude.context`)."""
+        self._depth = depth
+        self.peak_depth = max(self.peak_depth, peak_depth)
+
     # -- evaluator fuel ---------------------------------------------------
 
     def spend_fuel(self, span=None) -> None:

@@ -19,7 +19,7 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.diagnostics.errors import Diagnostic
 
@@ -117,10 +117,6 @@ class DiagnosticReporter:
     """
 
     max_errors: int = 20
-    #: Optional in-place position fix-up, applied to each diagnostic as it
-    #: is emitted (``--prelude`` maps wrapped-text positions back onto the
-    #: user's file), so a clean run never pays for it.
-    relocate: Optional[Callable[[Diagnostic], None]] = None
     _diagnostics: List[Diagnostic] = field(default_factory=list)
     _error_count: int = 0
 
@@ -128,8 +124,6 @@ class DiagnosticReporter:
         if severity not in SEVERITIES:
             raise ValueError(f"unknown severity {severity!r}")
         diag.severity = severity
-        if self.relocate is not None:
-            self.relocate(diag)
         self._diagnostics.append(diag)
         if severity == "error":
             self._error_count += 1

@@ -30,7 +30,6 @@ from repro.fg.env import Env
 from repro.syntax import parse_fg
 from repro.systemf import ast as F
 from repro.systemf import evaluate as _sf_evaluate
-from repro.systemf import type_of as _sf_type_of
 
 
 def typecheck(
@@ -80,36 +79,43 @@ def evaluate(term: G.Term, env: Optional[Env] = None, *, limits=None):
 
 
 def verify_translation(term: G.Term, env: Optional[Env] = None):
-    """Theorem 1/2 check for the extended language: re-check the image."""
+    """Theorem 1/2 check for the extended language: check, then type the
+    emitted translation (:func:`repro.fg.typecheck.verify_emitted`)."""
+    from repro.fg.typecheck import verify_emitted
+
     checker = ExtChecker()
     base_env = env if env is not None else Env.initial()
     with resource_scope(checker.limits, getattr(term, "span", None)):
         fg_type, sf_term = checker.check(term, base_env)
-        sf_type = _sf_type_of(sf_term)
-    return fg_type, sf_type
+    return fg_type, verify_emitted(
+        fg_type, sf_term, checker=checker, env=base_env
+    )
 
 
 def check(program: str, use_prelude: bool = False) -> G.FGType:
     """Typecheck extended-F_G source; returns the program type."""
-    return type_of(_parse(program, use_prelude))
+    return _typecheck(program, use_prelude)[0]
 
 
 def run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate extended-F_G source."""
-    return evaluate(_parse(program, use_prelude))
+    return _sf_evaluate(_typecheck(program, use_prelude)[1])
 
 
 def verify(program: str, use_prelude: bool = False):
     """Translation-preserves-typing check on extended-F_G source."""
-    return verify_translation(_parse(program, use_prelude))
+    from repro.fg.typecheck import verify_emitted
+
+    fg_type, sf_term = _typecheck(program, use_prelude)
+    return fg_type, verify_emitted(fg_type, sf_term, checker=ExtChecker())
 
 
-def _parse(program: str, use_prelude: bool) -> G.Term:
+def _typecheck(program: str, use_prelude: bool) -> Tuple[G.FGType, F.Term]:
     if use_prelude:
-        from repro.prelude import wrap
+        from repro.prelude import context_for
 
-        return parse_fg(wrap(program))
-    return parse_fg(program)
+        return context_for(ExtChecker).typecheck(program)
+    return typecheck(parse_fg(program))
 
 
 __all__ = [

@@ -8,9 +8,10 @@ plus dictionary parameters; member accesses become ``nth`` chains; type
 equality is the congruence closure of the equalities in scope.
 
 Theorems 1 and 2 (translation preserves well-typing) are made executable by
-:func:`verify_translation`, which re-checks the produced System F term with
-the independent checker in :mod:`repro.systemf.typecheck` and compares the
-result against the translated F_G type.
+:func:`verify_emitted`, which types an emitted System F term with the
+independent checker in :mod:`repro.systemf.typecheck` and compares the
+result against the translated F_G type (:func:`verify_translation` checks a
+term first, then does the same).
 """
 
 from __future__ import annotations
@@ -910,14 +911,20 @@ class Checker:
             self._validate_concept(cdef, env, term.span)
         inner = env.add_concept(cdef)
         body_type, body_sf = self.check(term.body, inner)
+        return self.leave_concept(cdef, body_type, inner, term.span), body_sf
+
+    def leave_concept(self, cdef: G.ConceptDef, body_type: G.FGType,
+                      inner: Env, span) -> G.FGType:
+        """CPT's exit premise: the concept must not escape its scope in
+        the body's type (canonicalized in the concept's scope ``inner``)."""
         body_type = self.rep(body_type, inner)
         if cdef.name in G.concept_names(body_type):
             raise TypeError_(
                 f"concept '{cdef.name}' escapes its scope in the result "
                 f"type {body_type}",
-                term.span,
+                span,
             )
-        return body_type, body_sf
+        return body_type
 
     def _validate_concept(self, cdef: G.ConceptDef, env: Env, span) -> None:
         if env.lookup_concept(cdef.name) is not None:
@@ -995,15 +1002,21 @@ class Checker:
         info, equalities, bindings, dictionary = elaborated
         inner = env.add_model(info).add_equalities(equalities)
         body_type, body_sf = self.check(term.body, inner)
-        # The result type must make sense outside the model's scope.
-        result_type = self.rep(body_type, inner)
-        self.check_type_wf(result_type, env, term.span)
+        result_type = self.leave_model(body_type, inner, env, term.span)
         out: F.Term = F.Let(
             span=term.span, name=info.dict_var, bound=dictionary, body=body_sf
         )
         for var, bound in reversed(bindings):
             out = F.Let(span=term.span, name=var, bound=bound, body=out)
         return result_type, out
+
+    def leave_model(self, body_type: G.FGType, inner: Env, env: Env,
+                    span) -> G.FGType:
+        """MDL's exit premise: the body's type, canonicalized in the
+        model's scope ``inner``, must make sense outside it (in ``env``)."""
+        result_type = self.rep(body_type, inner)
+        self.check_type_wf(result_type, env, span)
+        return result_type
 
     def _poison_model(self, mdef: G.ModelDef, env: Env, span):
         """A placeholder elaboration for a model that failed to check.
@@ -1316,8 +1329,14 @@ def _run_collecting(
     limits: Optional[Limits],
     reporter: Optional[DiagnosticReporter],
     instrumentation: Optional[Instrumentation] = None,
+    context=None,
 ) -> Tuple[Optional[G.FGType], Optional[F.Term], DiagnosticReport]:
-    """Shared engine behind :func:`typecheck_all` (core and extensions)."""
+    """Shared engine behind :func:`typecheck_all` (core and extensions).
+
+    With a ``context`` (a :class:`repro.prelude.context.PreludeContext`),
+    ``term`` is checked at the user-program position of the pre-checked
+    prelude instead of in ``env``.
+    """
     if reporter is None:
         reporter = DiagnosticReporter(max_errors=max_errors)
     checker = checker_cls(
@@ -1327,8 +1346,11 @@ def _run_collecting(
     result_type: Optional[G.FGType] = None
     sf_term: Optional[F.Term] = None
     try:
-        with resource_scope(checker.limits, getattr(term, "span", None)):
-            result_type, sf_term = checker.check(term, base_env)
+        if context is not None:
+            result_type, sf_term = context.check(checker, term)
+        else:
+            with resource_scope(checker.limits, getattr(term, "span", None)):
+                result_type, sf_term = checker.check(term, base_env)
     except _ErrorLimit:
         pass
     except (TypeError_, ResourceLimitError) as err:
@@ -1350,21 +1372,23 @@ def translate(term: G.Term, env: Optional[Env] = None) -> F.Term:
     return typecheck(term, env)[1]
 
 
-def verify_translation(
-    term: G.Term, env: Optional[Env] = None
-) -> Tuple[G.FGType, F.Type]:
-    """Executable Theorems 1 and 2: translate, then independently re-check.
+def verify_emitted(
+    fg_type: G.FGType,
+    sf_term: F.Term,
+    *,
+    checker: Optional[Checker] = None,
+    env: Optional[Env] = None,
+) -> F.Type:
+    """Executable Theorems 1 and 2 on an already-emitted translation.
 
-    Typechecks ``term`` in F_G, translates it, runs the *System F* checker
-    over the image, and confirms the System F type matches the translation
-    of the F_G type.  Returns the pair of types.  Raises
-    :class:`TypeError_` if any step fails — which the theorems say cannot
-    happen for well-typed input.
+    Runs the independent *System F* checker over ``sf_term`` and confirms
+    its type matches the translation of ``fg_type`` (by ``checker``, in
+    ``env``).  Returns the System F type.  Raises :class:`TypeError_` on a
+    mismatch — which the theorems say cannot happen for well-typed input.
     """
-    checker = Checker()
+    checker = checker if checker is not None else Checker()
     base_env = env if env is not None else Env.initial()
-    with resource_scope(checker.limits, getattr(term, "span", None)):
-        fg_type, sf_term = checker.check(term, base_env)
+    with resource_scope(checker.limits, getattr(sf_term, "span", None)):
         sf_type = sf_typecheck.type_of(sf_term)
         expected = checker.translate_type(fg_type, base_env)
     if not F.types_equal(sf_type, expected):
@@ -1372,4 +1396,21 @@ def verify_translation(
             "translation type mismatch (Theorem 1/2 violation — library "
             f"bug): System F says {sf_type}, expected {expected}"
         )
-    return fg_type, sf_type
+    return sf_type
+
+
+def verify_translation(
+    term: G.Term, env: Optional[Env] = None
+) -> Tuple[G.FGType, F.Type]:
+    """Executable Theorems 1 and 2: translate, then independently re-check.
+
+    Typechecks ``term`` in F_G, translates it, and hands both results to
+    :func:`verify_emitted`.  Returns the pair of types.
+    """
+    checker = Checker()
+    base_env = env if env is not None else Env.initial()
+    with resource_scope(checker.limits, getattr(term, "span", None)):
+        fg_type, sf_term = checker.check(term, base_env)
+    return fg_type, verify_emitted(
+        fg_type, sf_term, checker=checker, env=base_env
+    )

@@ -122,8 +122,8 @@ class CheckOutcome:
 
     ``term``/``type_``/``translation`` are best-effort partial results and
     are only trustworthy when ``ok``; ``value`` is set when evaluation was
-    requested and succeeded, ``verified`` when the Theorem 1/2 re-check was
-    requested and passed.
+    requested and succeeded, ``verified`` when the Theorem 1/2 check of the
+    emitted translation was requested and passed.
     """
 
     report: DiagnosticReport
@@ -234,10 +234,6 @@ def _run_stages(
 
     memory = instrumentation.memory if instrumentation is not None else None
     reporter = DiagnosticReporter(max_errors=max_errors)
-    if prelude:
-        from repro.prelude import relocator, wrap
-        reporter.relocate = relocator(text, filename)
-        text = wrap(text)
     _maybe_fault("parse")
     try:
         # The parser recurses on nesting depth; the scope converts a stack
@@ -256,14 +252,24 @@ def _run_stages(
         return CheckOutcome(report=reporter.finish(), term=term)
 
     _maybe_fault("check")
+    from repro.fg.typecheck import _run_collecting, verify_emitted
+
     if ext:
-        from repro.extensions import typecheck_all
+        from repro.extensions import ExtChecker as checker_cls
     else:
-        from repro.fg.typecheck import typecheck_all
+        from repro.fg.typecheck import Checker as checker_cls
     with _stage("check", tracer, timings, memory):
-        type_, translation, _ = typecheck_all(
-            term, limits=limits, reporter=reporter,
-            instrumentation=instrumentation,
+        # Under the prelude the program is checked at the position the
+        # pre-checked prelude leaves for it (built on first use).
+        context = None
+        if prelude:
+            from repro.prelude import context_for
+
+            context = context_for(checker_cls)
+        type_, translation, _ = _run_collecting(
+            checker_cls, term, None, max_errors=max_errors, limits=limits,
+            reporter=reporter, instrumentation=instrumentation,
+            context=context,
         )
     outcome = CheckOutcome(
         report=reporter.finish(),
@@ -278,15 +284,12 @@ def _run_stages(
     if verify:
         _maybe_fault("verify")
         try:
+            # Theorems 1/2 on the artifact shipped: type the emitted
+            # translation, no second F_G check.
             with _stage("verify", tracer, timings, memory):
-                if ext:
-                    from repro.extensions import verify_translation
-
-                    verify_translation(term)
-                else:
-                    from repro.fg.typecheck import verify_translation
-
-                    verify_translation(term)
+                verify_emitted(
+                    type_, translation, checker=checker_cls(limits=limits)
+                )
             verified = True
         except Diagnostic as err:
             reporter.error(err)

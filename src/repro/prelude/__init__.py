@@ -1,17 +1,22 @@
-"""Prelude loading: wrap user programs with the standard concept library.
+"""The standard concept library, checked once and shared by every program.
 
 Usage::
 
     from repro import prelude
     value = prelude.run("accumulate[int](range(1, 11))")   # => 55
+
+:func:`typecheck`, :func:`type_of`, :func:`verify` and :func:`run` check the
+program against the pre-checked prelude (:mod:`repro.prelude.context`), so
+diagnostics point into the program's own text and the prelude is checked
+once per process.  :func:`wrap` and :func:`parse` build the equivalent
+whole program as text, for tools that need the prelude and program as one
+term (the direct interpreter, benchmarks).
 """
 
-from typing import Callable, Tuple
+from typing import Tuple
 
-from repro.diagnostics.errors import Diagnostic
-from repro.diagnostics.source import Position, SourceText, Span
 from repro.fg import ast as G
-from repro.fg import typecheck as _typecheck
+from repro.prelude.context import PreludeContext, context_for
 from repro.prelude.source import (
     PRELUDE,
     PRELUDE_ALGORITHMS,
@@ -24,10 +29,8 @@ from repro.systemf import ast as F
 from repro.systemf import evaluate as _sf_evaluate
 
 
-#: What :func:`wrap` puts in front of the user's program: it ends with a
-#: newline, so user columns are unchanged and only lines/offsets shift.
+#: What :func:`wrap` puts in front of a program.
 _PREFIX = PRELUDE + "\n"
-_PREFIX_LINES = _PREFIX.count("\n")
 
 
 def wrap(program: str) -> str:
@@ -35,45 +38,28 @@ def wrap(program: str) -> str:
     return _PREFIX + program
 
 
-def _unshift(pos: Position) -> Position:
-    return Position(pos.line - _PREFIX_LINES, pos.column,
-                    pos.offset - len(_PREFIX))
-
-
-def relocator(program: str, filename: str) -> Callable[[Diagnostic], None]:
-    """A :class:`~repro.diagnostics.reporter.DiagnosticReporter` hook for a
-    run over ``wrap(program)``: moves each diagnostic's span from
-    wrapped-text coordinates back onto the user's file and re-points its
-    excerpt at the user's text.  A span inside the prelude itself is
-    attributed to ``<prelude>``, whose lines are the wrapped text's."""
-
-    def relocate(diag: Diagnostic) -> None:
-        span = diag.span
-        if span is None or span.filename == "<synthetic>":
-            return
-        if span.start.offset < len(_PREFIX):
-            diag.span = Span(span.start, span.end, "<prelude>")
-            return
-        diag.span = Span(_unshift(span.start), _unshift(span.end), filename)
-        if diag.source is not None:
-            diag.source = SourceText(program, filename)
-
-    return relocate
-
-
 def parse(program: str, filename: str = "<input>") -> G.Term:
-    """Parse ``program`` in the scope of the prelude."""
-    return parse_fg(wrap(program), filename)
+    """Parse ``program`` in the scope of the prelude, as one term."""
+    return parse_fg(_PREFIX + program, filename)
 
 
 def typecheck(program: str) -> Tuple[G.FGType, F.Term]:
     """Typecheck (and translate) ``program`` in the scope of the prelude."""
-    return _typecheck(parse(program))
+    return context_for().typecheck(program)
 
 
 def type_of(program: str) -> G.FGType:
     """The F_G type of ``program`` under the prelude."""
     return typecheck(program)[0]
+
+
+def verify(program: str) -> Tuple[G.FGType, F.Type]:
+    """Theorems 1/2 for ``program`` under the prelude: its F_G type and
+    the System F type of its (whole, prelude-included) translation."""
+    from repro.fg.typecheck import verify_emitted
+
+    fg_type, sf_term = typecheck(program)
+    return fg_type, verify_emitted(fg_type, sf_term)
 
 
 def run(program: str):
@@ -88,10 +74,12 @@ __all__ = [
     "PRELUDE_CONCEPTS",
     "PRELUDE_HELPERS",
     "PRELUDE_MODELS",
+    "PreludeContext",
+    "context_for",
     "parse",
-    "relocator",
     "run",
     "type_of",
     "typecheck",
+    "verify",
     "wrap",
 ]

@@ -1,0 +1,190 @@
+"""The pre-checked prelude: check the library once, then check each program
+at the position the library leaves for it.
+
+Concepts and models in F_G are lexically scoped expressions, so what the
+prelude leaves in scope for the program after it is a plain value.  A
+:class:`PreludeContext` records the user-program position of the prelude
+once per process and checker class:
+
+- the environment there, the fresh-name counter, and the checker's nesting
+  depth (plus the deepest nesting the prelude itself reached);
+- the System F prefix: the chain of ``let`` bindings the prelude translates
+  to, with a hole where the program's translation goes;
+- the concept and model declarations enclosing the program, whose exit
+  premises (a concept must not escape; a model's result type must make
+  sense outside it) are replayed on the program's type, innermost first.
+
+Checking a program against the context yields the same type, translation
+and diagnostics as checking the text ``wrap(program)``, while only the
+program is parsed and checked.  Contexts are built lazily, on first use,
+under a lock, and are immutable afterwards, so threads share them freely.
+"""
+
+from __future__ import annotations
+
+import itertools
+import threading
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+from repro.diagnostics.limits import Budget, Limits, resource_scope
+from repro.diagnostics.source import Span
+from repro.fg import ast as G
+from repro.fg.env import Env
+from repro.fg.typecheck import Checker
+from repro.prelude.source import PRELUDE
+from repro.syntax import parse_fg
+from repro.systemf import ast as F
+
+#: The name of the System F placeholder standing for the user's program
+#: while the prelude is checked; no F_G identifier can spell it.
+_HOLE = "<program>"
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """A concept or model declaration enclosing the user's program."""
+
+    decl: G.Term  # a ConceptExpr or ModelExpr
+    inner: Env  # the scope the declaration opens
+    outer: Env  # the scope around the declaration
+
+
+@dataclass(frozen=True)
+class PreludeContext:
+    """The prelude, checked by ``checker_cls``, at its user-program
+    position."""
+
+    checker_cls: type
+    env: Env
+    counter: int
+    depth: int
+    peak_depth: int
+    #: ``depth_spans[d]``: the prelude term that first reached depth d + 1.
+    depth_spans: Tuple[Optional[Span], ...]
+    #: Innermost first.
+    frames: Tuple[_Frame, ...]
+    #: The prelude's translation, outermost ``let`` first; each binding's
+    #: ``body`` is ignored when splicing.
+    prefix: Tuple[F.Let, ...]
+    span: Optional[Span]
+
+    def check(self, checker: Checker, term: G.Term) -> Tuple[G.FGType, F.Term]:
+        """``checker.check`` of ``term`` at the user-program position: the
+        exit premises replayed and the translation spliced into the
+        prelude's."""
+        with resource_scope(checker.limits, self.span):
+            fg_type, sf_term = checker.check(term, self._enter(checker))
+            for frame in self.frames:
+                decl = frame.decl
+                if isinstance(decl, G.ConceptExpr):
+                    fg_type = checker.leave_concept(
+                        decl.concept, fg_type, frame.inner, decl.span
+                    )
+                else:
+                    fg_type = checker.leave_model(
+                        fg_type, frame.inner, frame.outer, decl.span
+                    )
+        for let in reversed(self.prefix):
+            sf_term = F.Let(
+                span=let.span, name=let.name, bound=let.bound, body=sf_term
+            )
+        return fg_type, sf_term
+
+    def _enter(self, checker: Checker) -> Env:
+        budget = checker._budget
+        cap = budget.limits.max_check_depth
+        if cap is not None and cap < self.peak_depth:
+            # The prelude alone is deeper than this run allows: trip where
+            # checking the prelude's text would have.
+            budget.resume(cap, cap)
+            budget.enter_depth(self.depth_spans[cap])
+        budget.resume(self.depth, self.peak_depth)
+        checker._counter = itertools.count(self.counter)
+        return self.env
+
+    def typecheck(self, program: str) -> Tuple[G.FGType, F.Term]:
+        """Fail-fast parse and check of ``program`` under the prelude."""
+        return self.check(self.checker_cls(), parse_fg(program))
+
+
+class _DepthRecorder(Budget):
+    """A budget that remembers the span first reaching each depth."""
+
+    __slots__ = ("spans",)
+
+    def __init__(self, limits: Optional[Limits] = None):
+        super().__init__(limits)
+        self.spans: List[Optional[Span]] = []
+
+    def enter_depth(self, span=None) -> None:
+        super().enter_depth(span)
+        if self.peak_depth > len(self.spans):
+            self.spans.append(span)
+
+
+def _build(checker_cls) -> PreludeContext:
+    root = parse_fg(PRELUDE + "\n0", "<prelude>")
+    chain: List[G.Term] = []
+    node = root
+    while isinstance(node, (G.Let, G.ConceptExpr, G.ModelExpr)):
+        chain.append(node)
+        node = node.body
+    assert isinstance(node, G.IntLit), f"prelude ends in {node!r}"
+    hole = node
+    watched = {id(n) for n in chain}
+    entry_envs: Dict[int, Env] = {}
+    at_hole: Dict[str, object] = {}
+
+    class Recorder(checker_cls):
+        def check(self, term, env):
+            if term is hole:
+                entry_envs[id(term)] = env
+                at_hole.update(
+                    counter=next(self._counter),
+                    depth=self._budget.depth,
+                    peak_depth=self._budget.peak_depth,
+                    depth_spans=tuple(self._budget.spans),
+                )
+                return G.TTuple(()), F.Var(name=_HOLE)
+            if id(term) in watched:
+                entry_envs[id(term)] = env
+            return super().check(term, env)
+
+    recorder = Recorder()
+    recorder._budget = _DepthRecorder(recorder.limits)
+    with resource_scope(recorder.limits, root.span):
+        _, translation = recorder.check(root, Env.initial())
+    prefix = []
+    while isinstance(translation, F.Let):
+        prefix.append(translation)
+        translation = translation.body
+    assert translation == F.Var(name=_HOLE), "prelude is not a let chain"
+    frames = tuple(
+        _Frame(decl, entry_envs[id(decl.body)], entry_envs[id(decl)])
+        for decl in reversed(chain)
+        if isinstance(decl, (G.ConceptExpr, G.ModelExpr))
+    )
+    return PreludeContext(
+        checker_cls=checker_cls,
+        env=entry_envs[id(hole)],
+        frames=frames,
+        prefix=tuple(prefix),
+        span=root.span,
+        **at_hole,
+    )
+
+
+_CONTEXTS: Dict[type, PreludeContext] = {}
+_LOCK = threading.Lock()
+
+
+def context_for(checker_cls=Checker) -> PreludeContext:
+    """The prelude checked by ``checker_cls``; built once per process."""
+    context = _CONTEXTS.get(checker_cls)
+    if context is None:
+        with _LOCK:
+            context = _CONTEXTS.get(checker_cls)
+            if context is None:
+                context = _CONTEXTS[checker_cls] = _build(checker_cls)
+    return context

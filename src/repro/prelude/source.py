@@ -1,9 +1,10 @@
 """The F_G prelude: a standard library of concepts, models, and algorithms.
 
 Because concepts and models in F_G are *expressions* with lexical scope
-(the paper's headline design point), a "library" is a prefix that wraps the
-user's program.  :data:`PRELUDE` ends where the user program begins; use
-:func:`repro.prelude.wrap` to combine them.
+(the paper's headline design point), a "library" is a prefix whose body is
+the user's program.  :data:`PRELUDE` ends where the user program begins.
+:mod:`repro.prelude.context` checks it once and checks programs at that
+position; :func:`repro.prelude.wrap` joins the two as text.
 
 Contents mirror the paper's examples and the generic-programming canon the
 paper draws on (the STL/BGL lineage): algebraic concepts (Semigroup /

@@ -3,9 +3,10 @@
 The only process-isolation mode (``isolate="pool"``; the CLI spellings
 ``--isolate`` and ``--isolate=subprocess`` select it too).  A supervisor
 spawns ``pool_workers`` persistent children *once* (each imports the
-pipeline and pre-checks the prelude at spawn, so warm attempts skip that
-cost), then feeds them over the framed pipe protocol
-(:mod:`repro.service.proto`) from per-worker deques with work stealing.
+pipeline and, under ``prelude``, builds the pre-checked prelude context
+at spawn, so no attempt re-checks the prelude), then feeds them over the
+framed pipe protocol (:mod:`repro.service.proto`) from per-worker deques
+with work stealing.
 Each file's retries run through the same
 :class:`~repro.service.batch.TaskState` as in-process batches.
 

@@ -9,13 +9,15 @@ outcome while the rest of the batch completes.
 The aggregate :class:`BatchReport` is **deterministic**: the same inputs,
 policy, and fault schedule produce the same report, byte-for-byte, modulo
 the timing fields listed in :data:`TIMING_FIELDS` —
-:meth:`BatchReport.canonical_json` strips them, and the chaos harness
+:meth:`BatchReport.canonical_json` strips them (and reduces crash
+tracebacks to their frames), and the chaos harness
 (:func:`repro.testing.run_chaos`) diffs the canonical bytes across runs.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -290,26 +292,43 @@ _NONCANONICAL_FIELDS = (
 )
 
 
+#: A traceback frame line: ``  File "<path>", line <n>, in <function>``.
+_FRAME_LINE = re.compile(r'\s*File "(?P<path>[^"]*)", line \d+, in (?P<fn>.*)')
+
+
 def canonicalize(report_json) -> str:
     """Canonical form of an already-projected report dict.
 
     The serve daemon ships ``BatchReport.to_json()`` envelopes over the
     wire and into the journal; this is :meth:`BatchReport.canonical_json`
     for consumers that only hold the JSON — same stripping, same key
-    order, byte-identical output.
+    order, byte-identical output.  Crash tracebacks are projected onto
+    their frames, ``<basename> in <function>``, so a digest does not
+    depend on where the checkout lives or on line numbers and source
+    text (the raw traceback stays in the non-canonical JSON).
     """
     return json.dumps(
-        _strip_timings(report_json), sort_keys=True, indent=None
+        _canonical(report_json), sort_keys=True, indent=None
     )
 
 
-def _strip_timings(value):
+def _canonical(value):
     if isinstance(value, dict):
         return {
-            k: _strip_timings(v)
+            k: _frames(v) if k == "traceback" else _canonical(v)
             for k, v in value.items()
             if k not in _NONCANONICAL_FIELDS
         }
     if isinstance(value, list):
-        return [_strip_timings(v) for v in value]
+        return [_canonical(v) for v in value]
     return value
+
+
+def _frames(lines):
+    frames = []
+    for line in lines:
+        match = _FRAME_LINE.match(line)
+        if match is not None:
+            path = match["path"].replace("\\", "/")
+            frames.append(f"{path.rsplit('/', 1)[-1]} in {match['fn']}")
+    return frames

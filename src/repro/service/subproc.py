@@ -2,8 +2,9 @@
 --serve --task-fd N --result-fd M``.
 
 Spawned by :mod:`repro.service.pool`, the worker warms up once — imports
-the whole pipeline and pre-checks the prelude so warm attempts skip that
-cost — then loops over framed tasks on a dedicated task pipe, writing
+the whole pipeline and builds the pre-checked prelude
+(:mod:`repro.prelude.context`), which every later attempt in the process
+reuses — then loops over framed tasks on a dedicated task pipe, writing
 framed results and periodic heartbeats to a dedicated result pipe.  Stdout
 is claimed (:func:`repro.service.proto.shield_stdout`), so a stray
 ``print`` from checked code or the pipeline lands on stderr, never inside
@@ -138,12 +139,14 @@ def _run_task_inner(payload, limits, faults, instrumentation, telemetry,
 
 
 def warm_up(prelude: bool, ext: bool) -> float:
-    """Import the pipeline and pre-check a trivial prelude program.
+    """Import the pipeline and check a trivial program.
 
     Run once at worker spawn so every later attempt starts warm: module
-    imports, the parser tables, and — with ``prelude=True`` — a full parse
-    and typecheck of the standard concept library.  Returns the wall time
-    in ms; never raises (a failing warm-up just means cold attempts).
+    imports, the parser tables, and — with ``prelude=True`` — the
+    pre-checked prelude context (of the checker ``ext`` selects), built
+    once here and shared by every later attempt in this process.
+    Returns the wall time in ms; never raises (a failing warm-up just means
+    cold attempts).
     """
     start = time.perf_counter()
     try:

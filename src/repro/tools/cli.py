@@ -26,8 +26,10 @@ Subcommands::
                          the traceback (--serve-socket pulls a live one)
     fg debug bundle      force a crash bundle out of a live daemon
 
-``--prelude`` wraps the program with the standard concept library and ``-e``
-takes the program from the command line instead of a file.
+``--prelude`` checks the program in the scope of the standard concept
+library (checked once per process; diagnostics keep the program's own
+positions) and ``-e`` takes the program from the command line instead of a
+file.
 
 The driver is fault-tolerant: parse and type errors are collected (up to
 ``--max-errors``) instead of stopping at the first one, ``--fuel``/``--depth``
@@ -1290,7 +1292,8 @@ def main(argv=None) -> int:
     )
     batch.add_argument(
         "--prelude", action="store_true",
-        help="wrap each program with the standard concept library",
+        help="check each program in the scope of the standard concept "
+             "library (checked once per process)",
     )
     batch.add_argument(
         "--ext", action="store_true",
@@ -1428,7 +1431,8 @@ def main(argv=None) -> int:
     )
     serve.add_argument(
         "--prelude", action="store_true",
-        help="wrap each program with the standard concept library",
+        help="check each program in the scope of the standard concept "
+             "library (checked once per process)",
     )
     serve.add_argument(
         "--ext", action="store_true",
@@ -1512,7 +1516,8 @@ def main(argv=None) -> int:
     )
     cli.add_argument(
         "--prelude", action="store_true",
-        help="wrap each program with the standard concept library",
+        help="check each program in the scope of the standard concept "
+             "library (checked once per process)",
     )
     cli.add_argument(
         "--ext", action="store_true",
@@ -1617,7 +1622,8 @@ def main(argv=None) -> int:
         cmd.add_argument(
             "--prelude",
             action="store_true",
-            help="wrap the program with the standard concept library",
+            help="check the program in the scope of the standard concept "
+                 "library (checked once per process)",
         )
         cmd.add_argument(
             "--ext",

@@ -124,8 +124,8 @@ class TestLocalOverrides:
 
 
 class TestUserPositions:
-    """``--prelude`` diagnostics point into the user's file, not into the
-    wrapped text the checker actually saw."""
+    """``--prelude`` diagnostics point into the user's file: only the
+    user's text is parsed, at its own positions."""
 
     def test_redefining_a_prelude_concept_is_rejected_at_user_lines(self):
         # A user file may not redefine a prelude concept: monoid.fg

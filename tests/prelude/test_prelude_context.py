@@ -1,0 +1,251 @@
+"""The pre-checked prelude is transparent.
+
+Checking a program against :class:`repro.prelude.PreludeContext` must give
+exactly what checking the whole text ``wrap(program)`` gives: the same
+translation and value, the same diagnostics at the same user positions,
+the same peak checker depth, and the same depth-limit trips.  The
+text-wrap reference lives only in this file.
+"""
+
+import io
+import json
+import re
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.diagnostics.limits import Limits, resource_scope
+from repro.diagnostics.reporter import DiagnosticReporter
+from repro.extensions import typecheck_all as ext_typecheck_all
+from repro.fg.typecheck import Checker
+from repro.fg.typecheck import typecheck_all as core_typecheck_all
+from repro.observability import Instrumentation, MetricsRegistry
+from repro.pipeline import check_source
+from repro.prelude import PRELUDE, context_for, wrap
+from repro.prelude import context as prelude_context
+from repro.syntax import parse_fg_resilient
+from repro.systemf import evaluate, pretty_term
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "properties"))
+from fg_gen import program_specs  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = sorted((ROOT / "examples" / "fg").glob("*.fg"))
+
+#: What ``wrap`` puts before the program, and the lines it shifts.
+_PREFIX = PRELUDE + "\n"
+_SHIFT = _PREFIX.count("\n")
+
+
+def _diag_rows(report, shift_from=None):
+    """(kind, message, file:line:col) per diagnostic; ``shift_from`` maps
+    wrapped-text positions back onto the user's file ``shift_from``."""
+    rows = []
+    for diag in report.diagnostics:
+        span = diag.span
+        where = None
+        if span is not None and span.filename != "<synthetic>":
+            filename, line = span.filename, span.start.line
+            if shift_from is not None:
+                if span.start.offset < len(_PREFIX):
+                    filename = "<prelude>"
+                else:
+                    line -= _SHIFT
+            where = f"{filename}:{line}:{span.start.column}"
+        rows.append((diag.kind, diag.message, where))
+    return rows
+
+
+def reference(text, filename="<input>", limits=None, ext=False):
+    """The text-wrap path: parse and check ``wrap(text)`` as one term."""
+    typecheck_all = ext_typecheck_all if ext else core_typecheck_all
+    reporter = DiagnosticReporter()
+    with resource_scope(limits):
+        term, _ = parse_fg_resilient(wrap(text), filename, reporter=reporter)
+    result = {"translation": None, "value": None, "peak_depth": None}
+    if term is not None and reporter.finish().ok:
+        metrics = MetricsRegistry()
+        _, translation, report = typecheck_all(
+            term, limits=limits, reporter=reporter,
+            instrumentation=Instrumentation(metrics=metrics),
+        )
+        result["peak_depth"] = metrics.snapshot()["counters"][
+            "check.peak_depth"
+        ]
+        if report.ok:
+            result["translation"] = pretty_term(translation)
+            result["value"] = evaluate(translation)
+    result["diagnostics"] = _diag_rows(reporter.finish(), shift_from=filename)
+    return result
+
+
+def pre_checked(text, filename="<input>", limits=None, ext=False):
+    """The pipeline path under ``prelude=True``."""
+    outcome = check_source(
+        text, filename, prelude=True, ext=ext, limits=limits, evaluate=True,
+        instrumentation=Instrumentation(metrics=MetricsRegistry()),
+    )
+    counters = outcome.stats["counters"]
+    return {
+        "translation": (
+            pretty_term(outcome.translation) if outcome.ok else None
+        ),
+        "value": outcome.value,
+        "peak_depth": counters.get("check.peak_depth"),
+        "diagnostics": _diag_rows(outcome.report),
+    }
+
+
+def _parse_edit(text):
+    """Drop the first ``in``: a parse error of known position."""
+    return re.sub(r"\bin\b", "", text, count=1)
+
+
+def _type_edit(text):
+    """Turn the first integer literal into ``true``."""
+    edited = re.sub(r"(?<![\w%])\d+\b", "true", text, count=1)
+    assert edited != text
+    return edited
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "edit", [None, _parse_edit, _type_edit],
+        ids=["as-is", "parse-edit", "type-edit"],
+    )
+    def test_examples(self, path, edit):
+        text = path.read_text()
+        if edit is not None:
+            text = edit(text)
+        assert pre_checked(text, path.name) == reference(text, path.name)
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    def test_examples_under_the_extended_checker(self, path):
+        text = path.read_text()
+        assert pre_checked(text, path.name, ext=True) == reference(
+            text, path.name, ext=True
+        )
+
+    @given(program_specs())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_programs(self, spec):
+        assert pre_checked(spec.source) == reference(spec.source)
+
+    def test_translation_and_value_are_the_wrapped_ones(self):
+        # Pin one accepting case outright, beside the parametrized sweep.
+        text = "accumulate[int](range(1, 11))"
+        new, ref = pre_checked(text), reference(text)
+        assert new == ref
+        assert new["value"] == 55 and new["diagnostics"] == []
+
+    @pytest.mark.parametrize("cap", [20, 45])
+    def test_depth_limit_trips_at_the_same_nesting(self, cap):
+        limits = Limits(max_check_depth=cap)
+        for nesting in range(24):
+            text = "iadd(1, " * nesting + "0" + ")" * nesting
+            new = pre_checked(text, "deep.fg", limits)
+            assert new == reference(text, "deep.fg", limits)
+            if new["diagnostics"]:
+                break
+        (kind, message, where), = new["diagnostics"]
+        assert kind == "resource limit" and f"({cap})" in message
+        # Under the prelude's own peak depth the prelude trips, at its own
+        # span; above it, the program trips at the nesting that exceeds it.
+        in_prelude = cap < context_for().peak_depth
+        assert where.startswith("<prelude>:") == in_prelude
+        assert (nesting == 0) == in_prelude
+
+
+class TestPinnedPositions:
+    def test_concept_escape_is_reported_in_the_prelude(self):
+        outcome = check_source(r"/\t where Monoid<t>. \x : t. x",
+                               prelude=True)
+        assert outcome.report.render() == (
+            "<prelude>:6:1: type error: concept 'Monoid' escapes its scope "
+            "in the result type forall t where Monoid<t>. fn(t) -> t"
+        )
+
+    def test_iterator_escape_is_reported_at_line_26(self):
+        outcome = check_source(r"/\I where Iterator<I>. \x : I. x",
+                               prelude=True)
+        (diag,) = outcome.report.to_json()
+        assert (diag["file"], diag["line"], diag["col"]) == (
+            "<prelude>", 26, 1
+        )
+        assert "concept 'Iterator' escapes its scope" in diag["message"]
+
+    def test_monoid_example_fails_on_its_own_lines(self):
+        path = ROOT / "examples" / "fg" / "monoid.fg"
+        outcome = check_source(path.read_text(), "monoid.fg", prelude=True)
+        rows = [(d["file"], d["line"], d["col"])
+                for d in outcome.report.to_json()]
+        assert rows == [("monoid.fg", 1, 1), ("monoid.fg", 2, 1)]
+
+
+@pytest.fixture
+def fresh_contexts(monkeypatch):
+    """Empty the per-process context table and count builds per class."""
+    monkeypatch.setattr(prelude_context, "_CONTEXTS", {})
+    builds = []
+    real_build = prelude_context._build
+
+    def counting_build(checker_cls):
+        builds.append(checker_cls.__name__)
+        return real_build(checker_cls)
+
+    monkeypatch.setattr(prelude_context, "_build", counting_build)
+    return builds
+
+
+class TestBuiltOnce:
+    def test_ten_checks_build_once_per_checker_class(self, fresh_contexts):
+        for _ in range(10):
+            for ext in (False, True):
+                assert check_source(
+                    "count[list int](range(0, 3))", prelude=True, ext=ext,
+                    evaluate=True,
+                ).value == 3
+        assert sorted(fresh_contexts) == ["Checker", "ExtChecker"]
+
+    def test_no_build_without_the_prelude(self, fresh_contexts):
+        check_source("iadd(1, 2)", verify=True)
+        assert fresh_contexts == []
+
+    def test_warm_up_builds_the_context(self, fresh_contexts):
+        from repro.service.subproc import warm_up
+
+        warm_up(prelude=True, ext=False)
+        assert fresh_contexts == ["Checker"]
+        assert Checker in prelude_context._CONTEXTS
+        assert context_for() is prelude_context._CONTEXTS[Checker]
+
+
+def _batch(jobs):
+    from repro.service.report import canonicalize
+    from repro.tools.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(["batch", str(ROOT / "examples" / "fg"), "--prelude",
+              "--jobs", str(jobs), "--json"])
+    report = json.loads(canonicalize(json.loads(out.getvalue())))
+    report["policy"].pop("jobs")
+    return report
+
+
+def test_threaded_batch_matches_serial(fresh_contexts):
+    # The four threads race to build the context on first use; a short
+    # switch interval makes them interleave inside the build.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _batch(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fresh_contexts == ["Checker"]
+    assert threaded == _batch(1)

@@ -166,6 +166,34 @@ class TestDeterminism:
                           .canonical_json())
         assert one["files"] == four["files"]
 
+    def test_canonical_tracebacks_are_layout_free(self):
+        from repro.service.report import BatchReport, CrashReport, FileOutcome
+
+        def crashed(root, line):
+            crash = CrashReport(
+                exc_type="ChaosCrash", message="boom", traceback=(
+                    "Traceback (most recent call last):",
+                    f'  File "{root}/repro/pipeline.py", line {line}, '
+                    "in _run_stages",
+                    '    _maybe_fault("check")',
+                    f'  File "{root}/repro/pipeline.py", line {line - 150}, '
+                    "in _maybe_fault",
+                    "    raise fault",
+                    "repro.service.faults.ChaosCrash: boom",
+                ),
+            )
+            return BatchReport(files=(FileOutcome(
+                file="a.fg", index=0, status="crash", ok=False, crash=crash,
+            ),))
+
+        here, there = crashed("/srv/a/src", 260), crashed("/home/b/src", 231)
+        assert here.to_json() != there.to_json()
+        assert here.canonical_json() == there.canonical_json()
+        canonical = json.loads(here.canonical_json())
+        assert canonical["files"][0]["crash"]["traceback"] == [
+            "pipeline.py in _run_stages", "pipeline.py in _maybe_fault",
+        ]
+
 
 class TestObservability:
     def test_batch_counters_and_spans(self):
