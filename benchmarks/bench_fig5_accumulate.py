@@ -1,15 +1,17 @@
 """Experiment F5 (Figure 5): the generic ``accumulate`` pipeline costs.
 
-Breaks the F_G pipeline into stages — parse, typecheck+translate, System F
-re-check (the Theorem 1 verifier), evaluate — over the Figure 5 program, and
-sweeps list length for the evaluation stage.
+Breaks the F_G pipeline into stages — tokenize, parse, typecheck+translate,
+System F re-check (the Theorem 1 verifier), evaluate — over the Figure 5
+program, and sweeps list length for the evaluation stage.
 """
 
 import pytest
 
+from repro.diagnostics.source import SourceText
 from repro.fg import typecheck as fg_typecheck
 from repro.fg import verify_translation
-from repro.syntax import parse_fg
+from repro.prelude import PRELUDE
+from repro.syntax import parse_fg, tokenize
 from repro.systemf import evaluate as f_evaluate
 from repro.systemf import type_of as f_type_of
 
@@ -37,6 +39,11 @@ def figure5(n: int = 4) -> str:
 
 
 class TestPipelineStages:
+    def test_tokenize(self, benchmark):
+        sources = [SourceText(figure5(16)), SourceText(PRELUDE, "<prelude>")]
+        counts = benchmark(lambda: [len(tokenize(s)) for s in sources])
+        assert all(n > 100 for n in counts)
+
     def test_parse(self, benchmark):
         src = figure5()
         term = benchmark(lambda: parse_fg(src))

@@ -2,18 +2,22 @@
 
 The lexer produces tokens tagged with :class:`Span` values; parsers propagate
 them onto AST nodes so that type errors can point back into the program text.
+:class:`Position` and :class:`Span` are named tuples: the lexer builds one
+per token boundary, and a tuple is the cheapest immutable record to build.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True, order=True)
-class Position:
-    """A point in a source file: 1-based line, 1-based column, 0-based offset."""
+class Position(NamedTuple):
+    """A point in a source file: 1-based line, 1-based column, 0-based offset.
+
+    Positions order by ``(line, column, offset)``.
+    """
 
     line: int
     column: int
@@ -23,8 +27,7 @@ class Position:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A half-open region of source text, from ``start`` up to ``end``."""
 
     start: Position
@@ -56,10 +59,15 @@ class SourceText:
     _line_starts: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        # ``str.find`` (not ``self.text.find``): a non-string text fails
+        # here with a TypeError, as any other str-only call would.
+        text = self.text
         starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
+        i = str.find(text, "\n")
+        while i != -1:
+            i += 1
+            starts.append(i)
+            i = str.find(text, "\n", i)
         self._line_starts = starts
 
     def position_at(self, offset: int) -> Position:

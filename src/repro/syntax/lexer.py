@@ -12,16 +12,27 @@ addition, designed to read like the paper's listings:
 
 Comments are ``//`` to end of line and ``/* ... */`` (non-nesting).  Note the
 lexer must disambiguate ``/*``, ``//``, and the type-abstraction lambda
-``/\\``.
+``/\\``.  Whitespace is space, tab, ``\\r`` and ``\\n``.  Identifiers start
+with ``str.isalpha`` or ``_`` and continue with ``str.isalnum``, ``_`` or
+``'``, so Unicode letters count; keywords are identifiers in
+:data:`KEYWORDS`.  Integers are ``-?`` then ``str.isdecimal`` digits, which
+is exactly what ``int()`` accepts (``٣`` is 3; ``²`` is no digit).
+
+:func:`tokenize` matches one compiled ASCII pattern per skip run or token
+and tracks line and column with a cursor over the line-start index, so a
+token costs a pattern match and four tuples.  What the pattern cannot
+settle (a number or identifier touching a non-ASCII character, an
+unterminated comment, an unexpected character) goes to :func:`_lex_one`,
+which applies the same rules character by character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set
+import re
+from typing import List, NamedTuple, Optional, Set
 
 from repro.diagnostics.errors import LexError
-from repro.diagnostics.source import SourceText, Span
+from repro.diagnostics.source import Position, SourceText, Span
 
 #: Token kinds that stand for themselves.
 SYMBOLS = [
@@ -75,8 +86,7 @@ KEYWORDS: Set[str] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token: ``kind`` is a symbol, keyword, 'IDENT', 'NUMBER', or 'EOF'."""
 
     kind: str
@@ -87,12 +97,64 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+#: One match per skip run or token, tried in this order: a whitespace run,
+#: a line comment, a closed block comment, an integer, an identifier or
+#: keyword, a symbol (longest first).  Every alternative is ASCII-only;
+#: whatever it cannot classify falls to :func:`_lex_one`.  Each call matches
+#: a single unit from its start, so no alternative can backtrack into a
+#: comment or a shorter identifier of an earlier unit.
+_UNIT = re.compile(
+    r"[ \t\r\n]+"
+    r"|//[^\n]*\n?"
+    r"|/\*.*?\*/"
+    r"|(-?[0-9]+)"
+    r"|([A-Za-z_][A-Za-z0-9_']*)"
+    r"|(" + "|".join(re.escape(sym) for sym in SYMBOLS) + ")",
+    re.DOTALL,
+)
+_NUMBER, _WORD, _SYMBOL = 1, 2, 3
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in ("_", "'")
+def _lex_one(
+    source: SourceText, pos: int, tokens: List[Token], reporter
+) -> int:
+    """Lex what the ASCII pattern leaves at ``pos``: a number or identifier
+    touching a non-ASCII character, an unterminated block comment, or an
+    unexpected character.  Appends the token, if any; returns the offset
+    lexing resumes at.
+    """
+    text = source.text
+    n = len(text)
+    ch = text[pos]
+    if ch.isdecimal() or (
+        ch == "-" and pos + 1 < n and text[pos + 1].isdecimal()
+    ):
+        end = pos + 1
+        while end < n and text[end].isdecimal():
+            end += 1
+        tokens.append(Token("NUMBER", text[pos:end], source.span(pos, end)))
+        return end
+    if ch.isalpha() or ch == "_":
+        end = pos + 1
+        while end < n and (text[end].isalnum() or text[end] in "_'"):
+            end += 1
+        word = text[pos:end]
+        kind = word if word in KEYWORDS else "IDENT"
+        tokens.append(Token(kind, word, source.span(pos, end)))
+        return end
+    if text.startswith("/*", pos):  # the pattern skips every closed one
+        err = LexError("unterminated block comment", source.span(pos, pos + 2))
+        end = n
+    else:
+        err = LexError(
+            f"unexpected character {ch!r}", source.span(pos, pos + 1)
+        )
+        end = pos + 1
+    err.attach_source(source)
+    if reporter is None:
+        raise err
+    reporter.error(err)
+    return end
 
 
 def tokenize(source: SourceText, reporter=None) -> List[Token]:
@@ -101,109 +163,105 @@ def tokenize(source: SourceText, reporter=None) -> List[Token]:
     With a :class:`repro.diagnostics.DiagnosticReporter`, lex errors are
     recorded and the offending characters skipped, so one bad byte does not
     hide every token after it (error *recovery* mode).
+
+    The returned list ends with exactly one ``EOF`` token.
     """
     text = source.text
+    filename = source.filename
     n = len(text)
-    pos = 0
+    match = _UNIT.match
+    new = tuple.__new__
+    keywords = KEYWORDS
+    # Line cursor: ``line`` is the 1-based line holding offset ``line_start``;
+    # ``starts[line]`` (or the ``n + 1`` sentinel) is where the next begins.
+    # Token offsets only grow, so the cursor only moves forward.
+    starts = source._line_starts + [n + 1]
+    line, line_start, next_start = 1, 0, starts[1]
     tokens: List[Token] = []
+    pos = 0
     while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
+        m = match(text, pos)
+        kind = m and m.lastindex
+        if not kind:
+            pos = m.end() if m else _lex_one(source, pos, tokens, reporter)
             continue
-        if text.startswith("//", pos):
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end + 1
+        start, end = m.span()
+        if kind != _SYMBOL and end < n and text[end] > "\x7f":
+            # A non-ASCII character may continue this number or word.
+            pos = _lex_one(source, start, tokens, reporter)
             continue
-        if text.startswith("/*", pos):
-            end = text.find("*/", pos + 2)
-            if end == -1:
-                err = LexError(
-                    "unterminated block comment", source.span(pos, pos + 2)
-                ).attach_source(source)
-                if reporter is None:
-                    raise err
-                reporter.error(err)
-                pos = n
-                continue
-            pos = end + 2
-            continue
-        if ch.isdigit() or (
-            ch == "-" and pos + 1 < n and text[pos + 1].isdigit()
-        ):
-            start = pos
-            pos += 1
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(
-                Token("NUMBER", text[start:pos], source.span(start, pos))
-            )
-            continue
-        if _is_ident_start(ch):
-            start = pos
-            while pos < n and _is_ident_char(text[pos]):
-                pos += 1
-            word = text[start:pos]
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, source.span(start, pos)))
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(
-                    Token(sym, sym, source.span(pos, pos + len(sym)))
-                )
-                pos += len(sym)
-                break
+        word = m.group(kind)
+        if kind == _WORD:
+            kind = word if word in keywords else "IDENT"
+        elif kind == _NUMBER:
+            kind = "NUMBER"
         else:
-            err = LexError(
-                f"unexpected character {ch!r}", source.span(pos, pos + 1)
-            ).attach_source(source)
-            if reporter is None:
-                raise err
-            reporter.error(err)
-            pos += 1
+            kind = word
+        while start >= next_start:
+            line_start = next_start
+            line += 1
+            next_start = starts[line]
+        tokens.append(new(Token, (kind, word, new(Span, (
+            new(Position, (line, start - line_start + 1, start)),
+            new(Position, (line, end - line_start + 1, end)),
+            filename,
+        )))))
+        pos = end
     tokens.append(Token("EOF", "", source.span(n, n)))
     return tokens
 
 
+#: The parser's deepest lookahead: it calls ``peek(offset)`` with
+#: ``0 <= offset <= LOOKAHEAD``.
+LOOKAHEAD = 2
+
+
 class TokenStream:
-    """A cursor over a token list with one-token lookahead helpers."""
+    """A cursor over a token list with bounded lookahead helpers.
+
+    The list is padded with ``LOOKAHEAD`` copies of its final ``EOF`` token,
+    so every lookahead is one index with no bounds check.
+    """
 
     def __init__(self, tokens: List[Token], source: SourceText):
-        self._tokens = tokens
+        self._tokens = tokens + tokens[-1:] * LOOKAHEAD
         self._pos = 0
         self.source = source
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self._tokens[self._pos].kind in kinds
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != "EOF":
             self._pos += 1
         return token
 
     def match(self, kind: str) -> Optional[Token]:
-        if self.at(kind):
-            return self.advance()
-        return None
+        token = self._tokens[self._pos]
+        if token.kind != kind:
+            return None
+        if kind != "EOF":
+            self._pos += 1
+        return token
 
     def expect(self, kind: str, context: str = "") -> Token:
-        from repro.diagnostics.errors import ParseError
-
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != kind:
+            from repro.diagnostics.errors import ParseError
+
             where = f" in {context}" if context else ""
             raise ParseError(
                 f"expected {kind!r}{where}, found {token.kind!r}"
                 + (f" ({token.text!r})" if token.text else ""),
                 token.span,
             ).attach_source(self.source)
-        return self.advance()
+        if kind != "EOF":
+            self._pos += 1
+        return token
 
     def error(self, message: str):
         from repro.diagnostics.errors import ParseError

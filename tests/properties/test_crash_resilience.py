@@ -132,6 +132,30 @@ class TestPipelineContract:
         outcome = check_source("", "<empty>")
         assert not outcome.ok
 
+    def test_non_decimal_digits_are_diagnosed(self):
+        # ``²`` passes ``str.isdigit`` but not ``int()``: it must become a
+        # lex error, never a ValueError out of the parser.
+        for text in ("let x = \u00b2 in x", "let x = -\u00b2 in x", "1\u00b2"):
+            outcome = check_source(text, "<digits>")
+            assert not outcome.ok
+            assert any(d.kind == "lex error" for d in outcome.report), text
+
+    def test_non_decimal_digit_cli_exit_code(self, tmp_path, capsys):
+        from repro.tools.cli import EXIT_DIAGNOSTICS, main
+
+        path = tmp_path / "square.fg"
+        path.write_text("let x = \u00b2 in x", encoding="utf-8")
+        assert main(["check", str(path)]) == EXIT_DIAGNOSTICS
+        assert "unexpected character" in capsys.readouterr().err
+
+    def test_decimal_digits_evaluate(self):
+        outcome = check_source("let x = \u0663 in x", "<digits>",
+                               evaluate=True)
+        assert outcome.ok and outcome.value == 3
+        outcome = check_source("iadd(-\u0663, 1\u0660)", "<digits>",
+                               evaluate=True)
+        assert outcome.ok and outcome.value == 7
+
     def test_binary_garbage(self):
         outcome = check_source("\x00\xff\x7f garbage \x01", "<bin>")
         assert not outcome.ok

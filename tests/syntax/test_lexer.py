@@ -3,8 +3,9 @@
 import pytest
 
 from repro.diagnostics.errors import LexError
+from repro.diagnostics.reporter import DiagnosticReporter
 from repro.diagnostics.source import SourceText
-from repro.syntax.lexer import tokenize
+from repro.syntax.lexer import LOOKAHEAD, stream, tokenize
 
 
 def kinds(text: str):
@@ -84,6 +85,31 @@ class TestErrorsAndSpans:
         assert tokens[1].span.start.line == 2
         assert tokens[1].span.start.column == 3
 
+    def test_superscript_digit_is_not_a_number(self):
+        # ``str.isdigit`` accepts ``²`` but ``int()`` does not; the lexer
+        # takes only decimal digits, so a lone ``²`` is a lex error.
+        for text in ("\u00b2", "-\u00b2"):
+            with pytest.raises(LexError, match="unexpected character"):
+                tokenize(SourceText(text))
+        reporter = DiagnosticReporter()
+        tokens = tokenize(SourceText("1\u00b2 x"), reporter)
+        assert [t.text for t in tokens] == ["1", "x", ""]
+        (err,) = reporter.finish().diagnostics
+        assert err.span.start.column == 2
+
+    def test_superscript_continues_an_identifier(self):
+        assert kinds("x\u00b2") == ["IDENT", "EOF"]
+        assert texts("x\u00b2") == ["x\u00b2"]
+
+    def test_arabic_indic_digit_is_a_number(self):
+        assert kinds("\u0663") == ["NUMBER", "EOF"]
+        assert texts("-\u0663 1\u0663") == ["-\u0663", "1\u0663"]
+
+    def test_unicode_letters_in_identifiers(self):
+        assert texts("\u00e9t\u00e9 ab\u00e9c") == [
+            "\u00e9t\u00e9", "ab\u00e9c",
+        ]
+
     def test_span_excerpt_renders(self):
         source = SourceText("let x = oops in x")
         tokens = tokenize(source)
@@ -91,3 +117,26 @@ class TestErrorsAndSpans:
         excerpt = source.excerpt(oops.span)
         assert "oops" in excerpt
         assert "^^^^" in excerpt
+
+
+class TestTokenStream:
+    def test_lookahead_past_the_end_is_eof(self):
+        ts = stream("a b")
+        assert [ts.peek(i).kind for i in range(LOOKAHEAD + 1)] == [
+            "IDENT", "IDENT", "EOF",
+        ]
+        ts.advance()
+        ts.advance()
+        assert [ts.peek(i).kind for i in range(LOOKAHEAD + 1)] == [
+            "EOF",
+        ] * (LOOKAHEAD + 1)
+
+    def test_cursor_stops_at_eof(self):
+        ts = stream("a")
+        assert ts.expect("IDENT").text == "a"
+        at_eof = ts.save()
+        assert ts.advance().kind == "EOF"
+        assert ts.match("EOF").kind == "EOF"
+        assert ts.expect("EOF").kind == "EOF"
+        assert ts.save() == at_eof
+        assert ts.match("IDENT") is None
