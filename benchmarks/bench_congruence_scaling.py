@@ -1,15 +1,18 @@
 """Experiment CC (section 5): congruence-closure scaling.
 
 The paper leans on Nelson & Oppen's O(n log n) congruence closure for type
-equality.  This bench sweeps the number of merged equalities and the depth
-of type terms, asserting near-linear growth (the 'shape': doubling the
-input should far less than quadruple the time).
+equality.  This bench sweeps the number of merged equalities (up to 10^5),
+the depth of type terms and the number of nested where clauses checked
+through the F_G checker, asserting near-linear growth (the 'shape':
+quadrupling the input should cost far less than 16 times the time).
 """
 
 import pytest
 
 from repro.fg import ast as G
+from repro.fg import typecheck
 from repro.fg.congruence import CongruenceSolver
+from repro.syntax import parse_fg
 
 
 def _chain_equalities(n: int):
@@ -30,6 +33,20 @@ def _assoc_equalities(n: int):
     return out
 
 
+def _nested_where(k: int) -> str:
+    """``k`` nested generic functions, each where clause equating its
+    iterator's element type with the outermost one's."""
+    lines = ["concept It<I> { types elt; get : fn(I) -> elt; } in",
+             "let f = /\\I0 where It<I0>."]
+    for i in range(1, k):
+        lines.append(f"  /\\I{i} where It<I{i}>; It<I{i}>.elt == It<I0>.elt.")
+    last = k - 1
+    lines.append(f"  \\x : I{last}."
+                 f" cons[It<I0>.elt](It<I{last}>.get(x), nil[It<I0>.elt])")
+    lines.append("in 0")
+    return "\n".join(lines)
+
+
 def _deep_type(depth: int, leaf: G.FGType) -> G.FGType:
     t = leaf
     for _ in range(depth):
@@ -38,7 +55,7 @@ def _deep_type(depth: int, leaf: G.FGType) -> G.FGType:
 
 
 class TestMergeScaling:
-    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("n", [64, 256, 1024, 10_000, 100_000])
     def test_merge_chain(self, benchmark, n):
         eqs = _chain_equalities(n)
 
@@ -74,9 +91,18 @@ class TestMergeScaling:
 
         assert benchmark(run)
 
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    def test_nested_where_clauses(self, benchmark, k):
+        # Each scope's solver is built from its own equality tuple, so this
+        # row shows what the k-th nested where clause costs the checker.
+        term = parse_fg(_nested_where(k))
+        fg_type, _ = benchmark(typecheck, term)
+        assert fg_type == G.INT
+
 
 class TestNearLinearShape:
-    def test_chain_growth_subquadratic(self):
+    @pytest.mark.parametrize("small", [256, 2_500])
+    def test_chain_growth_subquadratic(self, small):
         import time
 
         def cost(n: int) -> float:
@@ -90,14 +116,30 @@ class TestNearLinearShape:
                 best = min(best, time.perf_counter() - start)
             return best
 
-        t1, t2 = cost(256), cost(1024)
+        t1, t2 = cost(small), cost(4 * small)
         # 4x input; allow generous constant, reject quadratic (16x).
         assert t2 < t1 * 12, (t1, t2)
 
-    def test_representative_after_many_merges(self, benchmark):
+    @staticmethod
+    def _merged_chain():
         s = CongruenceSolver()
         for left, right in _chain_equalities(512):
             s.merge(left, right)
         s.merge(G.TVar("a0"), G.INT)
+        return s
+
+    def test_representative_after_many_merges(self, benchmark):
+        # Cold: every round asks a freshly built solver, so the class is
+        # extracted rather than read from the representative memo.
+        result = benchmark.pedantic(
+            lambda s: s.representative(G.TVar("a400")),
+            setup=lambda: ((self._merged_chain(),), {}),
+            rounds=50, warmup_rounds=2,
+        )
+        assert result == G.INT
+
+    def test_representative_memo_hit(self, benchmark):
+        s = self._merged_chain()
+        s.representative(G.TVar("a400"))
         result = benchmark(lambda: s.representative(G.TVar("a400")))
         assert result == G.INT

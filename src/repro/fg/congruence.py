@@ -69,6 +69,12 @@ class CongruenceSolver:
         self._sigtab: Dict[tuple, int] = {}
         self._opaque: Dict[int, G.FGType] = {}
         self._equalities: List[Tuple[G.FGType, G.FGType]] = []
+        # Memoized representatives, cleared by every merge: interning alone
+        # only adds singleton classes, so no memoized class can change.
+        self._reps: Dict[G.FGType, G.FGType] = {}
+        # Set once an ``("error",)`` node exists; until then no class can
+        # hold the recovery poison.
+        self._poisoned = False
 
     # -- union-find ---------------------------------------------------------
 
@@ -97,6 +103,8 @@ class CongruenceSolver:
         self._uf_rank.append(0)
         self._use[i] = []
         self._members[i] = [i]
+        if label == ("error",):
+            self._poisoned = True
         if self._metrics is not None:
             self._metrics.inc("congruence.nodes")
         return i
@@ -145,6 +153,7 @@ class CongruenceSolver:
     def _merge(self, a: G.FGType, b: G.FGType) -> None:
         metrics = self._metrics
         self._equalities.append((a, b))
+        self._reps.clear()
         worklist = [(self.intern(a), self.intern(b))]
         while worklist:
             x, y = worklist.pop()
@@ -187,6 +196,10 @@ class CongruenceSolver:
         (e.g. a recovered type alias) absorbs comparison exactly like a
         syntactic poison would.
         """
+        if not self._poisoned:
+            # Only a bare poison would be one.  ``t`` stays uninterned; the
+            # checker asks only after ``equal`` interned both sides.
+            return isinstance(t, G.ErrorType)
         root = self._find(self.intern(t))
         return any(self._labels[n] == ("error",) for n in self._members[root])
 
@@ -199,10 +212,12 @@ class CongruenceSolver:
         creation order.  Raises :class:`TypeError_` if the class is only
         expressible cyclically (e.g. after merging ``t`` with ``list t``).
         """
-        node = self.intern(t)
-        rep = self._externalize(self._find(node), {})
+        rep = self._reps.get(t)
         if rep is None:
-            raise TypeError_(f"cyclic type equality involving {t}")
+            rep = self._externalize(self._find(self.intern(t)), {})
+            if rep is None:
+                raise TypeError_(f"cyclic type equality involving {t}")
+            self._reps[t] = rep
         return rep
 
     def _externalize(

@@ -207,18 +207,27 @@ class SolverCache:
 
     Environments are persistent and equalities grow monotonically within a
     scope, so many checker steps share one equality set; building the solver
-    once per distinct set keeps checking near-linear in practice.
+    once per distinct set keeps checking near-linear in practice.  Most
+    lookups come back with the very tuple object seen before, so the cache
+    first tries the tuple's ``id``; the entry keeps the tuple alive, so the
+    ``id`` cannot be reused by another object while the entry exists.
     """
 
     def __init__(self, max_nodes: Optional[int] = None, *,
                  metrics=None, tracer=None):
         self._cache: Dict[tuple, CongruenceSolver] = {}
+        self._by_id: Dict[int, Tuple[tuple, CongruenceSolver]] = {}
         self._max_nodes = max_nodes
         self._metrics = metrics
         self._tracer = tracer
 
     def solver(self, env: Env) -> CongruenceSolver:
         key = env.equalities
+        entry = self._by_id.get(id(key))
+        if entry is not None and entry[0] is key:
+            if self._metrics is not None:
+                self._metrics.inc("congruence.cache_hits")
+            return entry[1]
         solver = self._cache.get(key)
         if solver is None:
             solver = solver_for_equalities(
@@ -228,4 +237,5 @@ class SolverCache:
             self._cache[key] = solver
         elif self._metrics is not None:
             self._metrics.inc("congruence.cache_hits")
+        self._by_id[id(key)] = (key, solver)
         return solver

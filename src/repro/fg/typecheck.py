@@ -176,8 +176,11 @@ class Checker:
 
         The recovery poison absorbs comparison: a type containing
         :class:`~repro.fg.ast.ErrorType` equals everything, so follow-on
-        checks of an already-reported failure stay silent.
+        checks of an already-reported failure stay silent.  Congruence is
+        reflexive, so syntactically equal types need no solver at all.
         """
+        if a == b:
+            return True
         if _contains_error(a) or _contains_error(b):
             return True
         solver = self.solver(env)

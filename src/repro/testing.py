@@ -528,20 +528,24 @@ def _serve_forever(policy, options):  # pragma: no cover — forked child
     Server(policy, options).serve()
 
 
-def _read_accepted(sock, timeout: float = 10.0):
-    """Read frames off ``sock`` until one ``accepted`` arrives."""
+def _read_accepted(sock, count: int, timeout: float = 10.0) -> None:
+    """Read frames off ``sock`` until ``count`` ``accepted`` frames arrive.
+
+    One reader serves all of them: the daemon may answer several requests
+    in one chunk, and a frame left in a discarded reader would be lost.
+    """
     from repro.service import proto
 
     sock.settimeout(timeout)
     reader = proto.FrameReader()
-    while True:
+    while count:
         chunk = sock.recv(65536)
         if chunk == b"":
             raise AssertionError("daemon closed before accepting request")
         for frame in reader.feed(chunk):
             if frame.get("type") == "accepted":
-                return frame
-            if frame.get("type") == "error":
+                count -= 1
+            elif frame.get("type") == "error":
                 raise AssertionError(f"daemon rejected request: {frame}")
 
 
@@ -572,8 +576,9 @@ def run_server_chaos(
        client submits two slow batches, reads both ``accepted`` frames,
        and vanishes — the queued one must be cancelled, the in-flight one
        orphaned without poisoning the pool) and the ``slow-loris`` kind
-       (a connection sends half a frame and stalls — the idle reaper must
-       close it).  It then serves a clean batch and a chaos-hang batch
+       (a connection sends half a frame and stalls — once the other
+       clients are done, the idle budget drops to 0.4 s and the reaper
+       must close it).  It serves a clean batch and a chaos-hang batch
        whose report digests are the round's baseline, and drains via a
        ``shutdown`` request.
     2. A **forked** daemon takes the ``daemon-kill`` kind: the same hang
@@ -586,6 +591,7 @@ def run_server_chaos(
     metrics, and digest equality across rounds and across the crash.
     Returns the final round's digests and metric counts.
     """
+    import dataclasses
     import multiprocessing
     import os
     import signal
@@ -647,12 +653,7 @@ def run_server_chaos(
             instrumentation = Instrumentation(
                 tracer=Tracer(), metrics=metrics,
             )
-            options = ServeOptions(
-                socket_path=os.path.join(tmp, "fg.sock"),
-                idle_timeout_s=(
-                    0.4 if "slow-loris" in kinds else 10.0
-                ),
-            )
+            options = ServeOptions(socket_path=os.path.join(tmp, "fg.sock"))
             server = Server(policy, options, instrumentation)
             summary_box: List[Dict[str, object]] = []
             thread = threading.Thread(
@@ -680,8 +681,7 @@ def run_server_chaos(
                 # other is provably still queued — its cancellation on
                 # disconnect is deterministic.
                 ghost.sendall(payload + payload)
-                _read_accepted(ghost)
-                _read_accepted(ghost)
+                _read_accepted(ghost, 2)
                 ghost.close()
                 # The orphaned in-flight request still runs to completion;
                 # wait it out so the baseline batches below don't queue
@@ -731,10 +731,18 @@ def run_server_chaos(
                 f"daemon unhealthy after faults: {snapshot}"
             )
             if loris is not None:
+                # Drop the idle budget only now, with no other client
+                # connected: a client starved between its connect and its
+                # first send would be reaped as a loris too.
+                server.options = dataclasses.replace(
+                    options, idle_timeout_s=0.4,
+                )
+                server._wake()
                 assert _await_eof(loris, 15.0), (
                     "slow-loris connection was never idle-closed"
                 )
                 loris.close()
+                server.options = options
             request_shutdown(options.socket_path)
             thread.join(timeout=30.0)
             assert not thread.is_alive(), "daemon failed to drain"

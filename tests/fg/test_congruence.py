@@ -164,6 +164,23 @@ class TestRepresentatives:
 
         assert build() == build()
 
+    def test_memoized_representative_follows_later_merges(self):
+        s = CongruenceSolver()
+        assert s.representative(G.TList(A)) == G.TList(A)
+        s.merge(A, INT)
+        assert s.representative(G.TList(A)) == G.TList(INT)
+
+    def test_cyclic_failure_is_never_memoized(self, monkeypatch):
+        # Stand in an extraction that finds no finite member: every call
+        # must raise, and a later successful extraction is not shadowed.
+        s = CongruenceSolver()
+        monkeypatch.setattr(s, "_externalize", lambda root, in_progress: None)
+        for _ in range(2):
+            with pytest.raises(TypeError_, match="cyclic type equality"):
+                s.representative(A)
+        monkeypatch.undo()
+        assert s.representative(A) == A
+
 
 class TestForallOpacity:
     def test_alpha_equal_foralls_equal(self):

@@ -1,0 +1,538 @@
+"""Type equality with its shortcuts answers exactly as the full solver did.
+
+The reference below is type equality as it was before ``Checker.equal``
+took its reflexive shortcut and ``CongruenceSolver`` memoized
+representatives: :class:`RefSolver` re-interns every query and re-extracts
+every representative, :func:`ref_equal` always builds and asks a solver,
+and :func:`ref_cache_solver` finds a cached solver by hashing the whole
+equality tuple.  For each input the test compares
+
+- solver answers (``equal``, ``representative``, ``class_contains_error``
+  and any ``TypeError_`` a cyclic class raises) over operation sequences
+  that interleave merges with queries, so a representative memoized before
+  a merge would show;
+- ``Checker.equal`` and ``Checker.rep`` under an environment's equalities,
+  core and ext checkers;
+- the type, System F translation text, value and diagnostics of whole
+  programs checked with the reference swapped in, then without it:
+  ``examples/fg`` with and without the prelude, the fgbench workloads at
+  seeds 1-3, and ``fg_gen`` programs, each under the core and ext checkers.
+
+**What the shortcuts may change.**  Both concern terms the solver does not
+intern any more, and neither reaches a checker's output:
+
+- the node budget: ``Checker.equal(a, a)`` no longer interns ``a``.  The
+  corpus runs under the default budget, and ``tests/fg/test_limits.py`` pins
+  that an over-budget equality set still ends in a ``limit="congruence"``
+  diagnostic;
+- node age: while no poison node exists, ``class_contains_error(t)`` does not
+  intern ``t``.  A representative breaks cost ties by node age, so a later
+  merge of a never-interned ``t`` may pick another class member than the
+  reference would (:func:`test_bare_poison_query_does_not_intern`).  The
+  checker asks only after ``equal`` has interned both sides, and the
+  operation sequences below ask the same way.
+"""
+
+from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.diagnostics.errors import TypeError_
+from repro.diagnostics.limits import ResourceLimitError
+from repro.extensions.checker import ExtChecker
+from repro.fg import ast as G
+from repro.fg import congruence
+from repro.fg.congruence import CongruenceSolver
+from repro.fg.env import Env, SolverCache
+from repro.fg.typecheck import Checker, _contains_error
+from repro.pipeline import check_source
+from repro.prelude import context as prelude_context
+from repro.systemf import pretty_term
+
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = sorted((ROOT / "examples" / "fg").glob("*.fg"))
+
+sys.path.insert(0, str(ROOT / "tests" / "properties"))
+sys.path.insert(0, str(ROOT / "fgbench"))
+import workloads  # noqa: E402
+from fg_gen import program_specs, same_type_specs  # noqa: E402
+from test_congruence_properties import _types  # noqa: E402
+
+
+# -- the reference solver -----------------------------------------------------
+
+_COST_GROUND = 1
+_COST_VAR = 5
+_COST_ASSOC = 1_000_000
+_COST_INFINITE = float("inf")
+
+
+class RefSolver:
+    """The congruence closure without memoized representatives or a poison
+    flag: every query interns its terms and every representative is
+    re-extracted from its class."""
+
+    def __init__(self, max_nodes: Optional[int] = None):
+        self._max_nodes = max_nodes
+        self._labels: List[tuple] = []
+        self._children: List[Tuple[int, ...]] = []
+        self._uf_parent: List[int] = []
+        self._uf_rank: List[int] = []
+        self._use: Dict[int, List[int]] = {}
+        self._members: Dict[int, List[int]] = {}
+        self._sigtab: Dict[tuple, int] = {}
+        self._opaque: Dict[int, G.FGType] = {}
+
+    def _find(self, i: int) -> int:
+        root = i
+        while self._uf_parent[root] != root:
+            root = self._uf_parent[root]
+        while self._uf_parent[i] != root:
+            self._uf_parent[i], i = root, self._uf_parent[i]
+        return root
+
+    def _new_node(self, label: tuple, children: Tuple[int, ...]) -> int:
+        i = len(self._labels)
+        if self._max_nodes is not None and i >= self._max_nodes:
+            raise ResourceLimitError(
+                f"type-equality solver exceeded its node budget "
+                f"({self._max_nodes}); the same-type constraints in scope "
+                "are too large for this run's limits",
+                limit="congruence",
+            )
+        self._labels.append(label)
+        self._children.append(children)
+        self._uf_parent.append(i)
+        self._uf_rank.append(0)
+        self._use[i] = []
+        self._members[i] = [i]
+        return i
+
+    def intern(self, t: G.FGType) -> int:
+        return self._intern(t, {})
+
+    def _intern(self, t: G.FGType, memo: Dict[int, int]) -> int:
+        cached = memo.get(id(t))
+        if cached is not None:
+            return cached
+        label, child_types, opaque = ref_decompose(t)
+        children = tuple(self._intern(c, memo) for c in child_types)
+        sig = (label,) + tuple(self._find(c) for c in children)
+        existing = self._sigtab.get(sig)
+        if existing is not None:
+            memo[id(t)] = existing
+            return existing
+        node = self._new_node(label, children)
+        self._sigtab[sig] = node
+        for child in set(self._find(c) for c in children):
+            self._use[child].append(node)
+        if opaque is not None:
+            self._opaque[node] = opaque
+        memo[id(t)] = node
+        return node
+
+    def merge(self, a: G.FGType, b: G.FGType) -> None:
+        worklist = [(self.intern(a), self.intern(b))]
+        while worklist:
+            x, y = worklist.pop()
+            rx, ry = self._find(x), self._find(y)
+            if rx == ry:
+                continue
+            if self._uf_rank[rx] > self._uf_rank[ry]:
+                rx, ry = ry, rx
+            if self._uf_rank[rx] == self._uf_rank[ry]:
+                self._uf_rank[ry] += 1
+            self._uf_parent[rx] = ry
+            self._members[ry].extend(self._members.pop(rx))
+            moved = self._use.pop(rx)
+            for parent in moved:
+                sig = (self._labels[parent],) + tuple(
+                    self._find(c) for c in self._children[parent]
+                )
+                other = self._sigtab.get(sig)
+                if other is not None and self._find(other) != self._find(parent):
+                    worklist.append((parent, other))
+                else:
+                    self._sigtab[sig] = parent
+            self._use[ry].extend(moved)
+
+    def equal(self, a: G.FGType, b: G.FGType) -> bool:
+        return self._find(self.intern(a)) == self._find(self.intern(b))
+
+    def class_contains_error(self, t: G.FGType) -> bool:
+        root = self._find(self.intern(t))
+        return any(self._labels[n] == ("error",) for n in self._members[root])
+
+    def representative(self, t: G.FGType) -> G.FGType:
+        node = self.intern(t)
+        rep = self._extract(self._find(node), {})
+        if rep is None:
+            raise TypeError_(f"cyclic type equality involving {t}")
+        return rep[1]
+
+    def _extract(self, root: int, in_progress: Dict[int, bool]):
+        if in_progress.get(root):
+            return None
+        in_progress[root] = True
+        best = None
+        for node in sorted(self._members[root]):
+            entry = self._extract_node(node, in_progress)
+            if entry is None:
+                continue
+            if best is None or entry[0] < best[0]:
+                best = entry
+        in_progress[root] = False
+        return best
+
+    def _extract_node(self, node: int, in_progress: Dict[int, bool]):
+        label = self._labels[node]
+        kind = label[0]
+        child_results = []
+        cost = (
+            _COST_ASSOC if kind == "assoc"
+            else _COST_VAR if kind == "var" else _COST_GROUND
+        )
+        for child in self._children[node]:
+            sub = self._extract(self._find(child), in_progress)
+            if sub is None:
+                return None
+            cost += sub[0]
+            child_results.append(sub[1])
+        if cost >= _COST_INFINITE:
+            return None
+        return (cost, ref_recompose(label, child_results,
+                                    self._opaque.get(node)))
+
+
+def ref_decompose(t: G.FGType):
+    if isinstance(t, G.TVar):
+        return (("var", t.name), (), None)
+    if isinstance(t, G.TBase):
+        return (("base", t.name), (), None)
+    if isinstance(t, G.TList):
+        return (("list",), (t.elem,), None)
+    if isinstance(t, G.TFn):
+        return (("fn", len(t.params)), tuple(t.params) + (t.result,), None)
+    if isinstance(t, G.TTuple):
+        return (("tuple", len(t.items)), tuple(t.items), None)
+    if isinstance(t, G.TAssoc):
+        return (("assoc", t.concept, t.member, len(t.args)), tuple(t.args), None)
+    if isinstance(t, G.TForall):
+        return (("forall", ref_canonical_forall(t)), (), t)
+    if isinstance(t, G.ConceptReq):
+        return (("req", t.concept, len(t.args)), tuple(t.args), None)
+    if isinstance(t, G.ErrorType):
+        return (("error",), (), None)
+    raise AssertionError(f"unknown F_G type node: {t!r}")
+
+
+def ref_recompose(label: tuple, children: List[G.FGType], opaque) -> G.FGType:
+    kind = label[0]
+    if kind == "var":
+        return G.TVar(label[1])
+    if kind == "base":
+        return G.TBase(label[1])
+    if kind == "list":
+        return G.TList(children[0])
+    if kind == "fn":
+        return G.TFn(tuple(children[:-1]), children[-1])
+    if kind == "tuple":
+        return G.TTuple(tuple(children))
+    if kind == "assoc":
+        return G.TAssoc(label[1], tuple(children), label[2])
+    if kind == "forall":
+        return opaque
+    if kind == "req":
+        return G.ConceptReq(label[1], tuple(children))
+    if kind == "error":
+        return G.ERROR
+    raise AssertionError(f"unknown label: {label!r}")
+
+
+def ref_canonical_forall(t: G.TForall) -> str:
+    renaming = {v: G.TVar(f"@{i}") for i, v in enumerate(t.vars)}
+    body = G.substitute(t.body, renaming)
+    reqs = tuple(G.substitute(r, renaming) for r in t.requirements)
+    sames = tuple(
+        G.SameType(G.substitute(s.left, renaming),
+                   G.substitute(s.right, renaming))
+        for s in t.same_types
+    )
+    canon = G.TForall(tuple(f"@{i}" for i in range(len(t.vars))), reqs,
+                      sames, body)
+    return str(canon)
+
+
+def ref_solver_for_equalities(equalities, max_nodes=None, **_observability):
+    solver = RefSolver(max_nodes)
+    for left, right in equalities:
+        solver.merge(left, right)
+    return solver
+
+
+def ref_cache_solver(self: SolverCache, env: Env):
+    """``SolverCache.solver`` keyed by the equality tuple's hash only."""
+    key = env.equalities
+    solver = self._cache.get(key)
+    if solver is None:
+        solver = ref_solver_for_equalities(key, self._max_nodes)
+        self._cache[key] = solver
+    return solver
+
+
+def ref_equal(self: Checker, a: G.FGType, b: G.FGType, env: Env) -> bool:
+    """``Checker.equal`` without the reflexive shortcut."""
+    if _contains_error(a) or _contains_error(b):
+        return True
+    solver = self.solver(env)
+    if solver.equal(a, b):
+        return True
+    return solver.class_contains_error(a) or solver.class_contains_error(b)
+
+
+@contextmanager
+def reference_equality():
+    """Checkers built inside use the reference solver, cache and ``equal``.
+
+    The prelude contexts are dropped on entry and exit, so the prelude is
+    re-checked by whichever equality is in force.
+    """
+    saved = (SolverCache.solver, Checker.equal,
+             congruence.solver_for_equalities)
+    SolverCache.solver = ref_cache_solver
+    Checker.equal = ref_equal
+    congruence.solver_for_equalities = ref_solver_for_equalities
+    prelude_context._CONTEXTS.clear()
+    try:
+        yield
+    finally:
+        (SolverCache.solver, Checker.equal,
+         congruence.solver_for_equalities) = saved
+        prelude_context._CONTEXTS.clear()
+
+
+# -- solver-level comparison --------------------------------------------------
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except TypeError_ as err:
+        return ("TypeError_", str(err))
+
+
+def poison(t: G.FGType) -> G.FGType:
+    return G.TFn((t,), G.ERROR)
+
+
+#: Bare leaves recur across one sequence, so later merges meet terms that
+#: earlier queries interned.
+_leaves = st.sampled_from(
+    [G.TVar(n) for n in "abcde"] + [G.INT, G.BOOL, G.ERROR]
+)
+_terms = st.one_of(_leaves, _types(), _types().map(poison))
+_pairs = st.tuples(_terms, _terms)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("merge"), _terms, _terms),
+        st.tuples(st.just("equal"), _terms, _terms),
+        st.tuples(st.just("rep"), _terms),
+        st.tuples(st.just("poison"), _terms, _terms),
+    ),
+    max_size=24,
+)
+
+
+#: Few distinct small terms: classes grow by merges of terms that earlier
+#: queries interned, where node age decides representatives.
+_small = st.one_of(_leaves, _leaves.map(G.TList))
+_small_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("merge"), _small, _small),
+        st.tuples(st.just("equal"), _small, _small),
+        st.tuples(st.just("rep"), _small),
+        st.tuples(st.just("poison"), _small, _small),
+    ),
+    max_size=16,
+)
+
+
+def run_ops(solver, ops):
+    out = []
+    for op, *args in ops:
+        if op == "merge":
+            solver.merge(*args)
+            out.append(None)
+        elif op == "equal":
+            out.append(outcome(solver.equal, *args))
+        elif op == "rep":
+            out.append(outcome(solver.representative, *args))
+        else:
+            # As ``Checker.equal`` asks: both sides interned by ``equal``.
+            a, b = args
+            out.append((solver.equal(a, b), solver.class_contains_error(a),
+                        solver.class_contains_error(b)))
+    return out
+
+
+@given(st.one_of(_ops, _small_ops))
+@settings(max_examples=600, deadline=None)
+def test_interleaved_operations(ops):
+    assert run_ops(CongruenceSolver(), ops) == run_ops(RefSolver(), ops)
+
+
+@given(st.lists(_pairs, max_size=8), st.lists(_terms, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_representatives_track_every_merge(eqs, probes):
+    # Query every probe (and both sides) before and after each merge: a
+    # representative memoized before the merge must not be answered after.
+    got, want = CongruenceSolver(), RefSolver()
+    for left, right in eqs:
+        for t in probes + [left, right]:
+            assert (outcome(got.representative, t)
+                    == outcome(want.representative, t))
+            assert got.class_contains_error(t) == want.class_contains_error(t)
+        got.merge(left, right)
+        want.merge(left, right)
+    for t in probes:
+        assert outcome(got.representative, t) == outcome(want.representative, t)
+
+
+def test_memo_is_dropped_on_merge():
+    a = G.TVar("a")
+    got, want = CongruenceSolver(), RefSolver()
+    for solver in (got, want):
+        assert solver.representative(G.TList(a)) == G.TList(a)
+        solver.merge(a, G.INT)
+    assert got.representative(G.TList(a)) == want.representative(G.TList(a))
+    assert got.representative(G.TList(a)) == G.TList(G.INT)
+
+
+def test_poison_flag_follows_a_merge():
+    a = G.TVar("a")
+    got, want = CongruenceSolver(), RefSolver()
+    # A bare poison is in a poisoned class before any node exists.
+    assert got.class_contains_error(G.ERROR)
+    assert want.class_contains_error(G.ERROR)
+    got, want = CongruenceSolver(), RefSolver()
+    for solver in (got, want):
+        assert not solver.class_contains_error(a)
+        solver.merge(a, G.ERROR)
+    assert got.class_contains_error(a) and want.class_contains_error(a)
+    assert not got.class_contains_error(G.INT)
+
+
+def test_bare_poison_query_does_not_intern():
+    # The permitted difference: the reference interned ``e`` when asked,
+    # making it older than ``a``, so after the merge the class's
+    # representative is ``e``; the new solver meets ``e`` first in the
+    # merge, after ``a``.
+    e, a = G.TVar("e"), G.TVar("a")
+    got, want = CongruenceSolver(), RefSolver()
+    for solver in (got, want):
+        assert not solver.class_contains_error(e)
+        solver.merge(a, e)
+    assert (got.representative(a), want.representative(a)) == (a, e)
+    # Once ``equal`` has interned the term, as the checker does, they agree.
+    got, want = CongruenceSolver(), RefSolver()
+    for solver in (got, want):
+        assert not solver.equal(e, G.INT)
+        assert not solver.class_contains_error(e)
+        solver.merge(a, e)
+    assert got.representative(a) == want.representative(a) == e
+
+
+@pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                         ids=["core", "ext"])
+@given(eqs=st.lists(_pairs, max_size=6), queries=st.lists(_pairs, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_checker_equal_and_rep(checker_cls, eqs, queries):
+    env = Env.initial().add_equalities(eqs)
+
+    def answers():
+        checker = checker_cls()
+        return [
+            (checker.equal(a, b, env), outcome(checker.rep, a, env),
+             outcome(checker.rep, b, env))
+            for a, b in queries + [(a, a) for a, _ in queries]
+        ]
+
+    with reference_equality():
+        want = answers()
+    assert answers() == want
+
+
+def test_reference_is_swapped_in():
+    with reference_equality():
+        assert isinstance(Checker().solver(Env.initial()), RefSolver)
+    assert isinstance(Checker().solver(Env.initial()), CongruenceSolver)
+
+
+# -- program-level comparison -------------------------------------------------
+
+
+def program_row(text: str, filename: str, prelude: bool, ext: bool):
+    """Everything a verdict shows: type, translation, value, diagnostics."""
+    out = check_source(text, filename, prelude=prelude, ext=ext,
+                       evaluate=True, verify=True)
+    return (
+        out.ok,
+        str(out.type_) if out.type_ is not None else None,
+        pretty_term(out.translation) if out.translation is not None else None,
+        repr(out.value),
+        out.verified,
+        [(d.kind, d.message, str(d.span), str(d))
+         for d in out.report.diagnostics],
+    )
+
+
+def compare_programs(inputs) -> int:
+    """Check every ``(name, text, prelude)`` input core and ext, reference
+    first; returns how many verdicts were compared."""
+    runs = [(name, text, prelude, ext)
+            for name, text, prelude in inputs for ext in (False, True)]
+    with reference_equality():
+        want = [program_row(text, name, prelude, ext)
+                for name, text, prelude, ext in runs]
+    for run, expected in zip(runs, want):
+        assert program_row(run[1], run[0], run[2], run[3]) == expected, run[0]
+    return len(runs)
+
+
+class TestPrograms:
+    def test_examples_with_and_without_prelude(self):
+        inputs = [(path.name, path.read_text(), prelude)
+                  for path in EXAMPLES for prelude in (False, True)]
+        assert compare_programs(inputs) == 4 * len(EXAMPLES)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_workloads(self, seed):
+        inputs = {}
+        for name in workloads.WORKLOADS:
+            for case in workloads.make(name, seed):
+                inputs.setdefault((case.text, case.prelude), case.name)
+        rows = [(name, text, prelude)
+                for (text, prelude), name in inputs.items()]
+        assert compare_programs(rows) > 200
+
+    def test_rejections_are_compared(self):
+        # broken-edits holds check rejections: diagnostics are compared,
+        # not only accepted verdicts.
+        cases = [c for c in workloads.make("broken-edits", 1)
+                 if c.expect == ("reject", "check")]
+        assert cases
+        compare_programs([(c.name, c.text, c.prelude) for c in cases])
+
+
+@given(st.one_of(program_specs(), same_type_specs()))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_programs(spec):
+    compare_programs([("<gen>", spec.source, False)])

@@ -2,6 +2,7 @@
 
 from repro.fg import ast as G
 from repro.fg.env import Env, ModelInfo, SolverCache
+from repro.observability import MetricsRegistry
 
 
 def simple_concept(name="C"):
@@ -92,3 +93,34 @@ class TestSolverCache:
         cache = SolverCache()
         env = Env.initial().add_equality(G.TVar("a"), G.INT)
         assert cache.solver(env).equal(G.TVar("a"), G.INT)
+
+    def test_equal_tuple_built_twice_shares_solver(self):
+        # A second, distinct tuple with the same equalities misses the
+        # identity lookup and is found by value.
+        cache = SolverCache()
+        env1 = Env.initial().add_equality(G.TVar("a"), G.INT)
+        env2 = Env.initial().add_equality(G.TVar("a"), G.INT)
+        assert env1.equalities is not env2.equalities
+        assert cache.solver(env1) is cache.solver(env2)
+
+    def test_every_hit_is_counted(self):
+        metrics = MetricsRegistry()
+        cache = SolverCache(metrics=metrics)
+        env = Env.initial().add_equality(G.TVar("a"), G.INT)
+        twin = Env.initial().add_equality(G.TVar("a"), G.INT)
+        cache.solver(env)
+        cache.solver(env)   # identity hit
+        cache.solver(twin)  # hash hit
+        cache.solver(twin)  # identity hit
+        assert metrics.counter("congruence.solvers") == 1
+        assert metrics.counter("congruence.cache_hits") == 3
+
+    def test_identity_entry_keeps_its_tuple_alive(self):
+        # The entry holds the tuple, so its id cannot be handed to a new
+        # tuple holding other equalities.
+        cache = SolverCache()
+        first = cache.solver(Env.initial().add_equality(G.TVar("a"), G.INT))
+        for _ in range(50):
+            env = Env.initial().add_equality(G.TVar("a"), G.BOOL)
+            assert cache.solver(env) is not first
+            assert cache.solver(env).equal(G.TVar("a"), G.BOOL)

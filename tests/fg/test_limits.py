@@ -101,6 +101,33 @@ class TestCongruenceBudget:
             solver.intern(ty)
         assert excinfo.value.limit == "congruence"
 
+    # Three iterators whose element types are constrained equal: building
+    # the where clause's solver needs 16 nodes.
+    SAME_TYPES = "\n".join([
+        "concept It<I> { types elt; get : fn(I) -> elt; } in",
+        "let f = /\\I0, I1, I2 where It<I0>, It<I1>, It<I2>;"
+        " It<I0>.elt == It<I1>.elt, It<I0>.elt == It<I2>.elt.",
+        "  \\x0 : I0, x1 : I1, x2 : I2."
+        " cons[It<I0>.elt](It<I2>.get(x2), nil[It<I0>.elt]) in",
+        "model It<int> { types elt = int; get = \\a : int. a; } in",
+        "f[int, int, int](1, 2, 3)",
+    ])
+
+    def test_equalities_over_budget_end_in_a_limit_diagnostic(self):
+        # Comparing equal types skips the solver, so the budget is spent by
+        # the equalities in scope; those alone must still trip it.
+        out = check_source(
+            self.SAME_TYPES, "<t>", limits=Limits(max_congruence_nodes=12)
+        )
+        assert [
+            (d.kind, d.limit) for d in out.report.diagnostics
+        ] == [("resource limit", "congruence")]
+        out = check_source(
+            self.SAME_TYPES, "<t>", evaluate=True,
+            limits=Limits(max_congruence_nodes=16),
+        )
+        assert out.ok and out.value == [3]
+
 
 class TestRecursionLimitInvariant:
     def test_public_api_leaves_recursion_limit_alone(self):

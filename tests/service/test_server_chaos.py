@@ -40,3 +40,20 @@ def test_daemon_kill_resumes_to_identical_digest():
     assert out["resumed_digest"] == out["hang_digest"]
     assert out["rounds"] == 2
     assert out["kinds"] == list(SERVER_CHAOS_KINDS)
+
+
+def test_accepted_frames_sharing_one_chunk_are_all_counted():
+    """A busy client may read both of its ``accepted`` frames in one
+    chunk; the second must not be lost with the first read's buffer."""
+    import socket
+
+    from repro.service import proto
+    from repro.testing import _read_accepted
+
+    client, daemon = socket.socketpair()
+    with client, daemon:
+        daemon.sendall(
+            proto.encode_frame({"type": "accepted", "request": 1})
+            + proto.encode_frame({"type": "accepted", "request": 2})
+        )
+        _read_accepted(client, 2, timeout=5.0)
