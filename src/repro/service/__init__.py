@@ -65,7 +65,7 @@ from repro.service.faults import (
     is_retryable,
 )
 from repro.service.policy import ISOLATION_MODES, BatchPolicy, RetryPolicy
-from repro.service.pool import PersistentPool, PoolStats, run_pool_batch
+from repro.service.pool import PersistentPool, PoolStats
 from repro.service.report import (
     EXIT_DEADLINE,
     EXIT_OVERLOAD,
@@ -127,7 +127,6 @@ __all__ = [
     "replay",
     "request_shutdown",
     "resolve_policy",
-    "run_pool_batch",
     "run_with_deadline",
     "stats",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.observability import (
@@ -82,7 +83,8 @@ def check_batch(
 
     ``pool`` is an optional :class:`~repro.service.pool.PersistentPool`
     (the serve daemon's): with ``isolate="pool"`` the batch borrows its
-    warm workers instead of spawning and tearing down a fresh pool.
+    warm workers.  Without one, a pool batch opens its own pool, sized to
+    the batch, and closes it before returning.
     """
     from repro.pipeline import current_faults
 
@@ -108,25 +110,26 @@ def check_batch(
         "service.check_batch",
         files=len(items), jobs=policy.jobs, isolate=policy.isolate,
     ):
-        if policy.isolate == "pool" and pool is not None:
-            outcomes, pool_stats = pool.run_batch(
-                items, policy,
-                schedule=fault_schedule,
-                ambient=ambient,
-                serialized_ambient=serialized_ambient,
-                instrumentation=instrumentation,
-            )
-        elif policy.isolate == "pool":
-            from repro.service.pool import run_pool_batch
+        if policy.isolate == "pool":
+            from repro.service.pool import PersistentPool, PoolStats
 
-            outcomes, pool_stats = run_pool_batch(
-                items, policy,
+            run = dict(
                 schedule=fault_schedule,
                 ambient=ambient,
                 serialized_ambient=serialized_ambient,
-                tracer=tracer,
                 instrumentation=instrumentation,
             )
+            if pool is not None:
+                outcomes, pool_stats = pool.run_batch(items, policy, **run)
+            elif not items:
+                # No pool for nothing; the canonical digest holds the 0.
+                pool_stats = PoolStats(workers=0)
+            else:
+                sized = replace(policy, pool_workers=min(
+                    policy.pool_workers, len(items)))
+                with PersistentPool(sized, tracer) as own:
+                    outcomes, pool_stats = own.run_batch(
+                        items, policy, **run)
         elif policy.jobs == 1 or len(items) <= 1:
             for index, (filename, text) in enumerate(items):
                 outcomes[index] = _check_one(

@@ -1,10 +1,13 @@
 """Supervised persistent worker-process pool for the batch service.
 
 The only process-isolation mode (``isolate="pool"``; the CLI spellings
-``--isolate`` and ``--isolate=subprocess`` select it too).  A supervisor
-spawns ``pool_workers`` persistent children *once* (each imports the
+``--isolate`` and ``--isolate=subprocess`` select it too).  A
+:class:`PersistentPool` owns the worker processes: the ``fg serve``
+daemon keeps one for its lifetime, and a one-shot batch opens one sized
+to the batch and closes it when the batch ends.  Each worker imports the
 pipeline and, under ``prelude``, builds the pre-checked prelude context
-at spawn, so no attempt re-checks the prelude), then feeds them over the
+at spawn, so no attempt re-checks the prelude.  Every batch borrows the
+pool's seats for one supervised loop, which feeds the workers over the
 framed pipe protocol (:mod:`repro.service.proto`) from per-worker deques
 with work stealing.
 Each file's retries run through the same
@@ -19,12 +22,14 @@ supervisor's business is process death:
   normal :class:`~repro.service.policy.RetryPolicy`/quarantine taxonomy)
   and a replacement is spawned into the same slot, up to the pool-wide
   ``max_respawns`` budget;
+- a seat whose worker cannot spawn (fd exhaustion, fork failure) stays
+  empty; its queue is drained by the other seats via stealing;
 - a worker that blows the attempt deadline is hard-killed after a grace
   window (the in-worker cooperative deadline gets first shot, because a
   self-reported timeout keeps the worker warm); either path records the
   same ``timeout``/``deadline`` attempt;
 - with the respawn budget exhausted, dead slots retire (their queues are
-  drained by the survivors via stealing), and when *no* worker remains the
+  drained by the survivors via stealing), and when *no* worker is alive the
   supervisor degrades to in-process execution — the batch completes with a
   partial-failure exit code at worst, never a hang.
 
@@ -89,6 +94,10 @@ GRACE_MAX_MS = 2_000.0
 HEARTBEAT_MISS_PERIODS = 20
 HEARTBEAT_MISS_FLOOR_S = 2.0
 
+#: How long a politely stopped worker (shutdown frame sent, pipes closed)
+#: may take to exit before it is killed.
+STOP_WAIT_S = 2.0
+
 
 @dataclass
 class PoolStats:
@@ -98,6 +107,11 @@ class PoolStats:
     scheduling and are stripped from the canonical digest
     (:data:`~repro.service.report.VOLATILE_POOL_FIELDS`); everything else
     is deterministic for a given input/policy/schedule triple.
+
+    ``spawned`` counts the worker processes launched for this batch: seats
+    the pool filled before the loop started, plus respawns and recycles.
+    A batch on an already warm pool therefore counts only its own
+    respawns and recycles.
     """
 
     workers: int = 0
@@ -202,14 +216,6 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
-def _init_frame(policy: BatchPolicy) -> Dict[str, object]:
-    return {
-        "type": "init",
-        "prelude": policy.prelude,
-        "ext": policy.ext,
-    }
-
-
 def _spawn_process(slot: _WorkerSlot, policy: BatchPolicy) -> None:
     """Spawn a worker process into the slot: pipes, child, reader state.
 
@@ -217,8 +223,8 @@ def _spawn_process(slot: _WorkerSlot, policy: BatchPolicy) -> None:
     ``os.pipe`` under fd pressure, ``Popen`` under memory pressure —
     every resource created so far is released before the exception
     propagates, so a half-spawned slot never leaks pipes or a child.
-    The caller still owns sending the init frame (its error handling
-    differs between the batch supervisor and the persistent pool).
+    Callers go through :func:`_start_worker`, which also sends the init
+    frame.
     """
     task_r = task_w = result_r = result_w = -1
     proc: Optional[subprocess.Popen] = None
@@ -282,33 +288,72 @@ def _release_slot_fds(slot: _WorkerSlot) -> None:
     slot.reader = proto.FrameReader()
 
 
+def _start_worker(slot: _WorkerSlot, policy: BatchPolicy) -> bool:
+    """Spawn a worker into an empty seat and send it the init frame.
+
+    Returns False, leaving the seat empty (no process, no pipes), when
+    either step fails with ``OSError``: fd exhaustion, fork failure, or a
+    child that died before reading its init frame.
+    """
+    try:
+        _spawn_process(slot, policy)
+    except OSError:
+        slot.proc = None
+        return False
+    try:
+        proto.write_frame_fd(slot.task_w, {
+            "type": "init", "prelude": policy.prelude, "ext": policy.ext,
+        })
+    except OSError:
+        _stop_worker(slot)
+        return False
+    return True
+
+
+def _stop_worker(slot: _WorkerSlot) -> None:
+    """Stop the seat's worker: shutdown frame, close the pipes, wait up to
+    :data:`STOP_WAIT_S`, then kill.  Leaves the seat empty; unregistering
+    the pipe from a selector is the caller's business."""
+    if slot.task_w >= 0:
+        try:
+            proto.write_frame_fd(slot.task_w, {"type": "shutdown"})
+        except OSError:
+            pass
+    _release_slot_fds(slot)
+    if slot.proc is not None:
+        try:
+            slot.proc.wait(timeout=STOP_WAIT_S)
+        except subprocess.TimeoutExpired:
+            slot.proc.kill()
+            slot.proc.wait()
+        slot.proc = None
+
+
 class _Supervisor:
-    """Single-threaded event loop owning the worker slots.
+    """One batch's single-threaded event loop over a pool's seats.
 
     All I/O is non-blocking reads multiplexed through a selector; backoff
     delays are modelled as per-task ``ready_at`` instants folded into the
     select timeout, never as sleeps, so one backing-off file cannot stall
     the others.
 
-    With ``slots`` passed in (the serve daemon's
-    :class:`PersistentPool`), the supervisor *borrows* the workers: it
+    The supervisor borrows the :class:`PersistentPool`'s seats: it
     registers their pipes for the duration of one batch and detaches at
-    the end instead of spawning and shutting down — warm workers carry
-    over to the next batch.  Losses and deadline kills are handled
-    identically either way (a respawn replaces the process in the shared
-    slot).
+    the end, leaving the surviving workers running for the pool's owner.
+    A loss, deadline kill or recycle replaces the process in the shared
+    seat.
     """
 
     def __init__(
         self,
         items: Sequence[Tuple[str, str]],
         policy: BatchPolicy,
+        slots: List[_WorkerSlot],
         *,
         schedule: Optional[FaultSchedule],
         ambient: Dict[str, object],
         serialized_ambient: List[Dict[str, str]],
         tracer,
-        slots: Optional[List[_WorkerSlot]] = None,
         instrumentation=None,
         ops=None,
     ):
@@ -332,17 +377,11 @@ class _Supervisor:
         )
         self.hang_s = schedule.hang_s if schedule is not None else 0.5
         self.check_kwargs = policy.check_kwargs()
-        if slots is None:
-            n_workers = max(1, min(policy.pool_workers, len(items)))
-            self.slots = [_WorkerSlot(i) for i in range(n_workers)]
-            self._managed = True
-        else:
-            self.slots = list(slots)
-            n_workers = max(1, len(self.slots))
-            self._managed = False
-            for slot in self.slots:
-                slot.queue.clear()
-                slot.current = None
+        self.slots = list(slots)
+        n_workers = len(self.slots)
+        for slot in self.slots:
+            slot.queue.clear()
+            slot.current = None
         self.tasks = [
             TaskState(index, filename, text, index % n_workers)
             for index, (filename, text) in enumerate(items)
@@ -418,21 +457,24 @@ class _Supervisor:
         })
 
     def _spawn(self, slot: _WorkerSlot) -> None:
-        _spawn_process(slot, self.policy)
+        """Refill a seat mid-batch; a seat that cannot spawn stays empty."""
+        if not _start_worker(slot, self.policy):
+            if self._recycling == slot.slot:
+                self._recycling = None  # an empty seat can't say hello
+            return
         self.sel.register(slot.result_r, selectors.EVENT_READ, slot)
         self.stats.spawned += 1
         self._emit("worker-spawn", slot=slot.slot, pid=slot.proc.pid)
-        try:
-            proto.write_frame_fd(slot.task_w, _init_frame(self.policy))
-        except OSError:
-            self._handle_worker_loss(slot, salvage=False)
 
-    def _close_slot(self, slot: _WorkerSlot) -> None:
+    def _unregister(self, slot: _WorkerSlot) -> None:
         if slot.result_r >= 0:
             try:
                 self.sel.unregister(slot.result_r)
             except (KeyError, ValueError):
                 pass
+
+    def _close_slot(self, slot: _WorkerSlot) -> None:
+        self._unregister(slot)
         _release_slot_fds(slot)
 
     def _reap(self, slot: _WorkerSlot) -> Optional[int]:
@@ -550,20 +592,9 @@ class _Supervisor:
             pid=slot.proc.pid if slot.proc is not None else None,
             rss_bytes=slot.rss_bytes, tasks=slot.tasks_since_spawn,
         )
-        if slot.task_w >= 0:
-            try:
-                proto.write_frame_fd(slot.task_w, {"type": "shutdown"})
-            except OSError:
-                pass
-        self._reap(slot)
-        self._close_slot(slot)
-        try:
-            self._spawn(slot)
-        except OSError:
-            # The seat could not respawn right now; treat it like a loss
-            # so the normal respawn/retire path (and its budget) applies.
-            self._recycling = None
-            self._handle_worker_loss(slot, salvage=False)
+        self._unregister(slot)
+        _stop_worker(slot)
+        self._spawn(slot)
         return True
 
     def _fill_idle(self) -> None:
@@ -825,29 +856,11 @@ class _Supervisor:
                     )
                 self._finish_attempt(task, result, injected)
 
-    # -- shutdown -----------------------------------------------------------
-
-    def _shutdown(self) -> None:
-        for slot in self.slots:
-            if slot.task_w >= 0:
-                try:
-                    proto.write_frame_fd(slot.task_w, {"type": "shutdown"})
-                except OSError:
-                    pass
-            self._close_slot(slot)
-            if slot.proc is not None:
-                try:
-                    slot.proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    slot.proc.kill()
-                    slot.proc.wait()
-        self.sel.close()
-
     # -- the loop -----------------------------------------------------------
 
     def _attach(self) -> None:
-        """Register borrowed (persistent-pool) slots with this batch's
-        selector and restart their heartbeat clocks."""
+        """Register the pool's live seats with this batch's selector and
+        restart their heartbeat clocks."""
         now = time.monotonic()
         for slot in self.slots:
             if slot.result_r >= 0:
@@ -855,14 +868,10 @@ class _Supervisor:
                 slot.last_beat = now
 
     def _detach(self) -> None:
-        """Unhook borrowed slots without killing them: the workers stay
-        warm for the owner's next batch; only the selector dies."""
+        """Unhook the seats without stopping their workers: they stay warm
+        for the pool's next batch; only the selector dies."""
         for slot in self.slots:
-            if slot.result_r >= 0:
-                try:
-                    self.sel.unregister(slot.result_r)
-                except (KeyError, ValueError):
-                    pass
+            self._unregister(slot)
             slot.current = None
             slot.queue.clear()
         self.sel.close()
@@ -872,15 +881,8 @@ class _Supervisor:
             "pool.supervise",
             workers=len(self.slots), tasks=len(self.tasks),
         ):
-            # Spawning happens *inside* the try: if spawn k of n raises
-            # (fd exhaustion, fork failure), the ``finally`` still kills
-            # and reaps workers 0..k-1 instead of leaking them.
             try:
-                if self._managed:
-                    for slot in self.slots:
-                        self._spawn(slot)
-                else:
-                    self._attach()
+                self._attach()
                 while self.done_count < len(self.tasks):
                     if not any(
                         not s.retired and s.alive for s in self.slots
@@ -892,10 +894,7 @@ class _Supervisor:
                         self._drain(key.data)
                     self._check_watchdogs()
             finally:
-                if self._managed:
-                    self._shutdown()
-                else:
-                    self._detach()
+                self._detach()
             for slot in self.slots:
                 with self.tracer.span(
                     "pool.worker",
@@ -906,53 +905,17 @@ class _Supervisor:
         return [task.outcome() for task in self.tasks], self.stats
 
 
-def run_pool_batch(
-    items: Sequence[Tuple[str, str]],
-    policy: BatchPolicy,
-    *,
-    schedule: Optional[FaultSchedule] = None,
-    ambient: Optional[Dict[str, object]] = None,
-    serialized_ambient: Optional[List[Dict[str, str]]] = None,
-    tracer=NULL_TRACER,
-    instrumentation=None,
-    ops=None,
-) -> Tuple[List[FileOutcome], PoolStats]:
-    """Check ``(filename, text)`` pairs on the persistent worker pool.
-
-    Returns the outcomes in input order plus the supervisor's
-    :class:`PoolStats`.  Never raises for anything the inputs or the
-    workers do — the containment contract of
-    :func:`repro.service.check_batch` extends here.  With
-    ``instrumentation``, worker attempts run under real per-task
-    instrumentation and everything they see is stitched back into the
-    coordinator bundle; ``ops`` receives worker lifecycle events.
-    """
-    if not items:
-        return [], PoolStats(workers=0)
-    supervisor = _Supervisor(
-        items, policy,
-        schedule=schedule,
-        ambient=ambient if ambient is not None else {},
-        serialized_ambient=(
-            serialized_ambient if serialized_ambient is not None else []
-        ),
-        tracer=tracer,
-        instrumentation=instrumentation,
-        ops=ops,
-    )
-    return supervisor.run()
-
-
 class PersistentPool:
-    """Worker slots that outlive any single batch — the warm half of the
-    ``fg serve`` daemon.
+    """Worker seats that outlive any single batch: the one owner of worker
+    processes.
 
-    Each :meth:`run_batch` borrows the slots for one supervised batch
-    (losses, deadline kills, and respawns behave exactly as in a
-    standalone pool batch) and hands the surviving warm workers back.  Between
-    batches :meth:`ensure` revives dead or retired seats and
-    :meth:`flush` consumes idle chatter (heartbeats, late hellos) so the
-    64 KiB pipe never fills while the daemon sits idle.
+    The ``fg serve`` daemon keeps one for its lifetime; a one-shot
+    :func:`~repro.service.check_batch` opens one sized to its batch and
+    closes it on the way out.  Each :meth:`run_batch` fills empty or dead
+    seats (:meth:`ensure`), lends the seats to one supervised batch, and
+    gets the surviving warm workers back.  Between batches :meth:`flush`
+    consumes idle chatter (heartbeats, late hellos) so the 64 KiB pipe
+    never fills while the daemon sits idle.
 
     The slot count is fixed at construction from ``policy.pool_workers``
     — per-request policies cannot resize the pool, which keeps the
@@ -1006,7 +969,8 @@ class PersistentPool:
 
     def ensure(self) -> int:
         """Spawn a worker into every empty or dead seat; returns how many
-        were (re)spawned."""
+        were (re)spawned.  A seat that cannot spawn right now stays empty
+        (the batch runs on the other seats) and the next call retries it."""
         if self.closed:
             raise RuntimeError("pool is closed")
         spawned = 0
@@ -1014,21 +978,8 @@ class PersistentPool:
             if slot.alive:
                 continue
             revival = slot.proc is not None
-            if slot.proc is not None:
-                try:
-                    slot.proc.wait(timeout=0)
-                except subprocess.TimeoutExpired:
-                    slot.proc.kill()
-                    slot.proc.wait()
-                slot.proc = None
-            _release_slot_fds(slot)
-            try:
-                _spawn_process(slot, self.policy)
-                proto.write_frame_fd(slot.task_w, _init_frame(self.policy))
-            except OSError:
-                # A seat that cannot spawn right now stays empty; the
-                # borrowed-slot supervisor treats it as lost and the next
-                # ensure() tries again.
+            _stop_worker(slot)
+            if not _start_worker(slot, self.policy):
                 continue
             spawned += 1
             if revival:
@@ -1076,27 +1027,37 @@ class PersistentPool:
         serialized_ambient: Optional[List[Dict[str, str]]] = None,
         instrumentation=None,
     ) -> Tuple[List[FileOutcome], PoolStats]:
-        """One batch on the warm workers; same contract as
-        :func:`run_pool_batch`."""
+        """Check ``(filename, text)`` pairs on the pool's workers.
+
+        Returns the outcomes in input order plus the batch's
+        :class:`PoolStats`.  Never raises for anything the inputs or the
+        workers do: the containment contract of
+        :func:`repro.service.check_batch` extends here.  With
+        ``instrumentation``, worker attempts run under real per-task
+        instrumentation and everything they see is stitched back into the
+        coordinator bundle; the pool's ``ops`` log receives worker
+        lifecycle events.
+        """
         if self.closed:
             raise RuntimeError("pool is closed")
         if not items:
             return [], PoolStats(workers=len(self.slots))
-        self.ensure()
+        spawned = self.ensure()
         self.flush()
         supervisor = _Supervisor(
-            items, policy,
+            items, policy, self.slots,
             schedule=schedule,
             ambient=ambient if ambient is not None else {},
             serialized_ambient=(
                 serialized_ambient if serialized_ambient is not None else []
             ),
             tracer=self.tracer,
-            slots=self.slots,
             instrumentation=instrumentation,
             ops=self.ops,
         )
-        return supervisor.run()
+        outcomes, stats = supervisor.run()
+        stats.spawned += spawned
+        return outcomes, stats
 
     def close(self) -> None:
         """Shut every worker down: polite shutdown frame, bounded wait,
@@ -1105,19 +1066,7 @@ class PersistentPool:
             return
         self.closed = True
         for slot in self.slots:
-            if slot.task_w >= 0:
-                try:
-                    proto.write_frame_fd(slot.task_w, {"type": "shutdown"})
-                except OSError:
-                    pass
-            _release_slot_fds(slot)
-            if slot.proc is not None:
-                try:
-                    slot.proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    slot.proc.kill()
-                    slot.proc.wait()
-                slot.proc = None
+            _stop_worker(slot)
 
     def __enter__(self) -> "PersistentPool":
         return self

@@ -24,7 +24,6 @@ from repro.service import (
     RetryPolicy,
     check_batch,
     is_retryable,
-    run_pool_batch,
 )
 from repro.testing import FUZZ_SEEDS, run_chaos
 
@@ -139,31 +138,31 @@ class TestPoolGovernor:
     def test_recycling_between_every_task_loses_nothing(self):
         files = [(f"<spin{i}>", FUZZ_SEEDS[i % len(FUZZ_SEEDS)])
                  for i in range(6)]
-        outcomes, stats = run_pool_batch(
+        report = check_batch(
             files,
             BatchPolicy(isolate="pool", pool_workers=2,
                         recycle_after_tasks=1),
         )
-        assert [o.file for o in outcomes] == [name for name, _ in files]
-        assert [o.status for o in outcomes] == ["ok"] * 6
-        assert stats.recycles >= 1
+        assert [o.file for o in report.files] == [name for name, _ in files]
+        assert [o.status for o in report.files] == ["ok"] * 6
+        assert report.pool["recycles"] >= 1
         # Recycling is graceful — it must never burn the respawn budget.
-        assert stats.respawns == 0
+        assert report.pool["respawns"] == 0
 
     def test_pool_memhog_trips_the_rlimit_and_recycles_the_seat(self):
-        outcomes, stats = run_pool_batch(
+        report = check_batch(
             GOOD,
             BatchPolicy(isolate="pool", pool_workers=2,
                         max_worker_mem_mb=512.0,
                         retry=RetryPolicy(max_retries=1)),
-            schedule=MEMHOG_FIRST_ATTEMPT,
+            fault_schedule=MEMHOG_FIRST_ATTEMPT,
         )
-        hit = outcomes[1]
+        hit = report.files[1]
         assert hit.status == "ok"
         assert hit.attempts[0].status == "memory"
         assert hit.attempts[0].fault == FAULT_MEMORY
-        assert stats.recycles >= 1
-        assert stats.respawns == 0
+        assert report.pool["recycles"] >= 1
+        assert report.pool["respawns"] == 0
 
     def test_chaos_digest_invariance_under_real_rlimits(self):
         # The acceptance pin: a pool run with real 512 MiB rlimits,

@@ -63,6 +63,8 @@ class TestPoolBasics:
         report = check_batch([], pool_policy())
         assert len(report.files) == 0
         assert report.exit_code == 0
+        # No pool is opened for nothing; the canonical digest holds the 0.
+        assert report.pool["workers"] == 0
 
     def test_worker_crash_fault_is_contained_in_the_worker(self):
         # A mere exception must not cost a worker: the pool contains it as
@@ -261,11 +263,12 @@ def test_spawn_process_failure_releases_every_fd(monkeypatch):
 
 
 @pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
 def test_mid_spawn_failure_reaps_already_spawned_workers(monkeypatch):
-    """The warm-up audit: if spawn k of n raises, the supervisor's
-    ``finally`` must kill and reap workers 0..k-1, not leak them."""
+    """If spawn k of n fails, the seat stays empty and the batch runs on
+    the workers that did spawn; closing the batch's pool reaps them and
+    leaves no pipe open."""
     from repro.service import pool as pool_mod
-    from repro.service.pool import run_pool_batch
 
     real = pool_mod._spawn_process
     spawned = []
@@ -274,17 +277,40 @@ def test_mid_spawn_failure_reaps_already_spawned_workers(monkeypatch):
         if spawned:  # first spawn succeeds, second dies mid-warm-up
             raise OSError("injected: out of file descriptors")
         real(slot, policy)
-        spawned.append(slot)
+        spawned.append(slot.proc)
 
     monkeypatch.setattr(pool_mod, "_spawn_process", flaky)
     items = [(f"f{i}.fg", TINY) for i in range(4)]
-    with pytest.raises(OSError, match="injected"):
-        run_pool_batch(items, pool_policy())
-    (slot,) = spawned
-    assert slot.proc is not None
-    assert slot.proc.poll() is not None, "worker 0 leaked past the finally"
-    assert slot.task_w == -1
-    assert slot.result_r == -1
+    before = _open_fds()
+    report = check_batch(items, pool_policy())
+    assert [f.file for f in report.files] == [name for name, _ in items]
+    assert [f.status for f in report.files] == ["ok"] * 4
+    assert report.pool["workers"] == 2
+    assert report.pool["spawned"] == 1
+    assert not report.pool["degraded"]
+    (proc,) = spawned
+    assert proc.poll() is not None, "worker 0 outlived the batch"
+    assert _open_fds() == before
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_every_spawn_failing_degrades_to_in_process(monkeypatch):
+    """No seat can spawn: the batch still gives every file one outcome,
+    in-process, with ``degraded`` set."""
+    from repro.service import pool as pool_mod
+
+    def down(slot, policy):
+        raise OSError("injected: out of file descriptors")
+
+    monkeypatch.setattr(pool_mod, "_spawn_process", down)
+    items = [(f"f{i}.fg", TINY) for i in range(3)] + [("bad.fg", BROKEN)]
+    before = _open_fds()
+    report = check_batch(items, pool_policy())
+    assert [f.status for f in report.files] == ["ok"] * 3 + ["diagnostics"]
+    assert report.pool["degraded"]
+    assert report.pool["spawned"] == 0
+    assert _open_fds() == before
 
 
 @pytest.mark.slow
@@ -309,3 +335,58 @@ def test_persistent_pool_ensure_tolerates_spawn_failure(monkeypatch):
         assert pool.alive_workers == 2
     finally:
         pool.close()
+
+
+# ---------------------------------------------------------------------------
+# What ``pool.spawned`` counts, and the empty-batch seat counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.slow
+def test_one_shot_batch_counts_every_process_it_launches():
+    schedule = FaultSchedule(kills=(WorkerKillSpec(index=1),))
+    report = check_batch(
+        [(f"f{i}.fg", TINY) for i in range(6)],
+        pool_policy(recycle_after_tasks=2),
+        fault_schedule=schedule,
+    )
+    pool = report.pool
+    assert [f.status for f in report.files] == ["ok"] * 6
+    assert pool["respawns"] == 1
+    assert pool["spawned"] == (
+        pool["workers"] + pool["respawns"] + pool["recycles"]
+    )
+
+
+@pytest.mark.slow
+def test_warm_pool_batch_counts_only_its_own_spawns():
+    from repro.service import PersistentPool
+
+    items = [(f"f{i}.fg", TINY) for i in range(4)]
+    with PersistentPool(pool_policy()) as pool:
+        assert pool.ensure() == 2  # the daemon's eager warm-up
+        clean = check_batch(items, pool_policy(), pool=pool)
+        assert clean.pool["spawned"] == 0
+        killed = check_batch(
+            items, pool_policy(), pool=pool,
+            fault_schedule=FaultSchedule(kills=(WorkerKillSpec(index=1),)),
+        )
+        assert killed.pool["respawns"] == 1
+        assert killed.pool["spawned"] == 1
+        # A worker that dies between batches is revived by the next
+        # batch, and that launch is the next batch's.
+        victim = pool.slots[0].proc
+        victim.kill()
+        victim.wait()
+        revived = check_batch(items, pool_policy(), pool=pool)
+        assert revived.pool["respawns"] == 0
+        assert revived.pool["spawned"] == 1
+        assert [f.status for f in revived.files] == ["ok"] * 4
+
+
+def test_empty_batch_on_a_persistent_pool_reports_its_seats():
+    from repro.service import PersistentPool
+
+    with PersistentPool(pool_policy(pool_workers=3)) as pool:
+        report = check_batch([], pool_policy(), pool=pool)
+        assert report.pool["workers"] == 3
+        assert pool.alive_workers == 0  # nothing spawned for nothing

@@ -23,9 +23,11 @@ from repro.service import (
     BatchPolicy,
     FaultSchedule,
     FaultSpec,
+    RetryPolicy,
     ServeError,
     ServeOptions,
     Server,
+    WorkerKillSpec,
     check_batch,
     check_remote,
     health,
@@ -188,6 +190,35 @@ def test_health_reports_workers_and_served():
         assert snap["served"] == 0
         check_remote(daemon.socket_path, [("good.fg", GOOD)], timeout=60.0)
         assert health(daemon.socket_path)["served"] == 1
+
+
+@pytest.mark.slow
+def test_empty_request_reports_the_daemon_seat_count():
+    with _Daemon(policy=BatchPolicy(isolate="pool", pool_workers=2)) \
+            as daemon:
+        response = check_remote(daemon.socket_path, [], timeout=60.0)
+        assert response["type"] == "report"
+        assert response["report"]["pool"]["workers"] == 2
+
+
+@pytest.mark.slow
+def test_warm_daemon_batch_counts_only_its_own_spawns():
+    policy = BatchPolicy(
+        isolate="pool", pool_workers=2, retry=RetryPolicy(max_retries=2),
+    )
+    with _Daemon(policy=policy) as daemon:
+        files = [(f"f{i}.fg", GOOD) for i in range(3)]
+        clean = check_remote(daemon.socket_path, files, timeout=60.0)
+        assert clean["report"]["pool"]["spawned"] == 0
+        kill = FaultSchedule(kills=(WorkerKillSpec(index=1),))
+        killed = check_remote(
+            daemon.socket_path, files, schedule_json=kill.to_json(),
+            timeout=60.0,
+        )
+        pool = killed["report"]["pool"]
+        assert killed["exit_code"] == 0
+        assert pool["respawns"] == 1
+        assert pool["spawned"] == 1
 
 
 @pytest.mark.slow
