@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +48,7 @@ from repro.service.policy import BatchPolicy
 from repro.service.report import AttemptRecord, BatchReport, FileOutcome
 from repro.service.worker import (
     AttemptResult,
-    run_attempt_thread,
+    run_attempt,
     telemetry_request,
 )
 
@@ -130,25 +130,27 @@ def check_batch(
                 with PersistentPool(sized, tracer) as own:
                     outcomes, pool_stats = own.run_batch(
                         items, policy, **run)
-        elif policy.jobs == 1 or len(items) <= 1:
-            for index, (filename, text) in enumerate(items):
-                outcomes[index] = _check_one(
-                    index, filename, text, policy, ambient,
-                    fault_schedule, instrumentation,
-                )
         else:
-            with ThreadPoolExecutor(
-                max_workers=policy.jobs, thread_name_prefix="fg-batch"
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _check_one, index, filename, text, policy, ambient,
-                        fault_schedule, instrumentation,
-                    ): index
-                    for index, (filename, text) in enumerate(items)
-                }
-                for future in as_completed(futures):
-                    outcomes[futures[future]] = future.result()
+            telemetry = telemetry_request(instrumentation)
+
+            def check_one(index: int) -> FileOutcome:
+                filename, text = items[index]
+                task = TaskState(index, filename, text)
+                run_in_process(
+                    task, policy, ambient, fault_schedule, instrumentation,
+                    telemetry, attrs={"isolate": policy.isolate},
+                )
+                return task.outcome()
+
+            if policy.jobs == 1 or len(items) <= 1:
+                outcomes = [check_one(i) for i in range(len(items))]
+            else:
+                with ThreadPoolExecutor(
+                    max_workers=policy.jobs, thread_name_prefix="fg-batch"
+                ) as executor:
+                    outcomes = list(
+                        executor.map(check_one, range(len(items)))
+                    )
         # Coordinator-side observability, in input order (deterministic).
         for outcome in outcomes:
             with tracer.span(
@@ -220,10 +222,11 @@ class TaskState:
     """One file's retry state machine, advanced attempt by attempt.
 
     The single place the fault taxonomy, the retry budget and the circuit
-    breaker are applied: :func:`_check_one` drives it on a thread, the
-    pool supervisor (:mod:`repro.service.pool`) drives it across worker
-    processes, so every isolation mode records attempts identically.
-    ``home`` and ``ready_at`` are the pool's scheduling state.
+    breaker are applied: :func:`run_in_process` drives it on the thread
+    wall, the pool supervisor (:mod:`repro.service.pool`) drives it across
+    worker processes, so every isolation mode records attempts
+    identically.  ``ready_at`` is the instant the task's backoff ends;
+    ``home`` is the pool's scheduling state.
     """
 
     __slots__ = ("index", "filename", "text", "home", "attempt",
@@ -245,9 +248,9 @@ class TaskState:
 
     def resolve(self, result: AttemptResult, injected: Tuple[str, ...],
                 policy: BatchPolicy,
-                fault_override: Optional[str] = None) -> Optional[float]:
-        """Fold one attempt in; returns the backoff in ms when the task
-        should retry, ``None`` when it is finished."""
+                fault_override: Optional[str] = None) -> None:
+        """Fold one attempt in: either finish the task (``done``) or count
+        the retry and set ``ready_at`` to the end of its backoff."""
         self.final = result
         fault_kind = fault_override or _FAULT_KIND.get(result.status)
         if fault_kind is None:
@@ -256,12 +259,12 @@ class TaskState:
                 injected=injected, duration_ms=result.duration_ms,
             ))
             self.done = True
-            return None
+            return
         self.consecutive += 1
         retryable = is_retryable(fault_kind)
-        breaker_open = self.consecutive >= policy.quarantine_after
+        self.quarantined = self.consecutive >= policy.quarantine_after
         out_of_retries = self.attempt >= policy.retry.max_retries
-        will_retry = retryable and not breaker_open and not out_of_retries
+        will_retry = retryable and not self.quarantined and not out_of_retries
         backoff_ms = (
             policy.retry.backoff_ms(self.consecutive - 1)
             if will_retry else 0.0
@@ -271,15 +274,11 @@ class TaskState:
             retryable=retryable, backoff_ms=backoff_ms, injected=injected,
             duration_ms=result.duration_ms,
         ))
-        if breaker_open:
-            self.quarantined = True
-            self.done = True
-            return None
         if not will_retry:
             self.done = True
-            return None
+            return
         self.attempt += 1
-        return backoff_ms
+        self.ready_at = time.monotonic() + backoff_ms / 1000.0
 
     def outcome(self) -> FileOutcome:
         final = self.final
@@ -297,66 +296,58 @@ class TaskState:
         )
 
 
-def thread_attempt(
+def run_in_process(
     task: TaskState,
     policy: BatchPolicy,
     ambient: Dict[str, object],
     schedule: Optional[FaultSchedule],
+    instrumentation: Optional[Instrumentation],
     telemetry: Optional[Dict[str, object]],
-) -> Tuple[AttemptResult, Tuple[str, ...]]:
-    """Run the task's next attempt in-process with its scheduled faults
-    installed; returns the result and the injected fault tags."""
-    specs = (
-        schedule.for_attempt(task.index, task.attempt)
-        if schedule is not None else ()
-    )
-    faults = dict(ambient)
-    for spec in specs:
-        faults[spec.stage] = spec.materialize(schedule.hang_s)
-    result = run_attempt_thread(
-        task.text, task.filename, policy.check_kwargs(), faults,
-        policy.deadline_ms, telemetry=telemetry,
-    )
-    return result, tuple(spec.tag for spec in specs)
+    *,
+    span_name: str = "service.attempt",
+    attrs: Optional[Dict[str, object]] = None,
+    finish=None,
+) -> None:
+    """Continue ``task``'s retry loop in-process until it is done.
 
-
-def _check_one(
-    index: int,
-    filename: str,
-    text: str,
-    policy: BatchPolicy,
-    ambient: Dict[str, object],
-    schedule: Optional[FaultSchedule],
-    instrumentation: Optional[Instrumentation] = None,
-) -> FileOutcome:
-    """The per-file retry loop: attempt, :meth:`TaskState.resolve`, sleep
-    the returned backoff.
-
-    Every attempt carries the coordinator's telemetry request across the
-    thread wall and merges what the worker saw back under
-    :data:`_MERGE_LOCK`, so ``--stats``/``--explain``/``--trace`` see the
-    attempts' own spans, metrics and explain entries.
+    Each round waits out the task's backoff (``ready_at``), runs the next
+    attempt on the watchdogged thread wall with its scheduled faults
+    installed, merges what the attempt saw into ``instrumentation`` under
+    a ``span_name`` span (under :data:`_MERGE_LOCK`, so ``--stats``/
+    ``--explain``/``--trace`` see the attempts' own spans, metrics and
+    explain entries), and folds the result in with ``finish(task, result,
+    injected)`` — :meth:`TaskState.resolve` unless the caller keeps its
+    own books.  :func:`check_batch` drives fresh tasks through it; the
+    pool's degraded tail continues the tasks its workers left unfinished.
     """
-    telemetry = telemetry_request(instrumentation)
-    task = TaskState(index, filename, text)
-    while True:
+    check_kwargs = policy.check_kwargs()
+    while not task.done:
+        wait = task.ready_at - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        specs = (
+            schedule.for_attempt(task.index, task.attempt)
+            if schedule is not None else ()
+        )
+        faults = dict(ambient)
+        for spec in specs:
+            faults[spec.stage] = spec.materialize(schedule.hang_s)
+        injected = tuple(spec.tag for spec in specs)
         send_ns = time.perf_counter_ns()
-        result, injected = thread_attempt(
-            task, policy, ambient, schedule, telemetry,
+        result = run_attempt(
+            task.text, task.filename, check_kwargs, faults,
+            policy.deadline_ms, telemetry,
         )
         if result.telemetry is not None:
             with _MERGE_LOCK:
                 merge_worker_telemetry(
                     instrumentation, result.telemetry,
                     send_ns=send_ns, recv_ns=time.perf_counter_ns(),
-                    span_name="service.attempt",
-                    attrs={
-                        "file": filename, "attempt": task.attempt,
-                        "isolate": policy.isolate,
-                    },
+                    span_name=span_name,
+                    attrs={"file": task.filename, "attempt": task.attempt,
+                           **(attrs or {})},
                 )
-        backoff_ms = task.resolve(result, injected, policy)
-        if backoff_ms is None:
-            return task.outcome()
-        if backoff_ms > 0:
-            time.sleep(backoff_ms / 1000.0)
+        if finish is None:
+            task.resolve(result, injected, policy)
+        else:
+            finish(task, result, injected)

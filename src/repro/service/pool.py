@@ -9,15 +9,20 @@ pipeline and, under ``prelude``, builds the pre-checked prelude context
 at spawn, so no attempt re-checks the prelude.  Every batch borrows the
 pool's seats for one supervised loop, which feeds the workers over the
 framed pipe protocol (:mod:`repro.service.proto`) from per-worker deques
-with work stealing.
-Each file's retries run through the same
-:class:`~repro.service.batch.TaskState` as in-process batches.
+with work stealing.  A worker runs each task through
+:func:`~repro.service.worker.run_attempt`, the thread wall's own attempt
+body, and each file's retries run through the same
+:class:`~repro.service.batch.TaskState` as in-process batches.  One
+reader (:func:`_read_frames`) parses every worker frame, in a batch or
+between batches, and one routine (:func:`_stop_worker`) ends every
+worker.
 
 **Failure domains.**  A task that merely raises is contained *inside* the
 worker (a structured ``"crash"`` result; the worker survives).  The
 supervisor's business is process death:
 
-- a worker that exits, is SIGKILLed, or goes heartbeat-silent is reaped;
+- a worker that exits, is SIGKILLed, goes heartbeat-silent or garbles its
+  result stream is killed and reaped at once;
   its in-flight task gets a ``worker-lost`` attempt (retryable under the
   normal :class:`~repro.service.policy.RetryPolicy`/quarantine taxonomy)
   and a replacement is spawned into the same slot, up to the pool-wide
@@ -30,8 +35,10 @@ supervisor's business is process death:
   same ``timeout``/``deadline`` attempt;
 - with the respawn budget exhausted, dead slots retire (their queues are
   drained by the survivors via stealing), and when *no* worker is alive the
-  supervisor degrades to in-process execution — the batch completes with a
-  partial-failure exit code at worst, never a hang.
+  supervisor degrades to in-process execution — each unfinished task
+  continues in :func:`~repro.service.batch.run_in_process`, the thread
+  wall's retry loop — so the batch completes with a partial-failure exit
+  code at worst, never a hang.
 
 **Determinism.**  Attempt records never mention which worker ran them, and
 chaos worker kills are keyed to *(file index, attempt number)* at dispatch
@@ -60,13 +67,12 @@ from repro.observability import (
 )
 from repro.observability import flightrec
 from repro.service import proto
-from repro.service.batch import TaskState, thread_attempt
+from repro.service.batch import TaskState, run_in_process
 from repro.service.faults import FAULT_WORKER_LOST, FaultSchedule
 from repro.service.policy import BatchPolicy
 from repro.service.report import CrashReport, FileOutcome
 from repro.service.worker import (
     AttemptResult,
-    result_to_attempt,
     task_payload,
     telemetry_request,
 )
@@ -270,24 +276,6 @@ def _spawn_process(slot: _WorkerSlot, policy: BatchPolicy) -> None:
     slot.recycle_pending = False
 
 
-def _release_slot_fds(slot: _WorkerSlot) -> None:
-    """Close the slot's pipe ends and reset its reader (selector handling,
-    if any, is the caller's business)."""
-    if slot.result_r >= 0:
-        try:
-            os.close(slot.result_r)
-        except OSError:
-            pass
-        slot.result_r = -1
-    if slot.task_w >= 0:
-        try:
-            os.close(slot.task_w)
-        except OSError:
-            pass
-        slot.task_w = -1
-    slot.reader = proto.FrameReader()
-
-
 def _start_worker(slot: _WorkerSlot, policy: BatchPolicy) -> bool:
     """Spawn a worker into an empty seat and send it the init frame.
 
@@ -305,28 +293,82 @@ def _start_worker(slot: _WorkerSlot, policy: BatchPolicy) -> bool:
             "type": "init", "prelude": policy.prelude, "ext": policy.ext,
         })
     except OSError:
-        _stop_worker(slot)
+        _stop_worker(slot, kill=True)
         return False
     return True
 
 
-def _stop_worker(slot: _WorkerSlot) -> None:
-    """Stop the seat's worker: shutdown frame, close the pipes, wait up to
-    :data:`STOP_WAIT_S`, then kill.  Leaves the seat empty; unregistering
-    the pipe from a selector is the caller's business."""
-    if slot.task_w >= 0:
+def _stop_worker(slot: _WorkerSlot, *, kill: bool = False) -> Optional[int]:
+    """End the seat's worker and leave the seat empty; returns its wait
+    status (``None`` for an empty seat).
+
+    A lost or deadline-killed worker (``kill=True``) is killed first; a
+    recycled or closed one gets the shutdown frame and :data:`STOP_WAIT_S`
+    to exit before it is killed.  The pipes close before any wait, so a
+    worker blocked reading its task pipe sees EOF at once.  Unregistering
+    the pipe from a selector is the caller's business.
+    """
+    if kill and slot.proc is not None:
+        slot.proc.kill()
+    elif slot.task_w >= 0:
         try:
             proto.write_frame_fd(slot.task_w, {"type": "shutdown"})
         except OSError:
             pass
-    _release_slot_fds(slot)
-    if slot.proc is not None:
+    for fd in (slot.result_r, slot.task_w):
+        if fd >= 0:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+    slot.result_r = slot.task_w = -1
+    slot.reader = proto.FrameReader()
+    if slot.proc is None:
+        return None
+    try:
+        returncode = slot.proc.wait(timeout=STOP_WAIT_S)
+    except subprocess.TimeoutExpired:
+        slot.proc.kill()
+        returncode = slot.proc.wait()
+    slot.proc = None
+    return returncode
+
+
+def _read_frames(slot: _WorkerSlot, on_frame=None) -> bool:
+    """Read and parse everything the seat's worker has written so far.
+
+    The one read side for both the batch loop and the idle pool.  Every
+    frame refreshes ``last_beat``; a hello marks the seat warmed and a
+    heartbeat records its self-sampled ``rss_bytes``; then each frame goes
+    to ``on_frame(slot, frame)``.  Returns True when the pipe hit EOF or
+    carried a malformed frame — the worker is gone or can no longer be
+    understood.
+    """
+    if slot.result_r < 0:
+        return False
+    while True:
         try:
-            slot.proc.wait(timeout=STOP_WAIT_S)
-        except subprocess.TimeoutExpired:
-            slot.proc.kill()
-            slot.proc.wait()
-        slot.proc = None
+            chunk = os.read(slot.result_r, 65536)
+        except BlockingIOError:
+            return False
+        except OSError:
+            return True
+        if chunk == b"":
+            return True
+        try:
+            for frame in slot.reader.feed(chunk):
+                slot.last_beat = time.monotonic()
+                kind = frame.get("type")
+                if kind == "hello":
+                    slot.warmed = True
+                elif kind == "heartbeat":
+                    rss = frame.get("rss_bytes")
+                    if isinstance(rss, int) and rss > 0:
+                        slot.rss_bytes = rss
+                if on_frame is not None:
+                    on_frame(slot, frame)
+        except proto.FrameError:
+            return True
 
 
 class _Supervisor:
@@ -341,31 +383,32 @@ class _Supervisor:
     registers their pipes for the duration of one batch and detaches at
     the end, leaving the surviving workers running for the pool's owner.
     A loss, deadline kill or recycle replaces the process in the shared
-    seat.
+    seat, spawned under the *pool's* policy (memory rlimit, heartbeat
+    period, prelude warm-up) so a request's overrides never outlive it.
     """
 
     def __init__(
         self,
+        pool: "PersistentPool",
         items: Sequence[Tuple[str, str]],
         policy: BatchPolicy,
-        slots: List[_WorkerSlot],
         *,
         schedule: Optional[FaultSchedule],
         ambient: Dict[str, object],
         serialized_ambient: List[Dict[str, str]],
-        tracer,
         instrumentation=None,
-        ops=None,
     ):
         self.policy = policy
+        self.spawn_policy = pool.policy
         self.schedule = schedule
         self.ambient = ambient
         self.serialized_ambient = serialized_ambient
         self.instrumentation = instrumentation
         self.tracer = (
-            instrumentation.tracer if instrumentation is not None else tracer
+            instrumentation.tracer if instrumentation is not None
+            else pool.tracer
         )
-        self.ops = ops
+        self.ops = pool.ops
         # The telemetry stanza stamped on every dispatched task frame; the
         # per-dispatch parent-span id is added in _dispatch.
         self.trace_id = (
@@ -377,7 +420,7 @@ class _Supervisor:
         )
         self.hang_s = schedule.hang_s if schedule is not None else 0.5
         self.check_kwargs = policy.check_kwargs()
-        self.slots = list(slots)
+        self.slots = list(pool.slots)
         n_workers = len(self.slots)
         for slot in self.slots:
             slot.queue.clear()
@@ -412,9 +455,9 @@ class _Supervisor:
             self.kill_after_s = (policy.deadline_ms + grace_ms) / 1000.0
         else:
             self.kill_after_s = None
-        self.heartbeat_s = policy.heartbeat_ms / 1000.0
         self.miss_window_s = max(
-            self.heartbeat_s * HEARTBEAT_MISS_PERIODS, HEARTBEAT_MISS_FLOOR_S
+            self.spawn_policy.heartbeat_ms / 1000.0 * HEARTBEAT_MISS_PERIODS,
+            HEARTBEAT_MISS_FLOOR_S,
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -458,7 +501,7 @@ class _Supervisor:
 
     def _spawn(self, slot: _WorkerSlot) -> None:
         """Refill a seat mid-batch; a seat that cannot spawn stays empty."""
-        if not _start_worker(slot, self.policy):
+        if not _start_worker(slot, self.spawn_policy):
             if self._recycling == slot.slot:
                 self._recycling = None  # an empty seat can't say hello
             return
@@ -472,19 +515,6 @@ class _Supervisor:
                 self.sel.unregister(slot.result_r)
             except (KeyError, ValueError):
                 pass
-
-    def _close_slot(self, slot: _WorkerSlot) -> None:
-        self._unregister(slot)
-        _release_slot_fds(slot)
-
-    def _reap(self, slot: _WorkerSlot) -> Optional[int]:
-        if slot.proc is None:
-            return None
-        try:
-            return slot.proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            slot.proc.kill()
-            return slot.proc.wait()
 
     def _respawn_or_retire(self, slot: _WorkerSlot) -> None:
         if self.stats.respawns < self.policy.max_respawns:
@@ -569,7 +599,6 @@ class _Supervisor:
                 # No salvage: the kill is keyed to this dispatch, so the
                 # attempt must read worker-lost every round, even if the
                 # doomed worker got a result out first.
-                target.proc.kill()
                 self._handle_worker_loss(target, salvage=False)
 
     def _maybe_recycle(self, slot: _WorkerSlot) -> bool:
@@ -621,14 +650,10 @@ class _Supervisor:
             result = AttemptResult(
                 status="timeout", duration_ms=result.duration_ms
             )
-        backoff_ms = task.resolve(result, injected, self.policy,
-                                  fault_override)
+        task.resolve(result, injected, self.policy, fault_override)
         if task.done:
             self.done_count += 1
             return
-        task.ready_at = (
-            time.monotonic() + backoff_ms / 1000.0 if backoff_ms else 0.0
-        )
         # Retries go to the front of the home queue: same slot by default,
         # stealable when the home slot is busy or retired.
         self.slots[task.home].queue.appendleft(task)
@@ -637,12 +662,15 @@ class _Supervisor:
                             salvage: bool = True) -> None:
         if salvage:
             self._drain(slot, handle_eof=False)
-        returncode = self._reap(slot)
-        self._close_slot(slot)
+        pid = slot.proc.pid if slot.proc is not None else None
+        self._unregister(slot)
+        returncode = _stop_worker(slot, kill=True)
         self.stats.worker_lost += 1
-        self._emit("worker-lost", slot=slot.slot, returncode=returncode)
+        self._emit("worker-lost", slot=slot.slot, pid=pid,
+                   returncode=returncode)
         self._dump_crash("worker-lost", {
             "slot": slot.slot,
+            "pid": pid,
             "returncode": returncode,
             "file": slot.current[0].filename if slot.current else None,
         }, slot=slot)
@@ -679,9 +707,8 @@ class _Supervisor:
             "file": slot.current[0].filename,
             "deadline_ms": self.policy.deadline_ms,
         }, slot=slot)
-        slot.proc.kill()
-        self._reap(slot)
-        self._close_slot(slot)
+        self._unregister(slot)
+        _stop_worker(slot, kill=True)
         (task, injected, t0, _send_ns), slot.current = slot.current, None
         duration_ms = round((time.monotonic() - t0) * 1e3, 3)
         self._finish_attempt(
@@ -693,34 +720,14 @@ class _Supervisor:
     # -- the read side ------------------------------------------------------
 
     def _drain(self, slot: _WorkerSlot, *, handle_eof: bool = True) -> None:
-        if slot.result_r < 0:
-            return
-        eof = False
-        while True:
-            try:
-                chunk = os.read(slot.result_r, 65536)
-            except BlockingIOError:
-                break
-            except OSError:
-                eof = True
-                break
-            if chunk == b"":
-                eof = True
-                break
-            try:
-                for frame in slot.reader.feed(chunk):
-                    self._on_frame(slot, frame)
-            except proto.FrameError:
-                eof = True
-                break
-        if eof and handle_eof:
+        if _read_frames(slot, self._on_frame) and handle_eof:
             self._handle_worker_loss(slot, salvage=False)
 
     def _on_frame(self, slot: _WorkerSlot, frame: dict) -> None:
-        slot.last_beat = time.monotonic()
+        """The batch's side of a frame; :func:`_read_frames` has already
+        done the seat's own bookkeeping."""
         kind = frame.get("type")
         if kind == "hello":
-            slot.warmed = True
             self.stats.warm_ms += frame.get("warm_ms") or 0.0
             if self._recycling == slot.slot:
                 # The recycled seat's replacement is warm: the stagger
@@ -729,7 +736,7 @@ class _Supervisor:
         elif kind == "result":
             if slot.current is None:
                 return  # stale frame from a previous dispatch; drop it
-            task, injected, t0, send_ns = slot.current
+            task, injected, _t0, send_ns = slot.current
             if (frame.get("id") != task.index
                     or frame.get("attempt") != task.attempt):
                 return
@@ -740,7 +747,8 @@ class _Supervisor:
                     and slot.tasks_since_spawn
                     >= self.policy.recycle_after_tasks):
                 slot.recycle_pending = True
-            if frame.get("status") == "memory":
+            result = AttemptResult.from_json(frame)
+            if result.status == "memory":
                 # The worker tripped its memory budget but survived; its
                 # heap high-water mark is burned, so retries must land on
                 # a fresh process — mark the seat for a graceful recycle.
@@ -753,16 +761,12 @@ class _Supervisor:
                     "slot": slot.slot,
                     "file": task.filename,
                     "attempt": task.attempt,
-                    "max_worker_mem_mb": self.policy.max_worker_mem_mb,
+                    "max_worker_mem_mb": self.spawn_policy.max_worker_mem_mb,
                 }, slot=slot)
-            fallback_ms = round((time.monotonic() - t0) * 1e3, 3)
             recv_ns = time.perf_counter_ns()
             if frame.get("flightrec"):
                 slot.last_flightrec = frame["flightrec"]
                 slot.last_flightrec_ns = (send_ns, recv_ns)
-            result = result_to_attempt(
-                frame, frame.get("duration_ms", fallback_ms)
-            )
             # The stitch point: merge what the worker saw — spans offset
             # into this clock, metrics, explain — the moment the result
             # lands, so a later death of this worker loses nothing.
@@ -785,9 +789,8 @@ class _Supervisor:
             if frame.get("flightrec"):
                 slot.last_flightrec = frame["flightrec"]
                 slot.last_flightrec_ns = None
-            rss = frame.get("rss_bytes")
-            if isinstance(rss, int) and rss > 0:
-                slot.rss_bytes = rss
+            rss = slot.rss_bytes
+            if rss is not None:
                 if rss > self.stats.rss_bytes:
                     self.stats.rss_bytes = rss
                 flightrec.record_metric("pool.rss_bytes", rss)
@@ -809,8 +812,6 @@ class _Supervisor:
                 continue
             if now - slot.last_beat >= self.miss_window_s:
                 self.stats.heartbeat_misses += 1
-                if slot.alive:
-                    slot.proc.kill()
                 self._handle_worker_loss(slot, salvage=True)
 
     def _next_timeout(self) -> float:
@@ -832,29 +833,12 @@ class _Supervisor:
         self.stats.degraded = True
         self._emit("pool-degraded")
         for task in self.tasks:
-            while not task.done:
-                wait = task.ready_at - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                result, injected = thread_attempt(
-                    task, self.policy, self.ambient, self.schedule,
-                    self._telemetry,
-                )
-                if result.telemetry is not None:
-                    # In-process attempts share this clock: the worker's
-                    # own bracket doubles as the dispatch..receive window.
-                    clk = result.telemetry.get("clock") or {}
-                    merge_worker_telemetry(
-                        self.instrumentation, result.telemetry,
-                        send_ns=int(clk.get("start_ns", 0)),
-                        recv_ns=int(clk.get("end_ns", 0)),
-                        span_name="pool.attempt",
-                        attrs={
-                            "file": task.filename, "attempt": task.attempt,
-                            "degraded": True,
-                        },
-                    )
-                self._finish_attempt(task, result, injected)
+            run_in_process(
+                task, self.policy, self.ambient, self.schedule,
+                self.instrumentation, self._telemetry,
+                span_name="pool.attempt", attrs={"degraded": True},
+                finish=self._finish_attempt,
+            )
 
     # -- the loop -----------------------------------------------------------
 
@@ -913,14 +897,23 @@ class PersistentPool:
     :func:`~repro.service.check_batch` opens one sized to its batch and
     closes it on the way out.  Each :meth:`run_batch` fills empty or dead
     seats (:meth:`ensure`), lends the seats to one supervised batch, and
-    gets the surviving warm workers back.  Between batches :meth:`flush`
-    consumes idle chatter (heartbeats, late hellos) so the 64 KiB pipe
-    never fills while the daemon sits idle.
+    gets the surviving warm workers back.
 
-    The slot count is fixed at construction from ``policy.pool_workers``
-    — per-request policies cannot resize the pool, which keeps the
-    report's ``workers`` stat identical between a resumed replay and the
-    uninterrupted run.
+    Idle workers keep writing heartbeats, each carrying the worker's
+    flight-recorder tail: from about 1.3 KB/s for a fresh worker to about
+    15 KB/s for one that has run 50 tasks (Linux, x86-64), so an unread
+    64 KiB result pipe fills within seconds to a minute.  Nothing reads
+    it between batches except :meth:`flush`, which the daemon calls only
+    for ``--max-rss-mb`` admission and each batch calls before it starts.
+    A full pipe is harmless: the worker's heartbeat thread blocks until
+    the next batch reads the backlog.
+
+    The pool's own policy fixes everything about its processes: the slot
+    count (``policy.pool_workers`` — per-request policies cannot resize
+    the pool, which keeps the report's ``workers`` stat identical between
+    a resumed replay and the uninterrupted run) and every spawn's memory
+    rlimit, heartbeat period and prelude warm-up, mid-batch respawns and
+    recycles included.
     """
 
     def __init__(self, policy: BatchPolicy, tracer=NULL_TRACER, *,
@@ -977,8 +970,10 @@ class PersistentPool:
         for slot in self.slots:
             if slot.alive:
                 continue
-            revival = slot.proc is not None
-            _stop_worker(slot)
+            # A retired seat lost its worker mid-batch: reviving it is a
+            # respawn too.
+            revival = slot.proc is not None or slot.retired
+            _stop_worker(slot, kill=True)
             if not _start_worker(slot, self.policy):
                 continue
             spawned += 1
@@ -993,29 +988,13 @@ class PersistentPool:
 
     def flush(self) -> None:
         """Consume idle-time frames (heartbeats, hellos) from every live
-        worker.  Frames are parsed, not discarded raw: a hello that lands
-        between batches must still mark its slot warmed."""
+        worker through the batch loop's own reader, so a hello that lands
+        between batches still marks its seat warmed and the RSS view is
+        current.  A pipe that ended or garbled is left to the batch loop,
+        which declares its worker lost (or to :meth:`ensure`, which
+        revives a dead seat)."""
         for slot in self.slots:
-            if slot.result_r < 0:
-                continue
-            while True:
-                try:
-                    chunk = os.read(slot.result_r, 65536)
-                except (BlockingIOError, OSError):
-                    break
-                if chunk == b"":
-                    break  # worker died; ensure() revives the seat
-                try:
-                    for frame in slot.reader.feed(chunk):
-                        if frame.get("type") == "hello":
-                            slot.warmed = True
-                        elif frame.get("type") == "heartbeat":
-                            rss = frame.get("rss_bytes")
-                            if isinstance(rss, int) and rss > 0:
-                                slot.rss_bytes = rss
-                except proto.FrameError:
-                    slot.reader = proto.FrameReader()
-                    break
+            _read_frames(slot)
 
     def run_batch(
         self,
@@ -1045,15 +1024,13 @@ class PersistentPool:
         spawned = self.ensure()
         self.flush()
         supervisor = _Supervisor(
-            items, policy, self.slots,
+            self, items, policy,
             schedule=schedule,
             ambient=ambient if ambient is not None else {},
             serialized_ambient=(
                 serialized_ambient if serialized_ambient is not None else []
             ),
-            tracer=self.tracer,
             instrumentation=instrumentation,
-            ops=self.ops,
         )
         outcomes, stats = supervisor.run()
         stats.spawned += spawned

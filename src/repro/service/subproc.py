@@ -9,18 +9,19 @@ framed results and periodic heartbeats to a dedicated result pipe.  Stdout
 is claimed (:func:`repro.service.proto.shield_stdout`), so a stray
 ``print`` from checked code or the pipeline lands on stderr, never inside
 a pipe.  A heartbeat thread keeps ticking while a task runs, so the
-supervisor can tell "busy" from "wedged".  Exceptions inside a task are
-contained *by the worker* (a structured ``"crash"`` result; the worker
-survives for the next task); only process-killing faults — ``os._exit``,
-SIGKILL, C-level crashes — take the worker down, and those are the
-supervisor's business (the ``worker-lost`` fault kind).
+supervisor can tell "busy" from "wedged".
 
-The task payload carries the chaos faults to replay — declarative
-:class:`~repro.service.faults.FaultSpec` entries plus serialized ambient
-exceptions — because the parent's thread-local fault table does not cross
-the process boundary by itself.  The pipeline contract is unchanged inside
-the wall: diagnosed programs produce a ``"diagnostics"`` result, not a
-crash.
+Each task runs through :func:`repro.service.worker.run_attempt`, the same
+attempt body as the in-process thread wall, and its
+:class:`~repro.service.worker.AttemptResult` ships back as JSON.  An
+exception inside a task is contained *by the worker* (a structured
+``"crash"`` result; the worker survives for the next task); only
+process-killing faults — ``os._exit``, SIGKILL, C-level crashes, and a
+``KeyboardInterrupt``/``SystemExit``, which the worker lets through — take
+it down, and those are the supervisor's business (the ``worker-lost``
+fault kind).  The task frame carries the chaos faults to replay, because
+the parent's thread-local fault table does not cross the process boundary
+by itself (:func:`repro.service.worker.unpack_task`).
 """
 
 from __future__ import annotations
@@ -29,113 +30,6 @@ import os
 import sys
 import threading
 import time
-
-
-def run_task(payload: dict) -> dict:
-    """Execute one check task; always returns a result dict, never raises.
-
-    Builds the limits and fault table from the payload, runs :func:`~repro.pipeline.check_source`
-    under them, and projects the outcome (or the contained crash) to the
-    JSON-ready result shape.
-    """
-    from repro.diagnostics.limits import Limits
-    from repro.service.faults import FaultSpec, deserialize_exception_faults
-    from repro.service.worker import build_task_instrumentation
-
-    limits_data = payload.get("limits")
-    limits = Limits(**limits_data) if limits_data is not None else None
-    faults = deserialize_exception_faults(
-        payload.get("exception_faults", ())
-    )
-    hang_s = payload.get("hang_s", 0.5)
-    for spec_data in payload.get("fault_specs", ()):
-        spec = FaultSpec.from_json(spec_data)
-        faults[spec.stage] = spec.materialize(hang_s, in_subprocess=True)
-
-    # A telemetry stanza in the task frame turns on *real* per-task
-    # instrumentation inside the worker; the result ships what it saw back
-    # across the process boundary (wire spans + the local clock bracket
-    # for offset normalization).  Absent stanza → zero overhead.
-    telemetry = payload.get("telemetry") or None
-    instrumentation = build_task_instrumentation(telemetry)
-
-    start = time.perf_counter()
-    start_ns = time.perf_counter_ns()
-    try:
-        return _run_task_inner(
-            payload, limits, faults, instrumentation, telemetry,
-            start, start_ns,
-        )
-    finally:
-        # Always-on forensics: one coarse span per task so the flight ring
-        # has worker history even with instrumentation off (the common
-        # case) — it is what ships back in the result's flightrec stanza.
-        from repro.observability import flightrec
-
-        flightrec.record_span(
-            "worker.task", start_ns, time.perf_counter_ns(),
-            {"file": payload.get("filename", "<input>"),
-             "attempt": payload.get("attempt")},
-        )
-
-
-def _run_task_inner(payload, limits, faults, instrumentation, telemetry,
-                    start, start_ns) -> dict:
-    from repro.pipeline import check_source, install_faults
-    from repro.service.worker import (
-        crash_report_from_exception,
-        outcome_projection,
-        telemetry_result,
-    )
-
-    try:
-        with install_faults(faults):
-            outcome = check_source(
-                payload["text"],
-                payload.get("filename", "<input>"),
-                prelude=payload.get("prelude", False),
-                ext=payload.get("ext", False),
-                max_errors=payload.get("max_errors", 20),
-                limits=limits,
-                verify=payload.get("verify", False),
-                evaluate=payload.get("evaluate", False),
-                instrumentation=instrumentation,
-            )
-    except BaseException as exc:  # noqa: BLE001 — the containment wall
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            # Deliberate kills must stay process-killing (the "kill" chaos
-            # kind and real signals), not be flattened into a result.
-            raise
-        crash = crash_report_from_exception(exc)
-        return {
-            # A MemoryError under the per-worker rlimit is the governor's
-            # own fault kind: contained, transient, retried on a fresh
-            # worker with a clean heap.
-            "status": (
-                "memory" if isinstance(exc, MemoryError) else "crash"
-            ),
-            "diagnostics": [],
-            "severities": {},
-            "rendered": "",
-            "crash": crash.to_json(),
-            "duration_ms": round((time.perf_counter() - start) * 1e3, 3),
-            "telemetry": telemetry_result(
-                instrumentation, telemetry, start_ns,
-                time.perf_counter_ns(),
-            ),
-        }
-    status, diagnostics, severities, rendered = outcome_projection(outcome)
-    return {
-        "status": status,
-        "diagnostics": diagnostics,
-        "severities": severities,
-        "rendered": rendered,
-        "crash": None,
-        "duration_ms": round((time.perf_counter() - start) * 1e3, 3),
-        "telemetry": telemetry_result(
-            instrumentation, telemetry, start_ns, time.perf_counter_ns(),
-        ),
-    }
 
 
 def warm_up(prelude: bool, ext: bool) -> float:
@@ -164,6 +58,7 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
     from repro.observability import flightrec
     from repro.service import proto
     from repro.service.resources import apply_memory_limit, sample_rss_bytes
+    from repro.service.worker import run_attempt, unpack_task
 
     flightrec.arm()  # bundle directory (if any) comes from $FG_CRASH_DIR
     proto.shield_stdout()  # stray stdout writes can never reach a pipe
@@ -219,15 +114,31 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
                     "warm_ms": warm_ms,
                 })
             elif kind == "task":
-                result = run_task(frame)
-                result["type"] = "result"
-                result["id"] = frame.get("id")
-                result["attempt"] = frame.get("attempt")
-                # The worker's black box rides every result frame: when
-                # this process is later SIGKILLed mid-task, the
-                # supervisor still holds its last-known ring.
-                result["flightrec"] = flightrec.recorder().wire_tail()
-                send(result)
+                start_ns = time.perf_counter_ns()
+                try:
+                    check_kwargs, faults = unpack_task(frame)
+                    result = run_attempt(
+                        frame["text"], frame["filename"], check_kwargs,
+                        faults, None, frame["telemetry"],
+                        fatal=(KeyboardInterrupt, SystemExit),
+                    )
+                finally:
+                    # Always-on forensics: one coarse span per task, so
+                    # the flight ring has worker history even with
+                    # instrumentation off (the common case).
+                    flightrec.record_span(
+                        "worker.task", start_ns, time.perf_counter_ns(),
+                        {"file": frame["filename"],
+                         "attempt": frame.get("attempt")},
+                    )
+                send(dict(
+                    result.to_json(), type="result", id=frame.get("id"),
+                    attempt=frame.get("attempt"),
+                    # The worker's black box rides every result frame:
+                    # when this process is later SIGKILLed mid-task, the
+                    # supervisor still holds its last-known ring.
+                    flightrec=flightrec.recorder().wire_tail(),
+                ))
             elif kind == "shutdown":
                 flightrec.disarm()
                 return 0

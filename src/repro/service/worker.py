@@ -1,22 +1,28 @@
-"""One check attempt: the in-process watchdog and the worker task codec.
+"""One check attempt: the body both containment walls run, and its codec.
 
-``BatchPolicy.isolate`` picks one of two containment walls:
+:func:`run_attempt` is the attempt, whichever wall it runs behind: install
+the attempt's faults, call :func:`~repro.pipeline.check_source`, contain a
+non-``Diagnostic`` exception as a ``crash`` (or ``memory``)
+:class:`~repro.service.report.CrashReport`, project the outcome, and attach
+what the attempt's own instrumentation saw.  ``BatchPolicy.isolate`` picks
+the wall:
 
-- **Watchdogged thread** (the default, :func:`run_attempt_thread`): the
-  attempt runs on a daemon thread; the watchdog joins it for
-  ``deadline_ms`` and, on expiry, *abandons* it and reports a deadline
-  fault.  The abandoned thread is harmless — it holds no shared mutable
-  state (fault tables are thread-local, budgets are per-run, and
+- **Watchdogged thread** (the default): the attempt runs on a daemon
+  thread; the watchdog joins it for ``deadline_ms`` and, on expiry,
+  *abandons* it and reports a deadline fault.  The abandoned thread is
+  harmless — it holds no shared mutable state (fault tables are
+  thread-local, budgets are per-run, and
   :func:`~repro.diagnostics.limits.scoped_recursion_limit` restores are
-  guarded) and the cooperative deadline in :class:`~repro.diagnostics.Budget`
-  usually reels it in shortly after.  Any non-``Diagnostic`` exception the
-  attempt raises is contained as a :class:`~repro.service.report.CrashReport`.
+  guarded) and the cooperative deadline in
+  :class:`~repro.diagnostics.Budget` usually reels it in shortly after.
 
 - **Worker pool** (``isolate="pool"``, :mod:`repro.service.pool`): the
   attempt ships to a persistent worker process as a :func:`task_payload`
-  and comes back through :func:`result_to_attempt`; interpreter-killing
-  failures — C-level recursion faults, OOM kills, ``os._exit`` — take
-  down only that worker and read as a retryable ``worker-lost`` attempt.
+  frame; the worker rebuilds its arguments (:func:`unpack_task`), runs
+  :func:`run_attempt` and ships the :class:`AttemptResult` back as JSON.
+  Interpreter-killing failures — C-level recursion faults, OOM kills,
+  ``os._exit`` — take down only that worker and read as a retryable
+  ``worker-lost`` attempt.
 
 :func:`run_with_deadline` is the shared watchdog primitive; the single-file
 ``fg check --deadline-ms`` reuses it directly.
@@ -52,6 +58,33 @@ class AttemptResult:
     #: clock bracket), when the task frame requested telemetry.  Never part
     #: of the report JSON — merged into coordinator instrumentation only.
     telemetry: Optional[Dict[str, object]] = None
+
+    def to_json(self) -> Dict[str, object]:
+        """The result-frame shape a pool worker ships back."""
+        return {
+            "status": self.status,
+            "diagnostics": self.diagnostics,
+            "severities": self.severities,
+            "rendered": self.rendered,
+            "crash": self.crash.to_json() if self.crash else None,
+            "duration_ms": self.duration_ms,
+            "telemetry": self.telemetry,
+        }
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "AttemptResult":
+        crash = data.get("crash")
+        return cls(
+            status=data["status"],
+            diagnostics=data.get("diagnostics", []),
+            severities=data.get("severities", {}),
+            rendered=data.get("rendered", ""),
+            crash=CrashReport(
+                **dict(crash, traceback=tuple(crash.get("traceback", ())))
+            ) if crash else None,
+            duration_ms=data.get("duration_ms", 0.0),
+            telemetry=data.get("telemetry"),
+        )
 
 
 def telemetry_request(instrumentation, *, trace_id: Optional[str] = None,
@@ -196,21 +229,26 @@ def crash_report_from_exception(exc: BaseException,
     )
 
 
-def run_attempt_thread(
+def run_attempt(
     text: str,
     filename: str,
     check_kwargs: Dict[str, object],
     faults: Dict[str, object],
     deadline_ms: Optional[float],
     telemetry: Optional[Dict[str, object]] = None,
+    *,
+    fatal: Tuple[type, ...] = (),
 ) -> AttemptResult:
-    """One attempt in-process, under the watchdog when a deadline is set.
+    """One attempt, under the watchdog when a deadline is set.
 
     With a ``telemetry`` stanza the attempt runs under its own fresh
-    instrumentation (the shared coordinator bundle is not thread-safe) and
-    ships what it saw back on the result, exactly like a process worker —
-    except a timed-out attempt reports nothing, since the abandoned thread
-    may still be writing to its tracer.
+    instrumentation (a coordinator bundle is not thread-safe, and a worker
+    process has none) and ships what it saw back on the result — except a
+    timed-out attempt reports nothing, since the abandoned thread may still
+    be writing to its tracer.  Exceptions of a ``fatal`` type propagate
+    instead of being contained: a pool worker passes
+    ``(KeyboardInterrupt, SystemExit)`` so deliberate kills still end the
+    process, while the thread wall contains them as crashes.
     """
     from repro.pipeline import check_source, install_faults
 
@@ -230,6 +268,8 @@ def run_attempt_thread(
     duration_ms = round((time.perf_counter() - start) * 1e3, 3)
     if kind == "timeout":
         return AttemptResult(status="timeout", duration_ms=duration_ms)
+    if kind == "error" and isinstance(value, fatal):
+        raise value
     observed = telemetry_result(instrumentation, telemetry, start_ns, end_ns)
     if kind == "error":
         # A MemoryError is the governor's fault kind, not a generic crash:
@@ -264,47 +304,47 @@ def task_payload(
 ) -> Dict[str, object]:
     """The JSON task shape the pool ships to a worker process.
 
-    ``limits`` is projected field-by-field from the dataclass, so a new
-    :class:`~repro.diagnostics.limits.Limits` budget crosses the process
-    boundary without this function changing.  ``telemetry`` is the
-    :func:`telemetry_request` stanza (``None`` keeps workers
-    instrumentation-free, the fast path).
+    ``check_kwargs`` crosses whole, with its
+    :class:`~repro.diagnostics.limits.Limits` as a dict, so a new keyword
+    or budget reaches the worker without this function changing.
+    ``telemetry`` is the :func:`telemetry_request` stanza (``None`` keeps
+    workers instrumentation-free, the fast path).
     """
     from dataclasses import asdict
 
     limits = check_kwargs.get("limits")
     return {
-        "telemetry": telemetry,
         "text": text,
         "filename": filename,
-        "prelude": check_kwargs.get("prelude", False),
-        "ext": check_kwargs.get("ext", False),
-        "max_errors": check_kwargs.get("max_errors", 20),
-        "verify": check_kwargs.get("verify", False),
-        "evaluate": check_kwargs.get("evaluate", False),
-        "limits": None if limits is None else asdict(limits),
+        "check_kwargs": dict(
+            check_kwargs, limits=None if limits is None else asdict(limits)
+        ),
         "exception_faults": list(exception_faults),
         "fault_specs": [spec.to_json() for spec in fault_specs],
         "hang_s": hang_s,
+        "telemetry": telemetry,
     }
 
 
-def result_to_attempt(result: Dict[str, object],
-                      duration_ms: float) -> AttemptResult:
-    """Lift a worker's JSON result dict into an :class:`AttemptResult`."""
-    crash = result.get("crash")
-    return AttemptResult(
-        status=result["status"],
-        diagnostics=result.get("diagnostics", []),
-        severities=result.get("severities", {}),
-        rendered=result.get("rendered", ""),
-        crash=CrashReport(
-            exc_type=crash["exc_type"],
-            message=crash["message"],
-            where=crash.get("where", "worker"),
-            traceback=tuple(crash.get("traceback", ())),
-            returncode=crash.get("returncode"),
-        ) if crash else None,
-        duration_ms=duration_ms,
-        telemetry=result.get("telemetry"),
-    )
+def unpack_task(frame: Dict[str, object]
+                ) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """A task frame's ``check_kwargs`` and fault table, rebuilt in the
+    worker process: the inverse of :func:`task_payload`.
+
+    The faults are the caller's serialized ambient exceptions plus the
+    scheduled chaos specs, materialized for a process wall (``kill`` is a
+    real ``os._exit``).
+    """
+    from repro.diagnostics.limits import Limits
+    from repro.service.faults import deserialize_exception_faults
+
+    check_kwargs = dict(frame["check_kwargs"])
+    if check_kwargs.get("limits") is not None:
+        check_kwargs["limits"] = Limits(**check_kwargs["limits"])
+    faults = deserialize_exception_faults(frame["exception_faults"])
+    for data in frame["fault_specs"]:
+        spec = FaultSpec.from_json(data)
+        faults[spec.stage] = spec.materialize(
+            frame["hang_s"], in_subprocess=True,
+        )
+    return check_kwargs, faults

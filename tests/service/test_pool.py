@@ -390,3 +390,73 @@ def test_empty_batch_on_a_persistent_pool_reports_its_seats():
         report = check_batch([], pool_policy(), pool=pool)
         assert report.pool["workers"] == 3
         assert pool.alive_workers == 0  # nothing spawned for nothing
+
+
+# ---------------------------------------------------------------------------
+# Spawn settings and ending a worker
+# ---------------------------------------------------------------------------
+
+def _flag(args, name):
+    return args[args.index(name) + 1] if name in args else None
+
+
+@pytest.mark.slow
+def test_respawns_take_the_pools_spawn_settings_not_the_batchs():
+    """A request's process settings must not outlive it: the worker that
+    replaces one lost mid-batch is spawned under the pool's policy, so the
+    next batch does not run on a worker with the request's rlimit and
+    heartbeat period."""
+    from repro.service import PersistentPool
+
+    with PersistentPool(pool_policy(pool_workers=1)) as pool:
+        report = check_batch(
+            [("f0.fg", TINY)],
+            pool_policy(pool_workers=1, max_worker_mem_mb=512,
+                        heartbeat_ms=250),
+            pool=pool,
+            fault_schedule=FaultSchedule(kills=(WorkerKillSpec(index=0),)),
+        )
+        assert report.pool["respawns"] == 1
+        (slot,) = pool.slots
+        assert slot.alive
+        assert _flag(slot.proc.args, "--heartbeat-ms") == "100.0"
+        assert _flag(slot.proc.args, "--max-mem-mb") is None
+        after = check_batch([("f1.fg", TINY)], pool_policy(), pool=pool)
+        assert [f.status for f in after.files] == ["ok"]
+
+
+@pytest.mark.slow
+def test_a_garbled_result_frame_costs_one_attempt_not_a_stop_wait(
+        monkeypatch):
+    """A live worker whose result stream garbles is declared lost and
+    killed at once: the supervisor must not wait on a process that is
+    still blocked reading its task pipe."""
+    import time
+
+    from repro.service import PersistentPool, proto
+    from repro.service.pool import STOP_WAIT_S
+
+    real_feed = proto.FrameReader.feed
+    garbled = []
+
+    def feed(self, data):
+        if not garbled and b'"type":"result"' in data:
+            garbled.append(data)
+            raise proto.FrameError("injected: garbled result frame")
+        return real_feed(self, data)
+
+    with PersistentPool(pool_policy(pool_workers=1)) as pool:
+        assert pool.ensure() == 1
+        monkeypatch.setattr(proto.FrameReader, "feed", feed)
+        start = time.monotonic()
+        report = check_batch([("f0.fg", TINY)], pool_policy(), pool=pool)
+        elapsed = time.monotonic() - start
+    assert garbled
+    outcome = report.files[0]
+    assert outcome.status == "ok"
+    assert [(a.status, a.fault) for a in outcome.attempts] == [
+        ("crash", "worker-lost"), ("ok", None),
+    ]
+    assert report.pool["worker_lost"] == 1
+    assert report.pool["respawns"] == 1
+    assert elapsed < STOP_WAIT_S
