@@ -85,18 +85,34 @@ class TestPreludeScale:
         which redefines prelude concepts), with and without the prelude:
         the pair tracks the target that ``--prelude`` stays within 1.2x of
         no prelude."""
-        from pathlib import Path
+        _bench_corpus(benchmark, prelude=prelude)
 
-        from repro.pipeline import check_source
+    @pytest.mark.parametrize("prelude", [False, True],
+                             ids=["plain", "prelude"])
+    def test_verify_corpus(self, benchmark, prelude):
+        """The same corpus with ``verify=True``: under the prelude, verify
+        types each program's part of the translation inside the prelude's
+        System F prefix, which the context typed once."""
+        _bench_corpus(benchmark, prelude=prelude, verify=True)
 
-        examples = Path(__file__).resolve().parents[1] / "examples" / "fg"
-        corpus = [(path.name, path.read_text())
-                  for path in sorted(examples.glob("*.fg"))
-                  if path.name != "monoid.fg"]
 
-        def check_corpus():
-            for name, text in corpus:
-                assert check_source(text, name, prelude=prelude).ok
+def _bench_corpus(benchmark, **options):
+    """Benchmark warm ``check_source(text, name, **options)`` over the
+    ``examples/fg`` corpus less ``monoid.fg``."""
+    from pathlib import Path
 
-        check_corpus()  # warm: imports, and the one-time prelude build
-        benchmark(check_corpus)
+    from repro.pipeline import check_source
+
+    examples = Path(__file__).resolve().parents[1] / "examples" / "fg"
+    corpus = [(path.name, path.read_text())
+              for path in sorted(examples.glob("*.fg"))
+              if path.name != "monoid.fg"]
+    verify = options.get("verify", False)
+
+    def check_corpus():
+        for name, text in corpus:
+            outcome = check_source(text, name, **options)
+            assert outcome.ok and outcome.verified == verify
+
+    check_corpus()  # warm: imports, and the one-time prelude build
+    benchmark(check_corpus)

@@ -107,14 +107,25 @@ def verify(program: str, use_prelude: bool = False):
     from repro.fg.typecheck import verify_emitted
 
     fg_type, sf_term = _typecheck(program, use_prelude)
-    return fg_type, verify_emitted(fg_type, sf_term, checker=ExtChecker())
+    return fg_type, verify_emitted(
+        fg_type, sf_term, checker=ExtChecker(),
+        context=_context(use_prelude),
+    )
+
+
+def _context(use_prelude: bool):
+    """The prelude as :class:`ExtChecker` checks it, or ``None``."""
+    if not use_prelude:
+        return None
+    from repro.prelude import context_for
+
+    return context_for(ExtChecker)
 
 
 def _typecheck(program: str, use_prelude: bool) -> Tuple[G.FGType, F.Term]:
-    if use_prelude:
-        from repro.prelude import context_for
-
-        return context_for(ExtChecker).typecheck(program)
+    context = _context(use_prelude)
+    if context is not None:
+        return context.typecheck(program)
     return typecheck(parse_fg(program))
 
 

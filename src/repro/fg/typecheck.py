@@ -1375,12 +1375,18 @@ def translate(term: G.Term, env: Optional[Env] = None) -> F.Term:
     return typecheck(term, env)[1]
 
 
+_THEOREM_VIOLATION = (
+    "translation type mismatch (Theorem 1/2 violation — library bug)"
+)
+
+
 def verify_emitted(
     fg_type: G.FGType,
     sf_term: F.Term,
     *,
     checker: Optional[Checker] = None,
     env: Optional[Env] = None,
+    context=None,
 ) -> F.Type:
     """Executable Theorems 1 and 2 on an already-emitted translation.
 
@@ -1388,16 +1394,36 @@ def verify_emitted(
     its type matches the translation of ``fg_type`` (by ``checker``, in
     ``env``).  Returns the System F type.  Raises :class:`TypeError_` on a
     mismatch — which the theorems say cannot happen for well-typed input.
+
+    With a ``context`` (a :class:`repro.prelude.context.PreludeContext`),
+    ``sf_term`` must begin with exactly the context's own prefix ``let``
+    bindings; by the LET rule only the term inside them is typed, in the
+    context's pre-typed ``sf_env``.
     """
     checker = checker if checker is not None else Checker()
     base_env = env if env is not None else Env.initial()
-    with resource_scope(checker.limits, getattr(sf_term, "span", None)):
-        sf_type = sf_typecheck.type_of(sf_term)
+    span = getattr(sf_term, "span", None)
+    sf_env = None
+    if context is not None:
+        for let in context.prefix:
+            if not (
+                isinstance(sf_term, F.Let)
+                and sf_term.name == let.name
+                and sf_term.bound is let.bound
+            ):
+                raise TypeError_(
+                    f"{_THEOREM_VIOLATION}: the translation does not begin "
+                    "with the prelude's System F prefix"
+                )
+            sf_term = sf_term.body
+        sf_env = context.sf_env
+    with resource_scope(checker.limits, span):
+        sf_type = sf_typecheck.type_of(sf_term, sf_env)
         expected = checker.translate_type(fg_type, base_env)
     if not F.types_equal(sf_type, expected):
         raise TypeError_(
-            "translation type mismatch (Theorem 1/2 violation — library "
-            f"bug): System F says {sf_type}, expected {expected}"
+            f"{_THEOREM_VIOLATION}: System F says {sf_type}, expected "
+            f"{expected}"
         )
     return sf_type
 

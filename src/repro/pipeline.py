@@ -285,10 +285,12 @@ def _run_stages(
         _maybe_fault("verify")
         try:
             # Theorems 1/2 on the artifact shipped: type the emitted
-            # translation, no second F_G check.
+            # translation, no second F_G check.  Under the prelude only the
+            # program's part is typed, inside the context's typed prefix.
             with _stage("verify", tracer, timings, memory):
                 verify_emitted(
-                    type_, translation, checker=checker_cls(limits=limits)
+                    type_, translation, checker=checker_cls(limits=limits),
+                    context=context,
                 )
             verified = True
         except Diagnostic as err:

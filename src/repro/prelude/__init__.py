@@ -55,11 +55,13 @@ def type_of(program: str) -> G.FGType:
 
 def verify(program: str) -> Tuple[G.FGType, F.Type]:
     """Theorems 1/2 for ``program`` under the prelude: its F_G type and
-    the System F type of its (whole, prelude-included) translation."""
+    the System F type of its translation, typed inside the prelude's
+    System F prefix, which the context typed once."""
     from repro.fg.typecheck import verify_emitted
 
-    fg_type, sf_term = typecheck(program)
-    return fg_type, verify_emitted(fg_type, sf_term)
+    context = context_for()
+    fg_type, sf_term = context.typecheck(program)
+    return fg_type, verify_emitted(fg_type, sf_term, context=context)
 
 
 def run(program: str):

@@ -10,6 +10,10 @@ once per process and checker class:
   depth (plus the deepest nesting the prelude itself reached);
 - the System F prefix: the chain of ``let`` bindings the prelude translates
   to, with a hole where the program's translation goes;
+- ``sf_env``, the System F typing environment at that hole: each prefix
+  binding's ``bound`` typed once by the independent System F checker, in the
+  environment the earlier bindings built (the LET rule), so verifying a
+  program types only its own translation;
 - the concept and model declarations enclosing the program, whose exit
   premises (a concept must not escape; a model's result type must make
   sense outside it) are replayed on the program's type, innermost first.
@@ -35,6 +39,8 @@ from repro.fg.typecheck import Checker
 from repro.prelude.source import PRELUDE
 from repro.syntax import parse_fg
 from repro.systemf import ast as F
+from repro.systemf import typecheck as sf_typecheck
+from repro.systemf.typecheck import TypeEnv
 
 #: The name of the System F placeholder standing for the user's program
 #: while the prelude is checked; no F_G identifier can spell it.
@@ -67,6 +73,8 @@ class PreludeContext:
     #: The prelude's translation, outermost ``let`` first; each binding's
     #: ``body`` is ignored when splicing.
     prefix: Tuple[F.Let, ...]
+    #: The System F typing environment inside ``prefix``.
+    sf_env: TypeEnv
     span: Optional[Span]
 
     def check(self, checker: Checker, term: G.Term) -> Tuple[G.FGType, F.Term]:
@@ -153,12 +161,17 @@ def _build(checker_cls) -> PreludeContext:
 
     recorder = Recorder()
     recorder._budget = _DepthRecorder(recorder.limits)
+    prefix = []
+    sf_env = TypeEnv.initial()
     with resource_scope(recorder.limits, root.span):
         _, translation = recorder.check(root, Env.initial())
-    prefix = []
-    while isinstance(translation, F.Let):
-        prefix.append(translation)
-        translation = translation.body
+        while isinstance(translation, F.Let):
+            prefix.append(translation)
+            sf_env = sf_env.bind(
+                translation.name,
+                sf_typecheck.type_of(translation.bound, sf_env),
+            )
+            translation = translation.body
     assert translation == F.Var(name=_HOLE), "prelude is not a let chain"
     frames = tuple(
         _Frame(decl, entry_envs[id(decl.body)], entry_envs[id(decl)])
@@ -170,6 +183,7 @@ def _build(checker_cls) -> PreludeContext:
         env=entry_envs[id(hole)],
         frames=frames,
         prefix=tuple(prefix),
+        sf_env=sf_env,
         span=root.span,
         **at_hole,
     )

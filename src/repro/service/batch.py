@@ -167,18 +167,8 @@ def check_batch(
                     metrics.inc("batch.quarantined")
                 metrics.observe("batch.attempts", len(outcome.attempts))
         if metrics is not None and pool_stats is not None:
-            metrics.inc("pool.workers", pool_stats.workers)
-            metrics.inc("pool.spawned", pool_stats.spawned)
-            metrics.inc("pool.respawns", pool_stats.respawns)
-            metrics.inc("pool.worker_lost", pool_stats.worker_lost)
-            metrics.inc("pool.deadline_kills", pool_stats.deadline_kills)
-            metrics.inc("pool.steals", pool_stats.steals)
-            metrics.inc("pool.heartbeat_misses", pool_stats.heartbeat_misses)
-            metrics.inc("pool.retired", pool_stats.retired)
-            metrics.inc("pool.recycles", pool_stats.recycles)
-            metrics.inc("pool.rss_bytes", pool_stats.rss_bytes)
-            if pool_stats.degraded:
-                metrics.inc("pool.degraded")
+            for name, value in pool_stats.counters():
+                metrics.inc(name, value)
     elapsed_ms = round((time.perf_counter() - start) * 1e3, 3)
     with_reports = [
         o for o in outcomes if o is not None and o.crash is not None

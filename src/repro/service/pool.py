@@ -57,8 +57,8 @@ import selectors
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.observability import (
     NULL_TRACER,
@@ -138,20 +138,14 @@ class PoolStats:
     rss_bytes: int = 0
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "workers": self.workers,
-            "spawned": self.spawned,
-            "respawns": self.respawns,
-            "worker_lost": self.worker_lost,
-            "deadline_kills": self.deadline_kills,
-            "retired": self.retired,
-            "degraded": self.degraded,
-            "steals": self.steals,
-            "heartbeat_misses": self.heartbeat_misses,
-            "warm_ms": self.warm_ms,
-            "recycles": self.recycles,
-            "rss_bytes": self.rss_bytes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def counters(self) -> Iterator[Tuple[str, int]]:
+        """The ``pool.*`` metric counters: every field but ``warm_ms`` (a
+        duration, not a count); ``degraded`` counts only when set."""
+        for name, value in self.to_json().items():
+            if name != "warm_ms" and value is not False:
+                yield f"pool.{name}", int(value)
 
 
 class _WorkerSlot:

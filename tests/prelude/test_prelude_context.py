@@ -5,32 +5,47 @@ exactly what checking the whole text ``wrap(program)`` gives: the same
 translation and value, the same diagnostics at the same user positions,
 the same peak checker depth, and the same depth-limit trips.  The
 text-wrap reference lives only in this file.
+
+Verifying a program against the context types only the program's part of
+the translation, inside the prefix the context typed once; it must give
+what typing the whole spliced translation gives.  That whole-term
+reference lives only in this file too.
 """
 
+import dataclasses
+import importlib
 import io
 import json
 import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.diagnostics.errors import TypeError_
 from repro.diagnostics.limits import Limits, resource_scope
 from repro.diagnostics.reporter import DiagnosticReporter
 from repro.extensions import typecheck_all as ext_typecheck_all
-from repro.fg.typecheck import Checker
+from repro.fg.env import Env
+from repro.fg.typecheck import Checker, verify_emitted
 from repro.fg.typecheck import typecheck_all as core_typecheck_all
 from repro.observability import Instrumentation, MetricsRegistry
 from repro.pipeline import check_source
 from repro.prelude import PRELUDE, context_for, wrap
 from repro.prelude import context as prelude_context
 from repro.syntax import parse_fg_resilient
-from repro.systemf import evaluate, pretty_term
+from repro.systemf import ast as F
+from repro.systemf import evaluate, pretty_term, pretty_type
+from repro.systemf import type_of as sf_type_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "properties"))
 from fg_gen import program_specs  # noqa: E402
+
+#: The module, not the ``repro.fg.typecheck`` function of the same name.
+fg_typecheck = importlib.import_module("repro.fg.typecheck")
 
 ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = sorted((ROOT / "examples" / "fg").glob("*.fg"))
@@ -159,6 +174,169 @@ class TestDifferential:
         in_prelude = cap < context_for().peak_depth
         assert where.startswith("<prelude>:") == in_prelude
         assert (nesting == 0) == in_prelude
+
+
+def whole_term_verify(fg_type, sf_term, *, checker, context=None):
+    """The reference verify: type the whole spliced translation, prelude
+    prefix included, and compare with the translated F_G type."""
+    with resource_scope(checker.limits, sf_term.span):
+        sf_type = sf_type_of(sf_term)
+        expected = checker.translate_type(fg_type, Env.initial())
+    if not F.types_equal(sf_type, expected):
+        raise TypeError_(
+            "translation type mismatch (Theorem 1/2 violation — library "
+            f"bug): System F says {sf_type}, expected {expected}"
+        )
+    return sf_type
+
+
+def _fresh_count():
+    """Where ``fresh_type_var``'s counter stands, without advancing it."""
+    return int(re.fullmatch(r"count\((\d+)\)", repr(F._fresh_counter))[1])
+
+
+def verified(verify, text, filename="<input>", limits=None, ext=False):
+    """``check_source(..., prelude=True, verify=True)`` with ``verify`` as
+    its verify stage: the verdict, the System F type the stage printed,
+    how far it moved the fresh-name counter, and the diagnostics."""
+    seen = {}
+
+    def spy(fg_type, sf_term, **kwargs):
+        before = _fresh_count()
+        try:
+            sf_type = verify(fg_type, sf_term, **kwargs)
+        finally:
+            seen["fresh"] = _fresh_count() - before
+        seen["sf_type"] = pretty_type(sf_type)
+        return sf_type
+
+    with mock.patch.object(fg_typecheck, "verify_emitted", spy):
+        outcome = check_source(
+            text, filename, prelude=True, ext=ext, limits=limits,
+            verify=True,
+        )
+    return dict(
+        seen, verified=outcome.verified,
+        diagnostics=_diag_rows(outcome.report),
+    )
+
+
+def _same_verdicts(text, filename="<input>", limits=None, ext=False):
+    new = verified(verify_emitted, text, filename, limits, ext)
+    assert new == verified(whole_term_verify, text, filename, limits, ext)
+    return new
+
+
+#: One accepted program per prelude binding, so every entry of the
+#: context's ``sf_env`` is looked up by some verified translation.
+PRELUDE_PROGRAMS = [
+    "square[int](7)",
+    "accumulate[int](range(1, 11))",
+    "accumulate_iter[list int](range(1, 5))",
+    "count[list int](range(0, 3))",
+    "reverse_int(copy[list int, list int](range(0, 4), nil[int]), nil[int])",
+    "contains[list int](range(0, 5), 3)",
+    "min_element[list int](cons[int](3, cons[int](1, nil[int])))",
+    "merge[list int, list int, list int](range(0, 3), range(1, 4), "
+    "nil[int])",
+    "length_int(range(0, 4))",
+    "Group<int>.inverse(Semigroup<int>.binary_op(1, 2))",
+    "EqualityComparable<bool>.equal(true, false)",
+]
+
+
+class TestVerifyDifferential:
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "edit", [None, _parse_edit, _type_edit],
+        ids=["as-is", "parse-edit", "type-edit"],
+    )
+    def test_examples(self, path, edit):
+        text = path.read_text()
+        if edit is not None:
+            text = edit(text)
+        _same_verdicts(text, path.name)
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    def test_examples_under_the_extended_checker(self, path):
+        _same_verdicts(path.read_text(), path.name, ext=True)
+
+    @given(program_specs())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_programs(self, spec):
+        _same_verdicts(spec.source)
+
+    @pytest.mark.parametrize(
+        "text", PRELUDE_PROGRAMS, ids=lambda t: re.match(r"\w+", t)[0]
+    )
+    @pytest.mark.parametrize("ext", [False, True], ids=["core", "ext"])
+    def test_programs_over_every_prelude_binding(self, text, ext):
+        new = _same_verdicts(text, ext=ext)
+        assert new["verified"] and new["sf_type"]
+        assert new["diagnostics"] == []
+
+    @pytest.mark.parametrize("cap", [20, 45])
+    def test_depth_limit_trips_at_the_same_nesting(self, cap):
+        limits = Limits(max_check_depth=cap)
+        for nesting in range(24):
+            text = "iadd(1, " * nesting + "0" + ")" * nesting
+            new = _same_verdicts(text, "deep.fg", limits)
+            if new["diagnostics"]:
+                break
+        assert not new["verified"]
+        (kind, _, _), = new["diagnostics"]
+        assert kind == "resource limit"
+
+
+def _spliced(lets, body):
+    for let in reversed(lets):
+        body = F.Let(span=let.span, name=let.name, bound=let.bound,
+                     body=body)
+    return body
+
+
+class TestVerifyTrustsOnlyTheContextsPrefix:
+    """A translation whose prefix is not the context's own objects is a
+    Theorem 1/2 violation, and nothing of it is typed in ``sf_env``."""
+
+    def _translation(self):
+        context = context_for()
+        fg_type, sf_term = context.typecheck("accumulate[int](range(1, 11))")
+        user = sf_term
+        for _ in context.prefix:
+            user = user.body
+        return context, fg_type, user
+
+    def _rejects(self, context, fg_type, sf_term):
+        with mock.patch.object(
+            fg_typecheck.sf_typecheck, "type_of",
+            side_effect=AssertionError("typed against the context"),
+        ) as typed, pytest.raises(TypeError_, match="Theorem 1/2"):
+            verify_emitted(fg_type, sf_term, context=context)
+        assert not typed.called
+
+    def test_the_context_splice_itself_verifies(self):
+        context, fg_type, user = self._translation()
+        sf_term = _spliced(context.prefix, user)
+        assert verify_emitted(fg_type, sf_term, context=context) == F.INT
+
+    def test_a_rebuilt_first_binding_is_rejected(self):
+        context, fg_type, user = self._translation()
+        first, *rest = context.prefix
+        rebuilt = dataclasses.replace(
+            first, bound=dataclasses.replace(first.bound)
+        )
+        assert rebuilt.bound == first.bound
+        assert rebuilt.bound is not first.bound
+        self._rejects(context, fg_type, _spliced((rebuilt, *rest), user))
+
+    @pytest.mark.parametrize("dropped", [0, -1], ids=["first", "last"])
+    def test_a_dropped_binding_is_rejected(self, dropped):
+        context, fg_type, user = self._translation()
+        lets = list(context.prefix)
+        del lets[dropped]
+        self._rejects(context, fg_type, _spliced(lets, user))
 
 
 class TestPinnedPositions:

@@ -460,3 +460,26 @@ def test_a_garbled_result_frame_costs_one_attempt_not_a_stop_wait(
     assert report.pool["worker_lost"] == 1
     assert report.pool["respawns"] == 1
     assert elapsed < STOP_WAIT_S
+
+
+def test_pool_block_and_counters_come_from_the_stats_fields():
+    """The report's ``pool`` block lists every :class:`PoolStats` field
+    in declaration order; ``check_batch``'s ``pool.*`` counters are the
+    same fields less ``warm_ms``, with ``degraded`` counted only when
+    set."""
+    from repro.service import PoolStats
+
+    stats = PoolStats(workers=2, spawned=3, steals=1, warm_ms=12.5,
+                      rss_bytes=7)
+    assert list(stats.to_json()) == [
+        "workers", "spawned", "respawns", "worker_lost", "deadline_kills",
+        "retired", "degraded", "steals", "heartbeat_misses", "warm_ms",
+        "recycles", "rss_bytes",
+    ]
+    assert dict(stats.counters()) == {
+        "pool.workers": 2, "pool.spawned": 3, "pool.respawns": 0,
+        "pool.worker_lost": 0, "pool.deadline_kills": 0, "pool.retired": 0,
+        "pool.steals": 1, "pool.heartbeat_misses": 0, "pool.recycles": 0,
+        "pool.rss_bytes": 7,
+    }
+    assert dict(PoolStats(degraded=True).counters())["pool.degraded"] == 1
