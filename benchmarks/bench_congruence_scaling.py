@@ -93,8 +93,9 @@ class TestMergeScaling:
 
     @pytest.mark.parametrize("k", [4, 16, 64])
     def test_nested_where_clauses(self, benchmark, k):
-        # Each scope's solver is built from its own equality tuple, so this
-        # row shows what the k-th nested where clause costs the checker.
+        # Each scope's solver extends its parent scope's, merging only the
+        # equalities the scope adds; the row shows what k nested where
+        # clauses cost the checker.
         term = parse_fg(_nested_where(k))
         fg_type, _ = benchmark(typecheck, term)
         assert fg_type == G.INT
@@ -119,6 +120,28 @@ class TestNearLinearShape:
         t1, t2 = cost(small), cost(4 * small)
         # 4x input; allow generous constant, reject quadratic (16x).
         assert t2 < t1 * 12, (t1, t2)
+
+    def test_nested_where_merges_linear(self, monkeypatch):
+        # Counted, not timed: every equality is merged once, in the first
+        # solver whose scope holds it.  Replaying each scope's equalities
+        # from scratch merged k(k-1)/2 of them.
+        merges = [0]
+        merge = CongruenceSolver.merge
+
+        def counting(solver, left, right):
+            merges[0] += 1
+            merge(solver, left, right)
+
+        monkeypatch.setattr(CongruenceSolver, "merge", counting)
+
+        def count(k: int) -> int:
+            merges[0] = 0
+            typecheck(parse_fg(_nested_where(k)))
+            return merges[0]
+
+        small, large = count(16), count(64)
+        assert large <= 2 * 64, (small, large)
+        assert large < 5 * small, (small, large)
 
     @staticmethod
     def _merged_chain():

@@ -19,8 +19,10 @@ examples can be written directly.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.diagnostics.source import Span
 
@@ -28,28 +30,118 @@ from repro.diagnostics.source import Span
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
+#
+# Types are hash-consed: a constructor looks its class and fields up in one
+# per-process table and returns the type already built from them, if any.
+# Structurally equal types are therefore the same object, so equality is
+# identity and hashing is by identity, both O(1): the term DAG that
+# congruence closure assumes (Nelson-Oppen, paper section 5).  The table
+# holds its types weakly; an entry goes when the last reference to its type
+# does.  Each type also records, when built, whether the recovery poison
+# occurs in it (``contains_error``) and its free type variables
+# (``free_vars``).
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
+#: ``(class, *fields)`` -> weak reference to the one type built from them.
+_TABLE: Dict[tuple, _Entry] = {}
+#: Serializes misses and removals: checks run in threads of one process,
+#: and two threads building one structure must get one object.  Reentrant,
+#: because a type can die (and :func:`_forget` run) while a miss holds it.
+_LOCK = threading.RLock()
+
+_EMPTY: FrozenSet[str] = frozenset()
+_set = object.__setattr__
+
+
+def _forget(entry: _Entry) -> None:
+    # A type died; drop its entry unless a new type already took the key.
+    with _LOCK:
+        if _TABLE.get(entry.key) is entry:
+            del _TABLE[entry.key]
+
+
+def _lookup(key: tuple) -> Optional["FGType"]:
+    ref = _TABLE.get(key)
+    return ref() if ref is not None else None
+
+
+def _intern(key: tuple, contains_error: bool, free_vars: FrozenSet[str]):
+    """Build the type ``key`` describes and enter it in the table, unless
+    another thread entered it since :func:`_lookup` missed."""
+    with _LOCK:
+        t = _lookup(key)
+        if t is None:
+            cls = key[0]
+            t = object.__new__(cls)
+            for name, value in zip(cls._fields, key[1:]):
+                _set(t, name, value)
+            _set(t, "contains_error", contains_error)
+            _set(t, "free_vars", free_vars)
+            entry = _Entry(t, _forget)
+            entry.key = key
+            _TABLE[key] = entry
+    return t
+
+
+def _join(types) -> Tuple[bool, FrozenSet[str]]:
+    """``(contains_error, free_vars)`` of a type built from ``types``."""
+    error, free = False, _EMPTY
+    for t in types:
+        error = error or t.contains_error
+        if t.free_vars and t.free_vars is not free:
+            free = free | t.free_vars if free else t.free_vars
+    return error, free
+
+
 class FGType:
-    """Base class of F_G types."""
+    """Base class of F_G types (hash-consed, immutable)."""
+
+    __slots__ = ("contains_error", "free_vars", "__weakref__")
+    #: Field names, in constructor order.
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled types go through the constructor, so they
+        # are the interned object too.
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class TVar(FGType):
     """A type variable."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str) -> "TVar":
+        key = (cls, name)
+        return _lookup(key) or _intern(key, False, frozenset((name,)))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class TBase(FGType):
     """A base type (``int`` or ``bool``)."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str) -> "TBase":
+        key = (cls, name)
+        return _lookup(key) or _intern(key, False, _EMPTY)
 
     def __str__(self) -> str:
         return self.name
@@ -60,7 +152,6 @@ INT = TBase("int")
 BOOL = TBase("bool")
 
 
-@dataclass(frozen=True)
 class ErrorType(FGType):
     """The poison type of an ill-typed definition (error recovery).
 
@@ -71,6 +162,12 @@ class ErrorType(FGType):
     appears in fail-fast checking.
     """
 
+    __slots__ = ()
+
+    def __new__(cls) -> "ErrorType":
+        key = (cls,)
+        return _lookup(key) or _intern(key, True, _EMPTY)
+
     def __str__(self) -> str:
         return "<error>"
 
@@ -79,32 +176,40 @@ class ErrorType(FGType):
 ERROR = ErrorType()
 
 
-@dataclass(frozen=True)
 class TList(FGType):
     """The list type constructor."""
 
-    elem: FGType
+    __slots__ = _fields = ("elem",)
+
+    def __new__(cls, elem: FGType) -> "TList":
+        key = (cls, elem)
+        return _lookup(key) or _intern(key, elem.contains_error, elem.free_vars)
 
     def __str__(self) -> str:
         return f"list {self.elem}"
 
 
-@dataclass(frozen=True)
 class TFn(FGType):
     """A multi-parameter function type ``fn(t1, ..., tn) -> t``."""
 
-    params: Tuple[FGType, ...]
-    result: FGType
+    __slots__ = _fields = ("params", "result")
+
+    def __new__(cls, params: Tuple[FGType, ...], result: FGType) -> "TFn":
+        key = (cls, tuple(params), result)
+        return _lookup(key) or _intern(key, *_join(key[1] + (result,)))
 
     def __str__(self) -> str:
         return f"fn({', '.join(map(str, self.params))}) -> {self.result}"
 
 
-@dataclass(frozen=True)
 class TTuple(FGType):
     """A product type (engineering extension, mirrors System F tuples)."""
 
-    items: Tuple[FGType, ...]
+    __slots__ = _fields = ("items",)
+
+    def __new__(cls, items: Tuple[FGType, ...]) -> "TTuple":
+        key = (cls, tuple(items))
+        return _lookup(key) or _intern(key, *_join(key[1]))
 
     def __str__(self) -> str:
         if not self.items:
@@ -112,7 +217,6 @@ class TTuple(FGType):
         return "(" + " * ".join(map(str, self.items)) + ")"
 
 
-@dataclass(frozen=True)
 class ConceptReq(FGType):
     """A concept requirement ``c<tau1, ..., taun>`` in a where clause.
 
@@ -120,8 +224,11 @@ class ConceptReq(FGType):
     subclass only so it can reuse the type traversal helpers.
     """
 
-    concept: str
-    args: Tuple[FGType, ...]
+    __slots__ = _fields = ("concept", "args")
+
+    def __new__(cls, concept: str, args: Tuple[FGType, ...]) -> "ConceptReq":
+        key = (cls, concept, tuple(args))
+        return _lookup(key) or _intern(key, *_join(key[2]))
 
     def __str__(self) -> str:
         return f"{self.concept}<{', '.join(map(str, self.args))}>"
@@ -138,14 +245,29 @@ class SameType:
         return f"{self.left} == {self.right}"
 
 
-@dataclass(frozen=True)
 class TForall(FGType):
     """``forall t1..tn where c<taus>, ...; tau == tau', ... . t`` (Figs. 4, 11)."""
 
-    vars: Tuple[str, ...]
-    requirements: Tuple[ConceptReq, ...]
-    same_types: Tuple[SameType, ...]
-    body: FGType
+    __slots__ = _fields = ("vars", "requirements", "same_types", "body")
+
+    def __new__(
+        cls,
+        vars: Tuple[str, ...],
+        requirements: Tuple[ConceptReq, ...],
+        same_types: Tuple[SameType, ...],
+        body: FGType,
+    ) -> "TForall":
+        key = (cls, tuple(vars), tuple(requirements), tuple(same_types), body)
+        t = _lookup(key)
+        if t is None:
+            parts = [body, *key[2]]
+            for s in key[3]:
+                parts += (s.left, s.right)
+            error, free = _join(parts)
+            if not free.isdisjoint(key[1]):
+                free = free - frozenset(key[1])
+            t = _intern(key, error, free)
+        return t
 
     def __str__(self) -> str:
         clauses = [str(r) for r in self.requirements]
@@ -154,54 +276,24 @@ class TForall(FGType):
         return f"forall {', '.join(self.vars)}{where}. {self.body}"
 
 
-@dataclass(frozen=True)
 class TAssoc(FGType):
     """An associated-type reference ``c<taus>.member`` (Fig. 11)."""
 
-    concept: str
-    args: Tuple[FGType, ...]
-    member: str
+    __slots__ = _fields = ("concept", "args", "member")
+
+    def __new__(
+        cls, concept: str, args: Tuple[FGType, ...], member: str
+    ) -> "TAssoc":
+        key = (cls, concept, tuple(args), member)
+        return _lookup(key) or _intern(key, *_join(key[2]))
 
     def __str__(self) -> str:
         return f"{self.concept}<{', '.join(map(str, self.args))}>.{self.member}"
 
 
-def free_type_vars(t: FGType) -> frozenset:
+def free_type_vars(t: FGType) -> FrozenSet[str]:
     """Free type variables of an F_G type (where clauses included)."""
-    if isinstance(t, TVar):
-        return frozenset((t.name,))
-    if isinstance(t, (TBase, ErrorType)):
-        return frozenset()
-    if isinstance(t, TList):
-        return free_type_vars(t.elem)
-    if isinstance(t, TFn):
-        out = free_type_vars(t.result)
-        for p in t.params:
-            out |= free_type_vars(p)
-        return out
-    if isinstance(t, TTuple):
-        out = frozenset()
-        for item in t.items:
-            out |= free_type_vars(item)
-        return out
-    if isinstance(t, ConceptReq):
-        out = frozenset()
-        for a in t.args:
-            out |= free_type_vars(a)
-        return out
-    if isinstance(t, TAssoc):
-        out = frozenset()
-        for a in t.args:
-            out |= free_type_vars(a)
-        return out
-    if isinstance(t, TForall):
-        out = free_type_vars(t.body)
-        for r in t.requirements:
-            out |= free_type_vars(r)
-        for s in t.same_types:
-            out |= free_type_vars(s.left) | free_type_vars(s.right)
-        return out - frozenset(t.vars)
-    raise AssertionError(f"unknown F_G type node: {t!r}")
+    return t.free_vars
 
 
 def concept_names(t: FGType) -> frozenset:
@@ -243,14 +335,13 @@ def concept_names(t: FGType) -> frozenset:
 def substitute(t: FGType, subst) -> FGType:
     """Capture-avoiding simultaneous substitution ``[t -> tau]t``.
 
-    ``subst`` maps type-variable names to :class:`FGType` values.
+    ``subst`` maps type-variable names to :class:`FGType` values.  A type
+    with no free variable in the substitution's domain is returned as is.
     """
-    if not subst:
+    if not subst or t.free_vars.isdisjoint(subst):
         return t
     if isinstance(t, TVar):
-        return subst.get(t.name, t)
-    if isinstance(t, (TBase, ErrorType)):
-        return t
+        return subst[t.name]
     if isinstance(t, TList):
         return TList(substitute(t.elem, subst))
     if isinstance(t, TFn):
@@ -268,8 +359,6 @@ def substitute(t: FGType, subst) -> FGType:
         )
     if isinstance(t, TForall):
         inner = {k: v for k, v in subst.items() if k not in t.vars}
-        if not inner:
-            return t
         captured = frozenset()
         for v in inner.values():
             captured |= free_type_vars(v)

@@ -48,6 +48,9 @@ class CongruenceSolver:
     ``(label, class-of-child...)`` detects congruent parents when classes
     merge.  New terms may be interned after merges: signatures are computed
     against current class representatives, so congruence stays closed.
+
+    :meth:`extend` builds a scope's solver from its parent scope's: a copy
+    that merges only the new equalities.
     """
 
     def __init__(self, max_nodes: Optional[int] = None, *,
@@ -68,6 +71,12 @@ class CongruenceSolver:
         self._members: Dict[int, List[int]] = {}
         self._sigtab: Dict[tuple, int] = {}
         self._opaque: Dict[int, G.FGType] = {}
+        # Type -> node for the solver's life.  F_G types are hash-consed, so
+        # a type met again, or shared inside a term, is interned once.
+        self._nodes: Dict[G.FGType, int] = {}
+        # The first ``_settled`` nodes are the ones merges interned; later
+        # ones were interned by queries since the last merge.
+        self._settled = 0
         self._equalities: List[Tuple[G.FGType, G.FGType]] = []
         # Memoized representatives, cleared by every merge: interning alone
         # only adds singleton classes, so no memoized class can change.
@@ -113,30 +122,20 @@ class CongruenceSolver:
 
     def intern(self, t: G.FGType) -> int:
         """Intern an F_G type, returning its node id (not its class root)."""
-        return self._intern(t, {})
-
-    def _intern(self, t: G.FGType, memo: Dict[int, int]) -> int:
-        # Memoize by object identity within one call: type values are
-        # frozen, so a shared sub-object (e.g. the repeated parameter in
-        # ``fn(t) -> t``) is interned once — without this, deeply shared
-        # terms cost exponential time.
-        cached = memo.get(id(t))
-        if cached is not None:
-            return cached
-        label, child_types, opaque = _decompose(t)
-        children = tuple(self._intern(c, memo) for c in child_types)
-        sig = (label,) + tuple(self._find(c) for c in children)
-        existing = self._sigtab.get(sig)
-        if existing is not None:
-            memo[id(t)] = existing
-            return existing
-        node = self._new_node(label, children)
-        self._sigtab[sig] = node
-        for child in set(self._find(c) for c in children):
-            self._use[child].append(node)
-        if opaque is not None:
-            self._opaque[node] = opaque
-        memo[id(t)] = node
+        node = self._nodes.get(t)
+        if node is None:
+            label, child_types, opaque = _decompose(t)
+            children = tuple(self.intern(c) for c in child_types)
+            sig = (label,) + tuple(self._find(c) for c in children)
+            node = self._sigtab.get(sig)
+            if node is None:
+                node = self._new_node(label, children)
+                self._sigtab[sig] = node
+                for child in set(self._find(c) for c in children):
+                    self._use[child].append(node)
+                if opaque is not None:
+                    self._opaque[node] = opaque
+            self._nodes[t] = node
         return node
 
     # -- merging ------------------------------------------------------------
@@ -184,6 +183,7 @@ class CongruenceSolver:
                 else:
                     self._sigtab[sig] = parent
             self._use[ry].extend(moved)
+        self._settled = len(self._labels)
 
     def equal(self, a: G.FGType, b: G.FGType) -> bool:
         """Decide ``Gamma |- a = b`` under the merged equalities."""
@@ -260,6 +260,57 @@ class CongruenceSolver:
     def equalities(self) -> Tuple[Tuple[G.FGType, G.FGType], ...]:
         """The equalities asserted so far, in order."""
         return tuple(self._equalities)
+
+    # -- extension ------------------------------------------------------------
+
+    def extend(self, equalities) -> "CongruenceSolver":
+        """A new solver holding this one's equalities, then ``equalities``.
+
+        The new solver starts as a copy of this one without the nodes that
+        queries interned after the last merge, so its nodes, and the node
+        ages that break representative ties, are those of a fresh replay
+        of every equality whenever this solver was queried only after its
+        merges, as :class:`~repro.fg.env.SolverCache` uses it.
+        """
+        equalities = tuple(equalities)
+        child = self._copy()
+        if self._metrics is not None:
+            self._metrics.inc("congruence.solvers")
+        tracer = self._tracer
+        if tracer is not None and tracer.enabled:
+            with tracer.span("congruence.build", equalities=len(equalities)):
+                for left, right in equalities:
+                    child.merge(left, right)
+        else:
+            for left, right in equalities:
+                child.merge(left, right)
+        return child
+
+    def _copy(self) -> "CongruenceSolver":
+        n = self._settled
+        child = CongruenceSolver(
+            self._max_nodes, metrics=self._metrics, tracer=self._tracer
+        )
+        child._labels = self._labels[:n]
+        child._children = self._children[:n]
+        child._uf_parent = self._uf_parent[:n]
+        child._uf_rank = self._uf_rank[:n]
+        # Query-interned nodes are singleton classes that no merge touched:
+        # dropping them leaves classes, signatures and members intact.
+        child._members = {
+            i: members[:] for i, members in self._members.items() if i < n
+        }
+        child._use = {
+            i: [u for u in users if u < n]
+            for i, users in self._use.items() if i < n
+        }
+        child._sigtab = {k: i for k, i in self._sigtab.items() if i < n}
+        child._opaque = {i: t for i, t in self._opaque.items() if i < n}
+        child._nodes = {t: i for t, i in self._nodes.items() if i < n}
+        child._settled = n
+        child._equalities = self._equalities[:]
+        child._poisoned = (("error",),) in child._sigtab
+        return child
 
 
 def _label_cost(kind: str) -> float:
@@ -338,14 +389,6 @@ def solver_for_equalities(
     metrics=None, tracer=None,
 ) -> CongruenceSolver:
     """Build a solver containing every equality in ``equalities``."""
-    solver = CongruenceSolver(max_nodes, metrics=metrics, tracer=tracer)
-    if metrics is not None:
-        metrics.inc("congruence.solvers")
-    if tracer is not None and tracer.enabled:
-        with tracer.span("congruence.build", equalities=len(tuple(equalities))):
-            for left, right in equalities:
-                solver.merge(left, right)
-        return solver
-    for left, right in equalities:
-        solver.merge(left, right)
-    return solver
+    return CongruenceSolver(
+        max_nodes, metrics=metrics, tracer=tracer
+    ).extend(equalities)

@@ -81,7 +81,8 @@ class Env:
     """An immutable F_G typing environment (the paper's Gamma)."""
 
     __slots__ = (
-        "_vars", "_tyvars", "_concepts", "_models", "_equalities", "_extras"
+        "_vars", "_tyvars", "_concepts", "_models", "_equalities", "_extras",
+        "_extends",
     )
 
     def __init__(
@@ -92,6 +93,7 @@ class Env:
         models: Dict[str, Tuple[ModelInfo, ...]],
         equalities: Tuple[Tuple[G.FGType, G.FGType], ...],
         extras: Optional[Dict[str, object]] = None,
+        extends: Optional[tuple] = None,
     ):
         self._vars = vars_
         self._tyvars = tyvars
@@ -99,6 +101,9 @@ class Env:
         self._models = models
         self._equalities = equalities
         self._extras = extras if extras is not None else {}
+        # ``(prefix, prefix's own extends)``: the equality tuples that
+        # ``equalities`` extended, innermost first, or ``None``.
+        self._extends = extends
 
     @classmethod
     def initial(cls) -> "Env":
@@ -113,6 +118,7 @@ class Env:
             "models": self._models,
             "equalities": self._equalities,
             "extras": self._extras,
+            "extends": self._extends,
         }
         fields.update(replacements)
         return Env(**fields)
@@ -166,14 +172,23 @@ class Env:
     def equalities(self) -> Tuple[Tuple[G.FGType, G.FGType], ...]:
         return self._equalities
 
+    @property
+    def extends(self) -> Optional[tuple]:
+        """The equality tuples :attr:`equalities` extended, as nested
+        ``(prefix, prefix's extends)`` pairs, innermost first."""
+        return self._extends
+
     def add_equality(self, left: G.FGType, right: G.FGType) -> "Env":
-        return self._clone(equalities=self._equalities + ((left, right),))
+        return self.add_equalities(((left, right),))
 
     def add_equalities(self, pairs) -> "Env":
         pairs = tuple(pairs)
         if not pairs:
             return self
-        return self._clone(equalities=self._equalities + pairs)
+        return self._clone(
+            equalities=self._equalities + pairs,
+            extends=(self._equalities, self._extends),
+        )
 
     # -- extension storage ------------------------------------------------------
 
@@ -211,6 +226,10 @@ class SolverCache:
     lookups come back with the very tuple object seen before, so the cache
     first tries the tuple's ``id``; the entry keeps the tuple alive, so the
     ``id`` cannot be reused by another object while the entry exists.
+
+    On a miss the solver extends the cached solver of the nearest tuple the
+    environment's equalities extended (:attr:`Env.extends`), merging only
+    the equalities added since; with none cached it starts empty.
     """
 
     def __init__(self, max_nodes: Optional[int] = None, *,
@@ -230,12 +249,19 @@ class SolverCache:
             return entry[1]
         solver = self._cache.get(key)
         if solver is None:
-            solver = solver_for_equalities(
-                key, self._max_nodes,
-                metrics=self._metrics, tracer=self._tracer,
-            )
+            solver = self._extend_nearest(key, env.extends)
             self._cache[key] = solver
         elif self._metrics is not None:
             self._metrics.inc("congruence.cache_hits")
         self._by_id[id(key)] = (key, solver)
         return solver
+
+    def _extend_nearest(self, key: tuple, link) -> CongruenceSolver:
+        while link is not None:
+            base, link = link
+            entry = self._by_id.get(id(base))
+            if entry is not None and entry[0] is base:
+                return entry[1].extend(key[len(base):])
+        return solver_for_equalities(
+            key, self._max_nodes, metrics=self._metrics, tracer=self._tracer,
+        )

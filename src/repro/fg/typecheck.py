@@ -52,32 +52,6 @@ class _ErrorLimit(Exception):
     """Internal control flow: the reporter's error cap was reached."""
 
 
-def _contains_error(t: G.FGType) -> bool:
-    """True when the recovery poison occurs anywhere inside ``t``."""
-    if isinstance(t, G.ErrorType):
-        return True
-    if isinstance(t, (G.TVar, G.TBase)):
-        return False
-    if isinstance(t, G.TList):
-        return _contains_error(t.elem)
-    if isinstance(t, G.TFn):
-        return any(map(_contains_error, t.params)) or _contains_error(t.result)
-    if isinstance(t, G.TTuple):
-        return any(map(_contains_error, t.items))
-    if isinstance(t, (G.TAssoc, G.ConceptReq)):
-        return any(map(_contains_error, t.args))
-    if isinstance(t, G.TForall):
-        return (
-            _contains_error(t.body)
-            or any(map(_contains_error, t.requirements))
-            or any(
-                _contains_error(s.left) or _contains_error(s.right)
-                for s in t.same_types
-            )
-        )
-    return False
-
-
 def _poison_term(span=None) -> F.Term:
     """The System F placeholder standing in for an unchecked definition."""
     return F.Tuple_(span=span, items=())
@@ -167,7 +141,7 @@ class Checker:
 
     def rep(self, t: G.FGType, env: Env) -> G.FGType:
         """The canonical representative of ``t`` under ``env``'s equalities."""
-        if isinstance(t, G.ErrorType):
+        if t is G.ERROR:
             return t
         return self.solver(env).representative(t)
 
@@ -177,11 +151,10 @@ class Checker:
         The recovery poison absorbs comparison: a type containing
         :class:`~repro.fg.ast.ErrorType` equals everything, so follow-on
         checks of an already-reported failure stay silent.  Congruence is
-        reflexive, so syntactically equal types need no solver at all.
+        reflexive, so syntactically equal types need no solver at all; types
+        are hash-consed, so that test is identity.
         """
-        if a == b:
-            return True
-        if _contains_error(a) or _contains_error(b):
+        if a is b or a.contains_error or b.contains_error:
             return True
         solver = self.solver(env)
         if solver.equal(a, b):

@@ -11,6 +11,10 @@ equality tuple.  For each input the test compares
   and any ``TypeError_`` a cyclic class raises) over operation sequences
   that interleave merges with queries, so a representative memoized before
   a merge would show;
+- the same answers from a solver built by ``CongruenceSolver.extend`` on a
+  parent (and grandparent) that already answered queries, against a
+  replay of all the equalities, so a node a parent interned for a query
+  cannot change a representative in its child;
 - ``Checker.equal`` and ``Checker.rep`` under an environment's equalities,
   core and ext checkers;
 - the type, System F translation text, value and diagnostics of whole
@@ -51,7 +55,7 @@ from repro.fg import ast as G
 from repro.fg import congruence
 from repro.fg.congruence import CongruenceSolver
 from repro.fg.env import Env, SolverCache
-from repro.fg.typecheck import Checker, _contains_error
+from repro.fg.typecheck import Checker
 from repro.pipeline import check_source
 from repro.prelude import context as prelude_context
 from repro.systemf import pretty_term
@@ -287,6 +291,33 @@ def ref_cache_solver(self: SolverCache, env: Env):
     return solver
 
 
+def _contains_error(t: G.FGType) -> bool:
+    """True when the recovery poison occurs anywhere inside ``t``, by walking
+    it (the checker reads the flag a hash-consed type stores)."""
+    if isinstance(t, G.ErrorType):
+        return True
+    if isinstance(t, (G.TVar, G.TBase)):
+        return False
+    if isinstance(t, G.TList):
+        return _contains_error(t.elem)
+    if isinstance(t, G.TFn):
+        return any(map(_contains_error, t.params)) or _contains_error(t.result)
+    if isinstance(t, G.TTuple):
+        return any(map(_contains_error, t.items))
+    if isinstance(t, (G.TAssoc, G.ConceptReq)):
+        return any(map(_contains_error, t.args))
+    if isinstance(t, G.TForall):
+        return (
+            _contains_error(t.body)
+            or any(map(_contains_error, t.requirements))
+            or any(
+                _contains_error(s.left) or _contains_error(s.right)
+                for s in t.same_types
+            )
+        )
+    return False
+
+
 def ref_equal(self: Checker, a: G.FGType, b: G.FGType, env: Env) -> bool:
     """``Checker.equal`` without the reflexive shortcut."""
     if _contains_error(a) or _contains_error(b):
@@ -334,9 +365,8 @@ def poison(t: G.FGType) -> G.FGType:
 
 #: Bare leaves recur across one sequence, so later merges meet terms that
 #: earlier queries interned.
-_leaves = st.sampled_from(
-    [G.TVar(n) for n in "abcde"] + [G.INT, G.BOOL, G.ERROR]
-)
+_LEAVES = [G.TVar(n) for n in "abcde"] + [G.INT, G.BOOL, G.ERROR]
+_leaves = st.sampled_from(_LEAVES)
 _terms = st.one_of(_leaves, _types(), _types().map(poison))
 _pairs = st.tuples(_terms, _terms)
 _ops = st.lists(
@@ -447,6 +477,70 @@ def test_bare_poison_query_does_not_intern():
         assert not solver.class_contains_error(e)
         solver.merge(a, e)
     assert got.representative(a) == want.representative(a) == e
+
+
+def queries_only(ops):
+    """The queries of an operation sequence: a cached solver is queried only
+    after all its merges."""
+    return [op for op in ops if op[0] != "merge"]
+
+
+_small_pairs = st.tuples(_small, _small)
+_layer = st.tuples(
+    st.lists(st.one_of(_pairs, _small_pairs), max_size=5),
+    st.one_of(_ops, _small_ops).map(queries_only),
+)
+
+
+@given(st.lists(_layer, max_size=3), _layer.map(lambda layer: layer[0]),
+       st.one_of(_ops, _small_ops))
+@settings(max_examples=400, deadline=None)
+def test_extended_solver_matches_a_replay(layers, child_eqs, ops):
+    # Each layer is one enclosing scope: its equalities, then the queries
+    # its solver answers.  The innermost scope extends the last of them.
+    solver = CongruenceSolver()
+    equalities = []
+    for eqs, queries in layers:
+        solver = solver.extend(eqs)
+        equalities += eqs
+        run_ops(solver, queries)
+    child = solver.extend(child_eqs)
+    replay = ref_solver_for_equalities(equalities + child_eqs)
+    # Then every leaf and equality side, where a stale node age would show.
+    probes = [("rep", t) for t in _LEAVES]
+    probes += [("rep", t) for pair in equalities + child_eqs for t in pair]
+    assert run_ops(child, ops + probes) == run_ops(replay, ops + probes)
+
+
+def test_extension_drops_nodes_the_parent_interned_for_queries():
+    # The parent interns ``b`` by a query; the child's same-type constraint
+    # then names it after ``a``.  A replay meets ``a`` first, so ``a``
+    # represents the class; the extension must agree.
+    a, b, x = G.TVar("a"), G.TVar("b"), G.TVar("x")
+    parent = congruence.solver_for_equalities([(x, G.INT)])
+    assert not parent.equal(b, G.INT)
+    assert parent.representative(G.TList(b)) == G.TList(b)
+    child = parent.extend([(a, b)])
+    replay = ref_solver_for_equalities([(x, G.INT), (a, b)])
+    assert child.representative(b) == replay.representative(b) == a
+    assert child.representative(G.TList(b)) == G.TList(a)
+    # The parent keeps answering as before.
+    assert parent.representative(b) == b
+
+
+def test_extension_through_the_solver_cache():
+    # The same case through environments: the child scope's solver is
+    # extended from the parent scope's, which a query has already used.
+    a, b, x = G.TVar("a"), G.TVar("b"), G.TVar("x")
+    checker = Checker()
+    parent = Env.initial().add_equality(x, G.INT)
+    assert checker.rep(b, parent) == b
+    child = parent.add_equality(a, b)
+    assert child.extends[0] is parent.equalities
+    assert checker.solver(child).equalities == child.equalities
+    assert checker.rep(b, child) == a
+    with reference_equality():
+        assert Checker().rep(b, child) == a
 
 
 @pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],

@@ -124,3 +124,20 @@ class TestSolverCache:
             env = Env.initial().add_equality(G.TVar("a"), G.BOOL)
             assert cache.solver(env) is not first
             assert cache.solver(env).equal(G.TVar("a"), G.BOOL)
+
+    def test_miss_extends_the_nearest_cached_ancestor(self):
+        # Only the equalities added since the nearest cached ancestor are
+        # merged; an ancestor never asked for is skipped over.
+        metrics = MetricsRegistry()
+        cache = SolverCache(metrics=metrics)
+        a, b, c = G.TVar("a"), G.TVar("b"), G.TVar("c")
+        root = Env.initial().add_equality(a, G.INT)
+        middle = root.add_equality(b, G.INT)
+        leaf = middle.bind_var("x", G.INT).add_equality(c, G.INT)
+        assert leaf.extends == (middle.equalities, middle.extends)
+        cache.solver(root)
+        solver = cache.solver(leaf)
+        assert solver.equalities == leaf.equalities
+        assert solver.equal(a, c)
+        assert metrics.counter("congruence.solvers") == 2
+        assert metrics.counter("congruence.unions") == 3

@@ -1,0 +1,284 @@
+"""F_G types are hash-consed: one object per structure, held weakly.
+
+Every constructor returns the type already built from the same class and
+fields, so structural equality is identity.  These tests pin that for every
+way the checker builds types (constructors, the parser, ``substitute``, the
+solver's ``_recompose`` and the System F importer ``_sf_type_to_fg``), that
+copies and pickles come back as the interned object, that the flags a type
+stores agree with a walk of it, and that the table gives types back once
+the programs that built them are dropped.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+import pickle
+import sys
+import threading
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.fg import ast as G
+from repro.fg.congruence import CongruenceSolver, _recompose
+from repro.fg.env import _sf_type_to_fg
+from repro.pipeline import check_source
+from repro.syntax import parse_fg_type
+from repro.systemf import ast as F
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "tests" / "properties"))
+from test_congruence_properties import _types  # noqa: E402
+
+
+def rebuild(t: G.FGType) -> G.FGType:
+    """A structural copy of ``t`` through the constructors, bottom-up."""
+    if isinstance(t, G.TVar):
+        return G.TVar("".join(t.name))
+    if isinstance(t, G.TBase):
+        return G.TBase("".join(t.name))
+    if isinstance(t, G.ErrorType):
+        return G.ErrorType()
+    if isinstance(t, G.TList):
+        return G.TList(rebuild(t.elem))
+    if isinstance(t, G.TFn):
+        return G.TFn([rebuild(p) for p in t.params], rebuild(t.result))
+    if isinstance(t, G.TTuple):
+        return G.TTuple([rebuild(i) for i in t.items])
+    if isinstance(t, G.TAssoc):
+        return G.TAssoc(t.concept, [rebuild(a) for a in t.args], t.member)
+    if isinstance(t, G.ConceptReq):
+        return G.ConceptReq(t.concept, [rebuild(a) for a in t.args])
+    if isinstance(t, G.TForall):
+        return G.TForall(
+            list(t.vars),
+            [rebuild(r) for r in t.requirements],
+            [G.SameType(rebuild(s.left), rebuild(s.right))
+             for s in t.same_types],
+            rebuild(t.body),
+        )
+    raise AssertionError(t)
+
+
+def walk_contains_error(t: G.FGType) -> bool:
+    if isinstance(t, G.ErrorType):
+        return True
+    if isinstance(t, (G.TVar, G.TBase)):
+        return False
+    return any(map(walk_contains_error, children(t)))
+
+
+def walk_free_vars(t: G.FGType) -> frozenset:
+    if isinstance(t, G.TVar):
+        return frozenset((t.name,))
+    out = frozenset()
+    for c in children(t):
+        out |= walk_free_vars(c)
+    if isinstance(t, G.TForall):
+        out -= frozenset(t.vars)
+    return out
+
+
+def children(t: G.FGType):
+    if isinstance(t, G.TList):
+        return (t.elem,)
+    if isinstance(t, G.TFn):
+        return t.params + (t.result,)
+    if isinstance(t, G.TTuple):
+        return t.items
+    if isinstance(t, (G.TAssoc, G.ConceptReq)):
+        return t.args
+    if isinstance(t, G.TForall):
+        sides = tuple(x for s in t.same_types for x in (s.left, s.right))
+        return (t.body,) + t.requirements + sides
+    return ()
+
+
+def _forall(body: G.FGType) -> G.TForall:
+    return G.TForall(
+        ("a",),
+        (G.ConceptReq("C", (G.TVar("a"),)),),
+        (G.SameType(G.TAssoc("C", (G.TVar("a"),), "s"), body),),
+        G.TFn((G.TVar("a"), body), body),
+    )
+
+
+_all_types = st.one_of(
+    _types(),
+    _types().map(_forall),
+    _types().map(lambda t: G.TFn((t,), G.ERROR)),
+)
+
+
+# -- one object per structure -------------------------------------------------
+
+
+@given(_all_types)
+@settings(max_examples=200, deadline=None)
+def test_structurally_equal_types_are_one_object(t):
+    assert rebuild(t) is t
+    assert hash(rebuild(t)) == hash(t)
+
+
+def test_distinct_structures_stay_distinct():
+    assert G.TVar("int") is not G.INT
+    assert G.TList(G.INT) is not G.TList(G.BOOL)
+    assert G.TFn((), G.INT) is not G.TTuple((G.INT,))
+    assert G.ErrorType() is G.ERROR
+
+
+def test_parser_builds_interned_types():
+    text = "forall t where C<t>; C<t>.s == int. fn(list t, (t * bool)) -> C<t>.s"
+    t = parse_fg_type(text)
+    assert parse_fg_type(text) is t
+    assert t is G.TForall(
+        ("t",),
+        (G.ConceptReq("C", (G.TVar("t"),)),),
+        (G.SameType(G.TAssoc("C", (G.TVar("t"),), "s"), G.INT),),
+        G.TFn(
+            (G.TList(G.TVar("t")), G.TTuple((G.TVar("t"), G.BOOL))),
+            G.TAssoc("C", (G.TVar("t"),), "s"),
+        ),
+    )
+
+
+def test_substitute_builds_interned_types():
+    a, b = G.TVar("a"), G.TVar("b")
+    t = G.TFn((G.TList(a),), G.TAssoc("C", (a,), "s"))
+    assert G.substitute(t, {"a": b}) is G.TFn(
+        (G.TList(b),), G.TAssoc("C", (b,), "s")
+    )
+
+
+def test_substitute_returns_types_without_domain_variables_unchanged():
+    t = G.TFn((G.TList(G.TVar("a")),), G.INT)
+    assert G.substitute(t, {"b": G.BOOL}) is t
+    # A bound variable is not free: the forall is returned as is.
+    poly = G.TForall(("b",), (), (), G.TList(G.TVar("b")))
+    assert G.substitute(poly, {"b": G.INT}) is poly
+
+
+def test_recompose_builds_interned_types():
+    a = G.TVar("a")
+    assert _recompose(("fn", 1), [a, G.INT], None) is G.TFn((a,), G.INT)
+    assert _recompose(("assoc", "C", "s", 1), [a], None) is G.TAssoc(
+        "C", (a,), "s")
+    solver = CongruenceSolver()
+    solver.merge(a, G.INT)
+    assert solver.representative(G.TList(a)) is G.TList(G.INT)
+
+
+def test_system_f_import_builds_interned_types():
+    sf = F.TForall(("a",), F.TFn((F.TVar("a"), F.TList(F.TBase("int"))),
+                                 F.TTuple((F.TVar("a"),))))
+    assert _sf_type_to_fg(sf) is G.TForall(
+        ("a",), (), (),
+        G.TFn((G.TVar("a"), G.TList(G.INT)), G.TTuple((G.TVar("a"),))),
+    )
+
+
+# -- copies, pickles, immutability --------------------------------------------
+
+
+@given(_all_types)
+@settings(max_examples=100, deadline=None)
+def test_copies_and_pickles_are_the_interned_object(t):
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(t, protocol)) is t
+
+
+def test_pickle_rebuilds_a_type_that_died_meanwhile():
+    data = pickle.dumps(G.TList(G.TVar("only-in-this-pickle")))
+    gc.collect()
+    back = pickle.loads(data)
+    assert back is G.TList(G.TVar("only-in-this-pickle"))
+
+
+def test_types_are_immutable():
+    t = G.TVar("a")
+    with pytest.raises(AttributeError):
+        t.name = "b"
+    with pytest.raises(AttributeError):
+        del t.name
+    assert repr(G.TFn((t,), G.INT)) == (
+        "TFn(params=(TVar(name='a'),), result=TBase(name='int'))"
+    )
+
+
+# -- stored flags ---------------------------------------------------------------
+
+
+@given(_all_types)
+@settings(max_examples=200, deadline=None)
+def test_stored_flags_agree_with_a_walk(t):
+    assert t.contains_error == walk_contains_error(t)
+    assert t.free_vars == walk_free_vars(t) == G.free_type_vars(t)
+
+
+# -- threads ------------------------------------------------------------------
+
+
+def test_threads_building_one_structure_get_one_object():
+    # Checks run in threads of one process.  Every thread builds the same
+    # fresh structures at once, with thread switches as frequent as the
+    # interpreter allows; a lost race would hand two threads two objects.
+    threads, rounds = 8, 300
+    results = [[] for _ in range(threads)]
+    start = threading.Barrier(threads)
+
+    def build(out):
+        start.wait()
+        for i in range(rounds):
+            leaf = G.TVar(f"race{i}")
+            out.append(G.TFn((G.TList(leaf), leaf), G.TTuple((leaf,))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(out,))
+                   for out in results]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(rounds):
+        assert len({id(out[i]) for out in results}) == 1, i
+
+
+# -- the table gives types back -----------------------------------------------
+
+
+def _program(i: int) -> str:
+    # Type variable and concept names unique to ``i``, so every program
+    # builds types no other program shares.
+    return (
+        f"concept It{i}<I> {{ types elt; get : fn(I) -> elt; }} in\n"
+        f"let f = /\\J{i} where It{i}<J{i}>; It{i}<J{i}>.elt == int.\n"
+        f"  \\x : J{i}. iadd(It{i}<J{i}>.get(x), 1) in\n"
+        f"model It{i}<list bool> {{ types elt = int;"
+        f" get = \\l : list bool. {i}; }} in\n"
+        f"f[list bool](nil[bool])"
+    )
+
+
+def _table_size() -> int:
+    gc.collect()
+    return len(G._TABLE)
+
+
+def test_table_shrinks_after_programs_are_dropped():
+    assert check_source(_program(0), "p0").ok
+    baseline = _table_size()
+    kept = [check_source(_program(i), f"p{i}") for i in range(1, 21)]
+    assert all(out.ok for out in kept)
+    assert _table_size() > baseline + 20
+    del kept
+    assert _table_size() <= baseline
