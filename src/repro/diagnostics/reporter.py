@@ -33,7 +33,7 @@ def _sort_key(diag: Diagnostic):
     span = diag.span
     if span is None or span.filename == "<synthetic>":
         return (1, "", 0, 0)
-    return (0, span.filename, span.start.offset, span.end.offset)
+    return (0, span.filename, span.lo, span.hi)
 
 
 def diagnostic_to_dict(diag: Diagnostic) -> Dict[str, object]:

@@ -2,15 +2,19 @@
 
 The lexer produces tokens tagged with :class:`Span` values; parsers propagate
 them onto AST nodes so that type errors can point back into the program text.
-:class:`Position` and :class:`Span` are named tuples: the lexer builds one
-per token boundary, and a tuple is the cheapest immutable record to build.
+A :class:`Span` is a named tuple of two character offsets and the
+:class:`SourceText` they index: the lexer builds one per token, and a tuple
+is the cheapest immutable record to build.  The line and column of its
+``start`` and ``end`` (:class:`Position` values) are computed from the
+line-start index only when something reads them, which for most tokens is
+never.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class Position(NamedTuple):
@@ -28,31 +32,34 @@ class Position(NamedTuple):
 
 
 class Span(NamedTuple):
-    """A half-open region of source text, from ``start`` up to ``end``."""
+    """A half-open region of ``source``, from offset ``lo`` up to ``hi``."""
 
-    start: Position
-    end: Position
-    filename: str = "<input>"
+    lo: int
+    hi: int
+    source: "SourceText"
+
+    @property
+    def start(self) -> Position:
+        return self.source.position_at(self.lo)
+
+    @property
+    def end(self) -> Position:
+        return self.source.position_at(self.hi)
+
+    @property
+    def filename(self) -> str:
+        return self.source.filename
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.start}"
 
-    def merge(self, other: Optional["Span"]) -> "Span":
-        """The smallest span covering both ``self`` and ``other``."""
-        if other is None:
-            return self
-        start = min(self.start, other.start)
-        end = max(self.end, other.end)
-        return Span(start, end, self.filename)
 
-
-#: Span used for synthesized nodes with no source location.
-SYNTHETIC = Span(Position(0, 0, 0), Position(0, 0, 0), "<synthetic>")
-
-
-@dataclass
+@dataclass(eq=False)
 class SourceText:
-    """Program text plus an index of line-start offsets for fast lookups."""
+    """Program text plus an index of line-start offsets for fast lookups.
+
+    Compares by identity, so the spans that hold it stay hashable.
+    """
 
     text: str
     filename: str = "<input>"
@@ -71,18 +78,17 @@ class SourceText:
         self._line_starts = starts
 
     def position_at(self, offset: int) -> Position:
-        """The :class:`Position` of the character at byte ``offset``."""
+        """The :class:`Position` of the character at ``offset``."""
         offset = max(0, min(offset, len(self.text)))
         line_idx = bisect.bisect_right(self._line_starts, offset) - 1
         column = offset - self._line_starts[line_idx] + 1
         return Position(line_idx + 1, column, offset)
 
     def span(self, start_offset: int, end_offset: int) -> Span:
-        """Build a :class:`Span` from two byte offsets."""
+        """Build a :class:`Span` from two offsets, clamped into the text."""
+        n = len(self.text)
         return Span(
-            self.position_at(start_offset),
-            self.position_at(end_offset),
-            self.filename,
+            max(0, min(start_offset, n)), max(0, min(end_offset, n)), self
         )
 
     def line(self, lineno: int) -> str:
@@ -97,19 +103,31 @@ class SourceText:
 
     def excerpt(self, span: Span) -> str:
         """A caret-underlined excerpt of the line where ``span`` starts."""
-        raw = self.line(span.start.line)
+        start, end = span.start, span.end
+        raw = self.line(start.line)
         if not raw:
             return ""
-        start_col = min(span.start.column - 1, len(raw))
+        start_col = min(start.column - 1, len(raw))
         # Expand tabs in both the displayed line and the caret padding so
         # the underline stays aligned however the line is indented.
         line_text = raw.expandtabs(4)
         caret_col = len(raw[:start_col].expandtabs(4))
-        if span.end.line == span.start.line:
-            end_col = min(span.end.column - 1, len(raw))
+        if end.line == start.line:
+            end_col = min(end.column - 1, len(raw))
             width = max(1, len(raw[:end_col].expandtabs(4)) - caret_col)
         else:
             width = max(1, len(line_text) - caret_col)
-        gutter = f"{span.start.line:>5} | "
+        gutter = f"{start.line:>5} | "
         underline = " " * (len(gutter) + caret_col) + "^" * width
         return f"{gutter}{line_text}\n{underline}"
+
+
+class _Nowhere(SourceText):
+    """The source of :data:`SYNTHETIC`: every offset sits at ``0:0``."""
+
+    def position_at(self, offset: int) -> Position:
+        return Position(0, 0, 0)
+
+
+#: Span used for synthesized nodes with no source location.
+SYNTHETIC = Span(0, 0, _Nowhere("", "<synthetic>"))

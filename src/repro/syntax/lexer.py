@@ -18,9 +18,10 @@ with ``str.isalpha`` or ``_`` and continue with ``str.isalnum``, ``_`` or
 :data:`KEYWORDS`.  Integers are ``-?`` then ``str.isdecimal`` digits, which
 is exactly what ``int()`` accepts (``٣`` is 3; ``²`` is no digit).
 
-:func:`tokenize` matches one compiled ASCII pattern per skip run or token
-and tracks line and column with a cursor over the line-start index, so a
-token costs a pattern match and four tuples.  What the pattern cannot
+:func:`tokenize` matches one compiled ASCII pattern per skip run or token,
+and a token costs a pattern match and two tuples: the token and its
+offset :class:`~repro.diagnostics.source.Span`, whose line and column are
+worked out only if something reads them.  What the pattern cannot
 settle (a number or identifier touching a non-ASCII character, an
 unterminated comment, an unexpected character) goes to :func:`_lex_one`,
 which applies the same rules character by character.
@@ -32,7 +33,7 @@ import re
 from typing import List, NamedTuple, Optional, Set
 
 from repro.diagnostics.errors import LexError
-from repro.diagnostics.source import Position, SourceText, Span
+from repro.diagnostics.source import SourceText, Span
 
 #: Token kinds that stand for themselves.
 SYMBOLS = [
@@ -167,16 +168,10 @@ def tokenize(source: SourceText, reporter=None) -> List[Token]:
     The returned list ends with exactly one ``EOF`` token.
     """
     text = source.text
-    filename = source.filename
     n = len(text)
     match = _UNIT.match
     new = tuple.__new__
     keywords = KEYWORDS
-    # Line cursor: ``line`` is the 1-based line holding offset ``line_start``;
-    # ``starts[line]`` (or the ``n + 1`` sentinel) is where the next begins.
-    # Token offsets only grow, so the cursor only moves forward.
-    starts = source._line_starts + [n + 1]
-    line, line_start, next_start = 1, 0, starts[1]
     tokens: List[Token] = []
     pos = 0
     while pos < n:
@@ -197,15 +192,9 @@ def tokenize(source: SourceText, reporter=None) -> List[Token]:
             kind = "NUMBER"
         else:
             kind = word
-        while start >= next_start:
-            line_start = next_start
-            line += 1
-            next_start = starts[line]
-        tokens.append(new(Token, (kind, word, new(Span, (
-            new(Position, (line, start - line_start + 1, start)),
-            new(Position, (line, end - line_start + 1, end)),
-            filename,
-        )))))
+        tokens.append(
+            new(Token, (kind, word, new(Span, (start, end, source))))
+        )
         pos = end
     tokens.append(Token("EOF", "", source.span(n, n)))
     return tokens

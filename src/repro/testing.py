@@ -148,7 +148,7 @@ def mutate_source(source: str, rng: random.Random) -> str:
     if not tokens:
         return source + rng.choice(("(", ")", "\x00", "let", "@"))
     tok = tokens[rng.randrange(len(tokens))]
-    start, end = tok.span.start.offset, tok.span.end.offset
+    start, end = tok.span.lo, tok.span.hi
     op = rng.randrange(5)
     if op == 0:  # delete
         return source[:start] + source[end:]

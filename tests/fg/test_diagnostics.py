@@ -34,14 +34,6 @@ class TestSourceText:
         assert "oops" in excerpt
         assert excerpt.count("^") == 4
 
-    def test_span_merge(self):
-        src = SourceText("abcdef")
-        a = src.span(0, 2)
-        b = src.span(4, 6)
-        merged = a.merge(b)
-        assert merged.start.offset == 0
-        assert merged.end.offset == 6
-
 
 class TestErrorPositions:
     def test_type_error_carries_position(self):

@@ -3,7 +3,10 @@
 The reference below is the front end as it was before the lexer scanned with
 one compiled pattern: :func:`ref_tokenize` walks the text one character at a
 time, and :class:`RefTokenStream` clamps every lookahead against an unpadded
-list.  For each input the test compares
+list.  The reference also counts every line and column itself, one character
+at a time (:func:`ref_positions`), and tags its tokens with eager
+:class:`RefSpan` values; the real tokens carry offset spans whose positions
+:class:`SourceText` works out when read.  For each input the test compares
 
 - every token (kind, text, start and end line/column/offset, filename),
 - every lex diagnostic, raised (strict mode) and collected (recovery mode),
@@ -29,13 +32,13 @@ import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from hypothesis import HealthCheck, given, settings
 
 from repro.diagnostics.errors import Diagnostic, LexError
 from repro.diagnostics.reporter import DiagnosticReporter
-from repro.diagnostics.source import SourceText, Span
+from repro.diagnostics.source import Position, SourceText, Span
 from repro.prelude import PRELUDE
 from repro.syntax import lexer, parser_f, parser_fg
 from repro.syntax.lexer import KEYWORDS, SYMBOLS, Token
@@ -50,10 +53,50 @@ EXAMPLES = sorted((ROOT / "examples" / "fg").glob("*.fg"))
 # -- the reference front end --------------------------------------------------
 
 
+def ref_positions(text: str) -> List[Position]:
+    """The position of every offset from 0 to ``len(text)``, counted one
+    character at a time: each ``\\n`` starts a new line at column 1."""
+    out = []
+    line = column = 1
+    for offset, ch in enumerate(text):
+        out.append(Position(line, column, offset))
+        if ch == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    out.append(Position(line, column, len(text)))
+    return out
+
+
+class RefSpan(NamedTuple):
+    """An eager span, built from :func:`ref_positions`.  It reads like a
+    :class:`Span` to the parsers and the diagnostics."""
+
+    start: Position
+    end: Position
+    filename: str
+
+    @property
+    def lo(self) -> int:
+        return self.start.offset
+
+    @property
+    def hi(self) -> int:
+        return self.end.offset
+
+    def __str__(self) -> str:
+        return f"{self.filename}:{self.start}"
+
+
 def ref_tokenize(source: SourceText, reporter=None) -> List[Token]:
     """The per-character lexer, ``isdigit`` numbers included."""
     text = source.text
     n = len(text)
+    at = ref_positions(text)
+
+    def span(lo: int, hi: int) -> RefSpan:
+        return RefSpan(at[lo], at[hi], source.filename)
+
     pos = 0
     tokens: List[Token] = []
     while pos < n:
@@ -69,7 +112,7 @@ def ref_tokenize(source: SourceText, reporter=None) -> List[Token]:
             end = text.find("*/", pos + 2)
             if end == -1:
                 err = LexError(
-                    "unterminated block comment", source.span(pos, pos + 2)
+                    "unterminated block comment", span(pos, pos + 2)
                 ).attach_source(source)
                 if reporter is None:
                     raise err
@@ -86,7 +129,7 @@ def ref_tokenize(source: SourceText, reporter=None) -> List[Token]:
             while pos < n and text[pos].isdigit():
                 pos += 1
             tokens.append(
-                Token("NUMBER", text[start:pos], source.span(start, pos))
+                Token("NUMBER", text[start:pos], span(start, pos))
             )
             continue
         if ch.isalpha() or ch == "_":
@@ -95,24 +138,24 @@ def ref_tokenize(source: SourceText, reporter=None) -> List[Token]:
                 pos += 1
             word = text[start:pos]
             kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, source.span(start, pos)))
+            tokens.append(Token(kind, word, span(start, pos)))
             continue
         for sym in SYMBOLS:
             if text.startswith(sym, pos):
                 tokens.append(
-                    Token(sym, sym, source.span(pos, pos + len(sym)))
+                    Token(sym, sym, span(pos, pos + len(sym)))
                 )
                 pos += len(sym)
                 break
         else:
             err = LexError(
-                f"unexpected character {ch!r}", source.span(pos, pos + 1)
+                f"unexpected character {ch!r}", span(pos, pos + 1)
             ).attach_source(source)
             if reporter is None:
                 raise err
             reporter.error(err)
             pos += 1
-    tokens.append(Token("EOF", "", source.span(n, n)))
+    tokens.append(Token("EOF", "", span(n, n)))
     return tokens
 
 
@@ -177,7 +220,7 @@ def reference_front_end():
 
 def explicit(node):
     """``node`` with its spans spelled out: AST ``==`` ignores spans."""
-    if isinstance(node, Span):
+    if isinstance(node, (Span, RefSpan)):
         return ("Span", tuple(node.start), tuple(node.end), node.filename)
     if dataclasses.is_dataclass(node) and not isinstance(node, type):
         return (type(node).__name__,) + tuple(
