@@ -2,35 +2,29 @@
 
 After a benchmark session, :func:`pytest_sessionfinish` writes a versioned
 bench record (``BENCH_<tag>.json``, tag from ``$BENCH_TAG`` or today's
-date) at the repo root via :mod:`repro.observability.regress` — the same
-writer ``fg bench`` uses, so the two artifacts cannot drift.  The record
-holds per-benchmark wall-time statistics (from pytest-benchmark, when it
-ran), the daemon telemetry rows (``serve.warm_request`` traced vs.
-untraced plus ``serve.stats_request``, timed against a live pool-backed
-daemon), plus one instrumented ``check_source`` run of the Figure 5
-program:
+date) at the repo root via :mod:`repro.observability.regress`.  This
+session is the only producer of bench records, and it times nothing
+itself: every row comes from a pytest-benchmark test (median, IQR, mean,
+stddev, min and max, in seconds).  Rows timed with ``benchmark(...)`` get a warm-up
+only under ``--benchmark-warmup=on``, which the CI perf gate passes; the
+``pedantic`` rows set ``warmup_rounds`` themselves.  The record also
+holds one instrumented ``check_source`` run of the Figure 5 program:
 its metrics snapshot records what the pipeline *did* (model lookups,
 congruence work, eval steps), the profiler records where the time went,
 and the memory accountant records peak bytes per stage.  ``fg bench
---compare`` turns two such records into a regression verdict (the CI perf
-gate).
+--compare OLD NEW`` turns two such records into a regression verdict (the
+CI perf gate).
 
 Recursion headroom is scoped (``resource_scope``), never a module-level
 ``sys.setrecursionlimit`` — PR 1 removed every permanent limit bump.
 """
 
-import os
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-
-
-def _bench_tag() -> str:
-    return os.environ.get("BENCH_TAG") or time.strftime("%Y%m%d")
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +60,7 @@ def _benchmark_rows(session):
                 "stddev_s": stats.stddev,
                 "min_s": stats.min,
                 "max_s": stats.max,
+                "iqr_s": stats.iqr,
             })
         except Exception:  # noqa: BLE001 — stats shape varies by plugin
             continue
@@ -103,45 +98,17 @@ def _instrumented_snapshot():
     }
 
 
-def _serve_rows():
-    """Daemon telemetry rows (``serve.warm_request`` traced vs. untraced,
-    ``serve.stats_request``) so the committed record prices the PR-8
-    observability surface alongside the pytest-benchmark rows."""
-    from repro.observability.regress import serve_benchmark_rows
-
-    try:
-        return serve_benchmark_rows(rounds=3)
-    except Exception as err:  # noqa: BLE001 — sandboxes without AF_UNIX
-        print(f"benchmarks/conftest: serve rows skipped: {err}",
-              file=sys.stderr)
-        return []
-
-
-def _flightrec_rows():
-    """``flightrec.overhead`` vs ``flightrec.baseline_ring0``: the
-    always-on flight recorder priced against a ring-0 baseline, pinned
-    by the same perf gate as every other row."""
-    from repro.observability.regress import flightrec_benchmark_rows
-
-    try:
-        return flightrec_benchmark_rows(rounds=5)
-    except Exception as err:  # noqa: BLE001 — never fail the session
-        print(f"benchmarks/conftest: flightrec rows skipped: {err}",
-              file=sys.stderr)
-        return []
-
-
 def pytest_sessionfinish(session, exitstatus):
     from repro.observability.regress import (
-        build_record, record_path, write_record,
+        build_record, default_tag, record_path, write_record,
     )
 
-    tag = _bench_tag()
+    tag = default_tag()
     try:
         snapshot = _instrumented_snapshot()
         record = build_record(
             tag,
-            _benchmark_rows(session) + _serve_rows() + _flightrec_rows(),
+            _benchmark_rows(session),
             metrics=snapshot["metrics"],
             profile=snapshot["profile"],
             memory_peak_kb=snapshot["memory_peak_kb"],

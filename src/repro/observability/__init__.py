@@ -23,8 +23,8 @@ the machinery observable without touching its semantics:
 - :class:`MemoryAccountant` — per-pipeline-stage peak-memory accounting
   via ``tracemalloc``;
 - :mod:`regress <repro.observability.regress>` — the versioned
-  ``BenchRecord`` run-record schema and the ``fg bench --compare``
-  trajectory gate;
+  ``BenchRecord`` run-record schema (written by the ``pytest benchmarks``
+  session) and the ``fg bench --compare OLD NEW`` trajectory gate;
 - :class:`Instrumentation` — the bundle the pipeline threads through the
   stack, with :data:`NULL_INSTRUMENTATION` as the near-free disabled
   default (null-object pattern; see docs/OBSERVABILITY.md);

@@ -8,8 +8,8 @@ Subcommands::
     fg verify FILE       run the executable Theorem 1/2 check
     fg runf FILE         typecheck and evaluate a *System F* program
     fg profile FILE      hot-path profile + per-stage peak memory for a run
-    fg bench             run the built-in benchmark suite; write/compare
-                         versioned BENCH_<tag>.json records
+    fg bench             compare two versioned BENCH_<tag>.json records
+                         (the CI perf gate)
     fg batch FILES...    check many files under the fault-isolated batch
                          service: worker pool, deadlines, retries,
                          crash containment, quarantine
@@ -50,10 +50,11 @@ entries, ship them back in the result frame, and the coordinator stitches
 them into one merged clock-normalized trace (one Chrome pid lane per
 worker process).
 
-``fg bench`` writes a versioned run record (benchmark medians, metrics,
-profile, memory — ``BENCH_<tag>.json``) and ``fg bench --compare OLD.json
-[NEW.json]`` renders a verdict table (ok/regressed/improved/new/missing),
-exiting 1 on regression — the CI perf gate.
+``pytest benchmarks`` writes a versioned run record (benchmark medians and
+IQRs, metrics, profile, memory — ``BENCH_<tag>.json``) and ``fg bench
+--compare OLD NEW`` renders a verdict table for two records
+(ok/regressed/improved/new/missing), exiting 1 on regression — the CI perf
+gate.
 
 ``fg batch`` (see docs/DIAGNOSTICS.md for the report schema) runs many
 checks under ``repro.service``: ``--jobs N`` workers, ``--deadline-ms T``
@@ -409,71 +410,24 @@ def _run_runf(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """``fg bench``: run/record the built-in suite and gate on trajectory."""
-    from pathlib import Path
-
+    """``fg bench --compare OLD NEW``: the bench-trajectory gate."""
     from repro.observability import regress
 
-    compare = args.compare or []
-    if len(compare) > 2:
-        print("fg bench: --compare takes at most two records "
-              "(OLD.json [NEW.json])", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        old = regress.load_record(compare[0]) if compare else None
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"fg bench: cannot load {compare[0]}: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if len(compare) == 2:
-        # Pure file-vs-file comparison: no benchmarks run.
+    records = []
+    for path in args.compare:
         try:
-            new = regress.load_record(compare[1])
+            records.append(regress.load_record(path))
         except (OSError, ValueError, json.JSONDecodeError) as err:
-            print(f"fg bench: cannot load {compare[1]}: {err}",
-                  file=sys.stderr)
+            print(f"fg bench: cannot load {path}: {err}", file=sys.stderr)
             return EXIT_USAGE
-        comparison = regress.compare_records(
-            old, new, threshold=args.threshold
-        )
-        if args.json:
-            print(json.dumps(comparison.to_json(), indent=2))
-        else:
-            print(comparison.render())
-        return comparison.exit_code
-
-    tag = args.tag or regress.default_tag()
-    progress = None if args.json else (
-        lambda msg: print(f"-- {msg}", file=sys.stderr)
+    comparison = regress.compare_records(
+        *records, threshold=args.threshold
     )
-    rows, instrumented = regress.run_bench_suite(
-        rounds=args.rounds, fuzz_mutants=args.fuzz_mutants,
-        isolation_rounds=args.isolation_rounds,
-        progress=progress,
-    )
-    record = regress.build_record(tag, rows, **instrumented)
-    out_path = Path(args.out) if args.out else \
-        regress.record_path(tag, Path.cwd())
-    regress.write_record(record, out_path)
-
-    payload = {"record": str(out_path), "tag": tag, "benchmarks": rows}
-    comparison = None
-    if old is not None:
-        comparison = regress.compare_records(
-            old, record, threshold=args.threshold
-        )
-        payload["comparison"] = comparison.to_json()
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(comparison.to_json(), indent=2))
     else:
-        print(f"-- wrote {out_path}")
-        for row in rows:
-            median = row.get("median_s")
-            rendered = f"{median * 1e3:.3f}ms" if median else "-"
-            print(f"   {row['name']:<42} median {rendered}")
-        if comparison is not None:
-            print(comparison.render())
-    return comparison.exit_code if comparison is not None else EXIT_OK
+        print(comparison.render())
+    return comparison.exit_code
 
 
 def _collect_batch_files(paths) -> list:
@@ -1150,16 +1104,16 @@ def main(argv=None) -> int:
     sub.add_parser("repl", help="start an interactive F_G session")
     bench = sub.add_parser(
         "bench",
-        help="run the built-in benchmark suite, write a versioned "
-        "BENCH_<tag>.json record, and/or compare records (perf gate)",
+        help="compare two versioned BENCH_<tag>.json records (the CI "
+        "perf gate); 'pytest benchmarks' writes them",
     )
     bench.add_argument(
         "--compare",
-        nargs="+",
-        metavar="RECORD",
-        help="compare against RECORD (runs the suite first), or compare "
-        "two records OLD.json NEW.json without running; exits 1 on "
-        "regression",
+        nargs=2,
+        required=True,
+        metavar=("OLD", "NEW"),
+        help="pair the two records' rows by name and print a verdict "
+        "table; exits 1 on regression",
     )
     bench.add_argument(
         "--threshold",
@@ -1169,31 +1123,8 @@ def main(argv=None) -> int:
         help="regression threshold as a median ratio (default 1.5)",
     )
     bench.add_argument(
-        "--rounds", type=int, default=5, metavar="N",
-        help="timing rounds per benchmark (default 5)",
-    )
-    bench.add_argument(
-        "--fuzz-mutants", type=int, default=25, metavar="N",
-        help="mutants for the fuzz-throughput benchmark (default 25; "
-        "0 disables it)",
-    )
-    bench.add_argument(
-        "--isolation-rounds", type=int, default=2, metavar="N",
-        help="rounds for the pool-isolated batch and warm-daemon rows "
-        "over examples/fg (default 2; 0 skips them — they spawn real "
-        "worker processes)",
-    )
-    bench.add_argument(
-        "--tag", default=None,
-        help="record tag (default: $BENCH_TAG, else today's date)",
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="record output path (default BENCH_<tag>.json in the cwd)",
-    )
-    bench.add_argument(
         "--json", action="store_true",
-        help="emit the record summary and verdict table as JSON",
+        help="emit the verdict table as JSON",
     )
     batch = sub.add_parser(
         "batch",

@@ -131,21 +131,6 @@ class TestComparator:
         assert [r.name for r in comparison.rows] == ["check"]
 
 
-class TestFuzzRow:
-    def test_run_fuzz_timing_feeds_record(self):
-        from repro.testing import run_fuzz
-
-        stats = run_fuzz(mutants=6, seed=0, verify=False)
-        timing = stats["timing"]
-        assert timing["total_s"] > 0
-        assert timing["iter_min_s"] <= timing["iter_median_s"] \
-            <= timing["iter_max_s"]
-        row = regress.fuzz_benchmark_row(stats)
-        assert row["name"] == "fuzz.iteration"
-        assert row["rounds"] == 6
-        assert row["median_s"] == timing["iter_median_s"]
-
-
 class TestCliGate:
     """Acceptance: exit 0 on identical records, 1 past threshold, JSON
     round-trips the verdict table."""
@@ -197,49 +182,21 @@ class TestCliGate:
         assert main(["bench", "--compare", missing, missing]) == EXIT_USAGE
         assert "cannot load" in capsys.readouterr().err
 
-    def test_too_many_compare_args_is_usage_error(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _record("a", {"x": 0.01}))
-        assert main(["bench", "--compare", a, a, a]) == EXIT_USAGE
-        capsys.readouterr()
-
-    def test_bench_run_writes_record_and_compares(self, tmp_path, capsys,
+    def test_too_many_compare_args_is_usage_error(self, tmp_path, capsys,
                                                   monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main([
-            "bench", "--rounds", "1", "--fuzz-mutants", "0",
-            "--isolation-rounds", "0", "--tag", "t1", "--json",
-        ])
-        assert code == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        record_file = tmp_path / "BENCH_t1.json"
-        assert record_file.exists()
-        assert payload["tag"] == "t1"
-        record = regress.load_record(record_file)
-        names = {row["name"] for row in record["benchmarks"]}
-        assert "check.fig5_accumulate" in names
-        assert "congruence.same_type_chain" in names
-        assert record["profile"]["hotspots"]
-        assert {"parse", "check"} <= set(record["memory_peak_kb"])
-        # Second run compared against the first: identical machine,
-        # generous threshold — but all we assert structurally is that a
-        # comparison is produced with every benchmark paired.
-        code = main([
-            "bench", "--rounds", "1", "--fuzz-mutants", "0",
-            "--isolation-rounds", "0", "--tag", "t2",
-            "--compare", str(record_file), "--threshold", "1000",
-        ])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "bench trajectory: t1 -> t2" in out
-        assert (tmp_path / "BENCH_t2.json").exists()
+        # --compare takes exactly OLD and NEW: no records, one record and
+        # three records are all usage errors, and nothing is loaded.
+        a = self._write(tmp_path, "a.json", _record("a", {"x": 0.01}))
 
+        def refuse(path):
+            raise AssertionError(f"loaded {path}")
 
-@pytest.mark.slow
-class TestIsolationBenchmark:
-    def test_rows_ride_the_regression_gate_shape(self):
-        rows = regress.isolation_benchmark_rows(rounds=1)
-        for row in rows:
-            assert row["group"] == "isolation"
-            assert isinstance(row["median_s"], float)
-            record = regress.build_record("t", rows)
-            assert regress.compare_records(record, record).ok
+        monkeypatch.setattr(regress, "load_record", refuse)
+        for argv in (["bench"], ["bench", "--compare", a],
+                     ["bench", "--compare", a, a, a]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "usage:" in captured.err, argv
