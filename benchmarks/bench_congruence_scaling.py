@@ -4,14 +4,18 @@ The paper leans on Nelson & Oppen's O(n log n) congruence closure for type
 equality.  This bench sweeps the number of merged equalities (up to 10^5),
 the depth of type terms and the number of nested where clauses checked
 through the F_G checker, asserting near-linear growth (the 'shape':
-quadrupling the input should cost far less than 16 times the time).
+quadrupling the input should cost far less than 16 times the time).  One
+row times a whole ``check_source`` of a program with no same-type
+constraint in scope, where representatives need no solver.
 """
 
 import pytest
 
+from bench_fig7_dictionaries import refinement_chain
 from repro.fg import ast as G
 from repro.fg import typecheck
 from repro.fg.congruence import CongruenceSolver
+from repro.pipeline import check_source
 from repro.syntax import parse_fg
 
 
@@ -99,6 +103,16 @@ class TestMergeScaling:
         term = parse_fg(_nested_where(k))
         fg_type, _ = benchmark(typecheck, term)
         assert fg_type == G.INT
+
+
+class TestRepresentativeQueries:
+    def test_check_source_refinement_chain(self, benchmark):
+        # Figure 7: a refinement chain of depth 8 and 50 member accesses.
+        # No scope holds an equality, so every representative the
+        # translation asks for is answered without a solver.
+        text = refinement_chain(8, calls=50)
+        out = benchmark(check_source, text, "refinement.fg")
+        assert out.ok and out.type_ == G.INT
 
 
 class TestNearLinearShape:

@@ -38,8 +38,8 @@ from repro.diagnostics.source import Span
 # congruence closure assumes (Nelson-Oppen, paper section 5).  The table
 # holds its types weakly; an entry goes when the last reference to its type
 # does.  Each type also records, when built, whether the recovery poison
-# occurs in it (``contains_error``) and its free type variables
-# (``free_vars``).
+# occurs in it (``contains_error``), whether a ``forall`` type does
+# (``contains_forall``) and its free type variables (``free_vars``).
 
 class _Entry(weakref.ref):
     """A table entry: a weak reference that knows its key."""
@@ -70,7 +70,8 @@ def _lookup(key: tuple) -> Optional["FGType"]:
     return ref() if ref is not None else None
 
 
-def _intern(key: tuple, contains_error: bool, free_vars: FrozenSet[str]):
+def _intern(key: tuple, contains_error: bool, contains_forall: bool,
+            free_vars: FrozenSet[str]):
     """Build the type ``key`` describes and enter it in the table, unless
     another thread entered it since :func:`_lookup` missed."""
     with _LOCK:
@@ -81,6 +82,7 @@ def _intern(key: tuple, contains_error: bool, free_vars: FrozenSet[str]):
             for name, value in zip(cls._fields, key[1:]):
                 _set(t, name, value)
             _set(t, "contains_error", contains_error)
+            _set(t, "contains_forall", contains_forall)
             _set(t, "free_vars", free_vars)
             entry = _Entry(t, _forget)
             entry.key = key
@@ -88,20 +90,23 @@ def _intern(key: tuple, contains_error: bool, free_vars: FrozenSet[str]):
     return t
 
 
-def _join(types) -> Tuple[bool, FrozenSet[str]]:
-    """``(contains_error, free_vars)`` of a type built from ``types``."""
-    error, free = False, _EMPTY
+def _join(types) -> Tuple[bool, bool, FrozenSet[str]]:
+    """``(contains_error, contains_forall, free_vars)`` of a type built
+    from ``types``."""
+    error, forall, free = False, False, _EMPTY
     for t in types:
         error = error or t.contains_error
+        forall = forall or t.contains_forall
         if t.free_vars and t.free_vars is not free:
             free = free | t.free_vars if free else t.free_vars
-    return error, free
+    return error, forall, free
 
 
 class FGType:
     """Base class of F_G types (hash-consed, immutable)."""
 
-    __slots__ = ("contains_error", "free_vars", "__weakref__")
+    __slots__ = ("contains_error", "contains_forall", "free_vars",
+                 "__weakref__")
     #: Field names, in constructor order.
     _fields: Tuple[str, ...] = ()
 
@@ -128,7 +133,7 @@ class TVar(FGType):
 
     def __new__(cls, name: str) -> "TVar":
         key = (cls, name)
-        return _lookup(key) or _intern(key, False, frozenset((name,)))
+        return _lookup(key) or _intern(key, False, False, frozenset((name,)))
 
     def __str__(self) -> str:
         return self.name
@@ -141,7 +146,7 @@ class TBase(FGType):
 
     def __new__(cls, name: str) -> "TBase":
         key = (cls, name)
-        return _lookup(key) or _intern(key, False, _EMPTY)
+        return _lookup(key) or _intern(key, False, False, _EMPTY)
 
     def __str__(self) -> str:
         return self.name
@@ -166,7 +171,7 @@ class ErrorType(FGType):
 
     def __new__(cls) -> "ErrorType":
         key = (cls,)
-        return _lookup(key) or _intern(key, True, _EMPTY)
+        return _lookup(key) or _intern(key, True, False, _EMPTY)
 
     def __str__(self) -> str:
         return "<error>"
@@ -183,7 +188,8 @@ class TList(FGType):
 
     def __new__(cls, elem: FGType) -> "TList":
         key = (cls, elem)
-        return _lookup(key) or _intern(key, elem.contains_error, elem.free_vars)
+        return _lookup(key) or _intern(
+            key, elem.contains_error, elem.contains_forall, elem.free_vars)
 
     def __str__(self) -> str:
         return f"list {self.elem}"
@@ -248,7 +254,8 @@ class SameType:
 class TForall(FGType):
     """``forall t1..tn where c<taus>, ...; tau == tau', ... . t`` (Figs. 4, 11)."""
 
-    __slots__ = _fields = ("vars", "requirements", "same_types", "body")
+    _fields = ("vars", "requirements", "same_types", "body")
+    __slots__ = _fields + ("_alpha_key",)
 
     def __new__(
         cls,
@@ -263,11 +270,35 @@ class TForall(FGType):
             parts = [body, *key[2]]
             for s in key[3]:
                 parts += (s.left, s.right)
-            error, free = _join(parts)
+            error, _, free = _join(parts)
             if not free.isdisjoint(key[1]):
                 free = free - frozenset(key[1])
-            t = _intern(key, error, free)
+            t = _intern(key, error, True, free)
         return t
+
+    @property
+    def alpha_key(self) -> str:
+        """An alpha-canonical string for this type: the type printed with
+        its binders renamed ``@0``, ``@1``, ... in order, so alpha-variants
+        share it.  The congruence solver keys ``forall`` constants by it.
+
+        Computed on first read and kept on the type; threads that race
+        store the same string.
+        """
+        key = getattr(self, "_alpha_key", None)
+        if key is None:
+            renaming = {v: TVar(f"@{i}") for i, v in enumerate(self.vars)}
+            body = substitute(self.body, renaming)
+            reqs = tuple(substitute(r, renaming) for r in self.requirements)
+            sames = tuple(
+                SameType(substitute(s.left, renaming),
+                         substitute(s.right, renaming))
+                for s in self.same_types
+            )
+            key = str(TForall(tuple(f"@{i}" for i in range(len(self.vars))),
+                              reqs, sames, body))
+            _set(self, "_alpha_key", key)
+        return key
 
     def __str__(self) -> str:
         clauses = [str(r) for r in self.requirements]

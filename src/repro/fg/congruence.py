@@ -11,9 +11,9 @@ function symbols and cites the Nelson-Oppen congruence-closure algorithm
   their component types;
 - type variables and base types are constants;
 - ``forall`` types are interned as opaque constants keyed by an
-  alpha-canonical form (equalities never look under binders — a conservative
-  choice the paper shares, since its constraints range over first-order type
-  expressions).
+  alpha-canonical form (:attr:`~repro.fg.ast.TForall.alpha_key`; equalities
+  never look under binders — a conservative choice the paper shares, since
+  its constraints range over first-order type expressions).
 
 The solver also *externalizes* canonical representatives: the translation to
 System F must print one representative per equivalence class (paper 5.2:
@@ -78,9 +78,11 @@ class CongruenceSolver:
         # ones were interned by queries since the last merge.
         self._settled = 0
         self._equalities: List[Tuple[G.FGType, G.FGType]] = []
-        # Memoized representatives, cleared by every merge: interning alone
-        # only adds singleton classes, so no memoized class can change.
+        # Memoized representatives, and the extraction of each class root,
+        # both cleared by every merge: interning alone only adds singleton
+        # classes, so no memoized class can change.
         self._reps: Dict[G.FGType, G.FGType] = {}
+        self._extracted: Dict[int, tuple] = {}
         # Set once an ``("error",)`` node exists; until then no class can
         # hold the recovery poison.
         self._poisoned = False
@@ -153,6 +155,7 @@ class CongruenceSolver:
         metrics = self._metrics
         self._equalities.append((a, b))
         self._reps.clear()
+        self._extracted.clear()
         worklist = [(self.intern(a), self.intern(b))]
         while worklist:
             x, y = worklist.pop()
@@ -214,40 +217,45 @@ class CongruenceSolver:
         """
         rep = self._reps.get(t)
         if rep is None:
-            rep = self._externalize(self._find(self.intern(t)), {})
-            if rep is None:
+            best = self._extract(self._find(self.intern(t)), _Walk())
+            if best is None:
                 raise TypeError_(f"cyclic type equality involving {t}")
-            self._reps[t] = rep
+            rep = self._reps[t] = best[1]
         return rep
 
-    def _externalize(
-        self, root: int, in_progress: Dict[int, bool]
-    ) -> Optional[G.FGType]:
-        result = self._extract(root, in_progress)
-        return result[1] if result is not None else None
+    def _extract(self, root: int, walk: "_Walk"):
+        """Best (cost, type) for a class root, or ``None`` on a cycle.
 
-    def _extract(self, root: int, in_progress: Dict[int, bool]):
-        """Best (cost, type) for a class root, or ``None`` on a cycle."""
-        if in_progress.get(root):
+        A result is memoized for the class only when its computation cut no
+        cycle: only then is it the same whichever classes were in progress
+        around it.  A ``None`` always comes from a cut.
+        """
+        best = self._extracted.get(root)
+        if best is not None:
+            return best
+        if root in walk.active:
+            walk.cuts += 1
             return None
-        in_progress[root] = True
-        best = None
+        walk.active.add(root)
+        cuts = walk.cuts
         for node in sorted(self._members[root]):
-            entry = self._extract_node(node, in_progress)
+            entry = self._extract_node(node, walk)
             if entry is None:
                 continue
             if best is None or entry[0] < best[0]:
                 best = entry
-        in_progress[root] = False
+        walk.active.discard(root)
+        if walk.cuts == cuts:
+            self._extracted[root] = best
         return best
 
-    def _extract_node(self, node: int, in_progress: Dict[int, bool]):
+    def _extract_node(self, node: int, walk: "_Walk"):
         label = self._labels[node]
         kind = label[0]
         child_results = []
         cost = _label_cost(kind)
         for child in self._children[node]:
-            sub = self._extract(self._find(child), in_progress)
+            sub = self._extract(self._find(child), walk)
             if sub is None:
                 return None
             cost += sub[0]
@@ -313,6 +321,17 @@ class CongruenceSolver:
         return child
 
 
+class _Walk:
+    """One representative extraction: the class roots in progress and how
+    many cycles it has cut."""
+
+    __slots__ = ("active", "cuts")
+
+    def __init__(self):
+        self.active = set()
+        self.cuts = 0
+
+
 def _label_cost(kind: str) -> float:
     if kind == "assoc":
         return _COST_ASSOC
@@ -336,7 +355,7 @@ def _decompose(t: G.FGType):
     if isinstance(t, G.TAssoc):
         return (("assoc", t.concept, t.member, len(t.args)), tuple(t.args), None)
     if isinstance(t, G.TForall):
-        return (("forall", _canonical_forall(t)), (), t)
+        return (("forall", t.alpha_key), (), t)
     if isinstance(t, G.ConceptReq):
         return (("req", t.concept, len(t.args)), tuple(t.args), None)
     if isinstance(t, G.ErrorType):
@@ -369,19 +388,6 @@ def _recompose(label: tuple, children: List[G.FGType], opaque) -> G.FGType:
     if kind == "error":
         return G.ERROR
     raise AssertionError(f"unknown label: {label!r}")
-
-
-def _canonical_forall(t: G.TForall) -> str:
-    """An alpha-canonical string for a forall type (de Bruijn binder names)."""
-    renaming = {v: G.TVar(f"@{i}") for i, v in enumerate(t.vars)}
-    body = G.substitute(t.body, renaming)
-    reqs = tuple(G.substitute(r, renaming) for r in t.requirements)
-    sames = tuple(
-        G.SameType(G.substitute(s.left, renaming), G.substitute(s.right, renaming))
-        for s in t.same_types
-    )
-    canon = G.TForall(tuple(f"@{i}" for i in range(len(t.vars))), reqs, sames, body)
-    return str(canon)
 
 
 def solver_for_equalities(

@@ -140,8 +140,14 @@ class Checker:
         return self._solvers.solver(env)
 
     def rep(self, t: G.FGType, env: Env) -> G.FGType:
-        """The canonical representative of ``t`` under ``env``'s equalities."""
-        if t is G.ERROR:
+        """The canonical representative of ``t`` under ``env``'s equalities.
+
+        With no equalities every class is a singleton, so a type without a
+        ``forall`` in it represents itself: extraction would rebuild the
+        same hash-consed object.  A ``forall`` type still asks the solver,
+        which answers an alpha-variant with the variant it met first.
+        """
+        if t is G.ERROR or not (env.equalities or t.contains_forall):
             return t
         return self.solver(env).representative(t)
 

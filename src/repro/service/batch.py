@@ -191,11 +191,14 @@ def check_batch(
     if memory_hit:
         # Memory-budget trips get their own bundle kind so doctor triage
         # can distinguish "the governor contained an OOM" from a crash.
+        # A borrowed pool's workers run under the pool's budget.
         from repro.observability import flightrec
 
+        budget = (pool.policy if pool is not None and policy.isolate == "pool"
+                  else policy)
         flightrec.dump("memory", {
             "files": [o.file for o in memory_hit],
-            "max_worker_mem_mb": policy.max_worker_mem_mb,
+            "max_worker_mem_mb": budget.max_worker_mem_mb,
         }, context={
             "policy": policy.to_json(),
             "pool": pool_stats.to_json() if pool_stats is not None else None,

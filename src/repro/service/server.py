@@ -29,7 +29,9 @@ started; the journal records a ``cancel``).
 server's configured deadline and the request's — computed once at
 admission from static values, so the policy echo in the report (and hence
 the canonical digest) is identical whether the request runs immediately,
-queued, or replayed after a crash.
+queued, or replayed after a crash.  Overrides of the fields that shape
+the pool's processes (:data:`POOL_SPAWN_FIELDS`) are refused: the pool
+spawns every worker under the server's policy.
 
 **Graceful drain.**  SIGTERM/SIGINT set a flag through
 :func:`~repro.service.signals.notify_on_termination` and poke the
@@ -204,6 +206,13 @@ class _Request:
         self.resumed = resumed
 
 
+#: Policy fields a request may not override: the daemon's pool spawns
+#: (and respawns) every worker under the server's policy, so a request's
+#: value would shape nothing, yet would be echoed in its report as if
+#: applied.
+POOL_SPAWN_FIELDS = ("pool_workers", "heartbeat_ms", "max_worker_mem_mb")
+
+
 def resolve_policy(
     base: BatchPolicy, overrides: Optional[Dict[str, object]]
 ) -> Tuple[BatchPolicy, Dict[str, object]]:
@@ -212,13 +221,20 @@ def resolve_policy(
     Overrides are applied field-wise on top of the base policy's echo,
     except ``deadline_ms``, which composes as the *minimum* when both
     sides set one — a client can only tighten the server's deadline,
-    never escape it.  Returns the resolved policy and its echo (which is
-    what the journal ``begin`` record stores).
+    never escape it.  An override of a :data:`POOL_SPAWN_FIELDS` field is
+    refused.  Returns the resolved policy and its echo (which is what the
+    journal ``begin`` record stores).
     """
     blob = base.to_json()
     if overrides:
         if not isinstance(overrides, dict):
             raise ValueError("policy overrides must be an object")
+        for name in POOL_SPAWN_FIELDS:
+            if name in overrides:
+                raise ValueError(
+                    f"{name} cannot be overridden per request: the pool "
+                    "spawns its workers under the server's policy"
+                )
         if overrides.get("isolate", "pool") not in ISOLATION_MODES:
             # from_json reads a journal's legacy "subprocess" as "pool";
             # a live request naming a retired mode is refused instead.

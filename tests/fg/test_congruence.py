@@ -174,7 +174,7 @@ class TestRepresentatives:
         # Stand in an extraction that finds no finite member: every call
         # must raise, and a later successful extraction is not shadowed.
         s = CongruenceSolver()
-        monkeypatch.setattr(s, "_externalize", lambda root, in_progress: None)
+        monkeypatch.setattr(s, "_extract", lambda root, walk: None)
         for _ in range(2):
             with pytest.raises(TypeError_, match="cyclic type equality"):
                 s.representative(A)

@@ -1,16 +1,20 @@
 """Type equality with its shortcuts answers exactly as the full solver did.
 
 The reference below is type equality as it was before ``Checker.equal``
-took its reflexive shortcut and ``CongruenceSolver`` memoized
-representatives: :class:`RefSolver` re-interns every query and re-extracts
-every representative, :func:`ref_equal` always builds and asks a solver,
-and :func:`ref_cache_solver` finds a cached solver by hashing the whole
+took its reflexive shortcut, ``Checker.rep`` its no-equality shortcut, and
+``CongruenceSolver`` memoized representatives and class extractions:
+:class:`RefSolver` re-interns every query, re-extracts every class and
+keys every ``forall`` by a freshly printed alpha-canonical form,
+:func:`ref_equal` and :func:`ref_rep` always build and ask a solver, and
+:func:`ref_cache_solver` finds a cached solver by hashing the whole
 equality tuple.  For each input the test compares
 
 - solver answers (``equal``, ``representative``, ``class_contains_error``
   and any ``TypeError_`` a cyclic class raises) over operation sequences
-  that interleave merges with queries, so a representative memoized before
-  a merge would show;
+  that interleave merges with queries, so a representative or a class
+  extraction memoized before a merge would show.  The sequences include
+  cyclic classes (``a == list a``, ``a == list b`` with ``b == list a``)
+  and alpha-variant ``forall`` types;
 - the same answers from a solver built by ``CongruenceSolver.extend`` on a
   parent (and grandparent) that already answered queries, against a
   replay of all the equalities, so a node a parent interned for a query
@@ -25,10 +29,15 @@ equality tuple.  For each input the test compares
 **What the shortcuts may change.**  Both concern terms the solver does not
 intern any more, and neither reaches a checker's output:
 
-- the node budget: ``Checker.equal(a, a)`` no longer interns ``a``.  The
-  corpus runs under the default budget, and ``tests/fg/test_limits.py`` pins
-  that an over-budget equality set still ends in a ``limit="congruence"``
-  diagnostic;
+- the node budget: ``Checker.equal(a, a)`` no longer interns ``a``, and
+  ``Checker.rep(t, env)`` interns nothing when ``env`` has no equalities
+  and ``t`` has no ``forall`` in it.  The corpus runs under the default
+  budget, and ``tests/fg/test_limits.py`` pins that an over-budget
+  equality set still ends in a ``limit="congruence"`` diagnostic.  Node
+  ages do not move: a scope without equalities never merges, so its
+  solver's classes stay singletons, and a child scope's solver copies only
+  nodes that merges interned.  ``forall`` types, the only ones whose
+  answer depends on which variant came first, still ask the solver;
 - node age: while no poison node exists, ``class_contains_error(t)`` does not
   intern ``t``.  A representative breaks cost ties by node age, so a later
   merge of a never-interned ``t`` may pick another class member than the
@@ -318,6 +327,13 @@ def _contains_error(t: G.FGType) -> bool:
     return False
 
 
+def ref_rep(self: Checker, t: G.FGType, env: Env) -> G.FGType:
+    """``Checker.rep`` without the no-equality shortcut."""
+    if t is G.ERROR:
+        return t
+    return self.solver(env).representative(t)
+
+
 def ref_equal(self: Checker, a: G.FGType, b: G.FGType, env: Env) -> bool:
     """``Checker.equal`` without the reflexive shortcut."""
     if _contains_error(a) or _contains_error(b):
@@ -330,21 +346,23 @@ def ref_equal(self: Checker, a: G.FGType, b: G.FGType, env: Env) -> bool:
 
 @contextmanager
 def reference_equality():
-    """Checkers built inside use the reference solver, cache and ``equal``.
+    """Checkers built inside use the reference solver, cache, ``equal``
+    and ``rep``.
 
     The prelude contexts are dropped on entry and exit, so the prelude is
     re-checked by whichever equality is in force.
     """
-    saved = (SolverCache.solver, Checker.equal,
+    saved = (SolverCache.solver, Checker.equal, Checker.rep,
              congruence.solver_for_equalities)
     SolverCache.solver = ref_cache_solver
     Checker.equal = ref_equal
+    Checker.rep = ref_rep
     congruence.solver_for_equalities = ref_solver_for_equalities
     prelude_context._CONTEXTS.clear()
     try:
         yield
     finally:
-        (SolverCache.solver, Checker.equal,
+        (SolverCache.solver, Checker.equal, Checker.rep,
          congruence.solver_for_equalities) = saved
         prelude_context._CONTEXTS.clear()
 
@@ -363,11 +381,22 @@ def poison(t: G.FGType) -> G.FGType:
     return G.TFn((t,), G.ERROR)
 
 
+def identity_forall(binder: str, result: G.FGType) -> G.TForall:
+    """``forall binder. fn(binder) -> result``: the same ``result`` under
+    another binder is an alpha-variant."""
+    return G.TForall((binder,), (), (), G.TFn((G.TVar(binder),), result))
+
+
 #: Bare leaves recur across one sequence, so later merges meet terms that
 #: earlier queries interned.
 _LEAVES = [G.TVar(n) for n in "abcde"] + [G.INT, G.BOOL, G.ERROR]
 _leaves = st.sampled_from(_LEAVES)
-_terms = st.one_of(_leaves, _types(), _types().map(poison))
+#: Alpha-variants of a few ``forall`` types, alone and under a constructor:
+#: each resolves to the variant its solver interned first.
+_variants = st.builds(identity_forall, st.sampled_from("uvw"),
+                      st.sampled_from([G.INT, G.TVar("a"), G.TVar("u")]))
+_foralls = st.one_of(_variants, _variants.map(G.TList))
+_terms = st.one_of(_leaves, _types(), _types().map(poison), _foralls)
 _pairs = st.tuples(_terms, _terms)
 _ops = st.lists(
     st.one_of(
@@ -381,17 +410,26 @@ _ops = st.lists(
 
 
 #: Few distinct small terms: classes grow by merges of terms that earlier
-#: queries interned, where node age decides representatives.
-_small = st.one_of(_leaves, _leaves.map(G.TList))
-_small_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("merge"), _small, _small),
-        st.tuples(st.just("equal"), _small, _small),
-        st.tuples(st.just("rep"), _small),
-        st.tuples(st.just("poison"), _small, _small),
-    ),
-    max_size=16,
+#: queries interned, where node age decides representatives.  A variable
+#: merged with a list of itself, or two variables each merged with a list
+#: of the other, make a cyclic class.
+_small = st.one_of(_leaves, _leaves.map(G.TList), _foralls)
+_VARS = _LEAVES[:5]
+_cycle = st.one_of(
+    st.sampled_from(_VARS).map(lambda v: [("merge", v, G.TList(v))]),
+    st.tuples(st.sampled_from(_VARS), st.sampled_from(_VARS)).map(
+        lambda p: [("merge", p[0], G.TList(p[1])),
+                   ("merge", p[1], G.TList(p[0]))]),
 )
+_small_op = st.one_of(
+    st.tuples(st.just("merge"), _small, _small).map(lambda op: [op]),
+    st.tuples(st.just("equal"), _small, _small).map(lambda op: [op]),
+    st.tuples(st.just("rep"), _small).map(lambda op: [op]),
+    st.tuples(st.just("poison"), _small, _small).map(lambda op: [op]),
+    _cycle,
+)
+_small_ops = st.lists(_small_op, max_size=12).map(
+    lambda groups: [op for group in groups for op in group])
 
 
 def run_ops(solver, ops):
@@ -443,6 +481,35 @@ def test_memo_is_dropped_on_merge():
         solver.merge(a, G.INT)
     assert got.representative(G.TList(a)) == want.representative(G.TList(a))
     assert got.representative(G.TList(a)) == G.TList(G.INT)
+
+
+def test_cut_extraction_is_not_memoized():
+    # a == int, a == list b, b == list a.  Asking for a's class extracts
+    # b's class with a's in progress, so b's cheapest member, list a, is
+    # cut there and b reads as b.  Asked on its own, b is list int.
+    a, b = G.TVar("a"), G.TVar("b")
+    got, want = CongruenceSolver(), RefSolver()
+    for solver in (got, want):
+        for left, right in ((a, G.INT), (a, G.TList(b)), (b, G.TList(a))):
+            solver.merge(left, right)
+        assert solver.representative(a) == G.INT
+    assert got.representative(b) == want.representative(b) == G.TList(G.INT)
+
+
+def test_extraction_is_shared_between_queries():
+    # Subterms of a representative answer from the class extractions the
+    # first query made; every answer matches the reference.
+    a, b = G.TVar("a"), G.TVar("b")
+    t = G.TFn((G.TList(a), b), G.TTuple((a, b)))
+    got, want = CongruenceSolver(), RefSolver()
+    for solver in (got, want):
+        solver.merge(a, G.INT)
+        solver.merge(b, G.TList(a))
+    rep = got.representative(t)
+    assert rep == want.representative(t)
+    assert got._extracted
+    for sub in (rep.params[0], rep.params[1], rep.result, G.TList(b)):
+        assert got.representative(sub) == want.representative(sub)
 
 
 def test_poison_flag_follows_a_merge():
@@ -545,9 +612,11 @@ def test_extension_through_the_solver_cache():
 
 @pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
                          ids=["core", "ext"])
-@given(eqs=st.lists(_pairs, max_size=6), queries=st.lists(_pairs, max_size=6))
-@settings(max_examples=100, deadline=None)
+@given(eqs=st.one_of(st.just([]), st.lists(_pairs, max_size=6)),
+       queries=st.lists(_pairs, max_size=6))
+@settings(max_examples=150, deadline=None)
 def test_checker_equal_and_rep(checker_cls, eqs, queries):
+    # An empty equality list takes ``Checker.rep``'s no-equality path.
     env = Env.initial().add_equalities(eqs)
 
     def answers():
@@ -561,6 +630,37 @@ def test_checker_equal_and_rep(checker_cls, eqs, queries):
     with reference_equality():
         want = answers()
     assert answers() == want
+
+
+@pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                         ids=["core", "ext"])
+def test_alpha_variant_without_equalities_resolves_to_the_first(checker_cls):
+    # No equalities in scope, yet a forall type still asks the solver: a
+    # later alpha-variant, alone or inside another type, resolves to the
+    # variant interned first.
+    first, later = identity_forall("u", G.INT), identity_forall("w", G.INT)
+    env = Env.initial()
+
+    def answers():
+        checker = checker_cls()
+        return [checker.rep(t, env) for t in
+                (first, later, G.TList(later), G.TFn((later,), G.INT))]
+
+    with reference_equality():
+        want = answers()
+    assert want == [first, first, G.TList(first), G.TFn((first,), G.INT)]
+    assert answers() == want
+
+
+def test_forall_free_types_without_equalities_skip_the_solver():
+    checker = Checker()
+    env = Env.initial()
+    t = G.TFn((G.TList(G.TVar("a")),), G.TAssoc("C", (G.INT,), "s"))
+    assert checker.rep(t, env) is t
+    assert checker._solvers._cache == {}
+    assert checker.rep(identity_forall("u", t), env) is identity_forall(
+        "u", t)
+    assert list(checker._solvers._cache) == [()]
 
 
 def test_reference_is_swapped_in():

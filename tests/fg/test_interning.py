@@ -6,7 +6,9 @@ way the checker builds types (constructors, the parser, ``substitute``, the
 solver's ``_recompose`` and the System F importer ``_sf_type_to_fg``), that
 copies and pickles come back as the interned object, that the flags a type
 stores agree with a walk of it, and that the table gives types back once
-the programs that built them are dropped.
+the programs that built them are dropped.  A ``forall`` type's
+``alpha_key`` is the string the congruence solver used to print afresh for
+every intern (:func:`~test_congruence_reference.ref_canonical_forall`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from repro.systemf import ast as F
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tests" / "properties"))
+sys.path.insert(0, str(ROOT / "tests" / "fg"))
 from test_congruence_properties import _types  # noqa: E402
+from test_congruence_reference import ref_canonical_forall  # noqa: E402
 
 
 def rebuild(t: G.FGType) -> G.FGType:
@@ -71,6 +75,11 @@ def walk_contains_error(t: G.FGType) -> bool:
     return any(map(walk_contains_error, children(t)))
 
 
+def walk_contains_forall(t: G.FGType) -> bool:
+    return isinstance(t, G.TForall) or any(
+        map(walk_contains_forall, children(t)))
+
+
 def walk_free_vars(t: G.FGType) -> frozenset:
     if isinstance(t, G.TVar):
         return frozenset((t.name,))
@@ -106,10 +115,33 @@ def _forall(body: G.FGType) -> G.TForall:
     )
 
 
+#: Every constructor, each able to hold a ``forall`` somewhere below it.
+_WRAPPERS = (
+    G.TList,
+    lambda t: G.TFn((G.INT, t), G.BOOL),
+    lambda t: G.TFn((), t),
+    lambda t: G.TTuple((t, G.TVar("a"))),
+    lambda t: G.TAssoc("C", (t,), "s"),
+    lambda t: G.ConceptReq("C", (G.INT, t)),
+    lambda t: G.TForall(("b",), (G.ConceptReq("C", (t,)),), (), G.INT),
+    lambda t: G.TForall(("b",), (), (G.SameType(G.TVar("b"), t),), G.INT),
+    _forall,
+)
+
+
+def _wrap(pair):
+    t, wrappers = pair
+    for wrap in wrappers:
+        t = _WRAPPERS[wrap](t)
+    return t
+
+
 _all_types = st.one_of(
     _types(),
     _types().map(_forall),
     _types().map(lambda t: G.TFn((t,), G.ERROR)),
+    st.tuples(_types(), st.lists(st.integers(0, len(_WRAPPERS) - 1),
+                                 max_size=3)).map(_wrap),
 )
 
 
@@ -199,6 +231,21 @@ def test_pickle_rebuilds_a_type_that_died_meanwhile():
     assert back is G.TList(G.TVar("only-in-this-pickle"))
 
 
+def test_a_rebuilt_forall_recomputes_its_flags_and_key():
+    def build():
+        v = G.TVar("only-in-this-pickle")
+        return G.TList(G.TForall(("x",), (), (),
+                                 G.TFn((G.TVar("x"),), v)))
+
+    data = pickle.dumps(build())
+    before = ref_canonical_forall(build().elem)
+    gc.collect()
+    back = pickle.loads(data)
+    assert back.contains_forall and not back.contains_error
+    assert back.elem.alpha_key == before
+    assert back.free_vars == frozenset(("only-in-this-pickle",))
+
+
 def test_types_are_immutable():
     t = G.TVar("a")
     with pytest.raises(AttributeError):
@@ -213,11 +260,54 @@ def test_types_are_immutable():
 # -- stored flags ---------------------------------------------------------------
 
 
+def assert_flags(t: G.FGType) -> None:
+    assert t.contains_error == walk_contains_error(t)
+    assert t.contains_forall == walk_contains_forall(t)
+    assert t.free_vars == walk_free_vars(t) == G.free_type_vars(t)
+
+
+@given(_all_types)
+@settings(max_examples=300, deadline=None)
+def test_stored_flags_agree_with_a_walk(t):
+    assert_flags(t)
+    for c in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert_flags(c)
+
+
+@given(_all_types, st.sampled_from("abcx"),
+       st.sampled_from([G.INT, G.ERROR, _forall(G.TVar("a")),
+                        G.TList(_forall(G.INT))]))
+@settings(max_examples=300, deadline=None)
+def test_flags_after_substitute_agree_with_a_walk(t, name, value):
+    assert_flags(G.substitute(t, {name: value}))
+
+
+def _foralls_in(t: G.FGType):
+    if isinstance(t, G.TForall):
+        yield t
+    for c in children(t):
+        yield from _foralls_in(c)
+
+
 @given(_all_types)
 @settings(max_examples=200, deadline=None)
-def test_stored_flags_agree_with_a_walk(t):
-    assert t.contains_error == walk_contains_error(t)
-    assert t.free_vars == walk_free_vars(t) == G.free_type_vars(t)
+def test_alpha_key_is_the_canonical_form(t):
+    for f in _foralls_in(t):
+        assert f.alpha_key == ref_canonical_forall(f)
+        # Read twice: the stored key.
+        assert f.alpha_key is f.alpha_key
+
+
+def test_alpha_variants_share_a_key():
+    a, b = G.TVar("a"), G.TVar("b")
+    left = G.TForall(("a",), (G.ConceptReq("C", (a,)),), (), G.TFn((a,), b))
+    right = G.TForall(("c",), (G.ConceptReq("C", (G.TVar("c"),)),), (),
+                      G.TFn((G.TVar("c"),), b))
+    assert left is not right
+    assert left.alpha_key == right.alpha_key == ref_canonical_forall(left)
+    # A free variable is not renamed: binding another one changes the key.
+    other = G.TForall(("b",), (G.ConceptReq("C", (b,)),), (), G.TFn((b,), b))
+    assert other.alpha_key != left.alpha_key
 
 
 # -- threads ------------------------------------------------------------------

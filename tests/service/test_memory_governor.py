@@ -109,6 +109,33 @@ class TestInProcessContainment:
         assert bundle["fault"]["detail"]["files"] == ["<mem1>"]
 
 
+@pytest.mark.slow
+def test_memory_bundle_reports_the_borrowed_pools_budget(tmp_path):
+    # A borrowed pool spawns its workers under its own policy, so the
+    # budget that tripped is the pool's, not the request's.
+    from repro.service.pool import PersistentPool
+
+    flightrec.configure(str(tmp_path))
+    try:
+        with PersistentPool(BatchPolicy(isolate="pool", pool_workers=1,
+                                        max_worker_mem_mb=512.0)) as pool:
+            report = check_batch(
+                GOOD, BatchPolicy(isolate="pool", max_worker_mem_mb=2048.0),
+                fault_schedule=MEMHOG_EVERY_ATTEMPT, pool=pool,
+            )
+    finally:
+        flightrec.configure(None)
+    assert report.files[1].status == "memory"
+    batch = [
+        bundle for bundle in map(read_bundle, flightrec.find_bundles(
+            str(tmp_path)))
+        if bundle["fault"]["kind"] == "memory"
+        and "files" in bundle["fault"]["detail"]
+    ]
+    assert len(batch) == 1
+    assert batch[0]["fault"]["detail"]["max_worker_mem_mb"] == 512.0
+
+
 class TestDigestParity:
     def test_canonical_bytes_ignore_the_governor_knobs(self):
         plain = check_batch(

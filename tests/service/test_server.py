@@ -143,6 +143,16 @@ def test_resolve_policy_rejects_unknown_keys_and_bad_shapes():
         resolve_policy(base, {"isolate": "subprocess"})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("pool_workers", 3), ("heartbeat_ms", 50.0), ("max_worker_mem_mb", 512.0),
+])
+def test_resolve_policy_refuses_what_the_pool_fixes(field, value):
+    # The pool spawns every worker under the server's policy: a request's
+    # value would shape nothing, yet be echoed (and digested) as applied.
+    with pytest.raises(ValueError, match=field):
+        resolve_policy(BatchPolicy(isolate="pool"), {field: value})
+
+
 # ---------------------------------------------------------------------------
 # The live daemon
 # ---------------------------------------------------------------------------
@@ -415,6 +425,14 @@ def test_malformed_requests_get_error_responses_not_death():
         ):
             response = roundtrip(daemon.socket_path, payload, timeout=10.0)
             assert response["type"] == "error", payload
+        for field, value in (("pool_workers", 3), ("heartbeat_ms", 50.0),
+                             ("max_worker_mem_mb", 512.0)):
+            response = roundtrip(daemon.socket_path, {
+                "type": "batch", "sources": [["a.fg", GOOD]],
+                "policy": {field: value},
+            }, timeout=10.0)
+            assert response["type"] == "error", field
+            assert field in response["message"], response
         # And the daemon is still alive and serving.
         assert health(daemon.socket_path)["status"] == "ok"
         after = check_remote(daemon.socket_path, [("good.fg", GOOD)],
@@ -462,6 +480,28 @@ def test_resume_only_reruns_unfinished_to_identical_digest(tmp_path):
     )).serve()
     assert again["resumed"] == {}
     assert again["served"] == 0
+
+
+@pytest.mark.slow
+def test_resume_replays_a_begin_record_that_overrode_the_pool(tmp_path):
+    # Daemons before admission refused them journaled requests whose echo
+    # carried pool_workers/heartbeat_ms/max_worker_mem_mb overrides.
+    # Replay reads the echo as written: it does not go through admission.
+    policy = BatchPolicy(isolate="pool", pool_workers=1)
+    old = dict(policy.to_json(), pool_workers=3, heartbeat_ms=50.0,
+               max_worker_mem_mb=512.0)
+    journal_path = str(tmp_path / "fg.journal")
+    with Journal(journal_path) as journal:
+        journal.append(begin_record(1, [("good.fg", GOOD)], old, None))
+    summary = Server(policy, ServeOptions(
+        socket_path=str(tmp_path / "unused.sock"),
+        journal_path=journal_path,
+        resume_only=True,
+    )).serve()
+    expected = report_digest(check_batch(
+        [("good.fg", GOOD)], BatchPolicy.from_json(old),
+    ).canonical_json())
+    assert summary["resumed"] == {"1": expected}
 
 
 @pytest.mark.slow
