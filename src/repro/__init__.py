@@ -30,15 +30,10 @@ Subpackages:
   parameterized models, member defaults, nested requirements).
 """
 
-from repro import prelude as _prelude
-from repro.fg import (
-    evaluate as _fg_evaluate,
-    translate as _fg_translate,
-    typecheck as _fg_typecheck,
-    verify_translation as _fg_verify,
-)
 from repro.fg.pretty import pretty_term as fg_pretty_term
 from repro.fg.pretty import pretty_type as fg_pretty_type
+from repro.fg.typecheck import Checker as _Checker
+from repro.prelude.context import context_for as _context_for
 from repro.syntax import parse_f, parse_fg
 from repro.systemf import evaluate as f_evaluate
 from repro.systemf import pretty_term as f_pretty_term
@@ -50,31 +45,22 @@ __version__ = "1.0.0"
 
 def fg_check(program: str, use_prelude: bool = False):
     """Typecheck an F_G source program; returns its F_G type."""
-    if use_prelude:
-        return _prelude.type_of(program)
-    fg_type, _ = _fg_typecheck(parse_fg(program))
-    return fg_type
+    return _context_for(_Checker, use_prelude).typecheck(program)[0]
 
 
 def fg_translate(program: str, use_prelude: bool = False):
     """Translate an F_G source program to a System F term."""
-    if use_prelude:
-        return _prelude.typecheck(program)[1]
-    return _fg_translate(parse_fg(program))
+    return _context_for(_Checker, use_prelude).typecheck(program)[1]
 
 
 def fg_run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate an F_G source program."""
-    if use_prelude:
-        return _prelude.run(program)
-    return _fg_evaluate(parse_fg(program))
+    return f_evaluate(fg_translate(program, use_prelude))
 
 
 def fg_verify(program: str, use_prelude: bool = False):
     """Run the executable Theorem 1/2 check on an F_G source program."""
-    if use_prelude:
-        return _prelude.verify(program)
-    return _fg_verify(parse_fg(program))
+    return _context_for(_Checker, use_prelude).verify(program)
 
 
 def fg_check_all(program: str, use_prelude: bool = False, **options):

@@ -13,8 +13,6 @@ Public surface:
 - :class:`CongruenceSolver` — type equality with same-type constraints.
 """
 
-from typing import Optional
-
 from repro.fg import ast
 from repro.fg.congruence import CongruenceSolver, solver_for_equalities
 from repro.fg.env import Env, ModelInfo
@@ -22,24 +20,13 @@ from repro.fg.interp import interpret
 from repro.fg.pretty import pretty_term, pretty_type
 from repro.fg.typecheck import (
     Checker,
+    evaluate,
     translate,
     type_of,
     typecheck,
     typecheck_all,
     verify_translation,
 )
-
-
-def evaluate(term: ast.Term, env: Optional[Env] = None, *, limits=None):
-    """Run an F_G program: translate to System F and evaluate the image.
-
-    This *is* the paper's semantics for F_G — meaning is assigned by the
-    translation (section 4).
-    """
-    from repro.systemf import evaluate as sf_evaluate
-
-    _, sf_term = typecheck(term, env, limits=limits)
-    return sf_evaluate(sf_term, limits=limits)
 
 
 __all__ = [

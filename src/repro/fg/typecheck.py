@@ -1259,80 +1259,129 @@ class Checker:
 # ---------------------------------------------------------------------------
 
 
-def typecheck(
-    term: G.Term,
-    env: Optional[Env] = None,
-    *,
-    limits: Optional[Limits] = None,
-    instrumentation: Optional[Instrumentation] = None,
-) -> Tuple[G.FGType, F.Term]:
-    """Typecheck an F_G term; returns its type and System F translation.
+class EntryPoints:
+    """The public checking functions for one checker class.
 
-    Fail-fast: raises the *first* :class:`TypeError_` encountered.  Use
-    :func:`typecheck_all` to keep going and collect every diagnostic.
-    ``instrumentation`` (off by default) records spans/metrics/explain —
-    see :mod:`repro.observability`.
+    Each checks its term at the empty library over ``env``
+    (:func:`repro.prelude.context.empty_context`): a program is always
+    checked at a library context, and "no prelude" is the empty library.
+    :mod:`repro.fg` exports the set for :class:`Checker`,
+    :mod:`repro.extensions` the set for its ``ExtChecker``.
     """
-    checker = Checker(limits=limits, instrumentation=instrumentation)
-    with resource_scope(checker.limits, getattr(term, "span", None)):
-        return checker.check(term, env if env is not None else Env.initial())
 
+    def __init__(self, checker_cls):
+        self.checker_cls = checker_cls
 
-def typecheck_all(
-    term: G.Term,
-    env: Optional[Env] = None,
-    *,
-    max_errors: int = 20,
-    limits: Optional[Limits] = None,
-    reporter: Optional[DiagnosticReporter] = None,
-    instrumentation: Optional[Instrumentation] = None,
-) -> Tuple[Optional[G.FGType], Optional[F.Term], DiagnosticReport]:
-    """Typecheck ``term``, recovering at binding boundaries.
+    def _context(self, env: Optional[Env]):
+        from repro.prelude.context import empty_context
 
-    Unlike :func:`typecheck`, this does not stop at the first error: the
-    checker poisons failed ``let`` bounds, model/concept/alias declarations
-    with :data:`~repro.fg.ast.ERROR` and keeps going, so independent errors
-    all surface in one run.  Returns ``(type, translation, report)``; the
-    type and translation are ``None`` when the error unwound past every
-    recovery point, and are only trustworthy when ``report.ok``.
-    """
-    return _run_collecting(
-        Checker, term, env, max_errors=max_errors, limits=limits,
-        reporter=reporter, instrumentation=instrumentation,
-    )
+        return empty_context(self.checker_cls, env)
+
+    def typecheck(
+        self,
+        term: G.Term,
+        env: Optional[Env] = None,
+        *,
+        limits: Optional[Limits] = None,
+        instrumentation: Optional[Instrumentation] = None,
+    ) -> Tuple[G.FGType, F.Term]:
+        """Typecheck an F_G term; returns its type and System F translation.
+
+        Fail-fast: raises the *first* :class:`TypeError_` encountered.  Use
+        :func:`typecheck_all` to keep going and collect every diagnostic.
+        ``instrumentation`` (off by default) records spans/metrics/explain —
+        see :mod:`repro.observability`.
+        """
+        checker = self.checker_cls(
+            limits=limits, instrumentation=instrumentation
+        )
+        return self._context(env).check(checker, term)
+
+    def typecheck_all(
+        self,
+        term: G.Term,
+        env: Optional[Env] = None,
+        *,
+        max_errors: int = 20,
+        limits: Optional[Limits] = None,
+        reporter: Optional[DiagnosticReporter] = None,
+        instrumentation: Optional[Instrumentation] = None,
+    ) -> Tuple[Optional[G.FGType], Optional[F.Term], DiagnosticReport]:
+        """Typecheck ``term``, recovering at binding boundaries.
+
+        Unlike :func:`typecheck`, this does not stop at the first error: the
+        checker poisons failed ``let`` bounds, model/concept/alias
+        declarations with :data:`~repro.fg.ast.ERROR` and keeps going, so
+        independent errors all surface in one run.  Returns ``(type,
+        translation, report)``; the type and translation are ``None`` when
+        the error unwound past every recovery point, and are only
+        trustworthy when ``report.ok``.
+        """
+        return _run_collecting(
+            self.checker_cls, term, self._context(env),
+            max_errors=max_errors, limits=limits, reporter=reporter,
+            instrumentation=instrumentation,
+        )
+
+    def type_of(self, term: G.Term, env: Optional[Env] = None) -> G.FGType:
+        """The F_G type of ``term``."""
+        return self.typecheck(term, env)[0]
+
+    def translate(self, term: G.Term, env: Optional[Env] = None) -> F.Term:
+        """The System F translation of ``term``."""
+        return self.typecheck(term, env)[1]
+
+    def evaluate(self, term: G.Term, env: Optional[Env] = None, *,
+                 limits=None):
+        """Run an F_G program: translate to System F and evaluate the image.
+
+        This *is* the paper's semantics for F_G — meaning is assigned by the
+        translation (section 4).
+        """
+        from repro.systemf import evaluate as sf_evaluate
+
+        _, sf_term = self.typecheck(term, env, limits=limits)
+        return sf_evaluate(sf_term, limits=limits)
+
+    def verify_translation(
+        self, term: G.Term, env: Optional[Env] = None
+    ) -> Tuple[G.FGType, F.Type]:
+        """Executable Theorems 1 and 2: translate, then independently
+        re-check.
+
+        Typechecks ``term`` in F_G, translates it, and hands both results to
+        :func:`verify_emitted`.  Returns the pair of types.
+        """
+        checker = self.checker_cls()
+        context = self._context(env)
+        fg_type, sf_term = context.check(checker, term)
+        return fg_type, verify_emitted(
+            fg_type, sf_term, checker=checker, env=env, context=context
+        )
 
 
 def _run_collecting(
     checker_cls,
     term: G.Term,
-    env: Optional[Env],
+    context,
     *,
     max_errors: int,
     limits: Optional[Limits],
     reporter: Optional[DiagnosticReporter],
     instrumentation: Optional[Instrumentation] = None,
-    context=None,
 ) -> Tuple[Optional[G.FGType], Optional[F.Term], DiagnosticReport]:
-    """Shared engine behind :func:`typecheck_all` (core and extensions).
-
-    With a ``context`` (a :class:`repro.prelude.context.PreludeContext`),
-    ``term`` is checked at the user-program position of the pre-checked
-    prelude instead of in ``env``.
-    """
+    """Shared engine behind :func:`typecheck_all` and the pipeline: check
+    ``term`` at ``context`` (a :class:`repro.prelude.context.PreludeContext`)
+    and collect its diagnostics."""
     if reporter is None:
         reporter = DiagnosticReporter(max_errors=max_errors)
     checker = checker_cls(
         reporter=reporter, limits=limits, instrumentation=instrumentation
     )
-    base_env = env if env is not None else Env.initial()
     result_type: Optional[G.FGType] = None
     sf_term: Optional[F.Term] = None
     try:
-        if context is not None:
-            result_type, sf_term = context.check(checker, term)
-        else:
-            with resource_scope(checker.limits, getattr(term, "span", None)):
-                result_type, sf_term = checker.check(term, base_env)
+        result_type, sf_term = context.check(checker, term)
     except _ErrorLimit:
         pass
     except (TypeError_, ResourceLimitError) as err:
@@ -1344,16 +1393,6 @@ def _run_collecting(
     return result_type, sf_term, reporter.finish()
 
 
-def type_of(term: G.Term, env: Optional[Env] = None) -> G.FGType:
-    """The F_G type of ``term``."""
-    return typecheck(term, env)[0]
-
-
-def translate(term: G.Term, env: Optional[Env] = None) -> F.Term:
-    """The System F translation of ``term``."""
-    return typecheck(term, env)[1]
-
-
 _THEOREM_VIOLATION = (
     "translation type mismatch (Theorem 1/2 violation — library bug)"
 )
@@ -1363,9 +1402,9 @@ def verify_emitted(
     fg_type: G.FGType,
     sf_term: F.Term,
     *,
+    context,
     checker: Optional[Checker] = None,
     env: Optional[Env] = None,
-    context=None,
 ) -> F.Type:
     """Executable Theorems 1 and 2 on an already-emitted translation.
 
@@ -1374,30 +1413,28 @@ def verify_emitted(
     ``env``).  Returns the System F type.  Raises :class:`TypeError_` on a
     mismatch — which the theorems say cannot happen for well-typed input.
 
-    With a ``context`` (a :class:`repro.prelude.context.PreludeContext`),
-    ``sf_term`` must begin with exactly the context's own prefix ``let``
-    bindings; by the LET rule only the term inside them is typed, in the
-    context's pre-typed ``sf_env``.
+    ``sf_term`` was checked at ``context`` (a
+    :class:`repro.prelude.context.PreludeContext`), so it must begin with
+    exactly the context's own prefix ``let`` bindings; by the LET rule only
+    the term inside them is typed, in the context's pre-typed ``sf_env``.
+    The empty library has no prefix, so there the whole term is typed.
     """
     checker = checker if checker is not None else Checker()
     base_env = env if env is not None else Env.initial()
     span = getattr(sf_term, "span", None)
-    sf_env = None
-    if context is not None:
-        for let in context.prefix:
-            if not (
-                isinstance(sf_term, F.Let)
-                and sf_term.name == let.name
-                and sf_term.bound is let.bound
-            ):
-                raise TypeError_(
-                    f"{_THEOREM_VIOLATION}: the translation does not begin "
-                    "with the prelude's System F prefix"
-                )
-            sf_term = sf_term.body
-        sf_env = context.sf_env
+    for let in context.prefix:
+        if not (
+            isinstance(sf_term, F.Let)
+            and sf_term.name == let.name
+            and sf_term.bound is let.bound
+        ):
+            raise TypeError_(
+                f"{_THEOREM_VIOLATION}: the translation does not begin "
+                "with the prelude's System F prefix"
+            )
+        sf_term = sf_term.body
     with resource_scope(checker.limits, span):
-        sf_type = sf_typecheck.type_of(sf_term, sf_env)
+        sf_type = sf_typecheck.type_of(sf_term, context.sf_env)
         expected = checker.translate_type(fg_type, base_env)
     if not F.types_equal(sf_type, expected):
         raise TypeError_(
@@ -1407,18 +1444,10 @@ def verify_emitted(
     return sf_type
 
 
-def verify_translation(
-    term: G.Term, env: Optional[Env] = None
-) -> Tuple[G.FGType, F.Type]:
-    """Executable Theorems 1 and 2: translate, then independently re-check.
-
-    Typechecks ``term`` in F_G, translates it, and hands both results to
-    :func:`verify_emitted`.  Returns the pair of types.
-    """
-    checker = Checker()
-    base_env = env if env is not None else Env.initial()
-    with resource_scope(checker.limits, getattr(term, "span", None)):
-        fg_type, sf_term = checker.check(term, base_env)
-    return fg_type, verify_emitted(
-        fg_type, sf_term, checker=checker, env=base_env
-    )
+_CORE = EntryPoints(Checker)
+typecheck = _CORE.typecheck
+typecheck_all = _CORE.typecheck_all
+type_of = _CORE.type_of
+translate = _CORE.translate
+evaluate = _CORE.evaluate
+verify_translation = _CORE.verify_translation

@@ -253,23 +253,21 @@ def _run_stages(
 
     _maybe_fault("check")
     from repro.fg.typecheck import _run_collecting, verify_emitted
+    from repro.prelude.context import context_for
 
     if ext:
         from repro.extensions import ExtChecker as checker_cls
     else:
         from repro.fg.typecheck import Checker as checker_cls
     with _stage("check", tracer, timings, memory):
-        # Under the prelude the program is checked at the position the
-        # pre-checked prelude leaves for it (built on first use).
-        context = None
-        if prelude:
-            from repro.prelude import context_for
-
-            context = context_for(checker_cls)
+        # The program is checked at the position its library leaves for
+        # it: the pre-checked prelude (built on first use) or the empty
+        # library.
+        context = context_for(checker_cls, prelude)
         type_, translation, _ = _run_collecting(
-            checker_cls, term, None, max_errors=max_errors, limits=limits,
-            reporter=reporter, instrumentation=instrumentation,
-            context=context,
+            checker_cls, term, context, max_errors=max_errors,
+            limits=limits, reporter=reporter,
+            instrumentation=instrumentation,
         )
     outcome = CheckOutcome(
         report=reporter.finish(),
@@ -285,8 +283,9 @@ def _run_stages(
         _maybe_fault("verify")
         try:
             # Theorems 1/2 on the artifact shipped: type the emitted
-            # translation, no second F_G check.  Under the prelude only the
-            # program's part is typed, inside the context's typed prefix.
+            # translation, no second F_G check.  Only the program's part is
+            # typed, inside the context's typed prefix (empty without the
+            # prelude).
             with _stage("verify", tracer, timings, memory):
                 verify_emitted(
                     type_, translation, checker=checker_cls(limits=limits),

@@ -5,12 +5,14 @@ Usage::
     from repro import prelude
     value = prelude.run("accumulate[int](range(1, 11))")   # => 55
 
+Every program is checked at a library context (:mod:`repro.prelude.context`):
+the prelude's, or, without the prelude, the empty library's.
 :func:`typecheck`, :func:`type_of`, :func:`verify` and :func:`run` check the
-program against the pre-checked prelude (:mod:`repro.prelude.context`), so
-diagnostics point into the program's own text and the prelude is checked
-once per process.  :func:`wrap` and :func:`parse` build the equivalent
-whole program as text, for tools that need the prelude and program as one
-term (the direct interpreter, benchmarks).
+program at the pre-checked prelude, so diagnostics point into the program's
+own text and the prelude is checked once per process.  :func:`wrap` and
+:func:`parse` build the equivalent whole program as text, for tools that
+need the prelude and program as one term (the direct interpreter,
+benchmarks).
 """
 
 from typing import Tuple
@@ -57,11 +59,7 @@ def verify(program: str) -> Tuple[G.FGType, F.Type]:
     """Theorems 1/2 for ``program`` under the prelude: its F_G type and
     the System F type of its translation, typed inside the prelude's
     System F prefix, which the context typed once."""
-    from repro.fg.typecheck import verify_emitted
-
-    context = context_for()
-    fg_type, sf_term = context.typecheck(program)
-    return fg_type, verify_emitted(fg_type, sf_term, context=context)
+    return context_for().verify(program)
 
 
 def run(program: str):

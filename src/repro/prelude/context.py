@@ -1,14 +1,13 @@
-"""The pre-checked prelude: check the library once, then check each program
-at the position the library leaves for it.
+"""Library contexts: every program is checked at the position a library
+leaves for it, and "no prelude" is the empty library.
 
-Concepts and models in F_G are lexically scoped expressions, so what the
-prelude leaves in scope for the program after it is a plain value.  A
-:class:`PreludeContext` records the user-program position of the prelude
-once per process and checker class:
+Concepts and models in F_G are lexically scoped expressions, so what a
+library leaves in scope for the program after it is a plain value.  A
+:class:`PreludeContext` records that user-program position:
 
 - the environment there, the fresh-name counter, and the checker's nesting
-  depth (plus the deepest nesting the prelude itself reached);
-- the System F prefix: the chain of ``let`` bindings the prelude translates
+  depth (plus the deepest nesting the library itself reached);
+- the System F prefix: the chain of ``let`` bindings the library translates
   to, with a hole where the program's translation goes;
 - ``sf_env``, the System F typing environment at that hole: each prefix
   binding's ``bound`` typed once by the independent System F checker, in the
@@ -18,10 +17,17 @@ once per process and checker class:
   premises (a concept must not escape; a model's result type must make
   sense outside it) are replayed on the program's type, innermost first.
 
-Checking a program against the context yields the same type, translation
-and diagnostics as checking the text ``wrap(program)``, while only the
-program is parsed and checked.  Contexts are built lazily, on first use,
-under a lock, and are immutable afterwards, so threads share them freely.
+:func:`context_for` returns one of two contexts per checker class:
+
+- the prelude, checked once per process: checking a program against it
+  yields the same type, translation and diagnostics as checking the text
+  ``wrap(program)``, while only the program is parsed and checked;
+- the empty library (:func:`empty_context`): the initial environment, no
+  frames and no System F prefix, so the program is checked as the whole
+  text, and resource trips are reported at the program's own root span.
+
+The prelude is built lazily, on first use, under a lock; contexts are
+immutable, so threads share them freely.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.systemf import typecheck as sf_typecheck
 from repro.systemf.typecheck import TypeEnv
 
 #: The name of the System F placeholder standing for the user's program
-#: while the prelude is checked; no F_G identifier can spell it.
+#: while a library is checked; no F_G identifier can spell it.
 _HOLE = "<program>"
 
 
@@ -58,7 +64,7 @@ class _Frame:
 
 @dataclass(frozen=True)
 class PreludeContext:
-    """The prelude, checked by ``checker_cls``, at its user-program
+    """A library, checked by ``checker_cls``, at its user-program
     position."""
 
     checker_cls: type
@@ -75,13 +81,16 @@ class PreludeContext:
     prefix: Tuple[F.Let, ...]
     #: The System F typing environment inside ``prefix``.
     sf_env: TypeEnv
+    #: Where resource trips are reported: the library's root span, or
+    #: ``None`` for the program's own (the empty library).
     span: Optional[Span]
 
     def check(self, checker: Checker, term: G.Term) -> Tuple[G.FGType, F.Term]:
         """``checker.check`` of ``term`` at the user-program position: the
         exit premises replayed and the translation spliced into the
-        prelude's."""
-        with resource_scope(checker.limits, self.span):
+        library's."""
+        span = term.span if self.span is None else self.span
+        with resource_scope(checker.limits, span):
             fg_type, sf_term = checker.check(term, self._enter(checker))
             for frame in self.frames:
                 decl = frame.decl
@@ -103,8 +112,8 @@ class PreludeContext:
         budget = checker._budget
         cap = budget.limits.max_check_depth
         if cap is not None and cap < self.peak_depth:
-            # The prelude alone is deeper than this run allows: trip where
-            # checking the prelude's text would have.
+            # The library alone is deeper than this run allows: trip where
+            # checking the library's text would have.
             budget.resume(cap, cap)
             budget.enter_depth(self.depth_spans[cap])
         budget.resume(self.depth, self.peak_depth)
@@ -112,8 +121,20 @@ class PreludeContext:
         return self.env
 
     def typecheck(self, program: str) -> Tuple[G.FGType, F.Term]:
-        """Fail-fast parse and check of ``program`` under the prelude."""
+        """Fail-fast parse and check of ``program`` under the library."""
         return self.check(self.checker_cls(), parse_fg(program))
+
+    def verify(self, program: str) -> Tuple[G.FGType, F.Type]:
+        """Theorems 1/2 for ``program`` under the library: its F_G type and
+        the System F type of its translation, typed inside the library's
+        System F prefix."""
+        from repro.fg.typecheck import verify_emitted
+
+        checker = self.checker_cls()
+        fg_type, sf_term = self.check(checker, parse_fg(program))
+        return fg_type, verify_emitted(
+            fg_type, sf_term, checker=checker, context=self
+        )
 
 
 class _DepthRecorder(Budget):
@@ -131,14 +152,17 @@ class _DepthRecorder(Budget):
             self.spans.append(span)
 
 
-def _build(checker_cls) -> PreludeContext:
-    root = parse_fg(PRELUDE + "\n0", "<prelude>")
+def _build(checker_cls, text: str) -> PreludeContext:
+    """Check the library ``text`` once, recording its user-program
+    position; ``text`` is a chain of ``concept``/``model``/``let`` ending
+    where the program goes."""
+    root = parse_fg(text + "\n0", "<prelude>")
     chain: List[G.Term] = []
     node = root
     while isinstance(node, (G.Let, G.ConceptExpr, G.ModelExpr)):
         chain.append(node)
         node = node.body
-    assert isinstance(node, G.IntLit), f"prelude ends in {node!r}"
+    assert isinstance(node, G.IntLit), f"library ends in {node!r}"
     hole = node
     watched = {id(n) for n in chain}
     entry_envs: Dict[int, Env] = {}
@@ -172,7 +196,7 @@ def _build(checker_cls) -> PreludeContext:
                 sf_typecheck.type_of(translation.bound, sf_env),
             )
             translation = translation.body
-    assert translation == F.Var(name=_HOLE), "prelude is not a let chain"
+    assert translation == F.Var(name=_HOLE), "library is not a let chain"
     frames = tuple(
         _Frame(decl, entry_envs[id(decl.body)], entry_envs[id(decl)])
         for decl in reversed(chain)
@@ -193,12 +217,34 @@ _CONTEXTS: Dict[type, PreludeContext] = {}
 _LOCK = threading.Lock()
 
 
-def context_for(checker_cls=Checker) -> PreludeContext:
-    """The prelude checked by ``checker_cls``; built once per process."""
+def empty_context(checker_cls, env: Optional[Env] = None) -> PreludeContext:
+    """The empty library over ``env`` (by default the initial
+    environment): the program is checked there as the whole text."""
+    return PreludeContext(
+        checker_cls=checker_cls,
+        env=env if env is not None else Env.initial(),
+        counter=0,
+        depth=0,
+        peak_depth=0,
+        depth_spans=(),
+        frames=(),
+        prefix=(),
+        sf_env=TypeEnv.initial(),
+        span=None,
+    )
+
+
+def context_for(checker_cls=Checker, prelude: bool = True) -> PreludeContext:
+    """The prelude checked by ``checker_cls``, built once per process; or,
+    without ``prelude``, the empty library."""
+    if not prelude:
+        return empty_context(checker_cls)
     context = _CONTEXTS.get(checker_cls)
     if context is None:
         with _LOCK:
             context = _CONTEXTS.get(checker_cls)
             if context is None:
-                context = _CONTEXTS[checker_cls] = _build(checker_cls)
+                context = _CONTEXTS[checker_cls] = _build(
+                    checker_cls, PRELUDE
+                )
     return context

@@ -26,10 +26,10 @@ Subcommands::
                          the traceback (--serve-socket pulls a live one)
     fg debug bundle      force a crash bundle out of a live daemon
 
-``--prelude`` checks the program in the scope of the standard concept
-library (checked once per process; diagnostics keep the program's own
-positions) and ``-e`` takes the program from the command line instead of a
-file.
+``--prelude`` checks the program at the standard concept library (checked
+once per process; diagnostics keep the program's own positions) instead of
+the empty library, and ``-e`` takes the program from the command line
+instead of a file.
 
 The driver is fault-tolerant: parse and type errors are collected (up to
 ``--max-errors``) instead of stopping at the first one, ``--fuel``/``--depth``
@@ -448,13 +448,59 @@ def _collect_batch_files(paths) -> list:
     return files
 
 
+def _batch_policy(args: argparse.Namespace, **overrides):
+    """The :class:`~repro.service.BatchPolicy` that ``fg batch`` and
+    ``fg serve`` build from the flags they share, plus ``overrides``."""
+    from repro.service import BatchPolicy, RetryPolicy
+
+    return BatchPolicy(
+        deadline_ms=args.deadline_ms,
+        retry=RetryPolicy(
+            max_retries=args.retries,
+            backoff_base_ms=args.backoff_ms,
+        ),
+        quarantine_after=args.quarantine_after,
+        pool_workers=args.pool_workers,
+        max_respawns=args.max_respawns,
+        heartbeat_ms=args.heartbeat_ms,
+        max_worker_mem_mb=args.max_worker_mem_mb,
+        recycle_rss_mb=args.recycle_rss_mb,
+        recycle_after_tasks=args.recycle_after_tasks,
+        prelude=args.prelude,
+        ext=args.ext,
+        max_errors=args.max_errors,
+        verify=args.verify,
+        **overrides,
+    )
+
+
+def _add_check_flags(parser: argparse.ArgumentParser,
+                     verify: bool = True) -> None:
+    """``--prelude``, ``--ext`` and (unless ``verify`` is false)
+    ``--verify``: which library and checker each program is checked with.
+    """
+    parser.add_argument(
+        "--prelude", action="store_true",
+        help="check each program at the standard concept library (checked "
+        "once per process) instead of the empty library",
+    )
+    parser.add_argument(
+        "--ext", action="store_true",
+        help="enable the section 6 extensions (named/parameterized "
+        "models, member defaults)",
+    )
+    if verify:
+        parser.add_argument(
+            "--verify", action="store_true",
+            help="also run the Theorem 1/2 translation check per file",
+        )
+
+
 def _run_batch(args: argparse.Namespace) -> int:
     """``fg batch``: the fault-isolated batch checking service."""
     from dataclasses import replace
 
-    from repro.service import (
-        BatchPolicy, FaultSchedule, RetryPolicy, WorkerKillSpec, check_batch,
-    )
+    from repro.service import FaultSchedule, WorkerKillSpec, check_batch
 
     try:
         paths = _collect_batch_files(args.files)
@@ -504,24 +550,10 @@ def _run_batch(args: argparse.Namespace) -> int:
             print(f"fg batch: {err}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        policy = BatchPolicy(
+        policy = _batch_policy(
+            args,
             jobs=args.jobs,
-            deadline_ms=args.deadline_ms,
-            retry=RetryPolicy(
-                max_retries=args.retries,
-                backoff_base_ms=args.backoff_ms,
-            ),
-            quarantine_after=args.quarantine_after,
             isolate="pool" if args.isolate else "none",
-            pool_workers=args.pool_workers,
-            max_respawns=args.max_respawns,
-            heartbeat_ms=args.heartbeat_ms,
-            max_worker_mem_mb=args.max_worker_mem_mb,
-            recycle_rss_mb=args.recycle_rss_mb,
-            recycle_after_tasks=args.recycle_after_tasks,
-            prelude=args.prelude,
-            ext=args.ext,
-            max_errors=args.max_errors,
             limits=Limits(
                 max_check_depth=(
                     args.depth if args.depth is not None
@@ -529,7 +561,6 @@ def _run_batch(args: argparse.Namespace) -> int:
                 ),
                 max_eval_steps=args.fuel,
             ),
-            verify=args.verify,
         )
     except ValueError as err:
         print(f"fg batch: {err}", file=sys.stderr)
@@ -569,30 +600,10 @@ def _run_batch(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """``fg serve``: the resilient socket daemon over a warm worker pool."""
-    from repro.service import (
-        BatchPolicy, RetryPolicy, ServeError, ServeOptions, Server,
-    )
+    from repro.service import ServeError, ServeOptions, Server
 
     try:
-        policy = BatchPolicy(
-            deadline_ms=args.deadline_ms,
-            retry=RetryPolicy(
-                max_retries=args.retries,
-                backoff_base_ms=args.backoff_ms,
-            ),
-            quarantine_after=args.quarantine_after,
-            isolate="pool",
-            pool_workers=args.pool_workers,
-            max_respawns=args.max_respawns,
-            heartbeat_ms=args.heartbeat_ms,
-            max_worker_mem_mb=args.max_worker_mem_mb,
-            recycle_rss_mb=args.recycle_rss_mb,
-            recycle_after_tasks=args.recycle_after_tasks,
-            prelude=args.prelude,
-            ext=args.ext,
-            max_errors=args.max_errors,
-            verify=args.verify,
-        )
+        policy = _batch_policy(args, isolate="pool")
         options = ServeOptions(
             socket_path=args.socket,
             journal_path=args.journal,
@@ -1200,10 +1211,6 @@ def main(argv=None) -> int:
         "after it completes N tasks (leak hygiene for long batches)",
     )
     batch.add_argument(
-        "--verify", action="store_true",
-        help="also run the Theorem 1/2 translation check per file",
-    )
-    batch.add_argument(
         "--chaos", action="append", default=None, metavar="SPEC",
         help="inject a deterministic fault schedule (testing hook): "
         "INDEX:STAGE:KIND[:ATTEMPTS][,...] with KIND one of crash|hang|"
@@ -1221,15 +1228,7 @@ def main(argv=None) -> int:
         "state, tracebacks) here on worker loss, deadline kills, and "
         "contained crashes; defaults to $FG_CRASH_DIR, unset = disabled",
     )
-    batch.add_argument(
-        "--prelude", action="store_true",
-        help="check each program in the scope of the standard concept "
-             "library (checked once per process)",
-    )
-    batch.add_argument(
-        "--ext", action="store_true",
-        help="enable the section 6 extensions",
-    )
+    _add_check_flags(batch)
     batch.add_argument(
         "--max-errors", type=int, default=20, metavar="N",
         help="per-file collected-error cap (default 20)",
@@ -1360,19 +1359,7 @@ def main(argv=None) -> int:
         help="rotate the ops log to <file>.1 when it reaches N bytes "
         "(one backup generation; default: never rotate)",
     )
-    serve.add_argument(
-        "--prelude", action="store_true",
-        help="check each program in the scope of the standard concept "
-             "library (checked once per process)",
-    )
-    serve.add_argument(
-        "--ext", action="store_true",
-        help="enable the section 6 extensions",
-    )
-    serve.add_argument(
-        "--verify", action="store_true",
-        help="also run the Theorem 1/2 translation check per file",
-    )
+    _add_check_flags(serve)
     serve.add_argument(
         "--max-errors", type=int, default=20, metavar="N",
         help="per-file collected-error cap (default 20)",
@@ -1445,19 +1432,7 @@ def main(argv=None) -> int:
         "--retries", type=int, default=None, metavar="K",
         help="override the server's per-file retry budget",
     )
-    cli.add_argument(
-        "--prelude", action="store_true",
-        help="check each program in the scope of the standard concept "
-             "library (checked once per process)",
-    )
-    cli.add_argument(
-        "--ext", action="store_true",
-        help="enable the section 6 extensions",
-    )
-    cli.add_argument(
-        "--verify", action="store_true",
-        help="also run the Theorem 1/2 translation check per file",
-    )
+    _add_check_flags(cli)
     cli.add_argument(
         "--chaos", action="append", default=None, metavar="SPEC",
         help="attach a deterministic fault schedule to the request "
@@ -1550,18 +1525,7 @@ def main(argv=None) -> int:
         cmd.add_argument(
             "-e", "--expr", help="program text given on the command line"
         )
-        cmd.add_argument(
-            "--prelude",
-            action="store_true",
-            help="check the program in the scope of the standard concept "
-                 "library (checked once per process)",
-        )
-        cmd.add_argument(
-            "--ext",
-            action="store_true",
-            help="enable the section 6 extensions (named/parameterized "
-            "models, member defaults)",
-        )
+        _add_check_flags(cmd, verify=False)
         cmd.add_argument(
             "--max-errors",
             type=int,

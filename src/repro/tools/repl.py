@@ -17,6 +17,11 @@ Commands: ``:type e``, ``:translate e``, ``:errors e``, ``:explain e``,
 ``:fuel N``, ``:maxerrors N``, ``:stats``, ``:trace on|off``, ``:quit``.
 Incomplete input (unexpected end of file) continues on the next line.
 
+Every entry is checked at a library context (:mod:`repro.prelude.context`):
+``:prelude`` switches from the empty library to the pre-checked prelude, so
+only the session's own declarations and the entry are parsed and checked,
+and diagnostics point at ``<repl>`` lines.
+
 Observability: the session carries one
 :class:`~repro.observability.MetricsRegistry` that every check and
 evaluation writes into — ``:stats`` shows the running totals.  ``:trace
@@ -61,7 +66,11 @@ class Repl:
     """REPL state: accumulated declarations plus mode flags."""
 
     use_ext: bool = False
+    #: The session's own declarations; the prelude is never among them.
     decls: List[str] = field(default_factory=list)
+    #: Set by ``:prelude``: check at the prelude instead of the empty
+    #: library.
+    prelude: bool = field(default=False, init=False)
     fuel: Optional[int] = None
     max_errors: int = 20
     trace_on: bool = False
@@ -70,23 +79,26 @@ class Repl:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _checker_module(self):
-        if self.use_ext:
-            from repro import extensions
-
-            return extensions
-        import repro.fg as core
-
-        return core
-
     def _program(self, expr: str) -> str:
         return "\n".join(self.decls + [expr])
 
+    def _typecheck(self, program: str, instrumentation):
+        """Fail-fast check of ``program`` at the session's library."""
+        if self.use_ext:
+            from repro.extensions import ExtChecker as checker_cls
+        else:
+            from repro.fg.typecheck import Checker as checker_cls
+        from repro.prelude.context import context_for
+
+        checker = checker_cls(instrumentation=instrumentation)
+        return context_for(checker_cls, self.prelude).check(
+            checker, parse_fg(program, "<repl>")
+        )
+
     def _check(self, expr: str, tracer=None):
-        term = parse_fg(self._program(expr), "<repl>")
         inst = Instrumentation(metrics=self.metrics) if tracer is None else \
             Instrumentation(tracer=tracer, metrics=self.metrics)
-        return self._checker_module().typecheck(term, instrumentation=inst)
+        return self._typecheck(self._program(expr), inst)
 
     # -- the interface ---------------------------------------------------------
 
@@ -180,10 +192,9 @@ class Repl:
             ends_with_in = re.search(r"\bin\s*$", text) is not None
             candidate = text if ends_with_in else text + " in"
             # Validate by checking a trivial body under the new prefix.
-            probe = "\n".join(self.decls + [candidate, "0"])
-            term = parse_fg(probe, "<repl>")
-            self._checker_module().typecheck(
-                term, instrumentation=Instrumentation(metrics=self.metrics)
+            self._typecheck(
+                "\n".join(self.decls + [candidate, "0"]),
+                Instrumentation(metrics=self.metrics),
             )
             self.decls.append(candidate)
             return f"-- declared ({first_word})"
@@ -227,7 +238,8 @@ class Repl:
             from repro.pipeline import check_source
 
             outcome = check_source(
-                self._program(arg), "<repl>", ext=self.use_ext,
+                self._program(arg), "<repl>", prelude=self.prelude,
+                ext=self.use_ext,
                 max_errors=self.max_errors,
             )
             if outcome.ok:
@@ -241,7 +253,8 @@ class Repl:
 
             log = ExplainLog()
             outcome = check_source(
-                self._program(arg), "<repl>", ext=self.use_ext,
+                self._program(arg), "<repl>", prelude=self.prelude,
+                ext=self.use_ext,
                 max_errors=self.max_errors,
                 instrumentation=Instrumentation(
                     metrics=self.metrics, explain=log
@@ -263,7 +276,8 @@ class Repl:
 
             tracer, memory = Tracer(), MemoryAccountant()
             outcome = check_source(
-                self._program(arg), "<repl>", ext=self.use_ext,
+                self._program(arg), "<repl>", prelude=self.prelude,
+                ext=self.use_ext,
                 max_errors=self.max_errors, evaluate=True,
                 instrumentation=Instrumentation(
                     tracer=tracer, metrics=self.metrics, memory=memory,
@@ -311,11 +325,10 @@ class Repl:
             return "\n".join(self.decls)
         if command == ":clear":
             self.decls = []
+            self.prelude = False
             return "-- cleared"
         if command == ":prelude":
-            from repro.prelude import PRELUDE
-
-            self.decls.insert(0, PRELUDE)
+            self.prelude = True
             return "-- prelude loaded"
         if command == ":ext":
             self.use_ext = not self.use_ext

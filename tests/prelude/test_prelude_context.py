@@ -372,9 +372,9 @@ def fresh_contexts(monkeypatch):
     builds = []
     real_build = prelude_context._build
 
-    def counting_build(checker_cls):
+    def counting_build(checker_cls, text):
         builds.append(checker_cls.__name__)
-        return real_build(checker_cls)
+        return real_build(checker_cls, text)
 
     monkeypatch.setattr(prelude_context, "_build", counting_build)
     return builds
@@ -391,8 +391,18 @@ class TestBuiltOnce:
         assert sorted(fresh_contexts) == ["Checker", "ExtChecker"]
 
     def test_no_build_without_the_prelude(self, fresh_contexts):
-        check_source("iadd(1, 2)", verify=True)
+        # Without the prelude the program is checked at the empty library:
+        # the prelude text is never parsed or checked, by either checker.
+        with mock.patch.object(
+            prelude_context, "parse_fg",
+            side_effect=AssertionError("parsed a library text"),
+        ):
+            for ext in (False, True):
+                outcome = check_source("iadd(1, 2)", ext=ext, verify=True,
+                                       evaluate=True)
+                assert outcome.verified and outcome.value == 3
         assert fresh_contexts == []
+        assert prelude_context._CONTEXTS == {}
 
     def test_warm_up_builds_the_context(self, fresh_contexts):
         from repro.service.subproc import warm_up

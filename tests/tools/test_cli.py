@@ -190,3 +190,64 @@ class TestJsonOutput:
         payload = json.loads(out)
         assert payload["diagnostics"]
         assert all(d["kind"] for d in payload["diagnostics"])
+
+
+class _Stop(BaseException):
+    """Ends a command once it has built its policy."""
+
+
+#: Every flag ``fg batch`` and ``fg serve`` share, set off its default.
+SHARED_POLICY_FLAGS = [
+    "--deadline-ms", "500", "--retries", "2", "--backoff-ms", "5",
+    "--quarantine-after", "4", "--pool-workers", "3", "--max-respawns", "1",
+    "--heartbeat-ms", "50", "--max-worker-mem-mb", "512",
+    "--recycle-rss-mb", "256", "--recycle-after-tasks", "7",
+    "--prelude", "--ext", "--verify", "--max-errors", "5",
+]
+
+
+class TestSharedPolicyFlags:
+    def _policy(self, monkeypatch, argv):
+        import repro.service as service
+
+        seen = []
+
+        def capture(*args, **kwargs):
+            seen.extend(a for a in args if isinstance(a, service.BatchPolicy))
+            raise _Stop
+
+        monkeypatch.setattr(service, "check_batch", capture)
+        monkeypatch.setattr(service, "Server", capture)
+        with pytest.raises(_Stop):
+            main(argv)
+        (policy,) = seen
+        return policy
+
+    def test_batch_isolate_and_serve_build_equal_policies(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from dataclasses import replace
+
+        from repro.service import BatchPolicy, RetryPolicy
+
+        program = tmp_path / "one.fg"
+        program.write_text("iadd(1, 2)")
+        batch = self._policy(
+            monkeypatch,
+            ["batch", str(program), "--isolate", *SHARED_POLICY_FLAGS],
+        )
+        serve = self._policy(
+            monkeypatch,
+            ["serve", "--socket", str(tmp_path / "s.sock"),
+             *SHARED_POLICY_FLAGS],
+        )
+        # Only fg batch has --depth and --fuel, so only it sets limits.
+        assert replace(batch, limits=None) == serve
+        assert serve == BatchPolicy(
+            deadline_ms=500.0,
+            retry=RetryPolicy(max_retries=2, backoff_base_ms=5.0),
+            quarantine_after=4, isolate="pool", pool_workers=3,
+            max_respawns=1, heartbeat_ms=50.0, max_worker_mem_mb=512.0,
+            recycle_rss_mb=256.0, recycle_after_tasks=7, prelude=True,
+            ext=True, max_errors=5, verify=True,
+        )

@@ -77,6 +77,32 @@ class TestCommands:
         repl.feed(":prelude")
         assert repl.feed("accumulate[int](range(1, 4))") == "6 : int"
 
+    def test_type_error_after_prelude_is_at_the_users_line(self, repl):
+        repl.feed(":prelude")
+        assert "declared" in repl.feed("let x = 1")
+        out = repl.feed("accumulate[int](true)")
+        # The session's second line: the prelude is a context, not text
+        # in front of the session's own.
+        assert out.startswith("<repl>:2:") and "type error" in out
+        assert repl.feed(":errors accumulate[int](true)").startswith(
+            "<repl>:2:"
+        )
+
+    def test_decls_lists_only_the_users_declarations(self, repl):
+        from repro.prelude import PRELUDE
+
+        repl.feed(":prelude")
+        assert repl.feed(":decls") == "-- no declarations"
+        repl.feed("let x = 1")
+        out = repl.feed(":decls")
+        assert out == "let x = 1 in"
+        assert PRELUDE not in out and "concept" not in out
+
+    def test_clear_unloads_the_prelude(self, repl):
+        repl.feed(":prelude")
+        repl.feed(":clear")
+        assert "type error" in repl.feed("accumulate[int](range(1, 4))")
+
     def test_ext_toggle(self, repl):
         assert "extensions on" in repl.feed(":ext")
         repl.feed("concept Eq<t> { eq : fn(t, t) -> bool; "
