@@ -55,7 +55,7 @@ def fg_translate(program: str, use_prelude: bool = False):
 
 def fg_run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate an F_G source program."""
-    return f_evaluate(fg_translate(program, use_prelude))
+    return _context_for(_Checker, use_prelude).run(program)
 
 
 def fg_verify(program: str, use_prelude: bool = False):

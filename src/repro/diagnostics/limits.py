@@ -180,7 +180,8 @@ class Budget:
     # -- evaluator fuel ---------------------------------------------------
 
     def spend_fuel(self, span=None) -> None:
-        self.check_deadline(span)
+        if self._deadline_at is not None:
+            self.check_deadline(span)
         self.steps_taken += 1
         if self._fuel is None:
             return

@@ -26,7 +26,6 @@ from repro.extensions.checker import ExtChecker
 from repro.fg import ast as G
 from repro.fg.typecheck import EntryPoints
 from repro.prelude.context import context_for
-from repro.systemf import evaluate as _sf_evaluate
 
 _EXT = EntryPoints(ExtChecker)
 typecheck = _EXT.typecheck
@@ -44,9 +43,7 @@ def check(program: str, use_prelude: bool = False) -> G.FGType:
 
 def run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate extended-F_G source."""
-    return _sf_evaluate(
-        context_for(ExtChecker, use_prelude).typecheck(program)[1]
-    )
+    return context_for(ExtChecker, use_prelude).run(program)
 
 
 def verify(program: str, use_prelude: bool = False):

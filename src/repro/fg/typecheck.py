@@ -1338,10 +1338,9 @@ class EntryPoints:
         This *is* the paper's semantics for F_G — meaning is assigned by the
         translation (section 4).
         """
-        from repro.systemf import evaluate as sf_evaluate
-
-        _, sf_term = self.typecheck(term, env, limits=limits)
-        return sf_evaluate(sf_term, limits=limits)
+        context = self._context(env)
+        _, sf_term = context.check(self.checker_cls(limits=limits), term)
+        return context.evaluate(sf_term, Budget(limits))
 
     def verify_translation(
         self, term: G.Term, env: Optional[Env] = None
@@ -1422,19 +1421,14 @@ def verify_emitted(
     checker = checker if checker is not None else Checker()
     base_env = env if env is not None else Env.initial()
     span = getattr(sf_term, "span", None)
-    for let in context.prefix:
-        if not (
-            isinstance(sf_term, F.Let)
-            and sf_term.name == let.name
-            and sf_term.bound is let.bound
-        ):
-            raise TypeError_(
-                f"{_THEOREM_VIOLATION}: the translation does not begin "
-                "with the prelude's System F prefix"
-            )
-        sf_term = sf_term.body
+    program = context.program_part(sf_term)
+    if program is None:
+        raise TypeError_(
+            f"{_THEOREM_VIOLATION}: the translation does not begin "
+            "with the prelude's System F prefix"
+        )
     with resource_scope(checker.limits, span):
-        sf_type = sf_typecheck.type_of(sf_term, context.sf_env)
+        sf_type = sf_typecheck.type_of(program, context.sf_env)
         expected = checker.translate_type(fg_type, base_env)
     if not F.types_equal(sf_type, expected):
         raise TypeError_(

@@ -305,15 +305,15 @@ def _run_stages(
     evaluated = False
     if evaluate:
         _maybe_fault("evaluate")
-        from repro.systemf import evaluate as sf_evaluate
-
         budget = Budget(limits)
         metrics = (
             instrumentation.metrics if instrumentation is not None else None
         )
         try:
+            # Only the program's part runs, inside the runtime environment
+            # the context recorded; the budget is charged the prefix's steps.
             with _stage("evaluate", tracer, timings, memory):
-                value = sf_evaluate(translation, budget=budget)
+                value = context.evaluate(translation, budget)
             evaluated = True
         except Diagnostic as err:
             reporter.error(err)

@@ -28,7 +28,6 @@ from repro.prelude.source import (
 )
 from repro.syntax import parse_fg
 from repro.systemf import ast as F
-from repro.systemf import evaluate as _sf_evaluate
 
 
 #: What :func:`wrap` puts in front of a program.
@@ -64,8 +63,7 @@ def verify(program: str) -> Tuple[G.FGType, F.Type]:
 
 def run(program: str):
     """Typecheck, translate, and evaluate ``program`` under the prelude."""
-    _, sf_term = typecheck(program)
-    return _sf_evaluate(sf_term)
+    return context_for().run(program)
 
 
 __all__ = [

@@ -15,7 +15,14 @@ library leaves in scope for the program after it is a plain value.  A
   program types only its own translation;
 - the concept and model declarations enclosing the program, whose exit
   premises (a concept must not escape; a model's result type must make
-  sense outside it) are replayed on the program's type, innermost first.
+  sense outside it) are replayed on the program's type, innermost first;
+- ``rt_env``, the runtime environment at the hole: the prefix evaluated
+  once, binding by binding, from the builtins' environment;
+- ``eval_spans``, the span of each evaluation step the prefix took, in
+  order.  :meth:`PreludeContext.evaluate` charges one fuel step per span
+  and then evaluates only the program's part inside ``rt_env``, so fuel
+  trips, ``eval.steps`` and deadline polls are those of evaluating the
+  whole spliced term.
 
 :func:`context_for` returns one of two contexts per checker class:
 
@@ -24,7 +31,8 @@ library leaves in scope for the program after it is a plain value.  A
   ``wrap(program)``, while only the program is parsed and checked;
 - the empty library (:func:`empty_context`): the initial environment, no
   frames and no System F prefix, so the program is checked as the whole
-  text, and resource trips are reported at the program's own root span.
+  text, and resource trips are reported at the program's own root span;
+  its ``rt_env`` is the builtins' environment, shared by every run.
 
 The prelude is built lazily, on first use, under a lock; contexts are
 immutable, so threads share them freely.
@@ -45,6 +53,7 @@ from repro.fg.typecheck import Checker
 from repro.prelude.source import PRELUDE
 from repro.syntax import parse_fg
 from repro.systemf import ast as F
+from repro.systemf import eval as sf_eval
 from repro.systemf import typecheck as sf_typecheck
 from repro.systemf.typecheck import TypeEnv
 
@@ -81,6 +90,10 @@ class PreludeContext:
     prefix: Tuple[F.Let, ...]
     #: The System F typing environment inside ``prefix``.
     sf_env: TypeEnv
+    #: The runtime environment inside ``prefix``.
+    rt_env: sf_eval.Env
+    #: The span of each step evaluating ``prefix`` took, in order.
+    eval_spans: Tuple[Optional[Span], ...]
     #: Where resource trips are reported: the library's root span, or
     #: ``None`` for the program's own (the empty library).
     span: Optional[Span]
@@ -108,6 +121,35 @@ class PreludeContext:
             )
         return fg_type, sf_term
 
+    def program_part(self, sf_term: F.Term) -> Optional[F.Term]:
+        """The program's part of ``sf_term``, a translation spliced by
+        :meth:`check`; ``None`` unless ``sf_term`` begins with exactly this
+        context's own prefix ``let`` bindings."""
+        for let in self.prefix:
+            if not (
+                isinstance(sf_term, F.Let)
+                and sf_term.name == let.name
+                and sf_term.bound is let.bound
+            ):
+                return None
+            sf_term = sf_term.body
+        return sf_term
+
+    def evaluate(self, sf_term: F.Term, budget: Budget):
+        """Evaluate ``sf_term``, a translation spliced by :meth:`check`:
+        charge ``budget`` the prefix's recorded steps, then evaluate only
+        the program's part inside ``rt_env``.  A stack overflow is
+        reported at the whole term's span."""
+        program = self.program_part(sf_term)
+        if program is None:
+            raise ValueError(
+                "the translation does not begin with the library's System F "
+                "prefix"
+            )
+        for span in self.eval_spans:
+            budget.spend_fuel(span)
+        return sf_eval.evaluate_in(program, self.rt_env, budget, sf_term.span)
+
     def _enter(self, checker: Checker) -> Env:
         budget = checker._budget
         cap = budget.limits.max_check_depth
@@ -124,6 +166,11 @@ class PreludeContext:
         """Fail-fast parse and check of ``program`` under the library."""
         return self.check(self.checker_cls(), parse_fg(program))
 
+    def run(self, program: str):
+        """Fail-fast parse, check and evaluation of ``program`` under the
+        library."""
+        return self.evaluate(self.typecheck(program)[1], Budget())
+
     def verify(self, program: str) -> Tuple[G.FGType, F.Type]:
         """Theorems 1/2 for ``program`` under the library: its F_G type and
         the System F type of its translation, typed inside the library's
@@ -135,6 +182,19 @@ class PreludeContext:
         return fg_type, verify_emitted(
             fg_type, sf_term, checker=checker, context=self
         )
+
+
+class _StepRecorder(Budget):
+    """An unmetered budget that records the span of every step."""
+
+    __slots__ = ("spans",)
+
+    def __init__(self):
+        super().__init__()
+        self.spans: List[Optional[Span]] = []
+
+    def spend_fuel(self, span=None) -> None:
+        self.spans.append(span)
 
 
 class _DepthRecorder(Budget):
@@ -187,13 +247,22 @@ def _build(checker_cls, text: str) -> PreludeContext:
     recorder._budget = _DepthRecorder(recorder.limits)
     prefix = []
     sf_env = TypeEnv.initial()
+    rt_env = sf_eval.INITIAL_ENV
+    steps = _StepRecorder()
     with resource_scope(recorder.limits, root.span):
         _, translation = recorder.check(root, Env.initial())
+        # The LET rule, binding by binding: type each bound, then evaluate
+        # it as evaluating the whole chain would (the let's own step first).
         while isinstance(translation, F.Let):
             prefix.append(translation)
             sf_env = sf_env.bind(
                 translation.name,
                 sf_typecheck.type_of(translation.bound, sf_env),
+            )
+            steps.spend_fuel(translation.span)
+            rt_env = rt_env.bind(
+                translation.name,
+                sf_eval.evaluate(translation.bound, rt_env, budget=steps),
             )
             translation = translation.body
     assert translation == F.Var(name=_HOLE), "library is not a let chain"
@@ -208,6 +277,8 @@ def _build(checker_cls, text: str) -> PreludeContext:
         frames=frames,
         prefix=tuple(prefix),
         sf_env=sf_env,
+        rt_env=rt_env,
+        eval_spans=tuple(steps.spans),
         span=root.span,
         **at_hole,
     )
@@ -230,6 +301,8 @@ def empty_context(checker_cls, env: Optional[Env] = None) -> PreludeContext:
         frames=(),
         prefix=(),
         sf_env=TypeEnv.initial(),
+        rt_env=sf_eval.INITIAL_ENV,
+        eval_spans=(),
         span=None,
     )
 

@@ -4,6 +4,12 @@ Types are erased at runtime except that type abstractions are values
 (``TyLam`` suspends evaluation of its body, matching System F's CBV
 semantics).  Dictionaries are plain tuples, so running a translated F_G
 program exercises the dictionary-passing representation of Figure 7 directly.
+
+Each node class has one handler in ``_EVAL``.  A handler spends its own
+node's fuel step and evaluates subterms by looking their handlers up
+directly, so one level of object-language nesting costs one Python frame
+(plus a comprehension frame for argument lists before Python 3.12); an
+application binds a closure's parameters straight into the body's frame.
 """
 
 from __future__ import annotations
@@ -61,7 +67,11 @@ Value = Union[int, bool, List, tuple, Closure, TyClosure, FixThunk, PrimValue]
 
 
 class Env:
-    """A persistent runtime environment (linked frames)."""
+    """A persistent runtime environment (linked frames).
+
+    No evaluation writes into an existing frame, so environments, and the
+    values captured in them, are shared freely across runs and threads.
+    """
 
     __slots__ = ("_frame", "_parent")
 
@@ -84,12 +94,10 @@ class Env:
     def bind(self, name: str, value: Value) -> "Env":
         return Env({name: value}, self)
 
-    def bind_many(self, pairs) -> "Env":
-        return Env(dict(pairs), self)
 
-
-#: Shared no-op budget for callers that don't meter their evaluation.
-_UNMETERED = Budget(Limits(max_eval_steps=None))
+#: The builtins' environment, built once per process: the primitives are
+#: stateless, so every evaluation that starts from it shares it.
+INITIAL_ENV = Env.initial()
 
 
 def evaluate(
@@ -101,9 +109,9 @@ def evaluate(
 ) -> Value:
     """Evaluate ``term`` to a value in ``env`` (defaults to builtins).
 
-    The evaluator is a straightforward recursive interpreter; each level of
-    object-language recursion costs several Python frames, so the call runs
-    under a *scoped* (restored on exit) raised recursion limit, and a stack
+    The evaluator is a recursive interpreter; each level of object-language
+    recursion costs a Python frame or two, so the call runs under a
+    *scoped* (restored on exit) raised recursion limit, and a stack
     overflow surfaces as a :class:`ResourceLimitError` diagnostic.  With
     ``limits.max_eval_steps`` set, every evaluation step spends fuel and a
     runaway program stops with the same diagnostic instead of looping.
@@ -111,40 +119,44 @@ def evaluate(
     if budget is None:
         budget = Budget(limits)
     if env is None:
-        env = Env.initial()
+        env = INITIAL_ENV
+    # Dispatched here, not through evaluate_in: a frame fewer on the stack.
     with resource_scope(budget.limits, getattr(term, "span", None)):
-        return _eval(term, env, budget)
+        return _EVAL[term.__class__](term, env, budget)
 
 
-def apply_value(
-    fn_value: Value, args: List[Value], span=None,
-    budget: Optional[Budget] = None,
-) -> Value:
-    """Apply a function value to already-evaluated arguments."""
-    if budget is None:
-        budget = _UNMETERED
-    while isinstance(fn_value, FixThunk):
-        fn_value = _apply_once(fn_value.fn_value, [fn_value], span, budget)
-    return _apply_once(fn_value, args, span, budget)
+def evaluate_in(term: F.Term, env: Env, budget: Budget, span) -> Value:
+    """Evaluate ``term`` in ``env`` against ``budget``, reporting a stack
+    overflow at ``span`` (a library context's whole spliced term)."""
+    with resource_scope(budget.limits, span):
+        return _EVAL[term.__class__](term, env, budget)
 
 
-def _apply_once(
-    fn_value: Value, args: List[Value], span=None,
-    budget: Budget = _UNMETERED,
-) -> Value:
-    if isinstance(fn_value, Closure):
-        if len(fn_value.params) != len(args):
-            raise EvalError(
-                f"runtime arity mismatch: expected {len(fn_value.params)} "
-                f"argument(s), got {len(args)}",
-                span,
-            )
-        pairs = [
-            (name, value)
-            for (name, _), value in zip(fn_value.params, args)
-        ]
-        return _eval(fn_value.body, fn_value.env.bind_many(pairs), budget)
-    if isinstance(fn_value, PrimValue):
+def _bind(closure: Closure, args: List[Value], span) -> Env:
+    """The frame ``closure``'s body runs in, its parameters bound to
+    ``args``."""
+    params = closure.params
+    if len(params) != len(args):
+        raise EvalError(
+            f"runtime arity mismatch: expected {len(params)} "
+            f"argument(s), got {len(args)}",
+            span,
+        )
+    frame = {}
+    for (name, _), value in zip(params, args):
+        frame[name] = value
+    return Env(frame, closure.env)
+
+
+def _apply_once(fn_value: Value, args: List[Value], span,
+                budget: Budget) -> Value:
+    """Apply a value that is not a ``fix`` thunk to evaluated arguments."""
+    if fn_value.__class__ is Closure:
+        body = fn_value.body
+        return _EVAL[body.__class__](
+            body, _bind(fn_value, args, span), budget
+        )
+    if fn_value.__class__ is PrimValue:
         if fn_value.arity != len(args):
             raise EvalError(
                 f"primitive '{fn_value.name}' expects {fn_value.arity} "
@@ -155,69 +167,124 @@ def _apply_once(
     raise EvalError(f"cannot apply non-function value {fn_value!r}", span)
 
 
-def _eval(term: F.Term, env: Env, budget: Budget = _UNMETERED) -> Value:
+def _var(term, env, budget):
     budget.spend_fuel(term.span)
+    name = term.name
+    while env is not None:
+        frame = env._frame
+        if name in frame:
+            return frame[name]
+        env = env._parent
+    raise EvalError(f"unbound variable at runtime: '{name}'")
 
-    if isinstance(term, F.Var):
-        return env.lookup(term.name)
 
-    if isinstance(term, F.IntLit):
-        return term.value
+def _literal(term, env, budget):
+    budget.spend_fuel(term.span)
+    return term.value
 
-    if isinstance(term, F.BoolLit):
-        return term.value
 
-    if isinstance(term, F.Lam):
-        return Closure(term.params, term.body, env)
+def _lam(term, env, budget):
+    budget.spend_fuel(term.span)
+    return Closure(term.params, term.body, env)
 
-    if isinstance(term, F.App):
-        fn_value = _eval(term.fn, env, budget)
-        args = [_eval(arg, env, budget) for arg in term.args]
-        return apply_value(fn_value, args, term.span, budget)
 
-    if isinstance(term, F.TyLam):
-        return TyClosure(term.vars, term.body, env)
-
-    if isinstance(term, F.TyApp):
-        fn_value = _eval(term.fn, env, budget)
-        if isinstance(fn_value, TyClosure):
-            return _eval(fn_value.body, fn_value.env, budget)
-        if isinstance(fn_value, PrimValue) and fn_value.arity == 0:
-            # A fully type-applied polymorphic constant such as nil[int].
-            return fn_value.fn()
-        if isinstance(fn_value, PrimValue):
-            # Polymorphic primitives like cons[t] erase to themselves.
-            return fn_value
-        raise EvalError(
-            f"cannot type-apply non-polymorphic value {fn_value!r}", term.span
+def _app(term, env, budget):
+    span = term.span
+    budget.spend_fuel(span)
+    fn = term.fn
+    fn_value = _EVAL[fn.__class__](fn, env, budget)
+    args = [_EVAL[arg.__class__](arg, env, budget) for arg in term.args]
+    while fn_value.__class__ is FixThunk:
+        fn_value = _apply_once(fn_value.fn_value, [fn_value], span, budget)
+    if fn_value.__class__ is Closure:
+        # Inlined from _apply_once: no extra frame per call.
+        body = fn_value.body
+        return _EVAL[body.__class__](
+            body, _bind(fn_value, args, span), budget
         )
+    return _apply_once(fn_value, args, span, budget)
 
-    if isinstance(term, F.Let):
-        bound = _eval(term.bound, env, budget)
-        return _eval(term.body, env.bind(term.name, bound), budget)
 
-    if isinstance(term, F.Tuple_):
-        return tuple(_eval(item, env, budget) for item in term.items)
+def _ty_lam(term, env, budget):
+    budget.spend_fuel(term.span)
+    return TyClosure(term.vars, term.body, env)
 
-    if isinstance(term, F.Nth):
-        tuple_value = _eval(term.tuple_, env, budget)
-        if not isinstance(tuple_value, tuple):
-            raise EvalError(
-                f"nth applied to non-tuple {tuple_value!r}", term.span
-            )
-        if not 0 <= term.index < len(tuple_value):
-            raise EvalError(
-                f"tuple index {term.index} out of range", term.span
-            )
-        return tuple_value[term.index]
 
-    if isinstance(term, F.If):
-        cond = _eval(term.cond, env, budget)
-        if not isinstance(cond, bool):
-            raise EvalError(f"if condition is not a boolean: {cond!r}", term.span)
-        return _eval(term.then if cond else term.else_, env, budget)
+def _ty_app(term, env, budget):
+    budget.spend_fuel(term.span)
+    fn = term.fn
+    fn_value = _EVAL[fn.__class__](fn, env, budget)
+    if fn_value.__class__ is TyClosure:
+        body = fn_value.body
+        return _EVAL[body.__class__](body, fn_value.env, budget)
+    if fn_value.__class__ is PrimValue:
+        # A fully type-applied polymorphic constant such as nil[int] runs;
+        # polymorphic primitives like cons[t] erase to themselves.
+        return fn_value.fn() if fn_value.arity == 0 else fn_value
+    raise EvalError(
+        f"cannot type-apply non-polymorphic value {fn_value!r}", term.span
+    )
 
-    if isinstance(term, F.Fix):
-        return FixThunk(_eval(term.fn, env, budget))
 
-    raise AssertionError(f"unknown term node: {term!r}")
+def _let(term, env, budget):
+    budget.spend_fuel(term.span)
+    bound = term.bound
+    value = _EVAL[bound.__class__](bound, env, budget)
+    body = term.body
+    return _EVAL[body.__class__](body, Env({term.name: value}, env), budget)
+
+
+def _tuple(term, env, budget):
+    budget.spend_fuel(term.span)
+    return tuple([
+        _EVAL[item.__class__](item, env, budget) for item in term.items
+    ])
+
+
+def _nth(term, env, budget):
+    budget.spend_fuel(term.span)
+    inner = term.tuple_
+    tuple_value = _EVAL[inner.__class__](inner, env, budget)
+    if not isinstance(tuple_value, tuple):
+        raise EvalError(f"nth applied to non-tuple {tuple_value!r}", term.span)
+    index = term.index
+    if not 0 <= index < len(tuple_value):
+        raise EvalError(f"tuple index {index} out of range", term.span)
+    return tuple_value[index]
+
+
+def _if(term, env, budget):
+    budget.spend_fuel(term.span)
+    cond = term.cond
+    value = _EVAL[cond.__class__](cond, env, budget)
+    if value is True:
+        branch = term.then
+    elif value is False:
+        branch = term.else_
+    else:
+        raise EvalError(
+            f"if condition is not a boolean: {value!r}", term.span
+        )
+    return _EVAL[branch.__class__](branch, env, budget)
+
+
+def _fix(term, env, budget):
+    budget.spend_fuel(term.span)
+    fn = term.fn
+    return FixThunk(_EVAL[fn.__class__](fn, env, budget))
+
+
+_EVAL = {
+    F.Var: _var,
+    F.IntLit: _literal,
+    F.BoolLit: _literal,
+    F.Lam: _lam,
+    F.App: _app,
+    F.TyLam: _ty_lam,
+    F.TyApp: _ty_app,
+    F.Let: _let,
+    F.Tuple_: _tuple,
+    F.Nth: _nth,
+    F.If: _if,
+    F.Fix: _fix,
+}

@@ -44,7 +44,6 @@ from repro.diagnostics.errors import Diagnostic, ParseError
 from repro.fg import pretty_type
 from repro.observability import Instrumentation, MetricsRegistry
 from repro.syntax import parse_fg
-from repro.systemf import evaluate as f_evaluate
 from repro.systemf import pretty_term as f_pretty_term
 
 #: Keywords that begin a declaration the REPL should accumulate.
@@ -82,18 +81,21 @@ class Repl:
     def _program(self, expr: str) -> str:
         return "\n".join(self.decls + [expr])
 
-    def _typecheck(self, program: str, instrumentation):
-        """Fail-fast check of ``program`` at the session's library."""
+    def _context(self):
+        """The session's library context."""
         if self.use_ext:
             from repro.extensions import ExtChecker as checker_cls
         else:
             from repro.fg.typecheck import Checker as checker_cls
         from repro.prelude.context import context_for
 
-        checker = checker_cls(instrumentation=instrumentation)
-        return context_for(checker_cls, self.prelude).check(
-            checker, parse_fg(program, "<repl>")
-        )
+        return context_for(checker_cls, self.prelude)
+
+    def _typecheck(self, program: str, instrumentation):
+        """Fail-fast check of ``program`` at the session's library."""
+        context = self._context()
+        checker = context.checker_cls(instrumentation=instrumentation)
+        return context.check(checker, parse_fg(program, "<repl>"))
 
     def _check(self, expr: str, tracer=None):
         inst = Instrumentation(metrics=self.metrics) if tracer is None else \
@@ -207,7 +209,7 @@ class Repl:
         from repro.diagnostics.limits import Budget, Limits
 
         budget = Budget(Limits(max_eval_steps=self.fuel))
-        value = f_evaluate(sf, budget=budget)
+        value = self._context().evaluate(sf, budget)
         self.metrics.inc("eval.steps", budget.steps_taken)
         out = f"{_render(value)} : {pretty_type(fg_type)}"
         if tracer is not None:

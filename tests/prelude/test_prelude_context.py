@@ -18,6 +18,7 @@ import io
 import json
 import re
 import sys
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -25,9 +26,10 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.diagnostics.errors import TypeError_
-from repro.diagnostics.limits import Limits, resource_scope
+from repro.diagnostics.errors import Diagnostic, TypeError_
+from repro.diagnostics.limits import Budget, Limits, resource_scope
 from repro.diagnostics.reporter import DiagnosticReporter
+from repro.extensions import ExtChecker
 from repro.extensions import typecheck_all as ext_typecheck_all
 from repro.fg.env import Env
 from repro.fg.typecheck import Checker, verify_emitted
@@ -363,6 +365,159 @@ class TestPinnedPositions:
         rows = [(d["file"], d["line"], d["col"])
                 for d in outcome.report.to_json()]
         assert rows == [("monoid.fg", 1, 1), ("monoid.fg", 2, 1)]
+
+
+def _evaluation(run, sf_term, limits):
+    """Value or diagnostic of one evaluation, the steps it charged and the
+    deadline polls it made."""
+    budget = Budget(limits)
+    try:
+        result = ("value", run(sf_term, budget))
+    except Diagnostic as err:
+        span = err.span
+        result = ("error", type(err).__name__, err.message,
+                  None if span is None else (span.filename, span.lo, span.hi),
+                  getattr(err, "limit", None))
+    return result, budget.steps_taken, budget._deadline_poll
+
+
+def _whole_term(sf_term, budget):
+    return evaluate(sf_term, budget=budget)
+
+
+#: Programs per library for the runtime-prefix sweep; ``None`` is the
+#: empty library.
+EVAL_PROGRAMS = {
+    True: ["accumulate[int](range(1, 4))", "square[int](7)",
+           "count[list int](range(0, 3))", "car[int](nil[int])"],
+    False: ["iadd(1, 2)",
+            "let f = fix (\\f : fn(int) -> int. \\n : int. "
+            "if ieq(n, 0) then 0 else f(isub(n, 1))) in f(3)",
+            "idiv(1, 0)"],
+}
+
+
+class TestRuntimePrefix:
+    """``context.evaluate`` runs only the program's part, inside the
+    runtime environment the context recorded; it must show what
+    evaluating the whole spliced translation shows."""
+
+    @pytest.mark.parametrize("prelude", [True, False],
+                             ids=["prelude", "empty"])
+    @pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                             ids=["core", "ext"])
+    def test_every_fuel_budget_matches_the_whole_term(self, checker_cls,
+                                                      prelude):
+        context = context_for(checker_cls, prelude)
+        trips = set()
+        for text in EVAL_PROGRAMS[prelude]:
+            _, sf_term = context.typecheck(text)
+            for fuel in range(len(context.eval_spans) + 65):
+                limits = Limits(max_eval_steps=fuel)
+                new = _evaluation(context.evaluate, sf_term, limits)
+                assert new == _evaluation(_whole_term, sf_term, limits), (
+                    text, fuel)
+                result = new[0]
+                if result[-1] == "fuel" and result[3] is not None:
+                    trips.add(result[3][0])
+            deadline = Limits(deadline_ms=1e9)
+            assert _evaluation(context.evaluate, sf_term, deadline) == (
+                _evaluation(_whole_term, sf_term, deadline))
+        # Some trips land inside the library, some in the program.
+        expected = {"<input>", "<prelude>"} if prelude else {"<input>"}
+        assert trips == expected
+
+    def test_the_prefix_steps_are_counted(self):
+        context = context_for()
+        _, sf_term = context.typecheck("square[int](7)")
+        result, steps, _ = _evaluation(context.evaluate, sf_term, None)
+        assert result == ("value", 49)
+        assert len(context.eval_spans) < steps
+        assert steps == _evaluation(_whole_term, sf_term, None)[1]
+
+    @pytest.mark.parametrize("prelude", [True, False],
+                             ids=["prelude", "empty"])
+    def test_a_stack_trip_is_reported_at_the_whole_term(self, prelude):
+        context = context_for(Checker, prelude)
+        _, sf_term = context.typecheck(
+            "let f = fix (\\f : fn(int) -> int. \\n : int. "
+            "if ieq(n, 0) then 0 else iadd(1, f(isub(n, 1)))) in f(100000)"
+        )
+        limits = Limits(python_stack_limit=sys.getrecursionlimit() + 2_000)
+        # Not the steps: the program runs fewer frames deep than the whole
+        # term, so it gets further before the stack gives out.
+        new, _, _ = _evaluation(context.evaluate, sf_term, limits)
+        assert new == _evaluation(_whole_term, sf_term, limits)[0]
+        assert new[-1] == "stack"
+        assert new[3][0] == ("<prelude>" if prelude else "<input>")
+
+    def test_a_foreign_prefix_is_refused(self):
+        context = context_for()
+        _, sf_term = context.typecheck("square[int](7)")
+        with pytest.raises(ValueError, match="System F prefix"):
+            context.evaluate(sf_term.body, Budget())
+
+    @pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                             ids=["core", "ext"])
+    def test_runs_leave_the_shared_environment_unchanged(self, checker_cls):
+        context = context_for(checker_cls)
+        before = _frames(context.rt_env)
+        for case in _prelude_lib_cases():
+            outcome = check_source(
+                case.text, case.name, prelude=case.prelude,
+                ext=checker_cls is ExtChecker, evaluate=True,
+            )
+            assert outcome.evaluated, case.name
+        # The empty library's environment ends the prelude's chain.
+        assert _frames(context.rt_env) == before
+
+    def test_threads_share_the_environment(self):
+        context = context_for()
+        terms = [context.typecheck(case.text)[1]
+                 for case in _prelude_lib_cases() if case.prelude]
+        serial = [_evaluation(context.evaluate, t, None) for t in terms]
+        before = _frames(context.rt_env)
+        results = {}
+
+        def worker(index):
+            results[index] = [
+                _evaluation(context.evaluate, t, None) for t in terms
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {i: serial for i in range(6)}
+        assert _frames(context.rt_env) == before
+
+
+def _frames(env):
+    """Each frame of a runtime environment, by identity, with its
+    bindings' identities."""
+    rows = []
+    while env is not None:
+        rows.append((id(env._frame), tuple(
+            (name, id(value)) for name, value in env._frame.items()
+        )))
+        env = env._parent
+    return rows
+
+
+def _prelude_lib_cases():
+    sys.path.insert(0, str(ROOT / "fgbench"))
+    import workloads
+
+    return [case for seed in (1, 2, 3)
+            for case in workloads.make("prelude-lib", seed)]
 
 
 @pytest.fixture
