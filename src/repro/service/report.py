@@ -247,44 +247,54 @@ class BatchReport:
 
     def render(self) -> str:
         """Human-readable per-file table + rollup (the non-JSON CLI view)."""
-        lines: List[str] = []
-        for outcome in self.files:
-            label = outcome.status
-            if outcome.status == "diagnostics":
-                label = f"error({outcome.severities.get('error', 0)})"
-            flags = []
-            if outcome.retries:
-                flags.append(f"attempts={len(outcome.attempts)}")
-            if outcome.quarantined:
-                flags.append("quarantined")
-            suffix = ("  [" + ", ".join(flags) + "]") if flags else ""
-            lines.append(f"{label:<12} {outcome.file}{suffix}")
-            if outcome.crash is not None:
-                lines.append(
-                    f"{'':<12} contained {outcome.crash.where} crash: "
-                    f"{outcome.crash.exc_type}: {outcome.crash.message}"
-                )
-        roll = self.rollup()
-        lines.append(
-            "-- rollup: "
-            + " ".join(f"{k}={roll[k]}" for k in
-                       ("files", "ok", "diagnostics", "timeout", "memory",
-                        "crash", "quarantined", "retries"))
-        )
-        if self.pool is not None:
-            lines.append(
-                "-- pool: "
-                + " ".join(f"{k}={self.pool[k]}" for k in
-                           ("workers", "respawns", "worker_lost", "steals",
-                            "retired", "degraded")
-                           if k in self.pool)
-            )
-        if self.quarantine:
-            lines.append("-- quarantine: " + ", ".join(self.quarantine))
-        return "\n".join(lines)
+        return render_report(self.to_json())
 
     def __len__(self) -> int:
         return len(self.files)
+
+
+def render_report(report_json: Dict[str, object]) -> str:
+    """The human view of a report's JSON form (:meth:`BatchReport.to_json`):
+    a per-file table with retry/quarantine flags and contained crashes,
+    then the rollup, pool and quarantine lines.  ``fg batch`` renders its
+    own report with it and ``fg client`` the one the daemon sends."""
+    lines: List[str] = []
+    for outcome in report_json["files"]:
+        label = outcome["status"]
+        if label == "diagnostics":
+            label = f"error({outcome['severities'].get('error', 0)})"
+        flags = []
+        if len(outcome["attempts"]) > 1:
+            flags.append(f"attempts={len(outcome['attempts'])}")
+        if outcome["quarantined"]:
+            flags.append("quarantined")
+        suffix = ("  [" + ", ".join(flags) + "]") if flags else ""
+        lines.append(f"{label:<12} {outcome['file']}{suffix}")
+        crash = outcome["crash"]
+        if crash is not None:
+            lines.append(
+                f"{'':<12} contained {crash['where']} crash: "
+                f"{crash['exc_type']}: {crash['message']}"
+            )
+    roll = report_json["rollup"]
+    lines.append(
+        "-- rollup: "
+        + " ".join(f"{k}={roll[k]}" for k in
+                   ("files", "ok", "diagnostics", "timeout", "memory",
+                    "crash", "quarantined", "retries"))
+    )
+    pool = report_json["pool"]
+    if pool is not None:
+        lines.append(
+            "-- pool: "
+            + " ".join(f"{k}={pool[k]}" for k in
+                       ("workers", "respawns", "worker_lost", "steals",
+                        "retired", "degraded")
+                       if k in pool)
+        )
+    if report_json["quarantine"]:
+        lines.append("-- quarantine: " + ", ".join(report_json["quarantine"]))
+    return "\n".join(lines)
 
 
 _NONCANONICAL_FIELDS = (

@@ -594,30 +594,39 @@ class Server:
         idle = self.pool.idle_respawns if self.pool is not None else 0
         return self.telemetry.respawns + idle
 
-    def _health_payload(self) -> Dict[str, object]:
+    def _snapshot(self) -> Dict[str, object]:
+        """The live state that ``health`` and ``stats`` both report: in
+        memory, no blocking I/O."""
+        pool = self.pool
         return {
-            "type": "health",
             "status": "draining" if self.draining else "ok",
             "queued": len(self.queue),
             "in_flight": 1 if self.current is not None else 0,
-            "workers": self.pool.alive_workers if self.pool else 0,
+            "workers": pool.alive_workers if pool is not None else 0,
+            "workers_detail": (
+                pool.worker_status() if pool is not None else []
+            ),
             "served": self.served,
             "uptime_ms": round(
                 (time.monotonic() - self._started_at) * 1000.0, 3
             ),
-            "queue_wait_ms_p95": self.telemetry.queue_wait_p95(),
             "shed_total": self.telemetry.shed_total,
             "respawns": self._total_respawns(),
-            "workers_detail": (
-                self.pool.worker_status() if self.pool is not None else []
-            ),
-            "rss_bytes": self.pool.rss_bytes() if self.pool else 0,
+            "recycles": self.recycles,
+            "rss_bytes": pool.rss_bytes() if pool is not None else 0,
+        }
+
+    def _health_payload(self) -> Dict[str, object]:
+        snap = self._snapshot()
+        return {
+            "type": "health",
+            **snap,
+            "queue_wait_ms_p95": self.telemetry.queue_wait_p95(),
             "memory_pressure": (
                 self._max_rss_bytes is not None
                 and self.pool is not None
-                and self.pool.rss_bytes() >= self._max_rss_bytes
+                and snap["rss_bytes"] >= self._max_rss_bytes
             ),
-            "recycles": self.recycles,
             "ops_log_writable": self.ops_log_writable,
             "metrics_file_writable": self.metrics_file_writable,
             "journal_writable": self.journal_writable,
@@ -669,28 +678,14 @@ class Server:
     def _stats_payload(self) -> Dict[str, object]:
         """The live-telemetry payload: everything in memory, no blocking
         I/O — safe to build on the accept-loop thread."""
-        snap = self.telemetry.snapshot()
+        telemetry = self.telemetry.snapshot()
         return {
             "type": "stats",
-            "status": "draining" if self.draining else "ok",
-            "served": self.served,
-            "queued": len(self.queue),
-            "in_flight": 1 if self.current is not None else 0,
-            "workers": self.pool.alive_workers if self.pool else 0,
-            "workers_detail": (
-                self.pool.worker_status() if self.pool is not None else []
-            ),
-            "uptime_ms": round(
-                (time.monotonic() - self._started_at) * 1000.0, 3
-            ),
-            "latency_ms": snap["latency_ms"],
-            "queue_wait_ms": snap["queue_wait_ms"],
-            "worker_utilization": snap["worker_utilization"],
-            "shed_total": snap["shed_total"],
+            **self._snapshot(),
+            "latency_ms": telemetry["latency_ms"],
+            "queue_wait_ms": telemetry["queue_wait_ms"],
+            "worker_utilization": telemetry["worker_utilization"],
             "shed_memory": self.shed_memory,
-            "respawns": self._total_respawns(),
-            "recycles": self.recycles,
-            "rss_bytes": self.pool.rss_bytes() if self.pool else 0,
             "ops_seq": self.ops.seq if self.ops is not None else 0,
         }
 

@@ -66,7 +66,19 @@ heartbeats, respawn, and work stealing — ``--pool-workers``/
 ``--isolate=subprocess`` all select it), and a circuit breaker
 (``--quarantine-after N``).  ``--chaos`` injects a
 deterministic fault schedule and ``--kill-worker`` SIGKILLs pool workers
-mid-batch (the CI chaos-smoke hooks).
+mid-batch (the CI chaos-smoke hooks).  ``fg client`` prints the same human
+report as ``fg batch``: both render the report's JSON form with
+:func:`~repro.service.report.render_report`.
+
+The driver states each thing once.  A flag that several subcommands take
+is declared once in :data:`_FLAGS` (``fg batch`` and ``fg serve`` share
+every flag :func:`_batch_policy` reads) and each subcommand names the ones
+it takes, in the order its usage line lists them; ``--max-errors`` is
+range-checked once after parsing.  :data:`_COMMANDS`
+maps each subcommand to its handler and :func:`_dispatch` runs it under the
+one internal-error guard; a handler's input faults (an unreadable file, a
+closed pipe) are mapped to their exit codes before an exception counts as
+a bug.
 
 Exit codes: **0** success, **1** the program has diagnostics, **2** usage
 error (bad flags, unreadable file), **3** internal error (a bug in this
@@ -86,6 +98,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from repro.diagnostics.errors import Diagnostic
 from repro.diagnostics.limits import DEFAULT_LIMITS, Limits
@@ -94,8 +107,8 @@ from repro.fg import pretty_type as fg_pretty_type
 from repro.syntax import parse_f
 from repro.systemf import evaluate as f_evaluate
 from repro.systemf import pretty_term as f_pretty_term
-from repro.systemf import pretty_type as f_pretty_type
 from repro.systemf import type_of as f_type_of
+from repro.tools.repl import render_value
 
 #: Exit codes of the ``fg`` driver (documented contract).  4 and 5 extend
 #: the original 0–3 contract for deadlines and batch partial failure; they
@@ -108,7 +121,7 @@ EXIT_INTERNAL = 3
 #: pool was shut down cleanly before exit (128 + SIGINT, the shell idiom).
 EXIT_INTERRUPTED = 130
 from repro.service.report import (  # noqa: E402
-    EXIT_DEADLINE, EXIT_OVERLOAD, EXIT_PARTIAL,
+    EXIT_DEADLINE, EXIT_OVERLOAD, EXIT_PARTIAL, render_report,
 )
 
 _INTERNAL_BANNER = (
@@ -126,24 +139,14 @@ def _read_program(args: argparse.Namespace) -> str:
         return handle.read()
 
 
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_render(v) for v in value) + ")"
-    return str(value)
-
-
-def _limits(args: argparse.Namespace) -> Limits:
+def _limits(args: argparse.Namespace, deadline_ms=None) -> Limits:
     return Limits(
         max_check_depth=(
             args.depth if args.depth is not None
             else DEFAULT_LIMITS.max_check_depth
         ),
         max_eval_steps=args.fuel,
-        deadline_ms=getattr(args, "deadline_ms", None),
+        deadline_ms=deadline_ms,
     )
 
 
@@ -241,6 +244,10 @@ def _json_extras(args: argparse.Namespace, stats, explain, inst=None):
     return extras
 
 
+def _print_json(envelope: dict, extras=None) -> None:
+    print(json.dumps({**envelope, **(extras or {})}, indent=2))
+
+
 def _emit_observability(args: argparse.Namespace, stats, explain,
                         inst=None) -> None:
     """Human-readable --stats/--explain/--profile output, on stderr."""
@@ -262,9 +269,9 @@ def _emit_report(
     report: DiagnosticReport, args: argparse.Namespace, extras=None
 ) -> None:
     if args.json:
-        envelope = {"diagnostics": [diagnostic_to_dict(d) for d in report]}
-        envelope.update(extras or {})
-        print(json.dumps(envelope, indent=2))
+        _print_json(
+            {"diagnostics": [diagnostic_to_dict(d) for d in report]}, extras
+        )
     else:
         rendered = report.render()
         if rendered:
@@ -288,7 +295,7 @@ def _run_fg_command(args: argparse.Namespace) -> int:
             prelude=args.prelude,
             ext=args.ext,
             max_errors=args.max_errors,
-            limits=_limits(args),
+            limits=_limits(args, args.deadline_ms),
             evaluate=(args.command in ("run", "profile")),
             verify=(args.command == "verify"),
             instrumentation=inst,
@@ -324,26 +331,17 @@ def _run_fg_command(args: argparse.Namespace) -> int:
         from repro.observability import format_profile, profile_tracer
 
         if args.json:
-            envelope = {"diagnostics": []}
-            envelope.update(extras)
-            print(json.dumps(envelope, indent=2))
+            _print_json({"diagnostics": []}, extras)
         else:
             print(format_profile(profile_tracer(inst.tracer), inst.memory))
-            if outcome.stats is not None:
-                timings = outcome.stats.get("timings_ms", {})
-                if timings:
-                    print("-- timings (ms):")
-                    for stage, ms in timings.items():
-                        print(f"   {stage:<12} {ms}")
+            timings = (outcome.stats or {}).get("timings_ms")
+            if timings:
+                print(_render_stats({"timings_ms": timings}))
         return EXIT_OK
     if args.command == "check":
         if args.json:
-            envelope = {
-                "diagnostics": [],
-                "type": fg_pretty_type(outcome.type_),
-            }
-            envelope.update(extras)
-            print(json.dumps(envelope, indent=2))
+            _print_json({"diagnostics": [],
+                         "type": fg_pretty_type(outcome.type_)}, extras)
         else:
             print(fg_pretty_type(outcome.type_))
     elif args.command == "translate":
@@ -353,57 +351,44 @@ def _run_fg_command(args: argparse.Namespace) -> int:
         print("translation preserves typing: OK")
     else:  # run
         if args.json:
-            envelope = {"diagnostics": [], "value": _render(outcome.value)}
-            envelope.update(extras)
-            print(json.dumps(envelope, indent=2))
+            _print_json({"diagnostics": [],
+                         "value": render_value(outcome.value)}, extras)
         else:
-            print(_render(outcome.value))
+            print(render_value(outcome.value))
     _emit_observability(args, outcome.stats, outcome.explain, inst)
     return EXIT_OK
 
 
 def _run_runf(args: argparse.Namespace) -> int:
-    import time
-
+    """Parse, typecheck and evaluate a System F program.  System F has no
+    models, so --explain has nothing to record; the pipeline's stage
+    spans, timings and ``eval.steps`` still apply."""
     from repro.diagnostics.limits import Budget
+    from repro.observability import NULL_TRACER
+    from repro.pipeline import _stage
 
     inst = _instrumentation(args)
     text = _read_program(args)
-    if inst is None:
-        term = parse_f(text, args.file or "<cmdline>")
-        f_type_of(term)
-        print(_render(f_evaluate(term, limits=_limits(args))))
-        return EXIT_OK
-    # System F programs have no models, so --explain has nothing to record;
-    # stage spans, timings, and eval.steps still apply.
-    timings = {}
-    tracer = inst.tracer
-    budget = Budget(_limits(args))
+    filename = args.file or "<cmdline>"
+    tracer = inst.tracer if inst is not None else NULL_TRACER
+    timings = {} if inst is not None else None
+    budget = Budget(_limits(args, args.deadline_ms))
     total_start = time.perf_counter_ns()
-    with tracer.span("pipeline.runf", filename=args.file or "<cmdline>"):
-        for stage, work in [
-            ("parse", lambda: parse_f(text, args.file or "<cmdline>")),
-        ]:
-            start = time.perf_counter_ns()
-            with tracer.span(f"pipeline.{stage}"):
-                term = work()
-            timings[stage] = round((time.perf_counter_ns() - start) / 1e6, 3)
-        start = time.perf_counter_ns()
-        with tracer.span("pipeline.check"):
+    with tracer.span("pipeline.runf", filename=filename):
+        with _stage("parse", tracer, timings):
+            term = parse_f(text, filename)
+        with _stage("check", tracer, timings):
             f_type_of(term)
-        timings["check"] = round((time.perf_counter_ns() - start) / 1e6, 3)
-        start = time.perf_counter_ns()
-        with tracer.span("pipeline.evaluate"):
+        with _stage("evaluate", tracer, timings):
             value = f_evaluate(term, budget=budget)
-        timings["evaluate"] = round(
-            (time.perf_counter_ns() - start) / 1e6, 3
-        )
-    timings["total"] = round((time.perf_counter_ns() - total_start) / 1e6, 3)
-    stats = {"timings_ms": timings}
+    total_ms = round((time.perf_counter_ns() - total_start) / 1e6, 3)
+    print(render_value(value))
+    if inst is None:
+        return EXIT_OK
+    stats = {"timings_ms": {**timings, "total": total_ms}}
     if inst.metrics is not None:
         inst.metrics.inc("eval.steps", budget.steps_taken)
         stats.update(inst.metrics.snapshot())
-    print(_render(value))
     _write_trace(inst, args)
     _emit_observability(args, stats, inst.explain, inst)
     return EXIT_OK
@@ -421,7 +406,9 @@ def _run_bench(args: argparse.Namespace) -> int:
             print(f"fg bench: cannot load {path}: {err}", file=sys.stderr)
             return EXIT_USAGE
     comparison = regress.compare_records(
-        *records, threshold=args.threshold
+        *records,
+        threshold=(args.threshold if args.threshold is not None
+                   else regress.DEFAULT_THRESHOLD),
     )
     if args.json:
         print(json.dumps(comparison.to_json(), indent=2))
@@ -446,6 +433,57 @@ def _collect_batch_files(paths) -> list:
         else:
             files.append(raw)
     return files
+
+
+class _Unreadable(Exception):
+    """An input file that exists in the FILES list but cannot be read;
+    prints as the underlying error."""
+
+    def __init__(self, path: str, err: Exception):
+        super().__init__(err)
+        self.path = path
+        self.reason = (
+            f"not valid UTF-8 ({err})" if isinstance(err, UnicodeDecodeError)
+            else err.strerror or err
+        )
+
+
+def _read_sources(files) -> list:
+    """``(path, text)`` for every FILES argument, directories expanded.
+
+    Raises ``OSError`` when the list itself is bad (an empty directory) and
+    :class:`_Unreadable` for the first file that cannot be read."""
+    sources = []
+    for path in _collect_batch_files(files):
+        try:
+            with open(path) as handle:
+                sources.append((path, handle.read()))
+        except (OSError, UnicodeDecodeError) as err:
+            raise _Unreadable(path, err) from err
+    return sources
+
+
+def _fault_schedule(args: argparse.Namespace):
+    """The ``--chaos`` (and ``fg batch --kill-worker``) fault schedule.
+
+    An injected hang must outlast the deadline (plus the supervisor's kill
+    grace) to matter, so it runs three deadlines, or half a second without
+    one.  Raises ``ValueError`` on a malformed spec."""
+    from dataclasses import replace
+
+    from repro.service import FaultSchedule, WorkerKillSpec
+
+    hang_s = (
+        args.deadline_ms * 3 / 1000.0 if args.deadline_ms is not None
+        else 0.5
+    )
+    schedule = FaultSchedule.parse(",".join(args.chaos or ()), hang_s=hang_s)
+    kills = getattr(args, "kill_worker", None)
+    if kills:
+        schedule = replace(schedule, kills=tuple(
+            WorkerKillSpec.parse(spec) for spec in kills
+        ))
+    return schedule
 
 
 def _batch_policy(args: argparse.Namespace, **overrides):
@@ -474,57 +512,34 @@ def _batch_policy(args: argparse.Namespace, **overrides):
     )
 
 
-def _add_check_flags(parser: argparse.ArgumentParser,
-                     verify: bool = True) -> None:
-    """``--prelude``, ``--ext`` and (unless ``verify`` is false)
-    ``--verify``: which library and checker each program is checked with.
-    """
-    parser.add_argument(
-        "--prelude", action="store_true",
-        help="check each program at the standard concept library (checked "
-        "once per process) instead of the empty library",
-    )
-    parser.add_argument(
-        "--ext", action="store_true",
-        help="enable the section 6 extensions (named/parameterized "
-        "models, member defaults)",
-    )
-    if verify:
-        parser.add_argument(
-            "--verify", action="store_true",
-            help="also run the Theorem 1/2 translation check per file",
-        )
-
-
 def _run_batch(args: argparse.Namespace) -> int:
-    """``fg batch``: the fault-isolated batch checking service."""
-    from dataclasses import replace
+    """``fg batch``: the fault-isolated batch checking service.
 
-    from repro.service import FaultSchedule, WorkerKillSpec, check_batch
+    SIGTERM behaves like Ctrl-C for the whole batch: the raise unwinds
+    through the coordinator so the pool supervisor's finally blocks kill
+    and reap every worker before exit."""
+    from repro.service import raise_on_termination
 
     try:
-        paths = _collect_batch_files(args.files)
-    except (OSError, FileNotFoundError) as err:
+        with raise_on_termination():
+            return _check_batch(args)
+    except KeyboardInterrupt:
+        print("fg batch: interrupted — workers shut down", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
+def _check_batch(args: argparse.Namespace) -> int:
+    from repro.service import check_batch
+
+    try:
+        sources = _read_sources(args.files)
+    except _Unreadable as err:
+        print(f"fg batch: cannot read {err.path}: {err.reason}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:
         print(f"fg batch: {err}", file=sys.stderr)
         return EXIT_USAGE
-    sources = []
-    for path in paths:
-        try:
-            with open(path) as handle:
-                sources.append((path, handle.read()))
-        except OSError as err:
-            print(
-                f"fg batch: cannot read {path}: {err.strerror or err}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        except UnicodeDecodeError as err:
-            print(
-                f"fg batch: cannot read {path}: not valid UTF-8 ({err})",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-
     if args.kill_worker and not args.isolate:
         print(
             "fg batch: --kill-worker requires --isolate=pool "
@@ -532,35 +547,18 @@ def _run_batch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    schedule = None
-    if args.chaos or args.kill_worker:
-        hang_s = (
-            args.deadline_ms * 3 / 1000.0
-            if args.deadline_ms is not None else 0.5
-        )
-        try:
-            schedule = FaultSchedule.parse(
-                ",".join(args.chaos or ()), hang_s=hang_s
-            )
-            if args.kill_worker:
-                schedule = replace(schedule, kills=tuple(
-                    WorkerKillSpec.parse(spec) for spec in args.kill_worker
-                ))
-        except ValueError as err:
-            print(f"fg batch: {err}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        schedule = (
+            _fault_schedule(args) if args.chaos or args.kill_worker
+            else None
+        )
+        # The run's deadline is the policy's per-task one; the limits echo
+        # leaves it out.
         policy = _batch_policy(
             args,
             jobs=args.jobs,
             isolate="pool" if args.isolate else "none",
-            limits=Limits(
-                max_check_depth=(
-                    args.depth if args.depth is not None
-                    else DEFAULT_LIMITS.max_check_depth
-                ),
-                max_eval_steps=args.fuel,
-            ),
+            limits=_limits(args),
         )
     except ValueError as err:
         print(f"fg batch: {err}", file=sys.stderr)
@@ -582,19 +580,10 @@ def _run_batch(args: argparse.Namespace) -> int:
         stats = inst.metrics.snapshot()
     explain = inst.explain if inst is not None else None
     if args.json:
-        envelope = report.to_json()
-        if args.stats and stats is not None:
-            envelope["stats"] = stats
-        if args.explain and explain is not None:
-            envelope["explain"] = explain.to_json()
-        print(json.dumps(envelope, indent=2))
+        _print_json(report.to_json(), _json_extras(args, stats, explain))
     else:
         print(report.render())
-        if args.explain and explain is not None:
-            print("-- model resolution log:", file=sys.stderr)
-            print(explain.render(), file=sys.stderr)
-        if args.stats and stats is not None:
-            print(_render_stats(stats), file=sys.stderr)
+        _emit_observability(args, stats, explain)
     return report.exit_code
 
 
@@ -699,10 +688,18 @@ def _render_server_stats(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _event_line(event: dict) -> str:
+    """One operational-log event: ``[seq] event  key=value ...``."""
+    extra = " ".join(
+        f"{key}={value}" for key, value in sorted(event.items())
+        if key not in ("seq", "ts_ms", "event")
+    )
+    line = f"[{event.get('seq', '?'):>4}] {event.get('event')}"
+    return line + (f"  {extra}" if extra else "")
+
+
 def _run_client_stats(args: argparse.Namespace) -> int:
     """``fg client stats [--json|--watch]``."""
-    import time as time_mod
-
     from repro.service import stats as remote_stats
 
     try:
@@ -715,7 +712,7 @@ def _run_client_stats(args: argparse.Namespace) -> int:
             if not args.watch:
                 return EXIT_OK
             sys.stdout.flush()
-            time_mod.sleep(args.interval_ms / 1000.0)
+            time.sleep(args.interval_ms / 1000.0)
     except KeyboardInterrupt:
         return EXIT_OK
 
@@ -730,20 +727,15 @@ def _run_client_events(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     for event in payload.get("events", ()):
-        extra = " ".join(
-            f"{key}={value}" for key, value in sorted(event.items())
-            if key not in ("seq", "ts_ms", "event")
-        )
-        line = f"[{event.get('seq'):>4}] {event.get('event')}"
-        print(line + (f"  {extra}" if extra else ""))
+        print(_event_line(event))
     return EXIT_OK
 
 
 def _run_client(args: argparse.Namespace) -> int:
     """``fg client``: submit to a daemon, or probe/drain it."""
     from repro.service import (
-        ClientError, FaultSchedule, ServerUnavailable, check_remote,
-        health, request_shutdown,
+        ClientError, ServerUnavailable, check_remote, health,
+        request_shutdown,
     )
 
     keyword = _client_keyword(args)
@@ -767,12 +759,8 @@ def _run_client(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         try:
-            paths = _collect_batch_files(args.files)
-            sources = []
-            for path in paths:
-                with open(path) as handle:
-                    sources.append((path, handle.read()))
-        except (OSError, UnicodeDecodeError) as err:
+            sources = _read_sources(args.files)
+        except (OSError, _Unreadable) as err:
             print(f"fg client: cannot read input: {err}", file=sys.stderr)
             return EXIT_USAGE
         overrides = {}
@@ -786,21 +774,13 @@ def _run_client(args: argparse.Namespace) -> int:
             overrides["verify"] = True
         if args.retries is not None:
             overrides["retry"] = {"max_retries": args.retries}
-        schedule_json = None
-        if args.chaos:
-            # Same hang scaling as fg batch: an injected hang must outlast
-            # the deadline (plus the supervisor's kill grace) to matter.
-            hang_s = (
-                args.deadline_ms * 3 / 1000.0
-                if args.deadline_ms is not None else 0.5
+        try:
+            schedule_json = (
+                _fault_schedule(args).to_json() if args.chaos else None
             )
-            try:
-                schedule_json = FaultSchedule.parse(
-                    ",".join(args.chaos), hang_s=hang_s
-                ).to_json()
-            except ValueError as err:
-                print(f"fg client: {err}", file=sys.stderr)
-                return EXIT_USAGE
+        except ValueError as err:
+            print(f"fg client: {err}", file=sys.stderr)
+            return EXIT_USAGE
         response = check_remote(
             args.socket, sources,
             policy_overrides=overrides or None,
@@ -821,7 +801,7 @@ def _run_client(args: argparse.Namespace) -> int:
             envelope["digest"] = response.get("digest")
             print(json.dumps(envelope, indent=2))
         else:
-            print(_render_remote_report(response["report"]))
+            print(render_report(response["report"]))
         return int(response.get("exit_code", EXIT_INTERNAL))
     if kind in ("overload", "draining"):
         print(
@@ -931,15 +911,13 @@ def _doctor_triage(bundle: dict, tail: int) -> dict:
 
 
 def _render_triage(triage: dict, path) -> str:
-    import time as time_mod
-
     lines = [
         f"fg doctor: {triage['fault_kind']} — {triage['classification']}"
     ]
     created = triage.get("created_ts_ms")
     when = (
-        time_mod.strftime(
-            "%Y-%m-%d %H:%M:%S", time_mod.localtime(created / 1000.0)
+        time.strftime(
+            "%Y-%m-%d %H:%M:%S", time.localtime(created / 1000.0)
         )
         if isinstance(created, (int, float)) and created else "?"
     )
@@ -969,15 +947,7 @@ def _render_triage(triage: dict, path) -> str:
     ops = triage.get("ops_tail") or []
     if ops:
         lines.append(f"-- last {len(ops)} ops event(s):")
-        for event in ops:
-            extra = " ".join(
-                f"{key}={value}" for key, value in sorted(event.items())
-                if key not in ("seq", "ts_ms", "event")
-            )
-            lines.append(
-                f"   [{event.get('seq', '?'):>4}] {event.get('event')}"
-                + (f"  {extra}" if extra else "")
-            )
+        lines.extend("   " + _event_line(event) for event in ops)
     anomalies = triage.get("metric_anomalies") or []
     if anomalies:
         lines.append("-- metric anomalies (max > 3x median):")
@@ -1085,27 +1055,154 @@ def _run_debug(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _render_remote_report(report_json: dict) -> str:
-    """Human view of a wire-format batch report (mirrors
-    ``BatchReport.render`` closely enough for eyeballs)."""
-    lines = []
-    for outcome in report_json.get("files", ()):
-        label = outcome["status"]
-        if label == "diagnostics":
-            label = f"error({outcome.get('severities', {}).get('error', 0)})"
-        lines.append(f"{label:<12} {outcome['file']}")
-    roll = report_json.get("rollup", {})
-    if roll:
-        lines.append(
-            "-- rollup: "
-            + " ".join(f"{k}={roll[k]}" for k in
-                       ("files", "ok", "diagnostics", "timeout", "memory",
-                        "crash", "quarantined", "retries") if k in roll)
-        )
-    return "\n".join(lines)
+def _run_repl(args: argparse.Namespace) -> int:
+    from repro.tools.repl import main as repl_main
+
+    return repl_main()
 
 
-def main(argv=None) -> int:
+#: Every flag that more than one subcommand takes, declared once.
+_FLAGS = {
+    "--prelude": dict(
+        action="store_true",
+        help="check each program at the standard concept library (checked "
+        "once per process) instead of the empty library",
+    ),
+    "--ext": dict(
+        action="store_true",
+        help="enable the section 6 extensions (named/parameterized "
+        "models, member defaults)",
+    ),
+    "--verify": dict(
+        action="store_true",
+        help="also run the Theorem 1/2 translation check per file",
+    ),
+    "--max-errors": dict(
+        type=int, default=20, metavar="N",
+        help="stop collecting a program's errors after N (default 20)",
+    ),
+    "--fuel": dict(
+        type=int, default=None, metavar="N",
+        help="bound each program's evaluation to N steps (default: "
+        "unbounded)",
+    ),
+    "--depth": dict(
+        type=int, default=None, metavar="N",
+        help="bound each program's typechecker nesting depth (default "
+        f"{DEFAULT_LIMITS.max_check_depth})",
+    ),
+    "--deadline-ms": dict(
+        type=float, default=None, metavar="T",
+        help="wall-clock deadline (watchdog + cooperative cancellation): "
+        "for one program, exit code 4 when exceeded; for fg batch and "
+        "fg serve, per task, where a miss is a retryable fault and the "
+        "daemon's composes with each request's own as the minimum",
+    ),
+    "--retries": dict(
+        type=int, default=0, metavar="K",
+        help="retry budget per file for transient faults (deadline misses, "
+        "crashes — never type errors; default 0)",
+    ),
+    "--backoff-ms": dict(
+        type=float, default=0.0, metavar="B",
+        help="base of the deterministic exponential backoff schedule "
+        "(default 0: retry immediately)",
+    ),
+    "--quarantine-after": dict(
+        type=int, default=3, metavar="N",
+        help="circuit breaker: quarantine a file after N consecutive "
+        "failures (default 3)",
+    ),
+    "--pool-workers": dict(
+        type=int, default=2, metavar="N",
+        help="persistent prelude-warmed pool workers (fg batch: under "
+        "--isolate; default 2)",
+    ),
+    "--max-respawns": dict(
+        type=int, default=4, metavar="N",
+        help="per-batch respawn budget for lost workers; once spent, dead "
+        "slots retire and the pool degrades gracefully (default 4)",
+    ),
+    "--heartbeat-ms": dict(
+        type=float, default=100.0, metavar="T",
+        help="pool worker heartbeat period (default 100)",
+    ),
+    "--max-worker-mem-mb": dict(
+        type=float, default=None, metavar="M",
+        help="per-worker memory budget (RLIMIT_AS, falling back to "
+        "RLIMIT_DATA): a runaway allocation becomes a contained, "
+        "retryable 'memory' fault instead of a kernel OOM kill",
+    ),
+    "--recycle-rss-mb": dict(
+        type=float, default=None, metavar="M",
+        help="pool worker RSS high-water mark: a worker whose "
+        "heartbeat-sampled RSS crosses it is gracefully recycled "
+        "between tasks (never mid-attempt, never charged to "
+        "--max-respawns)",
+    ),
+    "--recycle-after-tasks": dict(
+        type=int, default=None, metavar="N",
+        help="recycle a pool worker process after it completes N tasks "
+        "(leak hygiene for long batches and long-lived daemons)",
+    ),
+    "--crash-dir": dict(
+        default=None, metavar="DIR",
+        help="write crash-forensics bundles (flight-recorder rings, pool "
+        "state, tracebacks) here on worker loss, deadline kills, and "
+        "contained crashes; fg batch defaults to $FG_CRASH_DIR (unset = "
+        "disabled), fg serve to <socket>.crash and also keeps a live "
+        "'blackbox' bundle there that survives a SIGKILL",
+    ),
+    "--stats": dict(
+        action="store_true",
+        help="report stage timings and checker/evaluator counters (fg "
+        "batch: retries, timeouts, quarantines; fg serve: server.* and "
+        "batch counters, on drain)",
+    ),
+    "--trace": dict(
+        nargs="?", const="-", default=None, metavar="FILE",
+        help="record a span trace; print it (no FILE) or write Chrome "
+        "trace JSON (*.json) / JSONL (*.jsonl) / text.  fg batch and fg "
+        "serve stitch every worker's spans under the coordinator's "
+        "(clock-normalized, one Chrome pid lane per worker process)",
+    ),
+    "--explain": dict(
+        action="store_true",
+        help="log every model resolution: candidates per scope and why "
+        "each was rejected (fg batch ships workers' entries back through "
+        "the isolation wall)",
+    ),
+    "--chaos": dict(
+        action="append", default=None, metavar="SPEC",
+        help="inject a deterministic fault schedule (testing hook; fg "
+        "client attaches it to the request): INDEX:STAGE:KIND[:ATTEMPTS]"
+        "[,...] with KIND one of crash|hang|kill|noise|memhog and "
+        "ATTEMPTS N, A-B, or * (default)",
+    ),
+    "--socket": dict(
+        required=True, metavar="PATH",
+        help="the daemon's Unix-domain socket path",
+    ),
+}
+
+#: The single-program subcommands and their help lines.
+_FILE_COMMANDS = {
+    "run": "typecheck, translate, and evaluate an F_G program",
+    "check": "typecheck an F_G program and print its type",
+    "translate": "print an F_G program's System F translation",
+    "verify": "check that translation preserves typing (Theorems 1/2)",
+    "runf": "typecheck and evaluate a System F program",
+    "profile": "run an F_G program under the deterministic profiler: "
+    "hot-path table + per-stage peak memory",
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fg",
         description="System F_G: concepts for generic programming "
@@ -1151,25 +1248,8 @@ def main(argv=None) -> int:
         "--jobs", type=int, default=1, metavar="N",
         help="worker pool size (default 1)",
     )
-    batch.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="T",
-        help="per-task wall-clock deadline; a miss is a retryable fault",
-    )
-    batch.add_argument(
-        "--retries", type=int, default=0, metavar="K",
-        help="retry budget per file for transient faults (deadline misses, "
-        "crashes — never type errors; default 0)",
-    )
-    batch.add_argument(
-        "--backoff-ms", type=float, default=0.0, metavar="B",
-        help="base of the deterministic exponential backoff schedule "
-        "(default 0: retry immediately)",
-    )
-    batch.add_argument(
-        "--quarantine-after", type=int, default=3, metavar="N",
-        help="circuit breaker: quarantine a file after N consecutive "
-        "failures (default 3)",
-    )
+    _add_flags(batch, "--deadline-ms", "--retries", "--backoff-ms",
+               "--quarantine-after")
     batch.add_argument(
         "--isolate", nargs="?", const="pool", default=None,
         choices=["subprocess", "pool"], metavar="MODE",
@@ -1179,88 +1259,22 @@ def main(argv=None) -> int:
         "stealing; a bare --isolate and the older 'subprocess' spelling "
         "both select 'pool'",
     )
-    batch.add_argument(
-        "--pool-workers", type=int, default=2, metavar="N",
-        help="persistent workers under --isolate=pool (default 2)",
-    )
-    batch.add_argument(
-        "--max-respawns", type=int, default=4, metavar="N",
-        help="pool-wide respawn budget for lost workers; once spent, dead "
-        "slots retire and the pool degrades gracefully (default 4)",
-    )
-    batch.add_argument(
-        "--heartbeat-ms", type=float, default=100.0, metavar="T",
-        help="pool worker heartbeat period (default 100)",
-    )
-    batch.add_argument(
-        "--max-worker-mem-mb", type=float, default=None, metavar="M",
-        help="per-worker memory budget (RLIMIT_AS, falling back to "
-        "RLIMIT_DATA): a runaway allocation becomes a contained, "
-        "retryable 'memory' fault instead of a kernel OOM kill",
-    )
-    batch.add_argument(
-        "--recycle-rss-mb", type=float, default=None, metavar="M",
-        help="pool-mode RSS high-water mark: a worker whose "
-        "heartbeat-sampled RSS crosses it is gracefully recycled "
-        "between tasks (never mid-attempt, never charged to "
-        "--max-respawns)",
-    )
-    batch.add_argument(
-        "--recycle-after-tasks", type=int, default=None, metavar="N",
-        help="pool-mode task cap per worker process: recycle a worker "
-        "after it completes N tasks (leak hygiene for long batches)",
-    )
-    batch.add_argument(
-        "--chaos", action="append", default=None, metavar="SPEC",
-        help="inject a deterministic fault schedule (testing hook): "
-        "INDEX:STAGE:KIND[:ATTEMPTS][,...] with KIND one of crash|hang|"
-        "kill|noise|memhog and ATTEMPTS N, A-B, or * (default)",
-    )
+    _add_flags(batch, "--pool-workers", "--max-respawns", "--heartbeat-ms",
+               "--max-worker-mem-mb", "--recycle-rss-mb",
+               "--recycle-after-tasks", "--chaos")
     batch.add_argument(
         "--kill-worker", action="append", default=None, metavar="SPEC",
         help="chaos hook for --isolate=pool: SIGKILL a worker at the "
         "dispatch of INDEX[:ATTEMPT[:WORKER]] (default attempt 0, default "
         "worker: whichever received the dispatch)",
     )
-    batch.add_argument(
-        "--crash-dir", default=None, metavar="DIR",
-        help="write crash-forensics bundles (flight-recorder rings, pool "
-        "state, tracebacks) here on worker loss, deadline kills, and "
-        "contained crashes; defaults to $FG_CRASH_DIR, unset = disabled",
-    )
-    _add_check_flags(batch)
-    batch.add_argument(
-        "--max-errors", type=int, default=20, metavar="N",
-        help="per-file collected-error cap (default 20)",
-    )
-    batch.add_argument(
-        "--fuel", type=int, default=None, metavar="N",
-        help="per-file evaluation step budget",
-    )
-    batch.add_argument(
-        "--depth", type=int, default=None, metavar="N",
-        help="per-file typechecker nesting budget",
-    )
+    _add_flags(batch, "--crash-dir", "--prelude", "--ext", "--verify",
+               "--max-errors", "--fuel", "--depth")
     batch.add_argument(
         "--json", action="store_true",
         help="emit the BatchReport envelope as JSON on stdout",
     )
-    batch.add_argument(
-        "--stats", action="store_true",
-        help="report batch counters (retries, timeouts, quarantines)",
-    )
-    batch.add_argument(
-        "--trace", nargs="?", const="-", default=None, metavar="FILE",
-        help="record the merged span trace: coordinator spans plus every "
-        "worker's spans stitched under them (clock-normalized across the "
-        "process boundary; .json = Chrome trace_event with one pid lane "
-        "per worker process)",
-    )
-    batch.add_argument(
-        "--explain", action="store_true",
-        help="print the model-resolution log; entries recorded inside "
-        "workers are shipped back through the isolation wall",
-    )
+    _add_flags(batch, "--stats", "--trace", "--explain")
     batch.set_defaults(profile=False)
     serve = sub.add_parser(
         "serve",
@@ -1268,10 +1282,7 @@ def main(argv=None) -> int:
         "a persistent warm worker pool, with bounded admission, graceful "
         "SIGTERM drain, and a crash-safe request journal",
     )
-    serve.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="Unix-domain socket path to listen on",
-    )
+    _add_flags(serve, "--socket")
     serve.add_argument(
         "--journal", default=None, metavar="FILE",
         help="request journal path (default: <socket>.journal)",
@@ -1302,52 +1313,10 @@ def main(argv=None) -> int:
         help="slow-loris defense: close connections idle this long with "
         "no admitted request (default 10000)",
     )
-    serve.add_argument(
-        "--pool-workers", type=int, default=2, metavar="N",
-        help="persistent warm workers (default 2)",
-    )
-    serve.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="T",
-        help="server-side per-task deadline; composes with each request's "
-        "own deadline as the minimum",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=0, metavar="K",
-        help="default retry budget per file (default 0)",
-    )
-    serve.add_argument(
-        "--backoff-ms", type=float, default=0.0, metavar="B",
-        help="base of the deterministic backoff schedule (default 0)",
-    )
-    serve.add_argument(
-        "--quarantine-after", type=int, default=3, metavar="N",
-        help="circuit breaker threshold (default 3)",
-    )
-    serve.add_argument(
-        "--max-respawns", type=int, default=4, metavar="N",
-        help="per-batch respawn budget for lost workers (default 4)",
-    )
-    serve.add_argument(
-        "--heartbeat-ms", type=float, default=100.0, metavar="T",
-        help="pool worker heartbeat period (default 100)",
-    )
-    serve.add_argument(
-        "--max-worker-mem-mb", type=float, default=None, metavar="M",
-        help="per-worker memory budget (RLIMIT_AS, falling back to "
-        "RLIMIT_DATA): a runaway allocation becomes a contained, "
-        "retryable 'memory' fault instead of a kernel OOM kill",
-    )
-    serve.add_argument(
-        "--recycle-rss-mb", type=float, default=None, metavar="M",
-        help="worker RSS high-water mark: a worker whose "
-        "heartbeat-sampled RSS crosses it is gracefully recycled "
-        "between tasks (never charged to --max-respawns)",
-    )
-    serve.add_argument(
-        "--recycle-after-tasks", type=int, default=None, metavar="N",
-        help="recycle a worker process after it completes N tasks "
-        "(leak hygiene for long-lived daemons)",
-    )
+    _add_flags(serve, "--pool-workers", "--deadline-ms", "--retries",
+               "--backoff-ms", "--quarantine-after", "--max-respawns",
+               "--heartbeat-ms", "--max-worker-mem-mb", "--recycle-rss-mb",
+               "--recycle-after-tasks")
     serve.add_argument(
         "--max-rss-mb", type=float, default=None, metavar="M",
         help="aggregate worker-RSS admission budget: while the pool's "
@@ -1359,24 +1328,12 @@ def main(argv=None) -> int:
         help="rotate the ops log to <file>.1 when it reaches N bytes "
         "(one backup generation; default: never rotate)",
     )
-    _add_check_flags(serve)
-    serve.add_argument(
-        "--max-errors", type=int, default=20, metavar="N",
-        help="per-file collected-error cap (default 20)",
-    )
+    _add_flags(serve, "--prelude", "--ext", "--verify", "--max-errors")
     serve.add_argument(
         "--json", action="store_true",
         help="emit the exit summary as JSON",
     )
-    serve.add_argument(
-        "--stats", action="store_true",
-        help="report server.* and batch counters on drain",
-    )
-    serve.add_argument(
-        "--trace", nargs="?", const="-", default=None, metavar="FILE",
-        help="record the daemon's merged span trace (worker spans "
-        "stitched under each request, one Chrome pid lane per worker)",
-    )
+    _add_flags(serve, "--stats", "--trace")
     serve.add_argument(
         "--metrics-file", default=None, metavar="PATH",
         help="write a Prometheus text-format snapshot of the live "
@@ -1391,12 +1348,7 @@ def main(argv=None) -> int:
         help="operational event log (append-only JSONL; default: "
         "<socket>.ops.jsonl)",
     )
-    serve.add_argument(
-        "--crash-dir", default=None, metavar="DIR",
-        help="crash-bundle directory for the flight recorder's forensics "
-        "(default: <socket>.crash); the daemon also keeps a live "
-        "'blackbox' bundle here that survives a SIGKILL",
-    )
+    _add_flags(serve, "--crash-dir")
     serve.set_defaults(explain=False, profile=False)
     cli = sub.add_parser(
         "client",
@@ -1410,10 +1362,7 @@ def main(argv=None) -> int:
         "utilization, shed and respawn totals) or 'events' (the tail of "
         "the daemon's operational event log)",
     )
-    cli.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="the daemon's Unix-domain socket path",
-    )
+    _add_flags(cli, "--socket")
     cli.add_argument(
         "--health", action="store_true",
         help="print the daemon's health snapshot and exit",
@@ -1432,12 +1381,7 @@ def main(argv=None) -> int:
         "--retries", type=int, default=None, metavar="K",
         help="override the server's per-file retry budget",
     )
-    _add_check_flags(cli)
-    cli.add_argument(
-        "--chaos", action="append", default=None, metavar="SPEC",
-        help="attach a deterministic fault schedule to the request "
-        "(testing hook; same syntax as fg batch --chaos)",
-    )
+    _add_flags(cli, "--prelude", "--ext", "--verify", "--chaos")
     cli.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="client-side socket timeout in seconds (default: none)",
@@ -1495,10 +1439,7 @@ def main(argv=None) -> int:
         "what", choices=["bundle"], metavar="WHAT",
         help="'bundle': force a manual crash bundle from the daemon",
     )
-    debug.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="the daemon's Unix-domain socket path",
-    )
+    _add_flags(debug, "--socket")
     debug.add_argument(
         "--out", default=None, metavar="FILE",
         help="also write the returned bundle document to FILE",
@@ -1511,195 +1452,103 @@ def main(argv=None) -> int:
         "--json", action="store_true",
         help="emit the bundle (and its daemon-side path) as JSON",
     )
-    for name, help_ in [
-        ("run", "typecheck, translate, and evaluate an F_G program"),
-        ("check", "typecheck an F_G program and print its type"),
-        ("translate", "print an F_G program's System F translation"),
-        ("verify", "check that translation preserves typing (Theorems 1/2)"),
-        ("runf", "typecheck and evaluate a System F program"),
-        ("profile", "run an F_G program under the deterministic profiler: "
-         "hot-path table + per-stage peak memory"),
-    ]:
+    for name, help_ in _FILE_COMMANDS.items():
         cmd = sub.add_parser(name, help=help_)
         cmd.add_argument("file", nargs="?", help="program file ('-' = stdin)")
         cmd.add_argument(
             "-e", "--expr", help="program text given on the command line"
         )
-        _add_check_flags(cmd, verify=False)
+        _add_flags(cmd, "--prelude", "--ext", "--max-errors", "--fuel",
+                   "--depth", "--deadline-ms")
         cmd.add_argument(
-            "--max-errors",
-            type=int,
-            default=20,
-            metavar="N",
-            help="stop after N collected errors (default 20)",
-        )
-        cmd.add_argument(
-            "--fuel",
-            type=int,
-            default=None,
-            metavar="N",
-            help="bound evaluation to N steps (default: unbounded)",
-        )
-        cmd.add_argument(
-            "--depth",
-            type=int,
-            default=None,
-            metavar="N",
-            help="bound typechecker nesting depth (default "
-            f"{DEFAULT_LIMITS.max_check_depth})",
-        )
-        cmd.add_argument(
-            "--deadline-ms",
-            type=float,
-            default=None,
-            metavar="T",
-            help="wall-clock deadline for the run (watchdog + cooperative "
-            "cancellation); exit code 4 when exceeded",
-        )
-        cmd.add_argument(
-            "--json",
-            action="store_true",
+            "--json", action="store_true",
             help="emit diagnostics as JSON on stdout",
         )
+        _add_flags(cmd, "--trace", "--stats", "--explain")
         cmd.add_argument(
-            "--trace",
-            nargs="?",
-            const="-",
-            default=None,
-            metavar="FILE",
-            help="record a span trace; print it (no FILE) or write "
-            "Chrome trace JSON (*.json) / JSONL (*.jsonl) / text",
-        )
-        cmd.add_argument(
-            "--stats",
-            action="store_true",
-            help="report stage timings and checker/evaluator counters",
-        )
-        cmd.add_argument(
-            "--explain",
-            action="store_true",
-            help="log every model resolution: candidates per scope and "
-            "why each was rejected",
-        )
-        cmd.add_argument(
-            "--profile",
-            action="store_true",
+            "--profile", action="store_true",
             help="aggregate the span stream into a per-callsite "
             "inclusive/exclusive time table and account peak memory "
             "per pipeline stage",
         )
-    args = parser.parse_args(argv)
-    if args.command == "repl":
-        from repro.tools.repl import main as repl_main
+    return parser
 
-        return repl_main()
-    if args.command == "bench":
-        if args.threshold is None:
-            from repro.observability.regress import DEFAULT_THRESHOLD
 
-            args.threshold = DEFAULT_THRESHOLD
-        try:
-            return _run_bench(args)
-        except Exception:
-            import traceback
-
-            print(_INTERNAL_BANNER, file=sys.stderr)
-            traceback.print_exc()
-            return EXIT_INTERNAL
-    if args.command == "batch":
-        if args.max_errors < 1:
-            parser.error("--max-errors must be at least 1")
-        try:
-            # SIGTERM behaves like Ctrl-C for the whole batch: the raise
-            # unwinds through the coordinator so the pool supervisor's
-            # finally blocks kill and reap every worker before exit.
-            from repro.service import raise_on_termination
-
-            with raise_on_termination():
-                return _run_batch(args)
-        except KeyboardInterrupt:
-            print("fg batch: interrupted — workers shut down",
-                  file=sys.stderr)
-            return EXIT_INTERRUPTED
-        except Exception:
-            # Total failure: a bug in the batch driver itself — distinct
-            # from partial failure (5), which the report's exit code covers.
-            import traceback
-
-            print(_INTERNAL_BANNER, file=sys.stderr)
-            traceback.print_exc()
-            return EXIT_INTERNAL
-    if args.command == "serve":
-        try:
-            return _run_serve(args)
-        except Exception:
-            import traceback
-
-            print(_INTERNAL_BANNER, file=sys.stderr)
-            traceback.print_exc()
-            return EXIT_INTERNAL
-    if args.command == "client":
-        try:
-            return _run_client(args)
-        except Exception:
-            import traceback
-
-            print(_INTERNAL_BANNER, file=sys.stderr)
-            traceback.print_exc()
-            return EXIT_INTERNAL
-    if args.command == "doctor":
-        try:
-            return _run_doctor(args)
-        except BrokenPipeError:
-            return EXIT_OK  # downstream pager/head closed the pipe
-        except Exception:
-            import traceback
-
-            print(_INTERNAL_BANNER, file=sys.stderr)
-            traceback.print_exc()
-            return EXIT_INTERNAL
-    if args.command == "debug":
-        try:
-            return _run_debug(args)
-        except BrokenPipeError:
-            return EXIT_OK
-        except Exception:
-            import traceback
-
-            print(_INTERNAL_BANNER, file=sys.stderr)
-            traceback.print_exc()
-            return EXIT_INTERNAL
-    if args.file is None and args.expr is None:
-        parser.error("a FILE or -e EXPR is required")
-    if args.max_errors < 1:
-        parser.error("--max-errors must be at least 1")
-    try:
-        if args.command == "runf":
-            return _run_runf(args)
-        return _run_fg_command(args)
-    except OSError as err:
+def _input_fault(args: argparse.Namespace, err: Exception):
+    """The single-program commands' exit code for an exception that is the
+    input's fault, not a bug (None otherwise)."""
+    if isinstance(err, OSError):
         # A missing or unreadable input file is a usage error, reported as
         # one clean line — no traceback.
         name = getattr(err, "filename", None) or args.file or "<input>"
-        print(f"fg: cannot read {name}: {err.strerror or err}", file=sys.stderr)
+        print(f"fg: cannot read {name}: {err.strerror or err}",
+              file=sys.stderr)
         return EXIT_USAGE
-    except UnicodeDecodeError as err:
+    if isinstance(err, UnicodeDecodeError):
         # A file that is not valid UTF-8 is bad input, not an internal bug.
         name = args.file or "<input>"
-        print(f"fg: cannot read {name}: not valid UTF-8 ({err})", file=sys.stderr)
+        print(f"fg: cannot read {name}: not valid UTF-8 ({err})",
+              file=sys.stderr)
         return EXIT_USAGE
-    except Diagnostic as err:
+    if isinstance(err, Diagnostic):
         # Fail-fast paths (runf) still honor the exit-code contract.
         print(err, file=sys.stderr)
         if getattr(err, "limit", None) == "deadline":
             return EXIT_DEADLINE
         return EXIT_DIAGNOSTICS
-    except Exception:
+    return None
+
+
+def _closed_pipe(args: argparse.Namespace, err: Exception):
+    """A downstream pager or ``head`` closed the pipe: not an error."""
+    return EXIT_OK if isinstance(err, BrokenPipeError) else None
+
+
+def _no_fault(args: argparse.Namespace, err: Exception):
+    return None
+
+
+#: Subcommand -> (handler, the exit code an escaping exception maps to
+#: before it counts as a bug, or None).
+_COMMANDS = {
+    "repl": (_run_repl, _no_fault),
+    "bench": (_run_bench, _no_fault),
+    "batch": (_run_batch, _no_fault),
+    "serve": (_run_serve, _no_fault),
+    "client": (_run_client, _no_fault),
+    "doctor": (_run_doctor, _closed_pipe),
+    "debug": (_run_debug, _closed_pipe),
+    **{name: (_run_fg_command, _input_fault) for name in _FILE_COMMANDS},
+    "runf": (_run_runf, _input_fault),
+}
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the subcommand; an exception nobody maps to an exit code is a
+    bug in this implementation (exit 3, banner and traceback)."""
+    handler, fault = _COMMANDS[args.command]
+    try:
+        return handler(args)
+    except Exception as err:
+        code = fault(args, err)
+        if code is not None:
+            return code
         import traceback
 
         print(_INTERNAL_BANNER, file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
+
+
+def main(argv=None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command in _FILE_COMMANDS and args.file is None \
+            and args.expr is None:
+        parser.error("a FILE or -e EXPR is required")
+    if getattr(args, "max_errors", 1) < 1:
+        parser.error("--max-errors must be at least 1")
+    return _dispatch(args)
 
 
 if __name__ == "__main__":

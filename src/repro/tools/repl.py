@@ -50,13 +50,15 @@ from repro.systemf import pretty_term as f_pretty_term
 _DECL_KEYWORDS = ("concept", "model", "let", "type", "use", "overload")
 
 
-def _render(value) -> str:
+def render_value(value) -> str:
+    """An evaluated F_G or System F value in surface syntax (the REPL's and
+    the ``fg`` driver's one value printer)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
+        return "[" + ", ".join(render_value(v) for v in value) + "]"
     if isinstance(value, tuple):
-        return "(" + ", ".join(_render(v) for v in value) + ")"
+        return "(" + ", ".join(render_value(v) for v in value) + ")"
     return str(value)
 
 
@@ -211,7 +213,7 @@ class Repl:
         budget = Budget(Limits(max_eval_steps=self.fuel))
         value = self._context().evaluate(sf, budget)
         self.metrics.inc("eval.steps", budget.steps_taken)
-        out = f"{_render(value)} : {pretty_type(fg_type)}"
+        out = f"{render_value(value)} : {pretty_type(fg_type)}"
         if tracer is not None:
             from repro.observability.exporters import render_tree
 

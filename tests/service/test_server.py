@@ -574,6 +574,33 @@ def test_health_payload_carries_the_resource_flags(tmp_path):
     assert stats["rss_bytes"] == 0
 
 
+#: The live state ``health`` and ``stats`` both carry (fgbench reads
+#: ``status`` and ``workers`` from ``health``).
+SNAPSHOT_FIELDS = {
+    "status", "queued", "in_flight", "workers", "workers_detail", "served",
+    "uptime_ms", "shed_total", "respawns", "recycles", "rss_bytes",
+}
+
+
+def test_health_and_stats_carry_one_snapshot(tmp_path):
+    server = _bare_server(tmp_path)
+    server.pool = _FakePool(rss=3 * 1024)
+    health, stats = server._health_payload(), server._stats_payload()
+    assert set(health) == SNAPSHOT_FIELDS | {
+        "type", "queue_wait_ms_p95", "memory_pressure", "ops_log_writable",
+        "metrics_file_writable", "journal_writable", "disk_headroom",
+    }
+    assert set(stats) == SNAPSHOT_FIELDS | {
+        "type", "latency_ms", "queue_wait_ms", "worker_utilization",
+        "shed_memory", "ops_seq",
+    }
+    for key in SNAPSHOT_FIELDS - {"uptime_ms"}:
+        assert health[key] == stats[key], key
+    assert (health["type"], stats["type"]) == ("health", "stats")
+    assert health["status"] == "ok" and health["workers"] == 1
+    assert health["rss_bytes"] == 3 * 1024
+
+
 def test_memory_pressure_is_visible_before_it_sheds(tmp_path):
     server = _bare_server(tmp_path, max_rss_mb=1.0)
     server.pool = _FakePool(rss=2 * 1024 * 1024)

@@ -279,3 +279,67 @@ class TestClientTelemetryCli:
         )
         assert code == EXIT_USAGE
         assert "no daemon" in err
+
+
+def _eventful_report():
+    """A report with every line the human view can print: retries, a
+    contained crash, a quarantined file, diagnostics and pool stats."""
+    from repro.service import (
+        AttemptRecord, BatchReport, CrashReport, FileOutcome, PoolStats,
+    )
+
+    crashed = [
+        AttemptRecord(attempt=i, status="crash", fault="crash",
+                      retryable=True, injected=("check:crash",))
+        for i in range(3)
+    ]
+    return BatchReport(
+        files=(
+            FileOutcome(
+                file="boom.fg", index=0, status="crash", ok=False,
+                quarantined=True, attempts=tuple(crashed),
+                crash=CrashReport(exc_type="RuntimeError", message="boom"),
+            ),
+            FileOutcome(
+                file="bad.fg", index=1, status="diagnostics", ok=False,
+                attempts=(AttemptRecord(attempt=0, status="diagnostics"),),
+                severities={"error": 2},
+            ),
+            FileOutcome(
+                file="good.fg", index=2, status="ok", ok=True,
+                attempts=(
+                    AttemptRecord(attempt=0, status="timeout",
+                                  fault="deadline", retryable=True),
+                    AttemptRecord(attempt=1, status="ok"),
+                ),
+            ),
+        ),
+        pool=PoolStats(workers=2, respawns=1, worker_lost=1).to_json(),
+    )
+
+
+def test_client_prints_the_batch_report(capsys, monkeypatch, tmp_path):
+    """``fg client`` renders the daemon's report JSON exactly as ``fg
+    batch`` renders its own report."""
+    import repro.service as service
+
+    report = _eventful_report()
+    program = tmp_path / "good.fg"
+    program.write_text(GOOD)
+    monkeypatch.setattr(service, "check_batch", lambda *a, **k: report)
+    monkeypatch.setattr(service, "check_remote", lambda *a, **k: {
+        "type": "report", "exit_code": report.exit_code,
+        "report": json.loads(json.dumps(report.to_json())),
+    })
+    batch = run_cli(capsys, "batch", str(program))
+    client = run_cli(capsys, "client", str(program), "--socket",
+                     str(tmp_path / "s.sock"))
+    assert client == batch
+    code, out, _ = batch
+    assert code == 5
+    for line in ("boom.fg  [attempts=3, quarantined]",
+                 "contained worker crash: RuntimeError: boom",
+                 "good.fg  [attempts=2]",
+                 "-- pool: workers=2 respawns=1 worker_lost=1",
+                 "-- quarantine: boom.fg"):
+        assert line in out
