@@ -39,7 +39,8 @@ from repro.diagnostics.source import Span
 # holds its types weakly; an entry goes when the last reference to its type
 # does.  Each type also records, when built, whether the recovery poison
 # occurs in it (``contains_error``), whether a ``forall`` type does
-# (``contains_forall``) and its free type variables (``free_vars``).
+# (``contains_forall``), whether an associated type does
+# (``contains_assoc``) and its free type variables (``free_vars``).
 
 class _Entry(weakref.ref):
     """A table entry: a weak reference that knows its key."""
@@ -71,7 +72,7 @@ def _lookup(key: tuple) -> Optional["FGType"]:
 
 
 def _intern(key: tuple, contains_error: bool, contains_forall: bool,
-            free_vars: FrozenSet[str]):
+            contains_assoc: bool, free_vars: FrozenSet[str]):
     """Build the type ``key`` describes and enter it in the table, unless
     another thread entered it since :func:`_lookup` missed."""
     with _LOCK:
@@ -83,6 +84,7 @@ def _intern(key: tuple, contains_error: bool, contains_forall: bool,
                 _set(t, name, value)
             _set(t, "contains_error", contains_error)
             _set(t, "contains_forall", contains_forall)
+            _set(t, "contains_assoc", contains_assoc)
             _set(t, "free_vars", free_vars)
             entry = _Entry(t, _forget)
             entry.key = key
@@ -90,23 +92,24 @@ def _intern(key: tuple, contains_error: bool, contains_forall: bool,
     return t
 
 
-def _join(types) -> Tuple[bool, bool, FrozenSet[str]]:
-    """``(contains_error, contains_forall, free_vars)`` of a type built
-    from ``types``."""
-    error, forall, free = False, False, _EMPTY
+def _join(types) -> Tuple[bool, bool, bool, FrozenSet[str]]:
+    """``(contains_error, contains_forall, contains_assoc, free_vars)`` of
+    a type built from ``types``."""
+    error, forall, assoc, free = False, False, False, _EMPTY
     for t in types:
         error = error or t.contains_error
         forall = forall or t.contains_forall
+        assoc = assoc or t.contains_assoc
         if t.free_vars and t.free_vars is not free:
             free = free | t.free_vars if free else t.free_vars
-    return error, forall, free
+    return error, forall, assoc, free
 
 
 class FGType:
     """Base class of F_G types (hash-consed, immutable)."""
 
-    __slots__ = ("contains_error", "contains_forall", "free_vars",
-                 "__weakref__")
+    __slots__ = ("contains_error", "contains_forall", "contains_assoc",
+                 "free_vars", "__weakref__")
     #: Field names, in constructor order.
     _fields: Tuple[str, ...] = ()
 
@@ -133,7 +136,8 @@ class TVar(FGType):
 
     def __new__(cls, name: str) -> "TVar":
         key = (cls, name)
-        return _lookup(key) or _intern(key, False, False, frozenset((name,)))
+        return _lookup(key) or _intern(
+            key, False, False, False, frozenset((name,)))
 
     def __str__(self) -> str:
         return self.name
@@ -146,7 +150,7 @@ class TBase(FGType):
 
     def __new__(cls, name: str) -> "TBase":
         key = (cls, name)
-        return _lookup(key) or _intern(key, False, False, _EMPTY)
+        return _lookup(key) or _intern(key, False, False, False, _EMPTY)
 
     def __str__(self) -> str:
         return self.name
@@ -171,7 +175,7 @@ class ErrorType(FGType):
 
     def __new__(cls) -> "ErrorType":
         key = (cls,)
-        return _lookup(key) or _intern(key, True, False, _EMPTY)
+        return _lookup(key) or _intern(key, True, False, False, _EMPTY)
 
     def __str__(self) -> str:
         return "<error>"
@@ -189,7 +193,8 @@ class TList(FGType):
     def __new__(cls, elem: FGType) -> "TList":
         key = (cls, elem)
         return _lookup(key) or _intern(
-            key, elem.contains_error, elem.contains_forall, elem.free_vars)
+            key, elem.contains_error, elem.contains_forall,
+            elem.contains_assoc, elem.free_vars)
 
     def __str__(self) -> str:
         return f"list {self.elem}"
@@ -270,10 +275,10 @@ class TForall(FGType):
             parts = [body, *key[2]]
             for s in key[3]:
                 parts += (s.left, s.right)
-            error, _, free = _join(parts)
+            error, _, assoc, free = _join(parts)
             if not free.isdisjoint(key[1]):
                 free = free - frozenset(key[1])
-            t = _intern(key, error, True, free)
+            t = _intern(key, error, True, assoc, free)
         return t
 
     @property
@@ -316,7 +321,11 @@ class TAssoc(FGType):
         cls, concept: str, args: Tuple[FGType, ...], member: str
     ) -> "TAssoc":
         key = (cls, concept, tuple(args), member)
-        return _lookup(key) or _intern(key, *_join(key[2]))
+        t = _lookup(key)
+        if t is None:
+            error, forall, _, free = _join(key[2])
+            t = _intern(key, error, forall, True, free)
+        return t
 
     def __str__(self) -> str:
         return f"{self.concept}<{', '.join(map(str, self.args))}>.{self.member}"

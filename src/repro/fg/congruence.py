@@ -86,6 +86,9 @@ class CongruenceSolver:
         # Set once an ``("error",)`` node exists; until then no class can
         # hold the recovery poison.
         self._poisoned = False
+        # :attr:`closed_types_represent_themselves`, computed on first read
+        # and cleared by every merge.
+        self._closed_reps: Optional[bool] = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -156,6 +159,7 @@ class CongruenceSolver:
         self._equalities.append((a, b))
         self._reps.clear()
         self._extracted.clear()
+        self._closed_reps = None
         worklist = [(self.intern(a), self.intern(b))]
         while worklist:
             x, y = worklist.pop()
@@ -222,6 +226,41 @@ class CongruenceSolver:
                 raise TypeError_(f"cyclic type equality involving {t}")
             rep = self._reps[t] = best[1]
         return rep
+
+    @property
+    def closed_types_represent_themselves(self) -> bool:
+        """True when every closed type is its own representative.
+
+        A closed type has no type variable, ``forall``, associated type or
+        poison in it.  The certificate: every class with more than one
+        member holds at most one member that is not an associated-type
+        term, and that member is what the class extracts to.  The class of
+        a closed type's every subterm then holds the subterm's own node as
+        its one such member, which extraction prefers to any associated
+        term, so the closed type is rebuilt as itself.  Interning after the
+        merges adds only singleton classes, so the answer holds until the
+        next merge.
+        """
+        certified = self._closed_reps
+        if certified is None:
+            certified = self._closed_reps = self._certify_closed_reps()
+        return certified
+
+    def _certify_closed_reps(self) -> bool:
+        labels = self._labels
+        for root, members in self._members.items():
+            if len(members) == 1:
+                continue
+            plain = [n for n in members if labels[n][0] != "assoc"]
+            if len(plain) > 1:
+                return False
+            if plain:
+                # A member costs less than any associated term unless its
+                # extraction is cyclic or as large as one.
+                best = self._extract(root, _Walk())
+                if best is None or best[0] >= _COST_ASSOC:
+                    return False
+        return True
 
     def _extract(self, root: int, walk: "_Walk"):
         """Best (cost, type) for a class root, or ``None`` on a cycle.

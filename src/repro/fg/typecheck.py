@@ -145,11 +145,19 @@ class Checker:
         With no equalities every class is a singleton, so a type without a
         ``forall`` in it represents itself: extraction would rebuild the
         same hash-consed object.  A ``forall`` type still asks the solver,
-        which answers an alpha-variant with the variant it met first.
+        which answers an alpha-variant with the variant it met first.  A
+        closed type (no variable, ``forall``, associated type or poison)
+        represents itself too wherever the scope's solver certifies that
+        closed types do (see ``CongruenceSolver``).
         """
         if t is G.ERROR or not (env.equalities or t.contains_forall):
             return t
-        return self.solver(env).representative(t)
+        solver = self.solver(env)
+        closed = not (t.free_vars or t.contains_forall or t.contains_assoc
+                      or t.contains_error)
+        if closed and solver.closed_types_represent_themselves:
+            return t
+        return solver.representative(t)
 
     def equal(self, a: G.FGType, b: G.FGType, env: Env) -> bool:
         """Decide ``env |- a = b`` (congruence of the equalities in scope).

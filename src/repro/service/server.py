@@ -144,6 +144,20 @@ class ServeOptions:
     #: ``None`` disables rotation.
     ops_log_max_bytes: Optional[int] = None
 
+    def __post_init__(self):
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be at least 1")
+        if self.retry_after_base_ms < 0:
+            raise ValueError("retry_after_base_ms must be non-negative")
+        for name in ("idle_timeout_s", "metrics_interval_s",
+                     "blackbox_interval_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("max_rss_mb", "ops_log_max_bytes"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive")
+
     def effective_journal_path(self) -> str:
         return (
             self.journal_path

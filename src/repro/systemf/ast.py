@@ -184,8 +184,12 @@ def substitute(t: Type, subst: Dict[str, Type]) -> Type:
 
 
 def types_equal(a: Type, b: Type) -> bool:
-    """Alpha-equivalence of System F types."""
-    return _alpha_eq(a, b, {}, {})
+    """Alpha-equivalence of System F types.
+
+    Structurally equal types are alpha-equivalent, so they answer without
+    the binder-tracking walk.
+    """
+    return a is b or a == b or _alpha_eq(a, b, {}, {})
 
 
 def _alpha_eq(a: Type, b: Type, env_a: Dict[str, int], env_b: Dict[str, int]) -> bool:

@@ -4,10 +4,27 @@ Standard rules (the paper omits them as such), including the LET rule the
 paper spells out, plus rules for the literal/If/Fix extensions.  This checker
 doubles as the verifier for Theorems 1 and 2: every translated F_G program is
 re-checked here, independently of the F_G checker.
+
+Two shortcuts give the answers of the plain rules by construction:
+
+- a type application whose arguments are closed (no free type variable)
+  remembers its instantiation on the ``forall`` type it instantiates, so
+  ``cons[int]`` substitutes ``cons``'s body once per process, not once per
+  use.  Closed arguments cannot be captured, so the substitution mints no
+  fresh name and a remembered result is the one a new substitution would
+  build; arguments with free variables are substituted every time.  The
+  memo dies with its ``forall`` type and holds at most
+  ``_INSTANCES_BOUND`` argument tuples;
+- :func:`~repro.systemf.ast.types_equal` answers structurally equal types
+  before it walks them for alpha-equivalence.
+
+``tests/systemf/test_instantiation_reference.py`` compares both with the
+plain rules.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, FrozenSet, Optional
 
 from repro.diagnostics.errors import TypeError_
@@ -58,10 +75,43 @@ class TypeEnv:
 
 def check_type_wf(t: F.Type, env: TypeEnv, span=None) -> None:
     """Raise :class:`TypeError_` unless every free type variable is in scope."""
-    unbound = F.free_type_vars(t) - env.tyvars
+    _check_bound(F.free_type_vars(t), env, span)
+
+
+def _check_bound(free: FrozenSet[str], env: TypeEnv, span) -> None:
+    unbound = free - env.tyvars
     if unbound:
         names = ", ".join(sorted(unbound))
         raise TypeError_(f"unbound type variable(s): {names}", span)
+
+
+#: How many argument tuples one ``forall`` type remembers instantiations
+#: for.  A memo that reaches it starts over, so the memo of a type that
+#: lives for the whole process (a builtin's, the prelude's) stays bounded.
+_INSTANCES_BOUND = 64
+#: Serializes memo writes: checks run in threads of one process, and the
+#: bound test and the store must not interleave.  Reads take no lock.
+_INSTANCES_LOCK = threading.Lock()
+
+
+def _instantiate_closed(fn_type: F.TForall, args: tuple) -> F.Type:
+    """``fn_type``'s body with closed ``args`` for its binders, memoized on
+    ``fn_type``.
+
+    With no free variable in ``args`` no binder inside the body can
+    capture, so substitution mints no fresh name and a remembered result is
+    the one a new substitution would build.
+    """
+    memo = fn_type.__dict__.get("_instances")
+    result = memo.get(args) if memo is not None else None
+    if result is None:
+        result = F.substitute(fn_type.body, dict(zip(fn_type.vars, args)))
+        with _INSTANCES_LOCK:
+            memo = fn_type.__dict__.setdefault("_instances", {})
+            if len(memo) >= _INSTANCES_BOUND:
+                memo.clear()
+            memo[args] = result
+    return result
 
 
 def type_of(term: F.Term, env: Optional[TypeEnv] = None) -> F.Type:
@@ -132,10 +182,15 @@ def _check(term: F.Term, env: TypeEnv) -> F.Type:
                 f"argument(s), got {len(term.args)}",
                 term.span,
             )
+        closed = True
         for arg in term.args:
-            check_type_wf(arg, env, term.span)
-        subst = dict(zip(fn_type.vars, term.args))
-        return F.substitute(fn_type.body, subst)
+            free = F.free_type_vars(arg)
+            if free:
+                _check_bound(free, env, term.span)
+                closed = False
+        if closed:
+            return _instantiate_closed(fn_type, term.args)
+        return F.substitute(fn_type.body, dict(zip(fn_type.vars, term.args)))
 
     if isinstance(term, F.Let):
         bound_type = _check(term.bound, env)

@@ -21,6 +21,15 @@ equality tuple.  For each input the test compares
   cannot change a representative in its child;
 - ``Checker.equal`` and ``Checker.rep`` under an environment's equalities,
   core and ext checkers;
+- ``Checker.rep`` of closed types (no variable, ``forall``, associated type
+  or poison) with the closed-type shortcut against the solver's
+  representative without it (:func:`without_closed_shortcut`), in scopes
+  whose solver must certify the shortcut (the prelude's equality, where
+  clauses) and in scopes whose solver must not (``t == int``, two merged
+  variables, a poisoned class, a deep closed type merged with a cheaper
+  variable, a closed type whose tree costs more than an associated term),
+  in generated scopes, and at every scope where checking the prelude-lib
+  and generic-stress programs took the shortcut;
 - the type, System F translation text, value and diagnostics of whole
   programs checked with the reference swapped in, then without it:
   ``examples/fg`` with and without the prelude, the fgbench workloads at
@@ -31,13 +40,17 @@ intern any more, and neither reaches a checker's output:
 
 - the node budget: ``Checker.equal(a, a)`` no longer interns ``a``, and
   ``Checker.rep(t, env)`` interns nothing when ``env`` has no equalities
-  and ``t`` has no ``forall`` in it.  The corpus runs under the default
+  and ``t`` has no ``forall`` in it, or when ``t`` is closed and the
+  scope's solver certifies closed types.  The corpus runs under the default
   budget, and ``tests/fg/test_limits.py`` pins that an over-budget
   equality set still ends in a ``limit="congruence"`` diagnostic.  Node
   ages do not move: a scope without equalities never merges, so its
   solver's classes stay singletons, and a child scope's solver copies only
-  nodes that merges interned.  ``forall`` types, the only ones whose
-  answer depends on which variant came first, still ask the solver;
+  nodes that merges interned.  A closed type skipped under the
+  certificate would only have been interned after the scope's last merge,
+  as a singleton class no later merge of that solver touches.  ``forall``
+  types, the only ones whose answer depends on which variant came first,
+  still ask the solver;
 - node age: while no poison node exists, ``class_contains_error(t)`` does not
   intern ``t``.  A representative breaks cost ties by node age, so a later
   merge of a never-interned ``t`` may pick another class member than the
@@ -667,6 +680,173 @@ def test_reference_is_swapped_in():
     with reference_equality():
         assert isinstance(Checker().solver(Env.initial()), RefSolver)
     assert isinstance(Checker().solver(Env.initial()), CongruenceSolver)
+
+
+# -- closed types that represent themselves ----------------------------------
+
+
+@contextmanager
+def without_closed_shortcut():
+    """``Checker.rep`` as it was before the closed-type shortcut: no solver
+    certifies closed types, so in a scope with equalities every query asks
+    the solver."""
+    saved = CongruenceSolver.closed_types_represent_themselves
+    CongruenceSolver.closed_types_represent_themselves = property(
+        lambda self: False)
+    try:
+        yield
+    finally:
+        CongruenceSolver.closed_types_represent_themselves = saved
+
+
+def is_closed(t: G.FGType) -> bool:
+    return not (t.free_vars or t.contains_forall or t.contains_assoc
+                or t.contains_error)
+
+
+def nested_list(t: G.FGType, depth: int) -> G.FGType:
+    for _ in range(depth):
+        t = G.TList(t)
+    return t
+
+
+def doubled(t: G.FGType, depth: int) -> G.FGType:
+    """A pair of pairs of ... of ``t``: ``depth`` hash-consed nodes whose
+    tree holds ``2 ** (depth + 1) - 1``."""
+    for _ in range(depth):
+        t = G.TTuple((t, t))
+    return t
+
+
+_T, _U = G.TVar("t"), G.TVar("u")
+_CLOSED_PROBES = [
+    G.INT, G.BOOL, G.TList(G.INT), nested_list(G.INT, 5),
+    G.TFn((G.INT, G.TList(G.BOOL)), G.BOOL),
+    G.TTuple((G.INT, G.TList(G.TList(G.INT)))), doubled(G.INT, 4),
+]
+#: Scope name -> (its equalities, whether its solver certifies that closed
+#: types represent themselves).
+CLOSED_SCOPES = {
+    # The prelude's one equality.
+    "prelude": (
+        [(G.TAssoc("Iterator", (G.TList(G.INT),), "elt"), G.INT)], True),
+    # A where clause ``where Iterator<i>`` mints a variable per associated
+    # type; a refinement adds another concept's.
+    "where-clause": (
+        [(G.TVar("elt%0"), G.TAssoc("Iterator", (G.TVar("i"),), "elt")),
+         (G.TVar("s%1"), G.TAssoc("C", (G.TVar("elt%0"),), "s"))], True),
+    "associated-poison": ([(G.TAssoc("C", (G.INT,), "s"), G.ERROR)], True),
+    "t == int": ([(_T, G.INT)], False),
+    "merged-variables": ([(_T, _U)], False),
+    "poisoned-variable": ([(G.ERROR, _T)], False),
+    # The poison is the older node, so it represents ``int``'s class.
+    "poisoned-int": ([(G.ERROR, G.INT)], False),
+    # The variable costs less than the deep type, so it represents it.
+    "deep-closed-vs-variable": ([(_T, nested_list(G.INT, 5))], False),
+    # A cycle through an associated type: no member of the class is cheap.
+    "cyclic-associated": (
+        [(G.TAssoc("C", (_T,), "s"), G.TList(G.TAssoc("C", (_T,), "s")))],
+        False),
+}
+
+
+@pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                         ids=["core", "ext"])
+@pytest.mark.parametrize("scope", sorted(CLOSED_SCOPES))
+def test_closed_type_shortcut(checker_cls, scope):
+    eqs, certified = CLOSED_SCOPES[scope]
+    env = Env.initial().add_equalities(eqs)
+    probes = _CLOSED_PROBES + [t for pair in eqs for t in pair]
+    probes += [G.TList(t) for pair in eqs for t in pair]
+    checker = checker_cls()
+    solver = checker.solver(env)
+    assert solver.closed_types_represent_themselves is certified
+    got = [outcome(checker.rep, t, env) for t in probes]
+    with without_closed_shortcut():
+        want = [outcome(checker_cls().rep, t, env) for t in probes]
+    assert got == want
+    if certified:
+        # The shortcut answered: no closed probe was interned.
+        checker = checker_cls()
+        solver = checker.solver(env)
+        for t in filter(is_closed, probes):
+            assert checker.rep(t, env) is t
+        assert len(solver._labels) == solver._settled
+
+
+def test_a_closed_type_dearer_than_an_associated_term():
+    # Extraction prices a type by its tree, and an associated term at about
+    # a million: a closed type with a bigger tree is represented by the
+    # associated term it was merged with, so its class must not certify.
+    huge = doubled(G.INT, 19)
+    assoc = G.TAssoc("C", (G.INT,), "s")
+    env = Env.initial().add_equality(assoc, huge)
+    checker = Checker()
+    assert not checker.solver(env).closed_types_represent_themselves
+    represented_by_assoc = checker.rep(huge, env) is assoc
+    assert represented_by_assoc
+
+
+_closed_types = st.recursive(
+    st.sampled_from([G.INT, G.BOOL]),
+    lambda children: st.one_of(
+        children.map(G.TList),
+        st.tuples(children, children).map(lambda p: G.TFn((p[0],), p[1])),
+        st.tuples(children, children).map(G.TTuple),
+    ),
+    max_leaves=6,
+)
+_assoc_terms = st.builds(
+    lambda c, arg, m: G.TAssoc(c, (arg,), m),
+    st.sampled_from(["C", "D"]), st.one_of(_leaves, _types(), _closed_types),
+    st.sampled_from(["s", "u"]))
+_assoc_pairs = st.tuples(_assoc_terms, st.one_of(_terms, _closed_types))
+
+
+@pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                         ids=["core", "ext"])
+@given(eqs=st.lists(st.one_of(_assoc_pairs, _assoc_pairs, _pairs),
+                    min_size=1, max_size=5),
+       probes=st.lists(st.one_of(_closed_types, _terms), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_closed_type_shortcut_on_generated_scopes(checker_cls, eqs, probes):
+    env = Env.initial().add_equalities(eqs)
+    probes = probes + [t for pair in eqs for t in pair]
+    got = [outcome(checker_cls().rep, t, env) for t in probes]
+    with without_closed_shortcut():
+        want = [outcome(checker_cls().rep, t, env) for t in probes]
+    assert got == want
+
+
+@pytest.mark.parametrize("checker_cls", [Checker, ExtChecker],
+                         ids=["core", "ext"])
+def test_closed_type_shortcut_on_checked_programs(checker_cls, monkeypatch):
+    # Every closed type the checker answers by the shortcut while checking
+    # the prelude-lib and generic-stress programs is its own representative
+    # under a replay of the scope's equalities in the reference solver.
+    fired = {}
+    rep = Checker.rep
+
+    def recording(self, t, env):
+        out = rep(self, t, env)
+        if (env.equalities and is_closed(t)
+                and self.solver(env).closed_types_represent_themselves):
+            fired.setdefault(env.equalities, set()).add(t)
+        return out
+
+    monkeypatch.setattr(Checker, "rep", recording)
+    for name in ("prelude-lib", "generic-stress"):
+        for case in workloads.make(name, 1):
+            check_source(case.text, case.name, prelude=case.prelude,
+                         ext=checker_cls is ExtChecker, verify=True)
+    monkeypatch.undo()
+    prelude_eq = CLOSED_SCOPES["prelude"][0][0]
+    assert any(eqs == (prelude_eq,) for eqs in fired)
+    assert any(prelude_eq not in eqs for eqs in fired)
+    for eqs, closed in fired.items():
+        replay = ref_solver_for_equalities(eqs)
+        for t in closed:
+            assert replay.representative(t) == t
 
 
 # -- program-level comparison -------------------------------------------------

@@ -80,6 +80,11 @@ def walk_contains_forall(t: G.FGType) -> bool:
         map(walk_contains_forall, children(t)))
 
 
+def walk_contains_assoc(t: G.FGType) -> bool:
+    return isinstance(t, G.TAssoc) or any(
+        map(walk_contains_assoc, children(t)))
+
+
 def walk_free_vars(t: G.FGType) -> frozenset:
     if isinstance(t, G.TVar):
         return frozenset((t.name,))
@@ -263,6 +268,7 @@ def test_types_are_immutable():
 def assert_flags(t: G.FGType) -> None:
     assert t.contains_error == walk_contains_error(t)
     assert t.contains_forall == walk_contains_forall(t)
+    assert t.contains_assoc == walk_contains_assoc(t)
     assert t.free_vars == walk_free_vars(t) == G.free_type_vars(t)
 
 

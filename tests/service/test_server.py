@@ -153,6 +153,28 @@ def test_resolve_policy_refuses_what_the_pool_fixes(field, value):
         resolve_policy(BatchPolicy(isolate="pool"), {field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_queue", 0), ("max_queue", -1), ("retry_after_base_ms", -1),
+    ("idle_timeout_s", 0.0), ("idle_timeout_s", -1.0),
+    ("metrics_interval_s", 0.0), ("blackbox_interval_s", 0.0),
+    ("max_rss_mb", 0.0), ("max_rss_mb", -5.0), ("ops_log_max_bytes", 0),
+])
+def test_serve_options_reject_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServeOptions(socket_path="fg.sock", **{field: value})
+
+
+def test_serve_options_accept_their_bounds():
+    options = ServeOptions(
+        socket_path="fg.sock", max_queue=1, retry_after_base_ms=0,
+        idle_timeout_s=0.001, metrics_interval_s=0.001,
+        blackbox_interval_s=0.001, max_rss_mb=0.5, ops_log_max_bytes=1,
+    )
+    assert options.max_queue == 1 and options.retry_after_base_ms == 0
+    # ``None`` switches the memory budget and log rotation off.
+    assert ServeOptions(socket_path="fg.sock").max_rss_mb is None
+
+
 # ---------------------------------------------------------------------------
 # The live daemon
 # ---------------------------------------------------------------------------

@@ -201,6 +201,29 @@ class TestServeCli:
         assert "fg serve:" in err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--max-queue", "0", "max_queue"),
+    ("--retry-after-ms", "-1", "retry_after_base_ms"),
+    ("--idle-timeout-ms", "0", "idle_timeout_s"),
+    ("--metrics-interval-ms", "-5", "metrics_interval_s"),
+    ("--max-rss-mb", "0", "max_rss_mb"),
+    ("--ops-log-max-bytes", "0", "ops_log_max_bytes"),
+])
+def test_bad_serve_option_is_usage_error(capsys, tmp_path, flag, value,
+                                         field):
+    # Refused before any socket or worker exists: no daemon that would
+    # shed every request (``--max-queue 0``) or spin on a zero interval.
+    socket_path = tmp_path / "fg.sock"
+    code, out, err = run_cli(
+        capsys, "serve", "--socket", str(socket_path),
+        "--pool-workers", "1", flag, value,
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("fg serve: ") and field in err
+    assert "serving on" not in err and out == ""
+    assert not socket_path.exists()
+
+
 @pytest.mark.slow
 class TestClientTelemetryCli:
     """``fg client stats`` / ``fg client events``: the live-telemetry CLI."""
