@@ -14,6 +14,12 @@ The resilient parser (:func:`repro.syntax.parser_fg.parse_program_resilient`)
 and the recovering checker (:func:`repro.fg.typecheck.typecheck_all`) both
 write into one reporter, so a single run reports lex, parse, and type errors
 together.
+
+Fail-fast and collecting checking are one code path: every recovery point
+of the checker hands its type error to ``Checker._report``, which raises it
+when no reporter is installed and records it otherwise.  So fail-fast
+raises exactly the first error a collecting run records, and ``max_errors``
+(at least 1 wherever it is accepted) only decides when collecting stops.
 """
 
 from __future__ import annotations
@@ -113,12 +119,18 @@ class DiagnosticReporter:
 
     ``max_errors`` caps *error*-severity diagnostics; once reached,
     :attr:`at_limit` turns true and the pipeline stages stop recovering
-    (warnings and notes never count against the cap).
+    (warnings and notes never count against the cap).  It must be at
+    least 1: the first error is always recorded, and fail-fast checking
+    raises exactly the error a ``max_errors=1`` run records.
     """
 
     max_errors: int = 20
     _diagnostics: List[Diagnostic] = field(default_factory=list)
     _error_count: int = 0
+
+    def __post_init__(self):
+        if self.max_errors < 1:
+            raise ValueError("max_errors must be at least 1")
 
     def emit(self, diag: Diagnostic, severity: str = "error") -> None:
         if severity not in SEVERITIES:

@@ -26,7 +26,7 @@ from repro.extensions import ast as X
 from repro.fg import ast as G
 from repro.fg.concepts import assoc_slots
 from repro.fg.env import Env, ModelInfo
-from repro.fg.typecheck import Checker, _ErrorLimit
+from repro.fg.typecheck import Checker
 from repro.systemf import ast as F
 
 _NAMED_KEY = "extensions.named_models"
@@ -71,11 +71,9 @@ class ExtChecker(Checker):
         }
     )
 
-    def __init__(self, use_solver_cache: bool = True, reporter=None,
-                 limits=None, instrumentation=None):
+    def __init__(self, reporter=None, limits=None, instrumentation=None):
         super().__init__(
-            use_solver_cache=use_solver_cache, reporter=reporter,
-            limits=limits, instrumentation=instrumentation,
+            reporter=reporter, limits=limits, instrumentation=instrumentation
         )
         self._resolution_depth = 0
         self._improving = False
@@ -270,35 +268,20 @@ class ExtChecker(Checker):
     # ------------------------------------------------------------------
 
     def _check_named_model(self, term: X.NamedModelExpr, env: Env):
-        named: Dict[str, NamedModel] = dict(env.extra(_NAMED_KEY, {}))
+        named: Dict[str, NamedModel] = env.extra(_NAMED_KEY, {})
         if term.name in named:
             raise TypeError_(
                 f"named model '{term.name}' is already defined", term.span
             )
-        if self._reporter is None:
-            elaborated = self._elaborate_model(term.model, env, term.span)
-        else:
-            try:
-                elaborated = self._elaborate_model(term.model, env, term.span)
-            except TypeError_ as err:
-                self._reporter.error(err)
-                if self._reporter.at_limit:
-                    raise _ErrorLimit() from None
-                elaborated = self._poison_model(term.model, env, term.span)
-                if elaborated is None:
-                    return self.check(term.body, env)
-        info, equalities, bindings, dictionary = elaborated
-        named[term.name] = NamedModel(info, equalities)
-        inner = env.with_extra(_NAMED_KEY, named)
-        body_type, body_sf = self.check(term.body, inner)
-        result_type = self.rep(body_type, inner)
-        self.check_type_wf(result_type, env, term.span)
-        out: F.Term = F.Let(
-            span=term.span, name=info.dict_var, bound=dictionary, body=body_sf
-        )
-        for var, bound in reversed(bindings):
-            out = F.Let(span=term.span, name=var, bound=bound, body=out)
-        return result_type, out
+
+        def enter(scope: Env, info: ModelInfo, equalities) -> Env:
+            # Dictionary-bound here; implicit lookup only under ``use``.
+            return scope.with_extra(
+                _NAMED_KEY,
+                {**named, term.name: NamedModel(info, equalities)},
+            )
+
+        return self._model_scope(term, env, enter)
 
     def _check_use_models(self, term: X.UseModelsExpr, env: Env):
         named: Dict[str, NamedModel] = env.extra(_NAMED_KEY, {})
@@ -310,9 +293,7 @@ class ExtChecker(Checker):
             inner = inner.add_model(entry.info)
             inner = inner.add_equalities(entry.equalities)
         body_type, body_sf = self.check(term.body, inner)
-        result_type = self.rep(body_type, inner)
-        self.check_type_wf(result_type, env, term.span)
-        return result_type, body_sf
+        return self.leave_model(body_type, inner, env, term.span), body_sf
 
     # ------------------------------------------------------------------
     # Parameterized models
@@ -368,8 +349,7 @@ class ExtChecker(Checker):
         )
         inner = env.with_extra(_PARAM_KEY, param_models)
         body_type, body_sf = self.check(term.body, inner)
-        result_type = self.rep(body_type, inner)
-        self.check_type_wf(result_type, env, term.span)
+        result_type = self.leave_model(body_type, inner, env, term.span)
         return result_type, F.Let(
             span=term.span, name=info.dict_var, bound=dict_fn, body=body_sf
         )
@@ -406,8 +386,7 @@ class ExtChecker(Checker):
         overloads[term.name] = tuple(alt_infos)
         inner = inner.with_extra(_OVERLOAD_KEY, overloads)
         body_type, body_sf = self.check(term.body, inner)
-        result_type = self.rep(body_type, inner)
-        self.check_type_wf(result_type, env, term.span)
+        result_type = self.leave_model(body_type, inner, env, term.span)
         out = body_sf
         for var, bound in reversed(bindings):
             out = F.Let(span=term.span, name=var, bound=bound, body=out)

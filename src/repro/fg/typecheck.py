@@ -57,6 +57,11 @@ def _poison_term(span=None) -> F.Term:
     return F.Tuple_(span=span, items=())
 
 
+def _register_model(env: Env, info: ModelInfo, equalities) -> Env:
+    """MDL's scope: the model joins implicit lookup, with its equalities."""
+    return env.add_model(info).add_equalities(equalities)
+
+
 @dataclass
 class WhereResult:
     """Outcome of elaborating a where clause (the paper's ``bw``)."""
@@ -80,19 +85,16 @@ class Checker:
 
     def __init__(
         self,
-        use_solver_cache: bool = True,
         reporter: Optional[DiagnosticReporter] = None,
         limits: Optional[Limits] = None,
         instrumentation: Optional[Instrumentation] = None,
     ):
-        # ``use_solver_cache=False`` rebuilds the congruence solver on every
-        # query — only useful for the ablation benchmark quantifying what
-        # the cache buys.
-        #
-        # ``reporter`` switches on multi-error *recovery*: definition-level
-        # type errors are reported and replaced by the ErrorType poison
-        # instead of aborting.  ``limits`` configures the resource budgets;
-        # the defaults guard against pathologically deep programs.
+        # ``reporter`` decides what a recovery point does with a type error
+        # (see ``_report``): without one the error propagates (fail-fast);
+        # with one it is recorded, the definition is replaced by the
+        # ErrorType poison and checking continues, up to the reporter's
+        # ``max_errors``.  ``limits`` configures the resource budgets; the
+        # defaults guard against pathologically deep programs.
         #
         # ``instrumentation`` switches on observability (spans, metrics,
         # the model-resolution explain log); the default is the shared
@@ -113,14 +115,10 @@ class Checker:
             or obs.metrics is not None
             or obs.explain is not None
         )
-        self._solvers = (
-            SolverCache(
-                self.limits.max_congruence_nodes,
-                metrics=self._metrics,
-                tracer=self._tracer if self._tracer.enabled else None,
-            )
-            if use_solver_cache
-            else None
+        self._solvers = SolverCache(
+            self.limits.max_congruence_nodes,
+            metrics=self._metrics,
+            tracer=self._tracer if self._tracer.enabled else None,
         )
         self._counter = itertools.count()
 
@@ -129,14 +127,6 @@ class Checker:
     # ------------------------------------------------------------------
 
     def solver(self, env: Env):
-        if self._solvers is None:
-            from repro.fg.congruence import solver_for_equalities
-
-            return solver_for_equalities(
-                env.equalities, self.limits.max_congruence_nodes,
-                metrics=self._metrics,
-                tracer=self._tracer if self._tracer.enabled else None,
-            )
         return self._solvers.solver(env)
 
     def rep(self, t: G.FGType, env: Env) -> G.FGType:
@@ -600,6 +590,17 @@ class Checker:
         finally:
             self._budget.leave_depth()
 
+    def _report(self, err: TypeError_) -> None:
+        """The one fork between fail-fast and collecting: every recovery
+        point calls this from ``except TypeError_``, then falls back.
+        Without a reporter ``err`` propagates; with one it is recorded, and
+        the run ends once the reporter's cap is reached."""
+        if self._reporter is None:
+            raise err
+        self._reporter.error(err)
+        if self._reporter.at_limit:
+            raise _ErrorLimit() from None
+
     def _check_recover(self, term: G.Term, env: Env) -> Tuple[G.FGType, F.Term]:
         """Check a definition; in recovery mode, poison it on type error.
 
@@ -610,14 +611,10 @@ class Checker:
         rest of the program.  Resource exhaustion is *not* recovered — once
         a budget trips, the run stops.
         """
-        if self._reporter is None:
-            return self.check(term, env)
         try:
             return self.check(term, env)
         except TypeError_ as err:
-            self._reporter.error(err)
-            if self._reporter.at_limit:
-                raise _ErrorLimit() from None
+            self._report(err)
             return G.ERROR, _poison_term(term.span)
 
     # -- VAR / literals ---------------------------------------------------
@@ -887,18 +884,13 @@ class Checker:
 
     def _check_concept_inner(self, term: G.ConceptExpr, env: Env):
         cdef = term.concept
-        if self._reporter is not None:
-            try:
-                self._validate_concept(cdef, env, term.span)
-            except TypeError_ as err:
-                self._reporter.error(err)
-                if self._reporter.at_limit:
-                    raise _ErrorLimit() from None
-                # Proceed with the (possibly ill-formed) declaration in
-                # scope so uses of the concept don't cascade into
-                # unknown-concept errors.
-        else:
+        try:
             self._validate_concept(cdef, env, term.span)
+        except TypeError_ as err:
+            # Recovered: proceed with the (possibly ill-formed) declaration
+            # in scope so uses of the concept don't cascade into
+            # unknown-concept errors.
+            self._report(err)
         inner = env.add_concept(cdef)
         body_type, body_sf = self.check(term.body, inner)
         return self.leave_concept(cdef, body_type, inner, term.span), body_sf
@@ -971,26 +963,25 @@ class Checker:
             with self._tracer.span(
                 "check.model", concept=term.model.concept
             ):
-                return self._check_model_inner(term, env)
-        return self._check_model_inner(term, env)
+                return self._model_scope(term, env, _register_model)
+        return self._model_scope(term, env, _register_model)
 
-    def _check_model_inner(self, term: G.ModelExpr, env: Env):
-        if self._reporter is None:
+    def _model_scope(self, term, env: Env, enter):
+        """MDL, and the extension's named model with its own ``enter``:
+        elaborate (or poison) ``term.model``, check ``term.body`` in
+        ``enter(env, info, equalities)``, leave through :meth:`leave_model`
+        and bind the dictionary and its auxiliary ``let``s."""
+        try:
             elaborated = self._elaborate_model(term.model, env, term.span)
-        else:
-            try:
-                elaborated = self._elaborate_model(term.model, env, term.span)
-            except TypeError_ as err:
-                self._reporter.error(err)
-                if self._reporter.at_limit:
-                    raise _ErrorLimit() from None
-                elaborated = self._poison_model(term.model, env, term.span)
-                if elaborated is None:
-                    # The concept itself is unknown; without its shape we
-                    # cannot fake a model, so check the body as-is.
-                    return self.check(term.body, env)
+        except TypeError_ as err:
+            self._report(err)
+            elaborated = self._poison_model(term.model, env, term.span)
+            if elaborated is None:
+                # The concept itself is unknown; without its shape we
+                # cannot fake a model, so check the body as-is.
+                return self.check(term.body, env)
         info, equalities, bindings, dictionary = elaborated
-        inner = env.add_model(info).add_equalities(equalities)
+        inner = enter(env, info, equalities)
         body_type, body_sf = self.check(term.body, inner)
         result_type = self.leave_model(body_type, inner, env, term.span)
         out: F.Term = F.Let(
@@ -1003,7 +994,8 @@ class Checker:
     def leave_model(self, body_type: G.FGType, inner: Env, env: Env,
                     span) -> G.FGType:
         """MDL's exit premise: the body's type, canonicalized in the
-        model's scope ``inner``, must make sense outside it (in ``env``)."""
+        model's scope ``inner``, must make sense outside it (in ``env``).
+        The extension's model and overload scopes leave through it too."""
         result_type = self.rep(body_type, inner)
         self.check_type_wf(result_type, env, span)
         return result_type
@@ -1205,28 +1197,18 @@ class Checker:
 
     def _check_alias(self, term: G.TypeAlias, env: Env):
         aliased = term.aliased
-        if self._reporter is None:
+        try:
             if env.has_tyvar(term.name):
                 raise TypeError_(
                     f"type alias '{term.name}' shadows a type variable",
                     term.span,
                 )
             self.check_type_wf(aliased, env, term.span)
-        else:
-            try:
-                if env.has_tyvar(term.name):
-                    raise TypeError_(
-                        f"type alias '{term.name}' shadows a type variable",
-                        term.span,
-                    )
-                self.check_type_wf(aliased, env, term.span)
-            except TypeError_ as err:
-                self._reporter.error(err)
-                if self._reporter.at_limit:
-                    raise _ErrorLimit() from None
-                # Alias the poison type instead so uses of the alias absorb
-                # rather than repeat the failure.
-                aliased = G.ERROR
+        except TypeError_ as err:
+            self._report(err)
+            # Alias the poison type instead so uses of the alias absorb
+            # rather than repeat the failure.
+            aliased = G.ERROR
         # Merge with the aliased type first so the alias variable never
         # becomes the class representative (it must not escape).
         inner = env.bind_tyvars((term.name,)).add_equality(

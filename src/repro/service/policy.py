@@ -96,6 +96,8 @@ class BatchPolicy:
             raise ValueError("jobs must be at least 1")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be at least 1")
+        if self.max_errors < 1:
+            raise ValueError("max_errors must be at least 1")
         if self.isolate not in ISOLATION_MODES:
             raise ValueError(
                 f"isolate must be one of {ISOLATION_MODES}, "

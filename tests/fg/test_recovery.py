@@ -6,6 +6,7 @@ from repro.diagnostics.errors import ParseError, TypeError_
 from repro.diagnostics.reporter import DiagnosticReporter
 from repro.fg import ast as G
 from repro.fg import typecheck, typecheck_all
+from repro.pipeline import check_source
 from repro.syntax import parse_fg, parse_fg_resilient
 
 
@@ -108,6 +109,21 @@ class TestCheckerRecovery:
             parse_fg("let a = missing in 0"), reporter=reporter
         )
         assert len(report) == 1
+
+
+class TestErrorCapAtLeastOne:
+    # A cap below 1 would record nothing yet mark the report truncated
+    # ("stopping after 0"): every entry point that takes one refuses it.
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_library_entry_points_refuse_it(self, cap):
+        with pytest.raises(ValueError, match="max_errors"):
+            DiagnosticReporter(max_errors=cap)
+        with pytest.raises(ValueError, match="max_errors"):
+            check_source("iadd(1, 2)", max_errors=cap)
+        with pytest.raises(ValueError, match="max_errors"):
+            typecheck_all(parse_fg("iadd(1, 2)"), max_errors=cap)
+        with pytest.raises(ValueError, match="max_errors"):
+            parse_fg_resilient("iadd(1, 2)", max_errors=cap)
 
 
 class TestParserRecovery:

@@ -122,6 +122,12 @@ class TestContainment:
         with pytest.raises(ValueError):
             check_batch([("<only-a-name>",)], BatchPolicy())
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_error_cap_below_one_is_refused(self, cap):
+        # Refused when the policy is built, before any file is checked.
+        with pytest.raises(ValueError, match="max_errors"):
+            check_batch(GOOD[:1], BatchPolicy(max_errors=cap))
+
 
 class TestDeterminism:
     def test_byte_identical_reports_modulo_timing(self):

@@ -141,6 +141,8 @@ def test_resolve_policy_rejects_unknown_keys_and_bad_shapes():
     # Only journal replay reads the retired "subprocess" mode as "pool".
     with pytest.raises(ValueError):
         resolve_policy(base, {"isolate": "subprocess"})
+    with pytest.raises(ValueError, match="max_errors"):
+        resolve_policy(base, {"max_errors": -3})
 
 
 @pytest.mark.parametrize("field,value", [
@@ -692,6 +694,37 @@ def test_admission_is_not_shed_below_the_rss_budget(tmp_path):
     assert server.shed_memory == 0
     assert len(server.queue) == 1
     assert frames and frames[0]["type"] == "accepted"
+
+
+def test_error_cap_below_one_is_refused_before_the_journal(tmp_path):
+    import selectors
+    import socket
+
+    from repro.service.server import _Conn
+
+    server = _bare_server(tmp_path)
+    journal_path = str(tmp_path / "fg.journal")
+    server.journal = Journal(journal_path)
+    server.sel = selectors.DefaultSelector()
+    ours, theirs = socket.socketpair()
+    try:
+        conn = _Conn(ours)
+        server.sel.register(ours, selectors.EVENT_READ, conn)
+        server._admit(conn, {
+            "type": "batch", "sources": [["good.fg", GOOD]],
+            "policy": {"max_errors": 0},
+        })
+        theirs.settimeout(10.0)
+        (response,) = proto.FrameReader().feed(theirs.recv(65536))
+    finally:
+        server.sel.close()
+        server.journal.close()
+        ours.close()
+        theirs.close()
+    assert response["type"] == "error"
+    assert "max_errors" in response["message"]
+    assert not server.queue
+    assert replay(journal_path).records == []
 
 
 def test_metrics_file_unwritable_degrades_loudly_and_recovers(tmp_path):
