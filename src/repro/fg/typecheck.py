@@ -16,7 +16,6 @@ term first, then does the same).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -120,7 +119,11 @@ class Checker:
             metrics=self._metrics,
             tracer=self._tracer if self._tracer.enabled else None,
         )
-        self._counter = itertools.count()
+        #: The next fresh name's number.
+        self._names = 0
+        #: Checked type applications: ``(forall type, type arguments, env)``
+        #: to what ``_instantiate`` returned (see ``_check_tyapp``).
+        self._instances: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Type equality and representatives
@@ -168,10 +171,17 @@ class Checker:
         return solver.class_contains_error(a) or solver.class_contains_error(b)
 
     def _fresh(self, base: str) -> str:
-        return f"{base}%{next(self._counter)}"
+        number = self._names
+        self._names = number + 1
+        return f"{base}%{number}"
 
     def _fresh_dict(self, concept: str) -> str:
-        return f"{concept}_dict%{next(self._counter)}"
+        return self._fresh(f"{concept}_dict")
+
+    def _names_minted(self) -> Tuple[int, int]:
+        """Moves whenever this checker, or substitution on this thread,
+        mints a fresh name."""
+        return self._names, F.names_minted()
 
     # ------------------------------------------------------------------
     # Well-formedness of types (Figures 8 and 12, left-hand premises)
@@ -712,49 +722,79 @@ class Checker:
 
     def _check_tyapp(self, term: G.TyApp, env: Env):
         fn_type, fn_sf = self.check(term.fn, env)
+        # TAPP is judged from the forall type, the type arguments and Gamma
+        # alone, so an instance met again in the same scope is reused.  An
+        # instance is stored only if computing it minted no fresh name, so
+        # a reused one is what recomputing it would build.  The explain
+        # log records every resolution, so it bypasses the memo.
+        key = (fn_type, term.args, env)
+        instance = (
+            self._instances.get(key) if self._explain is None else None
+        )
+        if instance is None:
+            minted = self._names_minted()
+            instance = self._instantiate(fn_type, term.args, env, term.span)
+            if instance is None:
+                return G.ERROR, _poison_term(term.span)
+            if self._explain is None and self._names_minted() == minted:
+                self._instances[key] = instance
+        elif self._metrics is not None:
+            self._metrics.inc("typecheck.instantiations")
+            self._metrics.inc("typecheck.substitutions", len(term.args))
+        result_type, sf_tyargs, dict_args = instance
+        sf: F.Term = F.TyApp(span=term.span, fn=fn_sf, args=sf_tyargs)
+        if dict_args is not None:
+            sf = F.App(span=term.span, fn=sf, args=dict_args)
+        return result_type, sf
+
+    def _instantiate(self, fn_type: G.FGType, args: Tuple[G.FGType, ...],
+                     env: Env, span):
+        """TAPP's premises for ``fn_type`` at ``args``: the result type, the
+        System F type arguments, and the dictionary arguments (``None``
+        without requirements); ``None`` if ``fn_type`` is poisoned."""
         fn_type = self.rep(fn_type, env)
         if isinstance(fn_type, G.ErrorType):
-            for a in term.args:
-                self.check_type_wf(a, env, term.span)
-            return G.ERROR, _poison_term(term.span)
+            for a in args:
+                self.check_type_wf(a, env, span)
+            return None
         if not isinstance(fn_type, G.TForall):
             raise TypeError_(
                 f"cannot instantiate non-generic term of type {fn_type}",
-                term.span,
+                span,
             )
-        if len(fn_type.vars) != len(term.args):
+        if len(fn_type.vars) != len(args):
             raise TypeError_(
                 f"expected {len(fn_type.vars)} type argument(s), "
-                f"got {len(term.args)}",
-                term.span,
+                f"got {len(args)}",
+                span,
             )
-        for a in term.args:
-            self.check_type_wf(a, env, term.span)
+        for a in args:
+            self.check_type_wf(a, env, span)
         if self._metrics is not None:
             self._metrics.inc("typecheck.instantiations")
             self._metrics.inc("typecheck.substitutions", len(fn_type.vars))
-        subst = dict(zip(fn_type.vars, term.args))
-        sf_tyargs = [self.translate_type(a, env, term.span) for a in term.args]
+        subst = dict(zip(fn_type.vars, args))
+        sf_tyargs = [self.translate_type(a, env, span) for a in args]
         # One extra type argument per associated-type slot, in the exact
         # order the abstraction's translation minted fresh variables.
         slots = assoc_slots(env, fn_type.requirements, subst)
         for slot in slots:
             info = self.require_model(
-                slot.concept, slot.actual_args, env, term.span
+                slot.concept, slot.actual_args, env, span
             )
             assigned = info.assoc.get(slot.assoc_name)
             if assigned is None:
                 raise TypeError_(
                     f"model of {slot.concept} lacks associated type "
                     f"'{slot.assoc_name}'",
-                    term.span,
+                    span,
                 )
-            sf_tyargs.append(self.translate_type(assigned, env, term.span))
+            sf_tyargs.append(self.translate_type(assigned, env, span))
         # Requirement dictionaries.
         dict_args = []
         for req in fn_type.requirements:
             actual = tuple(G.substitute(a, subst) for a in req.args)
-            info = self.require_model(req.concept, actual, env, term.span)
+            info = self.require_model(req.concept, actual, env, span)
             dict_args.append(self.dict_expr(info))
         # Same-type constraints must hold at the instantiation (TAPP premise).
         for same in fn_type.same_types:
@@ -773,13 +813,14 @@ class Checker:
                     f"{left} == {right} does not hold "
                     f"(left is {self.rep(left, env)}, "
                     f"right is {self.rep(right, env)})",
-                    term.span,
+                    span,
                 )
         result_type = self.rep(G.substitute(fn_type.body, subst), env)
-        sf: F.Term = F.TyApp(span=term.span, fn=fn_sf, args=tuple(sf_tyargs))
-        if fn_type.requirements:
-            sf = F.App(span=term.span, fn=sf, args=tuple(dict_args))
-        return result_type, sf
+        return (
+            result_type,
+            tuple(sf_tyargs),
+            tuple(dict_args) if fn_type.requirements else None,
+        )
 
     # -- LET / tuples / control ---------------------------------------------
 

@@ -40,7 +40,6 @@ immutable, so threads share them freely.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -159,7 +158,7 @@ class PreludeContext:
             budget.resume(cap, cap)
             budget.enter_depth(self.depth_spans[cap])
         budget.resume(self.depth, self.peak_depth)
-        checker._counter = itertools.count(self.counter)
+        checker._names = self.counter
         return self.env
 
     def typecheck(self, program: str) -> Tuple[G.FGType, F.Term]:
@@ -233,7 +232,7 @@ def _build(checker_cls, text: str) -> PreludeContext:
             if term is hole:
                 entry_envs[id(term)] = env
                 at_hole.update(
-                    counter=next(self._counter),
+                    counter=self._names,
                     depth=self._budget.depth,
                     peak_depth=self._budget.peak_depth,
                     depth_spans=tuple(self._budget.spans),

@@ -155,7 +155,8 @@ def _lex_one(
     if reporter is None:
         raise err
     reporter.error(err)
-    return end
+    # At the reporter's cap lexing stops: the rest of the text is not read.
+    return n if reporter.at_limit else end
 
 
 def tokenize(source: SourceText, reporter=None) -> List[Token]:
@@ -163,7 +164,8 @@ def tokenize(source: SourceText, reporter=None) -> List[Token]:
 
     With a :class:`repro.diagnostics.DiagnosticReporter`, lex errors are
     recorded and the offending characters skipped, so one bad byte does not
-    hide every token after it (error *recovery* mode).
+    hide every token after it (error *recovery* mode), until the reporter
+    reaches its cap; then lexing stops.
 
     The returned list ends with exactly one ``EOF`` token.
     """

@@ -74,7 +74,7 @@ def parse_program_resilient(
         reporter = DiagnosticReporter(max_errors=max_errors)
     ts = stream(text, filename, reporter)
     term: Optional[G.Term] = None
-    while True:
+    while not reporter.at_limit:  # the lexer may have reached the cap
         try:
             term = _expr(ts)
             ts.expect("EOF", "end of program")

@@ -16,6 +16,7 @@ paper uses them to ease the F_G translation.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -116,9 +117,26 @@ def _paren_tuple_item(t: Type) -> str:
 _fresh_counter = itertools.count()
 
 
+class _Minted(threading.local):
+    """How many names :func:`fresh_type_var` has minted on this thread."""
+
+    count = 0
+
+
+_minted = _Minted()
+
+
 def fresh_type_var(base: str = "t") -> str:
     """A globally fresh type-variable name derived from ``base``."""
+    _minted.count += 1
     return f"{base}%{next(_fresh_counter)}"
+
+
+def names_minted() -> int:
+    """How many fresh names this thread has minted so far: a caller that
+    reads it before and after some work learns whether the work minted
+    one, whatever other threads mint meanwhile."""
+    return _minted.count
 
 
 def free_type_vars(t: Type) -> frozenset:

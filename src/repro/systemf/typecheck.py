@@ -19,7 +19,9 @@ Two shortcuts give the answers of the plain rules by construction:
   before it walks them for alpha-equivalence.
 
 ``tests/systemf/test_instantiation_reference.py`` compares both with the
-plain rules.
+plain rules.  Each node class has one handler in ``_CHECK``;
+``tests/systemf/test_typecheck_reference.py`` keeps the ``isinstance``
+chain it replaced and compares every type and error with it.
 """
 
 from __future__ import annotations
@@ -118,130 +120,169 @@ def type_of(term: F.Term, env: Optional[TypeEnv] = None) -> F.Type:
     """The type of ``term`` in ``env`` (defaults to the builtin environment)."""
     if env is None:
         env = TypeEnv.initial()
-    return _check(term, env)
+    return _CHECK[term.__class__](term, env)
 
 
-def _check(term: F.Term, env: TypeEnv) -> F.Type:
-    if isinstance(term, F.Var):
-        t = env.lookup(term.name)
-        if t is None:
-            raise TypeError_(f"unbound variable '{term.name}'", term.span)
-        return t
+# One handler per node class, looked up by the node's class in ``_CHECK``;
+# a handler types its subterms by looking their handlers up directly, so one
+# level of nesting costs one Python frame.
 
-    if isinstance(term, F.IntLit):
-        return F.INT
 
-    if isinstance(term, F.BoolLit):
-        return F.BOOL
+def _var(term: F.Var, env: TypeEnv) -> F.Type:
+    t = env.lookup(term.name)
+    if t is None:
+        raise TypeError_(f"unbound variable '{term.name}'", term.span)
+    return t
 
-    if isinstance(term, F.Lam):
-        inner = env
-        for name, ptype in term.params:
-            check_type_wf(ptype, env, term.span)
-            inner = inner.bind(name, ptype)
-        result = _check(term.body, inner)
-        return F.TFn(tuple(pt for _, pt in term.params), result)
 
-    if isinstance(term, F.App):
-        fn_type = _check(term.fn, env)
-        if not isinstance(fn_type, F.TFn):
+def _int(term: F.IntLit, env: TypeEnv) -> F.Type:
+    return F.INT
+
+
+def _bool(term: F.BoolLit, env: TypeEnv) -> F.Type:
+    return F.BOOL
+
+
+def _lam(term: F.Lam, env: TypeEnv) -> F.Type:
+    inner = env
+    for name, ptype in term.params:
+        check_type_wf(ptype, env, term.span)
+        inner = inner.bind(name, ptype)
+    body = term.body
+    result = _CHECK[body.__class__](body, inner)
+    return F.TFn(tuple(pt for _, pt in term.params), result)
+
+
+def _app(term: F.App, env: TypeEnv) -> F.Type:
+    fn = term.fn
+    fn_type = _CHECK[fn.__class__](fn, env)
+    if not isinstance(fn_type, F.TFn):
+        raise TypeError_(
+            f"cannot apply non-function of type {fn_type}", term.span
+        )
+    if len(fn_type.params) != len(term.args):
+        raise TypeError_(
+            f"arity mismatch: function expects {len(fn_type.params)} "
+            f"argument(s), got {len(term.args)}",
+            term.span,
+        )
+    for i, (arg, expected) in enumerate(zip(term.args, fn_type.params)):
+        actual = _CHECK[arg.__class__](arg, env)
+        if not F.types_equal(actual, expected):
             raise TypeError_(
-                f"cannot apply non-function of type {fn_type}", term.span
+                f"argument {i + 1} has type {actual}, expected {expected}",
+                arg.span or term.span,
             )
-        if len(fn_type.params) != len(term.args):
-            raise TypeError_(
-                f"arity mismatch: function expects {len(fn_type.params)} "
-                f"argument(s), got {len(term.args)}",
-                term.span,
-            )
-        for i, (arg, expected) in enumerate(zip(term.args, fn_type.params)):
-            actual = _check(arg, env)
-            if not F.types_equal(actual, expected):
-                raise TypeError_(
-                    f"argument {i + 1} has type {actual}, expected {expected}",
-                    arg.span or term.span,
-                )
-        return fn_type.result
+    return fn_type.result
 
-    if isinstance(term, F.TyLam):
-        if len(set(term.vars)) != len(term.vars):
-            raise TypeError_("duplicate type parameter", term.span)
-        body_type = _check(term.body, env.bind_tyvars(term.vars))
-        return F.TForall(term.vars, body_type)
 
-    if isinstance(term, F.TyApp):
-        fn_type = _check(term.fn, env)
-        if not isinstance(fn_type, F.TForall):
-            raise TypeError_(
-                f"cannot type-apply non-polymorphic term of type {fn_type}",
-                term.span,
-            )
-        if len(fn_type.vars) != len(term.args):
-            raise TypeError_(
-                f"type-arity mismatch: expected {len(fn_type.vars)} type "
-                f"argument(s), got {len(term.args)}",
-                term.span,
-            )
-        closed = True
-        for arg in term.args:
-            free = F.free_type_vars(arg)
-            if free:
-                _check_bound(free, env, term.span)
-                closed = False
-        if closed:
-            return _instantiate_closed(fn_type, term.args)
-        return F.substitute(fn_type.body, dict(zip(fn_type.vars, term.args)))
+def _ty_lam(term: F.TyLam, env: TypeEnv) -> F.Type:
+    if len(set(term.vars)) != len(term.vars):
+        raise TypeError_("duplicate type parameter", term.span)
+    body = term.body
+    body_type = _CHECK[body.__class__](body, env.bind_tyvars(term.vars))
+    return F.TForall(term.vars, body_type)
 
-    if isinstance(term, F.Let):
-        bound_type = _check(term.bound, env)
-        return _check(term.body, env.bind(term.name, bound_type))
 
-    if isinstance(term, F.Tuple_):
-        return F.TTuple(tuple(_check(item, env) for item in term.items))
+def _ty_app(term: F.TyApp, env: TypeEnv) -> F.Type:
+    fn = term.fn
+    fn_type = _CHECK[fn.__class__](fn, env)
+    if not isinstance(fn_type, F.TForall):
+        raise TypeError_(
+            f"cannot type-apply non-polymorphic term of type {fn_type}",
+            term.span,
+        )
+    if len(fn_type.vars) != len(term.args):
+        raise TypeError_(
+            f"type-arity mismatch: expected {len(fn_type.vars)} type "
+            f"argument(s), got {len(term.args)}",
+            term.span,
+        )
+    closed = True
+    for arg in term.args:
+        free = F.free_type_vars(arg)
+        if free:
+            _check_bound(free, env, term.span)
+            closed = False
+    if closed:
+        return _instantiate_closed(fn_type, term.args)
+    return F.substitute(fn_type.body, dict(zip(fn_type.vars, term.args)))
 
-    if isinstance(term, F.Nth):
-        tuple_type = _check(term.tuple_, env)
-        if not isinstance(tuple_type, F.TTuple):
-            raise TypeError_(
-                f"nth applied to non-tuple of type {tuple_type}", term.span
-            )
-        if not 0 <= term.index < len(tuple_type.items):
-            raise TypeError_(
-                f"tuple index {term.index} out of range for {tuple_type}",
-                term.span,
-            )
-        return tuple_type.items[term.index]
 
-    if isinstance(term, F.If):
-        cond_type = _check(term.cond, env)
-        if not F.types_equal(cond_type, F.BOOL):
-            raise TypeError_(
-                f"if condition has type {cond_type}, expected bool", term.span
-            )
-        then_type = _check(term.then, env)
-        else_type = _check(term.else_, env)
-        if not F.types_equal(then_type, else_type):
-            raise TypeError_(
-                f"if branches disagree: {then_type} vs {else_type}", term.span
-            )
-        return then_type
+def _let(term: F.Let, env: TypeEnv) -> F.Type:
+    bound, body = term.bound, term.body
+    bound_type = _CHECK[bound.__class__](bound, env)
+    return _CHECK[body.__class__](body, env.bind(term.name, bound_type))
 
-    if isinstance(term, F.Fix):
-        fn_type = _check(term.fn, env)
-        if (
-            not isinstance(fn_type, F.TFn)
-            or len(fn_type.params) != 1
-            or not F.types_equal(fn_type.params[0], fn_type.result)
-        ):
-            raise TypeError_(
-                f"fix expects fn(A) -> A, got {fn_type}", term.span
-            )
-        if not isinstance(fn_type.result, F.TFn):
-            raise TypeError_(
-                "fix is restricted to function-typed fixpoints "
-                f"(got {fn_type.result})",
-                term.span,
-            )
-        return fn_type.result
 
-    raise AssertionError(f"unknown term node: {term!r}")
+def _tuple(term: F.Tuple_, env: TypeEnv) -> F.Type:
+    return F.TTuple(
+        tuple(_CHECK[item.__class__](item, env) for item in term.items)
+    )
+
+
+def _nth(term: F.Nth, env: TypeEnv) -> F.Type:
+    inner = term.tuple_
+    tuple_type = _CHECK[inner.__class__](inner, env)
+    if not isinstance(tuple_type, F.TTuple):
+        raise TypeError_(
+            f"nth applied to non-tuple of type {tuple_type}", term.span
+        )
+    if not 0 <= term.index < len(tuple_type.items):
+        raise TypeError_(
+            f"tuple index {term.index} out of range for {tuple_type}",
+            term.span,
+        )
+    return tuple_type.items[term.index]
+
+
+def _if(term: F.If, env: TypeEnv) -> F.Type:
+    cond, then, else_ = term.cond, term.then, term.else_
+    cond_type = _CHECK[cond.__class__](cond, env)
+    if not F.types_equal(cond_type, F.BOOL):
+        raise TypeError_(
+            f"if condition has type {cond_type}, expected bool", term.span
+        )
+    then_type = _CHECK[then.__class__](then, env)
+    else_type = _CHECK[else_.__class__](else_, env)
+    if not F.types_equal(then_type, else_type):
+        raise TypeError_(
+            f"if branches disagree: {then_type} vs {else_type}", term.span
+        )
+    return then_type
+
+
+def _fix(term: F.Fix, env: TypeEnv) -> F.Type:
+    fn = term.fn
+    fn_type = _CHECK[fn.__class__](fn, env)
+    if (
+        not isinstance(fn_type, F.TFn)
+        or len(fn_type.params) != 1
+        or not F.types_equal(fn_type.params[0], fn_type.result)
+    ):
+        raise TypeError_(
+            f"fix expects fn(A) -> A, got {fn_type}", term.span
+        )
+    if not isinstance(fn_type.result, F.TFn):
+        raise TypeError_(
+            "fix is restricted to function-typed fixpoints "
+            f"(got {fn_type.result})",
+            term.span,
+        )
+    return fn_type.result
+
+
+_CHECK = {
+    F.Var: _var,
+    F.IntLit: _int,
+    F.BoolLit: _bool,
+    F.Lam: _lam,
+    F.App: _app,
+    F.TyLam: _ty_lam,
+    F.TyApp: _ty_app,
+    F.Let: _let,
+    F.Tuple_: _tuple,
+    F.Nth: _nth,
+    F.If: _if,
+    F.Fix: _fix,
+}

@@ -1,13 +1,17 @@
 """Multi-error recovery: the collecting checker and the resilient parser."""
 
+import random
+
 import pytest
 
 from repro.diagnostics.errors import ParseError, TypeError_
+from repro.diagnostics.limits import Limits
 from repro.diagnostics.reporter import DiagnosticReporter
 from repro.fg import ast as G
 from repro.fg import typecheck, typecheck_all
 from repro.pipeline import check_source
 from repro.syntax import parse_fg, parse_fg_resilient
+from repro.testing import FUZZ_SEEDS, mutate_source
 
 
 def report_for(src: str, **kw):
@@ -124,6 +128,37 @@ class TestErrorCapAtLeastOne:
             typecheck_all(parse_fg("iadd(1, 2)"), max_errors=cap)
         with pytest.raises(ValueError, match="max_errors"):
             parse_fg_resilient("iadd(1, 2)", max_errors=cap)
+
+    def test_the_lexer_stops_at_the_cap(self):
+        outcome = check_source("let x = 1 $ $ $ $ in x", max_errors=1)
+        (err,) = outcome.report.errors
+        assert "unexpected character '$'" in str(err)
+        assert outcome.report.render().endswith(
+            "stopping after 1 (raise the error cap to see more)"
+        )
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_no_mutant_reports_more_than_the_cap(self, cap):
+        # Mutants made as run_fuzz makes them: some fail in the lexer (junk
+        # characters), some in the parser or the checker.
+        rng = random.Random(0)
+        capped = 0
+        for k in range(300):
+            mutant = mutate_source(FUZZ_SEEDS[k % len(FUZZ_SEEDS)], rng)
+            for _ in range(rng.randrange(3)):
+                mutant = mutate_source(mutant, rng)
+            report = check_source(
+                mutant, "<fuzz>", ext=bool(k % 2), max_errors=cap,
+                limits=Limits(max_check_depth=500),
+            ).report
+            assert len(report.errors) <= cap, mutant
+            if report.truncated:
+                capped += 1
+                assert report.render().endswith(
+                    f"stopping after {cap} (raise the error cap to see "
+                    "more)"
+                ), mutant
+        assert capped > 50
 
 
 class TestParserRecovery:

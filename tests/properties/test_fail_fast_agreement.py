@@ -7,14 +7,17 @@ program that parses, checking it fail-fast (``context.check`` with a
 reporter-less checker, what ``repro.fg_check`` runs) must raise the very
 diagnostic, class and rendered text, that ``check_source(...,
 max_errors=1)`` reports, and must give the same type and translation when
-the program is accepted.
+the program is accepted.  The lexer stops at the reporter's cap, so a
+program that fails in the lexer is compared too: fail-fast parsing raises
+its first lex error, the one a one-error run reports.
 
 Compared for the core and the extended checker, at the empty library and at
 the prelude, over
 
 - ``examples/fg`` and the in-process fgbench workloads at seeds 1-3;
 - ``mutate_source`` mutants of ``FUZZ_SEEDS``: the first
-  ``FG_FUZZ_MUTANTS`` (default 500) one-mutation mutants that still parse;
+  ``FG_FUZZ_MUTANTS`` (default 500) one-mutation mutants that still parse,
+  and the first fifth as many that fail in the lexer;
 - ``fg_gen`` programs, as generated and with their first integer literal
   turned into ``true``.
 """
@@ -30,13 +33,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.diagnostics.errors import TypeError_
+from repro.diagnostics.errors import LexError, TypeError_
 from repro.diagnostics.limits import Limits, ResourceLimitError
 from repro.extensions import ExtChecker
 from repro.fg.typecheck import Checker
 from repro.pipeline import check_source
 from repro.prelude.context import context_for
+from repro.diagnostics.source import SourceText
 from repro.syntax import parse_fg
+from repro.syntax.lexer import tokenize
 from repro.testing import FUZZ_SEEDS, mutate_source
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -60,7 +65,7 @@ def fail_fast(text, name, prelude, ext):
         fg_type, translation = context.check(
             checker_cls(limits=LIMITS), parse_fg(text, name)
         )
-    except (TypeError_, ResourceLimitError) as err:
+    except (LexError, TypeError_, ResourceLimitError) as err:
         return type(err).__name__, str(err)
     return "ok", str(fg_type), translation
 
@@ -83,12 +88,20 @@ def parses(text) -> bool:
     return True
 
 
+def lex_fails(text) -> bool:
+    try:
+        tokenize(SourceText(text))
+    except LexError:
+        return True
+    return False
+
+
 def disagreements(programs):
     """Every (program, library, checker) where the two modes differ, and
     how many checks agreed and how many of those were rejections."""
     diffs, rejected, checked = [], 0, 0
     for name, text in programs:
-        if not parses(text):
+        if not (parses(text) or lex_fails(text)):
             continue
         for prelude in (False, True):
             for ext in (False, True):
@@ -102,15 +115,15 @@ def disagreements(programs):
     return diffs, rejected, checked
 
 
-def parsing_mutants(count, seed=0):
+def mutants(count, keep, seed=0):
     """The first ``count`` one-mutation mutants of ``FUZZ_SEEDS`` that
-    still parse (about one in fifteen does)."""
+    ``keep`` accepts."""
     rng = random.Random(seed)
     found = []
     k = 0
     while len(found) < count:
         mutant = mutate_source(FUZZ_SEEDS[k % len(FUZZ_SEEDS)], rng)
-        if parses(mutant):
+        if keep(mutant):
             found.append((f"<mutant{k}>", mutant))
         k += 1
     return found
@@ -141,9 +154,17 @@ def test_fgbench_workloads(seed):
 
 
 def test_fuzz_mutants():
-    diffs, rejected, checked = disagreements(parsing_mutants(MUTANTS))
+    # About one mutant in fifteen still parses.
+    diffs, rejected, checked = disagreements(mutants(MUTANTS, parses))
     assert diffs == []
     assert checked == 4 * MUTANTS and rejected > checked // 4
+
+
+def test_mutants_that_fail_in_the_lexer():
+    count = MUTANTS // 5
+    diffs, rejected, checked = disagreements(mutants(count, lex_fails))
+    assert diffs == []
+    assert checked == rejected == 4 * count
 
 
 @given(program_specs())
