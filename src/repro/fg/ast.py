@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.diagnostics.source import Span
+from repro.systemf.ast import rename_binders
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +403,11 @@ def substitute(t: FGType, subst) -> FGType:
         captured = frozenset()
         for v in inner.values():
             captured |= free_type_vars(v)
-        renaming = {}
-        new_vars = []
-        for var in t.vars:
-            if var in captured:
-                from repro.systemf.ast import fresh_type_var
-
-                fresh = fresh_type_var(var.split("%")[0])
-                renaming[var] = TVar(fresh)
-                new_vars.append(fresh)
-            else:
-                new_vars.append(var)
-        reqs = t.requirements
-        sames = t.same_types
-        body = t.body
-        if renaming:
+        vars_, reqs, sames, body = t.vars, t.requirements, t.same_types, t.body
+        if not captured.isdisjoint(vars_):
+            vars_, renamed = rename_binders(
+                vars_, captured, t.free_vars.union(inner))
+            renaming = {old: TVar(new) for old, new in renamed.items()}
             reqs = tuple(substitute(r, renaming) for r in reqs)
             sames = tuple(
                 SameType(substitute(s.left, renaming), substitute(s.right, renaming))
@@ -424,7 +415,7 @@ def substitute(t: FGType, subst) -> FGType:
             )
             body = substitute(body, renaming)
         return TForall(
-            tuple(new_vars),
+            vars_,
             tuple(substitute(r, inner) for r in reqs),
             tuple(
                 SameType(substitute(s.left, inner), substitute(s.right, inner))

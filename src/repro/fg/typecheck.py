@@ -178,11 +178,6 @@ class Checker:
     def _fresh_dict(self, concept: str) -> str:
         return self._fresh(f"{concept}_dict")
 
-    def _names_minted(self) -> Tuple[int, int]:
-        """Moves whenever this checker, or substitution on this thread,
-        mints a fresh name."""
-        return self._names, F.names_minted()
-
     # ------------------------------------------------------------------
     # Well-formedness of types (Figures 8 and 12, left-hand premises)
     # ------------------------------------------------------------------
@@ -724,19 +719,20 @@ class Checker:
         fn_type, fn_sf = self.check(term.fn, env)
         # TAPP is judged from the forall type, the type arguments and Gamma
         # alone, so an instance met again in the same scope is reused.  An
-        # instance is stored only if computing it minted no fresh name, so
-        # a reused one is what recomputing it would build.  The explain
-        # log records every resolution, so it bypasses the memo.
+        # instance is stored only if computing it took no name from the
+        # checker's counter, so a reused one is what recomputing it would
+        # build and every later name is unchanged.  The explain log
+        # records every resolution, so it bypasses the memo.
         key = (fn_type, term.args, env)
         instance = (
             self._instances.get(key) if self._explain is None else None
         )
         if instance is None:
-            minted = self._names_minted()
+            names = self._names
             instance = self._instantiate(fn_type, term.args, env, term.span)
             if instance is None:
                 return G.ERROR, _poison_term(term.span)
-            if self._explain is None and self._names_minted() == minted:
+            if self._explain is None and self._names == names:
                 self._instances[key] = instance
         elif self._metrics is not None:
             self._metrics.inc("typecheck.instantiations")

@@ -33,7 +33,6 @@ from repro.systemf.ast import (
     Type,
     Var,
     free_type_vars,
-    fresh_type_var,
     substitute,
     types_equal,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Var",
     "evaluate",
     "free_type_vars",
-    "fresh_type_var",
     "make_prim_values",
     "pretty_term",
     "pretty_type",

@@ -15,8 +15,6 @@ paper uses them to ease the F_G translation.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -114,29 +112,40 @@ def _paren_tuple_item(t: Type) -> str:
 # Type operations: free variables, substitution, alpha-equality
 # ---------------------------------------------------------------------------
 
-_fresh_counter = itertools.count()
+#: Separates a renamed binder's base from its number.  No source
+#: identifier contains it, and the checker spells the names it mints
+#: ``base%N``, so a renamed binder equals neither.
+_RENAMED = "#"
 
 
-class _Minted(threading.local):
-    """How many names :func:`fresh_type_var` has minted on this thread."""
+def rename_binders(binders: Tuple[str, ...], captured: frozenset,
+                   avoid: frozenset) -> Tuple[Tuple[str, ...], Dict[str, str]]:
+    """The binders of a ``forall`` with every one in ``captured`` (the free
+    variables of the types substituted into it) renamed, and the renaming
+    (old name to new) of those.
 
-    count = 0
-
-
-_minted = _Minted()
-
-
-def fresh_type_var(base: str = "t") -> str:
-    """A globally fresh type-variable name derived from ``base``."""
-    _minted.count += 1
-    return f"{base}%{next(_fresh_counter)}"
-
-
-def names_minted() -> int:
-    """How many fresh names this thread has minted so far: a caller that
-    reads it before and after some work learns whether the work minted
-    one, whatever other threads mint meanwhile."""
-    return _minted.count
+    A binder ``b`` (or ``b%N``, or ``b#N``) becomes ``b#k`` for the least
+    ``k >= 1`` that is none of ``captured``, ``avoid`` (the free variables
+    of the ``forall`` and the substitution's domain) and the ``forall``'s
+    binders, old and new.  The name is a function of these alone, so a
+    substitution gives the same type whatever ran before it.
+    """
+    taken = set(captured) | avoid | set(binders)
+    new_vars = []
+    renaming: Dict[str, str] = {}
+    for var in binders:
+        if var not in captured:
+            new_vars.append(var)
+            continue
+        base = var.split("%")[0].split(_RENAMED)[0]
+        number = 1
+        while f"{base}{_RENAMED}{number}" in taken:
+            number += 1
+        fresh = f"{base}{_RENAMED}{number}"
+        taken.add(fresh)
+        renaming[var] = fresh
+        new_vars.append(fresh)
+    return tuple(new_vars), renaming
 
 
 def free_type_vars(t: Type) -> frozenset:
@@ -187,17 +196,13 @@ def substitute(t: Type, subst: Dict[str, Type]) -> Type:
         captured = frozenset()
         for v in inner.values():
             captured |= free_type_vars(v)
-        new_vars = []
-        renaming: Dict[str, Type] = {}
-        for var in t.vars:
-            if var in captured:
-                fresh = fresh_type_var(var.split("%")[0])
-                renaming[var] = TVar(fresh)
-                new_vars.append(fresh)
-            else:
-                new_vars.append(var)
-        body = substitute(t.body, renaming) if renaming else t.body
-        return TForall(tuple(new_vars), substitute(body, inner))
+        vars_, body = t.vars, t.body
+        if not captured.isdisjoint(vars_):
+            vars_, renamed = rename_binders(
+                vars_, captured, free_type_vars(t).union(inner))
+            body = substitute(
+                body, {old: TVar(new) for old, new in renamed.items()})
+        return TForall(vars_, substitute(body, inner))
     raise AssertionError(f"unknown type node: {t!r}")
 
 

@@ -10,11 +10,12 @@ Two shortcuts give the answers of the plain rules by construction:
 - a type application whose arguments are closed (no free type variable)
   remembers its instantiation on the ``forall`` type it instantiates, so
   ``cons[int]`` substitutes ``cons``'s body once per process, not once per
-  use.  Closed arguments cannot be captured, so the substitution mints no
-  fresh name and a remembered result is the one a new substitution would
-  build; arguments with free variables are substituted every time.  The
-  memo dies with its ``forall`` type and holds at most
-  ``_INSTANCES_BOUND`` argument tuples;
+  use.  Substitution is a function of its inputs, so a remembered result
+  is the one a new substitution would build.  Only closed tuples are
+  remembered: they recur across programs, while an open tuple names one
+  program's type variables and would only churn the memo.  The memo dies
+  with its ``forall`` type and holds at most ``_INSTANCES_BOUND`` argument
+  tuples;
 - :func:`~repro.systemf.ast.types_equal` answers structurally equal types
   before it walks them for alpha-equivalence.
 
@@ -100,9 +101,10 @@ def _instantiate_closed(fn_type: F.TForall, args: tuple) -> F.Type:
     """``fn_type``'s body with closed ``args`` for its binders, memoized on
     ``fn_type``.
 
-    With no free variable in ``args`` no binder inside the body can
-    capture, so substitution mints no fresh name and a remembered result is
-    the one a new substitution would build.
+    Substitution is pure, so a remembered result is the one a new
+    substitution would build.  Closed tuples such as ``cons[int]`` recur
+    across programs; an open tuple names one program's type variables, so
+    ``type_of`` substitutes it afresh rather than churn the memo.
     """
     memo = fn_type.__dict__.get("_instances")
     result = memo.get(args) if memo is not None else None

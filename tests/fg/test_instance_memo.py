@@ -4,16 +4,16 @@ The TAPP rule judges ``e[taus]`` from ``e``'s ``forall`` type, the
 arguments and Gamma alone, so ``Checker`` remembers each checked instance
 under ``(forall type, arguments, env)`` and rebuilds only the System F
 application around the function's fresh translation.  An instance is stored
-only if computing it minted no fresh name.  The reference here is the TAPP
+only if computing it took no name from the checker's counter.  The reference
+here is the TAPP
 rule as it was before the memo, judged afresh at every occurrence
 (``NoReuseChecker``, ``NoReuseExtChecker``); ``ExtChecker``'s overload
 selection still runs before it.
 
 Both must give the same type, translation (``==``, printed text and every
 node's span), diagnostics (kind, rendered text, span), rendered report,
-value, verify verdict, ``congruence.nodes`` count and position of the
-fresh-name supply, for the core and the extended checker at the empty
-library and at the prelude, over
+value, verify verdict and ``congruence.nodes`` count, for the core and the
+extended checker at the empty library and at the prelude, over
 
 - ``examples/fg`` and the in-process fgbench workloads at seeds 1-3;
 - ``fg_gen`` programs;
@@ -153,15 +153,6 @@ SHIPPED = {NoReuseChecker: Checker, NoReuseExtChecker: ExtChecker}
 _context_for = context_module.context_for
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _built_contexts():
-    """Build every library context before any run, so that no run's
-    fresh-name supply pays for a build."""
-    for cls in (Checker, ExtChecker):
-        for prelude in (False, True):
-            _context_for(cls, prelude)
-
-
 # -- running both -------------------------------------------------------------
 
 
@@ -182,12 +173,9 @@ def _spans(term, out):
 
 def run(text, name="<input>", *, prelude=False, ext=False, reference=False,
         limits=None, max_errors=20, explain=False):
-    """What one ``check_source`` run shows, with the fresh-name supply
-    restarted at 0; ``reference`` swaps in the no-reuse checkers, at the
-    shipped checkers' library contexts."""
-    fresh = itertools.count()
+    """What one ``check_source`` run shows; ``reference`` swaps in the
+    no-reuse checkers, at the shipped checkers' library contexts."""
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(F, "_fresh_counter", fresh))
         if reference:
             stack.enter_context(
                 mock.patch.object(fg_typecheck, "Checker", NoReuseChecker))
@@ -220,7 +208,6 @@ def run(text, name="<input>", *, prelude=False, ext=False, reference=False,
         "value": repr(out.value),
         "verified": out.verified,
         "nodes": metrics.counter("congruence.nodes"),
-        "next_fresh": next(fresh),
         "explain": None if log is None else log.render(verbose=True),
     }
 
@@ -289,7 +276,7 @@ let k = /\v where It<v>. \i : v. It<v>.cur(i) in
 """
 
 #: ``k[b]`` substitutes ``b`` under a binder named ``b``: each occurrence
-#: renames the binder to a fresh name.
+#: renames the binder, to the same name.
 CAPTURE = r"""
 let k = /\a. /\b. \x : a, y : b. x in
 let dup = /\b. \x : b. (k[b], k[b], k[b]) in
@@ -371,8 +358,9 @@ class TestHandCases:
         assert len(set(re.findall(r"elt%\d+", out["text"]))) >= 3
 
     def test_capture_renames_at_every_occurrence(self):
-        # Three renames while checking, more while verifying.
-        assert same(CAPTURE)["next_fresh"] >= 3
+        out = same(CAPTURE)
+        assert out["type"].count("forall b#1. fn(int, b#1) -> int") == 3
+        assert out["verified"]
 
 
 # -- resource trips and explain -----------------------------------------------

@@ -192,23 +192,14 @@ def whole_term_verify(fg_type, sf_term, *, checker, context=None):
     return sf_type
 
 
-def _fresh_count():
-    """Where ``fresh_type_var``'s counter stands, without advancing it."""
-    return int(re.fullmatch(r"count\((\d+)\)", repr(F._fresh_counter))[1])
-
-
 def verified(verify, text, filename="<input>", limits=None, ext=False):
     """``check_source(..., prelude=True, verify=True)`` with ``verify`` as
-    its verify stage: the verdict, the System F type the stage printed,
-    how far it moved the fresh-name counter, and the diagnostics."""
+    its verify stage: the verdict, the System F type the stage printed and
+    the diagnostics."""
     seen = {}
 
     def spy(fg_type, sf_term, **kwargs):
-        before = _fresh_count()
-        try:
-            sf_type = verify(fg_type, sf_term, **kwargs)
-        finally:
-            seen["fresh"] = _fresh_count() - before
+        sf_type = verify(fg_type, sf_term, **kwargs)
         seen["sf_type"] = pretty_type(sf_type)
         return sf_type
 

@@ -82,7 +82,8 @@ def test_substitution_respects_alpha(t, name, replacement):
 def _rename_binders(t: F.Type) -> F.Type:
     """Freshen every forall binder (alpha-equivalent copy)."""
     if isinstance(t, F.TForall):
-        fresh = tuple(F.fresh_type_var(v.split("%")[0]) for v in t.vars)
+        fresh, _ = F.rename_binders(
+            t.vars, frozenset(t.vars), F.free_type_vars(t))
         body = F.substitute(
             t.body, {v: F.TVar(f) for v, f in zip(t.vars, fresh)}
         )

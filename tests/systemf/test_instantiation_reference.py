@@ -7,11 +7,11 @@ always runs the binder-tracking walk (``_alpha_eq``).
 :func:`reference_rules` swaps both back in.  The tests compare
 
 - ``type_of`` of generated terms that apply one ``forall`` type to closed
-  and to open argument tuples, with the fresh-name supply restarted at the
-  same point for each side, so a capture-avoiding rename the memo skipped or
-  added would show as another ``%N`` name.  Open tuples name type variables
-  bound around the application, and the ``forall`` bodies bind the same
-  names again, so substitution has binders to rename;
+  and to open argument tuples, exactly: substitution is pure, so a
+  capture-avoiding rename the memo skipped or added would show as another
+  name.  Open tuples name type variables bound around the application, and
+  the ``forall`` bodies bind the same names again, so substitution has
+  binders to rename;
 - what each ``forall`` type remembers: only closed argument tuples, and never
   more than ``_INSTANCES_BOUND`` of them, builtins included;
 - ``types_equal`` with ``_alpha_eq`` on generated pairs, alpha-variants and
@@ -23,7 +23,6 @@ always runs the binder-tracking walk (``_alpha_eq``).
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
 from contextlib import contextmanager
@@ -70,17 +69,6 @@ def reference_rules():
         T._instantiate_closed, F.types_equal = saved
 
 
-@contextmanager
-def fresh_names_from(start: int):
-    """Restart the fresh type-variable supply at ``start``."""
-    saved = F._fresh_counter
-    F._fresh_counter = itertools.count(start)
-    try:
-        yield
-    finally:
-        F._fresh_counter = saved
-
-
 def outcome(term, env):
     try:
         return ("ok", T.type_of(term, env))
@@ -121,11 +109,9 @@ def test_type_application_matches_plain_substitution(poly, drawn):
     arg_tuples.append(arg_tuples[0])
     term = applications(poly, arg_tuples)
     env = T.TypeEnv.initial().bind("f", poly)
-    with fresh_names_from(10_000):
-        first = outcome(term, env)
-    with fresh_names_from(10_000):
-        again = outcome(term, env)  # every closed tuple now from the memo
-    with reference_rules(), fresh_names_from(10_000):
+    first = outcome(term, env)
+    again = outcome(term, env)  # every closed tuple now from the memo
+    with reference_rules():
         want = outcome(term, env)
     assert first == again == want
     closed = {args for args in arg_tuples
@@ -135,17 +121,16 @@ def test_type_application_matches_plain_substitution(poly, drawn):
 
 def test_capture_case_mints_the_parents_fresh_names():
     # ``forall a. forall b. fn(a) -> b`` applied to ``b``: the inner binder
-    # must be renamed, and that rename must mint the same name as before.
+    # must be renamed, to the same name with and without the memo.
     a, b = F.TVar("a"), F.TVar("b")
     poly = F.TForall(("a",), F.TForall(("b",), F.TFn((a,), b)))
     term = F.TyLam(vars=("b",), body=F.TyApp(fn=F.Var(name="f"), args=(b,)))
     env = T.TypeEnv.initial().bind("f", poly)
-    with fresh_names_from(7):
-        got = T.type_of(term, env)
-    with reference_rules(), fresh_names_from(7):
+    got = T.type_of(term, env)
+    with reference_rules():
         want = T.type_of(term, env)
     assert got == want == F.TForall(
-        ("b",), F.TForall(("b%7",), F.TFn((b,), F.TVar("b%7"))))
+        ("b",), F.TForall(("b#1",), F.TFn((b,), F.TVar("b#1"))))
     assert memo_of(poly) == {}
     # A closed argument needs no rename, so it is remembered.
     closed = F.TyApp(fn=F.Var(name="f"), args=(F.INT,))
@@ -288,9 +273,8 @@ def test_translated_programs(seed):
     # then recorded by neither side.
     for checker_cls in (Checker, ExtChecker):
         context_for(checker_cls, True)
-    with fresh_names_from(0):
-        got, got_applied = sf_types(runs, T._instantiate_closed)
-    with reference_rules(), fresh_names_from(0):
+    got, got_applied = sf_types(runs, T._instantiate_closed)
+    with reference_rules():
         want, want_applied = sf_types(runs, plain_instantiate)
     assert got == want
     assert got_applied == want_applied
