@@ -108,31 +108,19 @@ class ExtChecker(Checker):
             self._improving = False
 
     def _improve_go(self, t: G.FGType, env: Env, depth: int) -> G.FGType:
-        if depth > _MAX_RESOLUTION_DEPTH:
+        # Only associated types improve; a forall lists no parts, so it
+        # stays as written.
+        if depth > _MAX_RESOLUTION_DEPTH or not t.contains_assoc:
             return t
-        if isinstance(t, (G.TVar, G.TBase)):
-            return t
-        if isinstance(t, G.TList):
-            return G.TList(self._improve_go(t.elem, env, depth + 1))
-        if isinstance(t, G.TFn):
-            return G.TFn(
-                tuple(self._improve_go(p, env, depth + 1) for p in t.params),
-                self._improve_go(t.result, env, depth + 1),
-            )
-        if isinstance(t, G.TTuple):
-            return G.TTuple(
-                tuple(self._improve_go(i, env, depth + 1) for i in t.items)
-            )
+        parts = tuple([self._improve_go(p, env, depth + 1) for p in t.parts])
+        improved = t.remake(parts)
         if isinstance(t, G.TAssoc):
-            args = tuple(self._improve_go(a, env, depth + 1) for a in t.args)
-            improved = G.TAssoc(t.concept, args, t.member)
-            info = self.find_model(t.concept, args, env)
+            info = self.find_model(t.concept, parts, env)
             if info is not None:
                 assignment = info.assoc.get(t.member)
                 if assignment is not None and assignment != improved:
                     return self._improve_go(assignment, env, depth + 1)
-            return improved
-        return t  # foralls and requirements stay as written
+        return improved
 
     # ------------------------------------------------------------------
     # Model lookup through parameterized models
@@ -245,21 +233,16 @@ class ExtChecker(Checker):
             return super().equal(template, actual, env)
         if isinstance(template, G.TBase):
             return template == actual
-        if isinstance(template, G.TList) and isinstance(actual, G.TList):
-            return self._match(template.elem, actual.elem, vars_, theta, env)
-        if isinstance(template, G.TFn) and isinstance(actual, G.TFn):
-            if len(template.params) != len(actual.params):
+        # Constructors match part by part; an associated type is not one
+        # (it is not injective), and a forall lists no parts.
+        if (template.parts and not isinstance(template, G.TAssoc)
+                and type(actual) is type(template)
+                and actual.shape == template.shape):
+            if len(template.parts) != len(actual.parts):
                 return False
             return all(
                 self._match(tp, ap, vars_, theta, env)
-                for tp, ap in zip(template.params, actual.params)
-            ) and self._match(template.result, actual.result, vars_, theta, env)
-        if isinstance(template, G.TTuple) and isinstance(actual, G.TTuple):
-            if len(template.items) != len(actual.items):
-                return False
-            return all(
-                self._match(ti, ai, vars_, theta, env)
-                for ti, ai in zip(template.items, actual.items)
+                for tp, ap in zip(template.parts, actual.parts)
             )
         return super().equal(template, actual, env)
 

@@ -19,6 +19,7 @@ examples can be written directly.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -38,10 +39,18 @@ from repro.systemf.ast import rename_binders
 # identity and hashing is by identity, both O(1): the term DAG that
 # congruence closure assumes (Nelson-Oppen, paper section 5).  The table
 # holds its types weakly; an entry goes when the last reference to its type
-# does.  Each type also records, when built, whether the recovery poison
-# occurs in it (``contains_error``), whether a ``forall`` type does
-# (``contains_forall``), whether an associated type does
-# (``contains_assoc``) and its free type variables (``free_vars``).
+# does.  Each type also records, when built, its component types
+# (``parts``), whether the recovery poison occurs in it
+# (``contains_error``), whether a ``forall`` type does (``contains_forall``),
+# whether an associated type does (``contains_assoc``) and its free type
+# variables (``free_vars``).
+#
+# A type states its structure once, and every traversal (substitution, the
+# congruence solver, the checkers' walks) reads it from there: ``parts``,
+# its component types in constructor order; ``shape``, the hashable
+# non-type fields that tell it apart from others of its class; and
+# ``remake(parts)``, the constructor applied to new parts.  A ``forall``
+# type lists no parts: walks that enter binders handle it themselves.
 
 class _Entry(weakref.ref):
     """A table entry: a weak reference that knows its key."""
@@ -72,8 +81,9 @@ def _lookup(key: tuple) -> Optional["FGType"]:
     return ref() if ref is not None else None
 
 
-def _intern(key: tuple, contains_error: bool, contains_forall: bool,
-            contains_assoc: bool, free_vars: FrozenSet[str]):
+def _intern(key: tuple, parts: tuple, contains_error: bool,
+            contains_forall: bool, contains_assoc: bool,
+            free_vars: FrozenSet[str]):
     """Build the type ``key`` describes and enter it in the table, unless
     another thread entered it since :func:`_lookup` missed."""
     with _LOCK:
@@ -83,6 +93,7 @@ def _intern(key: tuple, contains_error: bool, contains_forall: bool,
             t = object.__new__(cls)
             for name, value in zip(cls._fields, key[1:]):
                 _set(t, name, value)
+            _set(t, "parts", parts)
             _set(t, "contains_error", contains_error)
             _set(t, "contains_forall", contains_forall)
             _set(t, "contains_assoc", contains_assoc)
@@ -109,10 +120,21 @@ def _join(types) -> Tuple[bool, bool, bool, FrozenSet[str]]:
 class FGType:
     """Base class of F_G types (hash-consed, immutable)."""
 
-    __slots__ = ("contains_error", "contains_forall", "contains_assoc",
-                 "free_vars", "__weakref__")
+    __slots__ = ("parts", "contains_error", "contains_forall",
+                 "contains_assoc", "free_vars", "__weakref__")
     #: Field names, in constructor order.
     _fields: Tuple[str, ...] = ()
+
+    @property
+    def shape(self) -> tuple:
+        """The non-type fields that tell this type apart from others of
+        its class with the same parts."""
+        return ()
+
+    def remake(self, parts: Tuple["FGType", ...]) -> "FGType":
+        """This type's constructor applied to ``parts`` in place of its
+        own; a type without parts is its own remake."""
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -138,7 +160,11 @@ class TVar(FGType):
     def __new__(cls, name: str) -> "TVar":
         key = (cls, name)
         return _lookup(key) or _intern(
-            key, False, False, False, frozenset((name,)))
+            key, (), False, False, False, frozenset((name,)))
+
+    @property
+    def shape(self) -> tuple:
+        return (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -151,7 +177,11 @@ class TBase(FGType):
 
     def __new__(cls, name: str) -> "TBase":
         key = (cls, name)
-        return _lookup(key) or _intern(key, False, False, False, _EMPTY)
+        return _lookup(key) or _intern(key, (), False, False, False, _EMPTY)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -176,7 +206,7 @@ class ErrorType(FGType):
 
     def __new__(cls) -> "ErrorType":
         key = (cls,)
-        return _lookup(key) or _intern(key, True, False, False, _EMPTY)
+        return _lookup(key) or _intern(key, (), True, False, False, _EMPTY)
 
     def __str__(self) -> str:
         return "<error>"
@@ -194,21 +224,33 @@ class TList(FGType):
     def __new__(cls, elem: FGType) -> "TList":
         key = (cls, elem)
         return _lookup(key) or _intern(
-            key, elem.contains_error, elem.contains_forall,
+            key, (elem,), elem.contains_error, elem.contains_forall,
             elem.contains_assoc, elem.free_vars)
+
+    def remake(self, parts: Tuple[FGType, ...]) -> "TList":
+        return TList(parts[0])
 
     def __str__(self) -> str:
         return f"list {self.elem}"
 
 
 class TFn(FGType):
-    """A multi-parameter function type ``fn(t1, ..., tn) -> t``."""
+    """A multi-parameter function type ``fn(t1, ..., tn) -> t``.
+
+    Its parts are the parameters, then the result."""
 
     __slots__ = _fields = ("params", "result")
 
     def __new__(cls, params: Tuple[FGType, ...], result: FGType) -> "TFn":
         key = (cls, tuple(params), result)
-        return _lookup(key) or _intern(key, *_join(key[1] + (result,)))
+        t = _lookup(key)
+        if t is None:
+            parts = key[1] + (result,)
+            t = _intern(key, parts, *_join(parts))
+        return t
+
+    def remake(self, parts: Tuple[FGType, ...]) -> "TFn":
+        return TFn(parts[:-1], parts[-1])
 
     def __str__(self) -> str:
         return f"fn({', '.join(map(str, self.params))}) -> {self.result}"
@@ -221,7 +263,10 @@ class TTuple(FGType):
 
     def __new__(cls, items: Tuple[FGType, ...]) -> "TTuple":
         key = (cls, tuple(items))
-        return _lookup(key) or _intern(key, *_join(key[1]))
+        return _lookup(key) or _intern(key, key[1], *_join(key[1]))
+
+    def remake(self, parts: Tuple[FGType, ...]) -> "TTuple":
+        return TTuple(parts)
 
     def __str__(self) -> str:
         if not self.items:
@@ -240,7 +285,14 @@ class ConceptReq(FGType):
 
     def __new__(cls, concept: str, args: Tuple[FGType, ...]) -> "ConceptReq":
         key = (cls, concept, tuple(args))
-        return _lookup(key) or _intern(key, *_join(key[2]))
+        return _lookup(key) or _intern(key, key[2], *_join(key[2]))
+
+    @property
+    def shape(self) -> tuple:
+        return (self.concept,)
+
+    def remake(self, parts: Tuple[FGType, ...]) -> "ConceptReq":
+        return ConceptReq(self.concept, parts)
 
     def __str__(self) -> str:
         return f"{self.concept}<{', '.join(map(str, self.args))}>"
@@ -257,8 +309,19 @@ class SameType:
         return f"{self.left} == {self.right}"
 
 
+def _sides(same_types):
+    """The two sides of each same-type constraint, in order."""
+    for s in same_types:
+        yield s.left
+        yield s.right
+
+
 class TForall(FGType):
-    """``forall t1..tn where c<taus>, ...; tau == tau', ... . t`` (Figs. 4, 11)."""
+    """``forall t1..tn where c<taus>, ...; tau == tau', ... . t`` (Figs. 4, 11).
+
+    It lists no parts, so a walk over parts treats it as a constant; its
+    ``shape`` is its :attr:`alpha_key`.
+    """
 
     _fields = ("vars", "requirements", "same_types", "body")
     __slots__ = _fields + ("_alpha_key",)
@@ -273,36 +336,30 @@ class TForall(FGType):
         key = (cls, tuple(vars), tuple(requirements), tuple(same_types), body)
         t = _lookup(key)
         if t is None:
-            parts = [body, *key[2]]
-            for s in key[3]:
-                parts += (s.left, s.right)
-            error, _, assoc, free = _join(parts)
+            error, _, assoc, free = _join(
+                (body, *key[2], *_sides(key[3])))
             if not free.isdisjoint(key[1]):
                 free = free - frozenset(key[1])
-            t = _intern(key, error, True, assoc, free)
+            t = _intern(key, (), error, True, assoc, free)
         return t
 
     @property
-    def alpha_key(self) -> str:
-        """An alpha-canonical string for this type: the type printed with
-        its binders renamed ``@0``, ``@1``, ... in order, so alpha-variants
-        share it.  The congruence solver keys ``forall`` constants by it.
+    def shape(self) -> tuple:
+        return (self.alpha_key,)
+
+    @property
+    def alpha_key(self) -> "TForall":
+        """This type with every binder, at every depth, renamed by its
+        position in pre-order: ``@0``, ``@1``, ...  Alpha-variants share
+        it, and it is hash-consed, so the congruence solver keys ``forall``
+        constants by the object.  No identifier can spell ``@``.
 
         Computed on first read and kept on the type; threads that race
-        store the same string.
+        store the same object.
         """
         key = getattr(self, "_alpha_key", None)
         if key is None:
-            renaming = {v: TVar(f"@{i}") for i, v in enumerate(self.vars)}
-            body = substitute(self.body, renaming)
-            reqs = tuple(substitute(r, renaming) for r in self.requirements)
-            sames = tuple(
-                SameType(substitute(s.left, renaming),
-                         substitute(s.right, renaming))
-                for s in self.same_types
-            )
-            key = str(TForall(tuple(f"@{i}" for i in range(len(self.vars))),
-                              reqs, sames, body))
+            key = _positional(self, {}, itertools.count())
             _set(self, "_alpha_key", key)
         return key
 
@@ -325,8 +382,15 @@ class TAssoc(FGType):
         t = _lookup(key)
         if t is None:
             error, forall, _, free = _join(key[2])
-            t = _intern(key, error, forall, True, free)
+            t = _intern(key, key[2], error, forall, True, free)
         return t
+
+    @property
+    def shape(self) -> tuple:
+        return (self.concept, self.member)
+
+    def remake(self, parts: Tuple[FGType, ...]) -> "TAssoc":
+        return TAssoc(self.concept, parts, self.member)
 
     def __str__(self) -> str:
         return f"{self.concept}<{', '.join(map(str, self.args))}>.{self.member}"
@@ -339,38 +403,61 @@ def free_type_vars(t: FGType) -> FrozenSet[str]:
 
 def concept_names(t: FGType) -> frozenset:
     """``CV(t)``: concept names occurring in where clauses / assoc types of ``t``."""
-    if isinstance(t, (TVar, TBase, ErrorType)):
-        return frozenset()
-    if isinstance(t, TList):
-        return concept_names(t.elem)
-    if isinstance(t, TFn):
-        out = concept_names(t.result)
-        for p in t.params:
-            out |= concept_names(p)
-        return out
-    if isinstance(t, TTuple):
-        out = frozenset()
-        for item in t.items:
-            out |= concept_names(item)
-        return out
-    if isinstance(t, ConceptReq):
-        out = frozenset((t.concept,))
-        for a in t.args:
-            out |= concept_names(a)
-        return out
-    if isinstance(t, TAssoc):
-        out = frozenset((t.concept,))
-        for a in t.args:
-            out |= concept_names(a)
-        return out
     if isinstance(t, TForall):
-        out = concept_names(t.body)
-        for r in t.requirements:
-            out |= concept_names(r)
-        for s in t.same_types:
-            out |= concept_names(s.left) | concept_names(s.right)
-        return out
-    raise AssertionError(f"unknown F_G type node: {t!r}")
+        parts = (t.body, *t.requirements, *_sides(t.same_types))
+    else:
+        parts = t.parts
+    out = (frozenset((t.concept,)) if isinstance(t, (ConceptReq, TAssoc))
+           else _EMPTY)
+    for p in parts:
+        out |= concept_names(p)
+    return out
+
+
+def _positional(t: FGType, names, counter) -> FGType:
+    """``t`` with its free variables renamed by ``names`` and every binder
+    in it named ``@k``, ``k`` drawn from ``counter`` in pre-order."""
+    if not t.contains_forall:
+        return substitute(t, names)
+    if isinstance(t, TForall):
+        inner = dict(names)
+        for v in t.vars:
+            inner[v] = TVar(f"@{next(counter)}")
+        # A repeated binder is named, at each place, as its occurrences
+        # are: by its last position.
+        vars_ = tuple(inner[v].name for v in t.vars)
+        reqs = tuple(_positional(r, inner, counter) for r in t.requirements)
+        sames = tuple(
+            SameType(_positional(s.left, inner, counter),
+                     _positional(s.right, inner, counter))
+            for s in t.same_types
+        )
+        return TForall(vars_, reqs, sames, _positional(t.body, inner, counter))
+    return t.remake(tuple([_positional(p, names, counter) for p in t.parts]))
+
+
+def _under_binders(vars_: Tuple[str, ...], free: FrozenSet[str], subst):
+    """Substituting ``subst`` into a scope that binds ``vars_`` and has the
+    free type variables ``free``: the scope's binders, with each that would
+    capture a variable of a substituted type renamed by
+    :func:`~repro.systemf.ast.rename_binders`, and the substitution to
+    apply inside the scope (``subst`` less the binders, plus the renaming).
+    """
+    inner = {k: v for k, v in subst.items() if k not in vars_}
+    captured = _EMPTY
+    for v in inner.values():
+        captured |= v.free_vars
+    if not captured.isdisjoint(vars_):
+        vars_, renamed = rename_binders(vars_, captured, free.union(inner))
+        inner.update((old, TVar(new)) for old, new in renamed.items())
+    return vars_, inner
+
+
+def _substitute_sames(same_types, subst) -> Tuple[SameType, ...]:
+    return tuple(
+        SameType(substitute(s.left, subst), substitute(s.right, subst))
+        for s in same_types
+    )
 
 
 def substitute(t: FGType, subst) -> FGType:
@@ -381,58 +468,26 @@ def substitute(t: FGType, subst) -> FGType:
     """
     if not subst or t.free_vars.isdisjoint(subst):
         return t
-    if isinstance(t, TVar):
+    if type(t) is TVar:
         return subst[t.name]
-    if isinstance(t, TList):
-        return TList(substitute(t.elem, subst))
-    if isinstance(t, TFn):
-        return TFn(
-            tuple(substitute(p, subst) for p in t.params),
-            substitute(t.result, subst),
-        )
-    if isinstance(t, TTuple):
-        return TTuple(tuple(substitute(i, subst) for i in t.items))
-    if isinstance(t, ConceptReq):
-        return ConceptReq(t.concept, tuple(substitute(a, subst) for a in t.args))
-    if isinstance(t, TAssoc):
-        return TAssoc(
-            t.concept, tuple(substitute(a, subst) for a in t.args), t.member
-        )
-    if isinstance(t, TForall):
-        inner = {k: v for k, v in subst.items() if k not in t.vars}
-        captured = frozenset()
-        for v in inner.values():
-            captured |= free_type_vars(v)
-        vars_, reqs, sames, body = t.vars, t.requirements, t.same_types, t.body
-        if not captured.isdisjoint(vars_):
-            vars_, renamed = rename_binders(
-                vars_, captured, t.free_vars.union(inner))
-            renaming = {old: TVar(new) for old, new in renamed.items()}
-            reqs = tuple(substitute(r, renaming) for r in reqs)
-            sames = tuple(
-                SameType(substitute(s.left, renaming), substitute(s.right, renaming))
-                for s in sames
-            )
-            body = substitute(body, renaming)
+    if type(t) is TForall:
+        vars_, inner = _under_binders(t.vars, t.free_vars, subst)
         return TForall(
             vars_,
-            tuple(substitute(r, inner) for r in reqs),
-            tuple(
-                SameType(substitute(s.left, inner), substitute(s.right, inner))
-                for s in sames
-            ),
-            substitute(body, inner),
+            tuple(substitute(r, inner) for r in t.requirements),
+            _substitute_sames(t.same_types, inner),
+            substitute(t.body, inner),
         )
-    raise AssertionError(f"unknown F_G type node: {t!r}")
+    return t.remake(tuple([substitute(p, subst) for p in t.parts]))
 
 
 def substitute_term_types(term: "Term", subst) -> "Term":
     """Apply a type substitution to every type embedded in a term.
 
     Used to instantiate concept-member *defaults*, whose bodies are written
-    against the concept's formal parameters; binders are term-level only, so
-    no type-variable capture can occur here beyond what :func:`substitute`
-    already handles.
+    against the concept's formal parameters.  A type abstraction in the
+    body renames a binder that would capture a substituted variable, as
+    :func:`substitute` does at a ``forall``.
     """
     if not subst:
         return term
@@ -452,17 +507,19 @@ def substitute_term_types(term: "Term", subst) -> "Term":
         if isinstance(e, App):
             return App(span=e.span, fn=go(e.fn), args=tuple(go(a) for a in e.args))
         if isinstance(e, TyLam):
-            inner = {k: v for k, v in subst.items() if k not in e.vars}
+            # A term does not store its free type variables, so binders
+            # here avoid only what ``_under_binders`` always avoids.  A
+            # default's body is source text, which cannot spell a renamed
+            # binder (``rename_binders``' ``#``); the only such names in it
+            # come from ``subst``, and those are avoided.
+            vars_, inner = _under_binders(e.vars, _EMPTY, subst)
             if not inner:
                 return e
             return TyLam(
                 span=e.span,
-                vars=e.vars,
+                vars=vars_,
                 requirements=tuple(substitute(r, inner) for r in e.requirements),
-                same_types=tuple(
-                    SameType(substitute(s.left, inner), substitute(s.right, inner))
-                    for s in e.same_types
-                ),
+                same_types=_substitute_sames(e.same_types, inner),
                 body=substitute_term_types(e.body, inner),
             )
         if isinstance(e, TyApp):
@@ -487,8 +544,12 @@ def substitute_term_types(term: "Term", subst) -> "Term":
                 member=e.member,
             )
         if isinstance(e, TypeAlias):
+            # The alias binds its name in the body, as a type abstraction
+            # binds its variables.
+            (name,), inner = _under_binders((e.name,), _EMPTY, subst)
             return TypeAlias(
-                span=e.span, name=e.name, aliased=sub_t(e.aliased), body=go(e.body)
+                span=e.span, name=name, aliased=sub_t(e.aliased),
+                body=substitute_term_types(e.body, inner),
             )
         # Concept/model expressions and extension nodes inside defaults are
         # rare; handle the general declaration forms conservatively.

@@ -8,12 +8,16 @@ function symbols and cites the Nelson-Oppen congruence-closure algorithm
 
 - type constructors (``list``, ``fn``, tuples) and associated-type references
   ``c<taus>.s`` are treated as uninterpreted function symbols applied to
-  their component types;
+  their component types: a node is labelled by its type's class and
+  ``shape`` and has the type's ``parts`` as children
+  (:mod:`repro.fg.ast` states each type's structure once);
 - type variables and base types are constants;
-- ``forall`` types are interned as opaque constants keyed by an
-  alpha-canonical form (:attr:`~repro.fg.ast.TForall.alpha_key`; equalities
-  never look under binders — a conservative choice the paper shares, since
-  its constraints range over first-order type expressions).
+- ``forall`` types are constants keyed by their alpha-canonical type
+  (:attr:`~repro.fg.ast.TForall.alpha_key`: every binder, at every depth,
+  renamed by position), so alpha-variants share a node even when their
+  binders nest.  Equalities never look under binders — a conservative
+  choice the paper shares, since its constraints range over first-order
+  type expressions.
 
 The solver also *externalizes* canonical representatives: the translation to
 System F must print one representative per equivalence class (paper 5.2:
@@ -64,13 +68,15 @@ class CongruenceSolver:
         self._metrics = metrics
         self._tracer = tracer
         self._labels: List[tuple] = []
+        # Node -> the type it was first interned from; extraction remakes
+        # it from its children's representatives.
+        self._types: List[G.FGType] = []
         self._children: List[Tuple[int, ...]] = []
         self._uf_parent: List[int] = []
         self._uf_rank: List[int] = []
         self._use: Dict[int, List[int]] = {}
         self._members: Dict[int, List[int]] = {}
         self._sigtab: Dict[tuple, int] = {}
-        self._opaque: Dict[int, G.FGType] = {}
         # Type -> node for the solver's life.  F_G types are hash-consed, so
         # a type met again, or shared inside a term, is interned once.
         self._nodes: Dict[G.FGType, int] = {}
@@ -83,7 +89,7 @@ class CongruenceSolver:
         # classes, so no memoized class can change.
         self._reps: Dict[G.FGType, G.FGType] = {}
         self._extracted: Dict[int, tuple] = {}
-        # Set once an ``("error",)`` node exists; until then no class can
+        # Set once a poison node exists; until then no class can
         # hold the recovery poison.
         self._poisoned = False
         # :attr:`closed_types_represent_themselves`, computed on first read
@@ -102,7 +108,8 @@ class CongruenceSolver:
             self._uf_parent[i], i = root, self._uf_parent[i]
         return root
 
-    def _new_node(self, label: tuple, children: Tuple[int, ...]) -> int:
+    def _new_node(self, t: G.FGType, label: tuple,
+                  children: Tuple[int, ...]) -> int:
         i = len(self._labels)
         if self._max_nodes is not None and i >= self._max_nodes:
             raise ResourceLimitError(
@@ -112,12 +119,13 @@ class CongruenceSolver:
                 limit="congruence",
             )
         self._labels.append(label)
+        self._types.append(t)
         self._children.append(children)
         self._uf_parent.append(i)
         self._uf_rank.append(0)
         self._use[i] = []
         self._members[i] = [i]
-        if label == ("error",):
+        if t is G.ERROR:
             self._poisoned = True
         if self._metrics is not None:
             self._metrics.inc("congruence.nodes")
@@ -129,17 +137,15 @@ class CongruenceSolver:
         """Intern an F_G type, returning its node id (not its class root)."""
         node = self._nodes.get(t)
         if node is None:
-            label, child_types, opaque = _decompose(t)
-            children = tuple(self.intern(c) for c in child_types)
-            sig = (label,) + tuple(self._find(c) for c in children)
+            label = (type(t),) + t.shape
+            children = tuple([self.intern(c) for c in t.parts])
+            sig = (label,) + tuple([self._find(c) for c in children])
             node = self._sigtab.get(sig)
             if node is None:
-                node = self._new_node(label, children)
+                node = self._new_node(t, label, children)
                 self._sigtab[sig] = node
                 for child in set(self._find(c) for c in children):
                     self._use[child].append(node)
-                if opaque is not None:
-                    self._opaque[node] = opaque
             self._nodes[t] = node
         return node
 
@@ -208,7 +214,7 @@ class CongruenceSolver:
             # checker asks only after ``equal`` interned both sides.
             return isinstance(t, G.ErrorType)
         root = self._find(self.intern(t))
-        return any(self._labels[n] == ("error",) for n in self._members[root])
+        return any(self._types[n] is G.ERROR for n in self._members[root])
 
     # -- representative extraction ------------------------------------------
 
@@ -251,7 +257,7 @@ class CongruenceSolver:
         for root, members in self._members.items():
             if len(members) == 1:
                 continue
-            plain = [n for n in members if labels[n][0] != "assoc"]
+            plain = [n for n in members if labels[n][0] is not G.TAssoc]
             if len(plain) > 1:
                 return False
             if plain:
@@ -289,10 +295,8 @@ class CongruenceSolver:
         return best
 
     def _extract_node(self, node: int, walk: "_Walk"):
-        label = self._labels[node]
-        kind = label[0]
         child_results = []
-        cost = _label_cost(kind)
+        cost = _label_cost(self._labels[node][0])
         for child in self._children[node]:
             sub = self._extract(self._find(child), walk)
             if sub is None:
@@ -301,7 +305,7 @@ class CongruenceSolver:
             child_results.append(sub[1])
         if cost >= _COST_INFINITE:
             return None
-        return (cost, _recompose(label, child_results, self._opaque.get(node)))
+        return (cost, self._types[node].remake(tuple(child_results)))
 
     @property
     def equalities(self) -> Tuple[Tuple[G.FGType, G.FGType], ...]:
@@ -339,6 +343,7 @@ class CongruenceSolver:
             self._max_nodes, metrics=self._metrics, tracer=self._tracer
         )
         child._labels = self._labels[:n]
+        child._types = self._types[:n]
         child._children = self._children[:n]
         child._uf_parent = self._uf_parent[:n]
         child._uf_rank = self._uf_rank[:n]
@@ -352,11 +357,10 @@ class CongruenceSolver:
             for i, users in self._use.items() if i < n
         }
         child._sigtab = {k: i for k, i in self._sigtab.items() if i < n}
-        child._opaque = {i: t for i, t in self._opaque.items() if i < n}
         child._nodes = {t: i for t, i in self._nodes.items() if i < n}
         child._settled = n
         child._equalities = self._equalities[:]
-        child._poisoned = (("error",),) in child._sigtab
+        child._poisoned = G.ERROR in child._nodes
         return child
 
 
@@ -371,62 +375,12 @@ class _Walk:
         self.cuts = 0
 
 
-def _label_cost(kind: str) -> float:
-    if kind == "assoc":
+def _label_cost(kind: type) -> float:
+    if kind is G.TAssoc:
         return _COST_ASSOC
-    if kind == "var":
+    if kind is G.TVar:
         return _COST_VAR
     return _COST_GROUND
-
-
-def _decompose(t: G.FGType):
-    """Split a type into (label, child types, opaque payload)."""
-    if isinstance(t, G.TVar):
-        return (("var", t.name), (), None)
-    if isinstance(t, G.TBase):
-        return (("base", t.name), (), None)
-    if isinstance(t, G.TList):
-        return (("list",), (t.elem,), None)
-    if isinstance(t, G.TFn):
-        return (("fn", len(t.params)), tuple(t.params) + (t.result,), None)
-    if isinstance(t, G.TTuple):
-        return (("tuple", len(t.items)), tuple(t.items), None)
-    if isinstance(t, G.TAssoc):
-        return (("assoc", t.concept, t.member, len(t.args)), tuple(t.args), None)
-    if isinstance(t, G.TForall):
-        return (("forall", t.alpha_key), (), t)
-    if isinstance(t, G.ConceptReq):
-        return (("req", t.concept, len(t.args)), tuple(t.args), None)
-    if isinstance(t, G.ErrorType):
-        # The recovery poison is an opaque constant to the solver; the
-        # checker's ``equal`` short-circuits before asking about it, this
-        # case only keeps stray poisons from crashing the closure.
-        return (("error",), (), None)
-    raise AssertionError(f"unknown F_G type node: {t!r}")
-
-
-def _recompose(label: tuple, children: List[G.FGType], opaque) -> G.FGType:
-    kind = label[0]
-    if kind == "var":
-        return G.TVar(label[1])
-    if kind == "base":
-        return G.TBase(label[1])
-    if kind == "list":
-        return G.TList(children[0])
-    if kind == "fn":
-        return G.TFn(tuple(children[:-1]), children[-1])
-    if kind == "tuple":
-        return G.TTuple(tuple(children))
-    if kind == "assoc":
-        return G.TAssoc(label[1], tuple(children), label[2])
-    if kind == "forall":
-        assert opaque is not None
-        return opaque
-    if kind == "req":
-        return G.ConceptReq(label[1], tuple(children))
-    if kind == "error":
-        return G.ERROR
-    raise AssertionError(f"unknown label: {label!r}")
 
 
 def solver_for_equalities(

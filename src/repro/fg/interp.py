@@ -129,24 +129,15 @@ class Env:
                     return env._tyenv[t.name]
                 env = env._parent
             return t  # free (checker guarantees this cannot be consumed)
-        if isinstance(t, G.TBase):
-            return t
-        if isinstance(t, G.TList):
-            return G.TList(self.resolve_type(t.elem))
-        if isinstance(t, G.TFn):
-            return G.TFn(
-                tuple(self.resolve_type(p) for p in t.params),
-                self.resolve_type(t.result),
-            )
-        if isinstance(t, G.TTuple):
-            return G.TTuple(tuple(self.resolve_type(i) for i in t.items))
+        # A forall lists no parts: closed enough for runtime identity, it
+        # is left as written.
+        parts = tuple([self.resolve_type(p) for p in t.parts])
         if isinstance(t, G.TAssoc):
-            args = tuple(self.resolve_type(a) for a in t.args)
-            model = self.find_model(t.concept, args)
+            model = self.find_model(t.concept, parts)
             if model is None:
                 raise EvalError(
                     f"no model of {t.concept}<"
-                    f"{', '.join(map(str, args))}> at runtime"
+                    f"{', '.join(map(str, parts))}> at runtime"
                 )
             assigned = model.assoc.get(t.member)
             if assigned is None:
@@ -155,10 +146,7 @@ class Env:
                     f"'{t.member}'"
                 )
             return self.resolve_type(assigned)
-        if isinstance(t, G.TForall):
-            # Closed enough for runtime identity; leave as written.
-            return t
-        raise AssertionError(f"unknown type node: {t!r}")
+        return t.remake(parts)
 
     def bind_types(self, pairs) -> "Env":
         return Env({}, {}, dict(pairs), {}, self)

@@ -191,8 +191,6 @@ class Checker:
         declarations, where member types may reference associated types of
         refined concepts before any model exists.
         """
-        if isinstance(t, G.ErrorType):
-            return  # poison: the failure was already reported
         if isinstance(t, G.TVar):
             if not env.has_tyvar(t.name):
                 raise TypeError_(f"unbound type variable '{t.name}'", span)
@@ -200,39 +198,6 @@ class Checker:
         if isinstance(t, G.TBase):
             if t.name not in ("int", "bool"):
                 raise TypeError_(f"unknown base type '{t.name}'", span)
-            return
-        if isinstance(t, G.TList):
-            self.check_type_wf(t.elem, env, span, in_decl)
-            return
-        if isinstance(t, G.TFn):
-            for p in t.params:
-                self.check_type_wf(p, env, span, in_decl)
-            self.check_type_wf(t.result, env, span, in_decl)
-            return
-        if isinstance(t, G.TTuple):
-            for item in t.items:
-                self.check_type_wf(item, env, span, in_decl)
-            return
-        if isinstance(t, G.TAssoc):
-            cdef = concept_def(env, t.concept, span)
-            check_concept_arity(cdef, t.args, span)
-            if t.member not in cdef.assoc_types:
-                raise TypeError_(
-                    f"concept {t.concept} has no associated type "
-                    f"'{t.member}'",
-                    span,
-                )
-            for a in t.args:
-                self.check_type_wf(a, env, span, in_decl)
-            if not in_decl and self.find_model(
-                t.concept, t.args, env, span
-            ) is None:
-                raise TypeError_(
-                    f"no model of {t.concept}<"
-                    f"{', '.join(map(str, t.args))}> in scope for associated "
-                    f"type '{t.member}'",
-                    span,
-                )
             return
         if isinstance(t, G.TForall):
             if len(set(t.vars)) != len(t.vars):
@@ -252,7 +217,28 @@ class Checker:
             raise TypeError_(
                 f"concept requirement {t} used where a type is expected", span
             )
-        raise AssertionError(f"unknown F_G type node: {t!r}")
+        assoc = isinstance(t, G.TAssoc)
+        if assoc:
+            cdef = concept_def(env, t.concept, span)
+            check_concept_arity(cdef, t.args, span)
+            if t.member not in cdef.assoc_types:
+                raise TypeError_(
+                    f"concept {t.concept} has no associated type "
+                    f"'{t.member}'",
+                    span,
+                )
+        # The poison has no parts: its failure was already reported.
+        for part in t.parts:
+            self.check_type_wf(part, env, span, in_decl)
+        if assoc and not in_decl and self.find_model(
+            t.concept, t.args, env, span
+        ) is None:
+            raise TypeError_(
+                f"no model of {t.concept}<"
+                f"{', '.join(map(str, t.args))}> in scope for associated "
+                f"type '{t.member}'",
+                span,
+            )
 
     # ------------------------------------------------------------------
     # Model lookup
@@ -263,42 +249,31 @@ class Checker:
     ) -> Optional[ModelInfo]:
         """The innermost model of ``concept<args>`` modulo type equality.
 
-        ``span`` (optional) only feeds the explain log's source locations;
-        it never affects the result.
+        With instrumentation on, the lookup also records a span, the
+        ``model_lookup.*`` metrics and the explain log's decision, each only
+        when it is on.  ``span`` (optional) only feeds the explain log's
+        source locations; it never affects the result.
         """
-        if self._observing:
-            return self._find_model_observed(concept, args, env, span)
-        for info in env.models_of(concept):
-            if len(info.args) != len(args):
-                continue
-            if all(self.equal(a, b, env) for a, b in zip(info.args, args)):
-                return info
-        return None
-
-    def _find_model_observed(
-        self, concept: str, args: Tuple[G.FGType, ...], env: Env, span=None
-    ) -> Optional[ModelInfo]:
-        """The instrumented twin of :meth:`find_model` (same result, plus
-        spans, metrics, and the explain decision log)."""
-        tracer, metrics, explain = self._tracer, self._metrics, self._explain
         candidates = env.models_of(concept)
-        handle = (
-            tracer.span(
-                "typecheck.model_lookup",
-                concept=concept, candidates=len(candidates),
-            )
-            if tracer.enabled else None
-        )
-        if metrics is not None:
-            metrics.inc("model_lookup.attempts")
-        if explain is not None:
-            explain.begin(
-                concept,
-                ", ".join(map(str, args)),
-                scope_size=len(candidates),
-                equalities_in_scope=len(env.equalities),
-                location=format_span(span),
-            )
+        explain = metrics = handle = None
+        if self._observing:
+            tracer, metrics, explain = (
+                self._tracer, self._metrics, self._explain)
+            if tracer.enabled:
+                handle = tracer.span(
+                    "typecheck.model_lookup",
+                    concept=concept, candidates=len(candidates),
+                )
+            if metrics is not None:
+                metrics.inc("model_lookup.attempts")
+            if explain is not None:
+                explain.begin(
+                    concept,
+                    ", ".join(map(str, args)),
+                    scope_size=len(candidates),
+                    equalities_in_scope=len(env.equalities),
+                    location=format_span(span),
+                )
         found = None
         scanned = 0
         try:
@@ -313,29 +288,26 @@ class Checker:
                             f"supplies {len(args)}",
                         )
                     continue
-                rejection = None
                 for position, (have, want) in enumerate(
                     zip(info.args, args)
                 ):
                     if not self.equal(have, want, env):
-                        rejection = (
-                            f"argument {position + 1}: "
-                            f"{self.rep(want, env)} is not equal to "
-                            f"{self.rep(have, env)} under the equalities "
-                            "in scope"
-                        )
+                        if explain is not None:
+                            explain.candidate(
+                                index, ", ".join(map(str, info.args)),
+                                f"argument {position + 1}: "
+                                f"{self.rep(want, env)} is not equal to "
+                                f"{self.rep(have, env)} under the "
+                                "equalities in scope",
+                            )
                         break
-                if rejection is None:
+                else:
                     found = info
                     if explain is not None:
                         explain.candidate(
                             index, ", ".join(map(str, info.args)), ACCEPTED
                         )
                     break
-                if explain is not None:
-                    explain.candidate(
-                        index, ", ".join(map(str, info.args)), rejection
-                    )
         finally:
             if metrics is not None:
                 metrics.inc("model_lookup.candidates", scanned)

@@ -4,7 +4,9 @@ The reference below is type equality as it was before ``Checker.equal``
 took its reflexive shortcut, ``Checker.rep`` its no-equality shortcut, and
 ``CongruenceSolver`` memoized representatives and class extractions:
 :class:`RefSolver` re-interns every query, re-extracts every class and
-keys every ``forall`` by a freshly printed alpha-canonical form,
+keys every ``forall`` by a freshly printed alpha-canonical form (every
+binder, at every depth, named by position: ``canonical`` in
+``test_substitution_reference``),
 :func:`ref_equal` and :func:`ref_rep` always build and ask a solver, and
 :func:`ref_cache_solver` finds a cached solver by hashing the whole
 equality tuple.  For each input the test compares
@@ -14,7 +16,7 @@ equality tuple.  For each input the test compares
   that interleave merges with queries, so a representative or a class
   extraction memoized before a merge would show.  The sequences include
   cyclic classes (``a == list a``, ``a == list b`` with ``b == list a``)
-  and alpha-variant ``forall`` types;
+  and alpha-variant ``forall`` types, nested ones too;
 - the same answers from a solver built by ``CongruenceSolver.extend`` on a
   parent (and grandparent) that already answered queries, against a
   replay of all the equalities, so a node a parent interned for a query
@@ -87,9 +89,11 @@ EXAMPLES = sorted((ROOT / "examples" / "fg").glob("*.fg"))
 
 sys.path.insert(0, str(ROOT / "tests" / "properties"))
 sys.path.insert(0, str(ROOT / "fgbench"))
+sys.path.insert(0, str(ROOT / "tests" / "fg"))
 import workloads  # noqa: E402
 from fg_gen import program_specs, same_type_specs  # noqa: E402
 from test_congruence_properties import _types  # noqa: E402
+from test_substitution_reference import canonical  # noqa: E402
 
 
 # -- the reference solver -----------------------------------------------------
@@ -251,7 +255,7 @@ def ref_decompose(t: G.FGType):
     if isinstance(t, G.TAssoc):
         return (("assoc", t.concept, t.member, len(t.args)), tuple(t.args), None)
     if isinstance(t, G.TForall):
-        return (("forall", ref_canonical_forall(t)), (), t)
+        return (("forall", canonical(t)), (), t)
     if isinstance(t, G.ConceptReq):
         return (("req", t.concept, len(t.args)), tuple(t.args), None)
     if isinstance(t, G.ErrorType):
@@ -280,20 +284,6 @@ def ref_recompose(label: tuple, children: List[G.FGType], opaque) -> G.FGType:
     if kind == "error":
         return G.ERROR
     raise AssertionError(f"unknown label: {label!r}")
-
-
-def ref_canonical_forall(t: G.TForall) -> str:
-    renaming = {v: G.TVar(f"@{i}") for i, v in enumerate(t.vars)}
-    body = G.substitute(t.body, renaming)
-    reqs = tuple(G.substitute(r, renaming) for r in t.requirements)
-    sames = tuple(
-        G.SameType(G.substitute(s.left, renaming),
-                   G.substitute(s.right, renaming))
-        for s in t.same_types
-    )
-    canon = G.TForall(tuple(f"@{i}" for i in range(len(t.vars))), reqs,
-                      sames, body)
-    return str(canon)
 
 
 def ref_solver_for_equalities(equalities, max_nodes=None, **_observability):
@@ -404,11 +394,16 @@ def identity_forall(binder: str, result: G.FGType) -> G.TForall:
 #: earlier queries interned.
 _LEAVES = [G.TVar(n) for n in "abcde"] + [G.INT, G.BOOL, G.ERROR]
 _leaves = st.sampled_from(_LEAVES)
-#: Alpha-variants of a few ``forall`` types, alone and under a constructor:
-#: each resolves to the variant its solver interned first.
+#: Alpha-variants of a few ``forall`` types, alone, nested under another
+#: binder and under a constructor: each resolves to the variant its solver
+#: interned first.
 _variants = st.builds(identity_forall, st.sampled_from("uvw"),
                       st.sampled_from([G.INT, G.TVar("a"), G.TVar("u")]))
-_foralls = st.one_of(_variants, _variants.map(G.TList))
+_nested = st.builds(
+    lambda outer, inner: identity_forall(
+        outer, identity_forall(inner, G.TVar(outer))),
+    st.sampled_from("uvw"), st.sampled_from("uvw"))
+_foralls = st.one_of(_variants, _nested, _variants.map(G.TList))
 _terms = st.one_of(_leaves, _types(), _types().map(poison), _foralls)
 _pairs = st.tuples(_terms, _terms)
 _ops = st.lists(

@@ -2,13 +2,15 @@
 
 Every constructor returns the type already built from the same class and
 fields, so structural equality is identity.  These tests pin that for every
-way the checker builds types (constructors, the parser, ``substitute``, the
-solver's ``_recompose`` and the System F importer ``_sf_type_to_fg``), that
-copies and pickles come back as the interned object, that the flags a type
-stores agree with a walk of it, and that the table gives types back once
-the programs that built them are dropped.  A ``forall`` type's
-``alpha_key`` is the string the congruence solver used to print afresh for
-every intern (:func:`~test_congruence_reference.ref_canonical_forall`).
+way the checker builds types (constructors, the parser, ``substitute``,
+``remake`` and the solver's representatives built with it, and the System F
+importer ``_sf_type_to_fg``), that a type's ``parts`` and ``shape``
+describe it, that copies and pickles come back as the interned object, that
+the flags a type stores agree with a walk of it, and that the table gives
+types back once the programs that built them are dropped.  A ``forall``
+type's ``alpha_key`` is the type with every binder renamed by position; it
+prints as the independent every-depth printer
+(:func:`~test_substitution_reference.canonical`) prints the type.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.fg import ast as G
-from repro.fg.congruence import CongruenceSolver, _recompose
+from repro.fg.congruence import CongruenceSolver
 from repro.fg.env import _sf_type_to_fg
 from repro.pipeline import check_source
 from repro.syntax import parse_fg_type
@@ -35,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tests" / "properties"))
 sys.path.insert(0, str(ROOT / "tests" / "fg"))
 from test_congruence_properties import _types  # noqa: E402
-from test_congruence_reference import ref_canonical_forall  # noqa: E402
+from test_substitution_reference import canonical  # noqa: E402
 
 
 def rebuild(t: G.FGType) -> G.FGType:
@@ -200,12 +202,15 @@ def test_substitute_returns_types_without_domain_variables_unchanged():
 
 def test_recompose_builds_interned_types():
     a = G.TVar("a")
-    assert _recompose(("fn", 1), [a, G.INT], None) is G.TFn((a,), G.INT)
-    assert _recompose(("assoc", "C", "s", 1), [a], None) is G.TAssoc(
+    assert G.TFn((G.BOOL,), G.BOOL).remake((a, G.INT)) is G.TFn((a,), G.INT)
+    assert G.TAssoc("C", (G.INT,), "s").remake((a,)) is G.TAssoc(
         "C", (a,), "s")
     solver = CongruenceSolver()
     solver.merge(a, G.INT)
     assert solver.representative(G.TList(a)) is G.TList(G.INT)
+    assert solver.representative(G.TFn((a,), a)) is G.TFn((G.INT,), G.INT)
+    assert solver.representative(G.TAssoc("C", (a,), "s")) is G.TAssoc(
+        "C", (G.INT,), "s")
 
 
 def test_system_f_import_builds_interned_types():
@@ -243,11 +248,12 @@ def test_a_rebuilt_forall_recomputes_its_flags_and_key():
                                  G.TFn((G.TVar("x"),), v)))
 
     data = pickle.dumps(build())
-    before = ref_canonical_forall(build().elem)
+    before = build().elem.alpha_key
     gc.collect()
     back = pickle.loads(data)
     assert back.contains_forall and not back.contains_error
-    assert back.elem.alpha_key == before
+    assert back.elem.alpha_key is before
+    assert canonical(before) == canonical(back.elem)
     assert back.free_vars == frozenset(("only-in-this-pickle",))
 
 
@@ -299,9 +305,12 @@ def _foralls_in(t: G.FGType):
 @settings(max_examples=200, deadline=None)
 def test_alpha_key_is_the_canonical_form(t):
     for f in _foralls_in(t):
-        assert f.alpha_key == ref_canonical_forall(f)
-        # Read twice: the stored key.
-        assert f.alpha_key is f.alpha_key
+        key = f.alpha_key
+        assert isinstance(key, G.TForall)
+        assert canonical(key) == canonical(f)
+        # Read twice: the stored key.  A key is its own key.
+        assert f.alpha_key is key
+        assert key.alpha_key is key
 
 
 def test_alpha_variants_share_a_key():
@@ -310,10 +319,53 @@ def test_alpha_variants_share_a_key():
     right = G.TForall(("c",), (G.ConceptReq("C", (G.TVar("c"),)),), (),
                       G.TFn((G.TVar("c"),), b))
     assert left is not right
-    assert left.alpha_key == right.alpha_key == ref_canonical_forall(left)
+    assert left.alpha_key is right.alpha_key
+    assert str(left.alpha_key) == "forall @0 where C<@0>. fn(@0) -> b"
     # A free variable is not renamed: binding another one changes the key.
     other = G.TForall(("b",), (G.ConceptReq("C", (b,)),), (), G.TFn((b,), b))
-    assert other.alpha_key != left.alpha_key
+    assert other.alpha_key is not left.alpha_key
+
+
+def test_binders_are_numbered_in_pre_order_at_every_depth():
+    def nest(x, y, z):
+        inner = G.TForall((y,), (), (), G.TFn((G.TVar(x),), G.TVar(y)))
+        return G.TForall((x,), (), (), G.TTuple((inner, G.TForall(
+            (z,), (), (), G.TList(G.TVar(z))))))
+
+    assert nest("a", "b", "c").alpha_key is nest("p", "q", "p").alpha_key
+    assert str(nest("a", "b", "c").alpha_key) == (
+        "forall @0. (forall @1. fn(@0) -> @1 * forall @2. list @2)")
+
+
+# -- one statement of structure -------------------------------------------------
+
+
+def _subterms(t: G.FGType):
+    yield t
+    for c in children(t):
+        yield from _subterms(c)
+
+
+@given(_all_types)
+@settings(max_examples=200, deadline=None)
+def test_remake_of_own_parts_is_the_type(t):
+    for s in _subterms(t):
+        assert s.remake(s.parts) is s
+        assert isinstance(s.parts, tuple)
+        hash(s.shape)
+
+
+@given(st.lists(_all_types, min_size=2, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_class_shape_and_parts_tell_types_apart(ts):
+    # A forall's shape is its alpha key, which alpha-variants share; the
+    # key tests above cover it.
+    seen = {}
+    for t in ts:
+        for s in _subterms(t):
+            if not isinstance(s, G.TForall):
+                seen.setdefault((type(s), s.shape, s.parts), set()).add(id(s))
+    assert all(len(ids) == 1 for ids in seen.values())
 
 
 # -- threads ------------------------------------------------------------------

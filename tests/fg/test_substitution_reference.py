@@ -142,9 +142,9 @@ def ref_g_substitute(t: G.FGType, subst) -> G.FGType:
 
 def canonical(t: G.FGType, env=None, depth=0) -> str:
     """``t`` printed with every binder, at every depth, named by its
-    position (``TForall.alpha_key`` renames the outermost binders only).
-    ``env`` maps each binder in scope to its name here; ``depth`` binders
-    enclose ``t``."""
+    depth: the independent reference for ``TForall.alpha_key``, which the
+    congruence-reference and interning tests import too.  ``env`` maps each
+    binder in scope to its name here; ``depth`` binders enclose ``t``."""
     env = env or {}
 
     def go(u):
