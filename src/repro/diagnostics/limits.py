@@ -26,8 +26,8 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Dict, Optional
 
 from repro.diagnostics.errors import Diagnostic
 
@@ -86,6 +86,16 @@ class Limits:
     #: :class:`Budget` is constructed from these limits.
     deadline_ms: Optional[float] = None
 
+    def to_json(self) -> Dict[str, object]:
+        """Every field by name, in declaration order.
+
+        The dict ``dataclasses.asdict`` builds, without its deep copy of
+        each value: every field is a scalar.
+        """
+        return {name: getattr(self, name) for name in _LIMIT_FIELDS}
+
+
+_LIMIT_FIELDS = tuple(spec.name for spec in fields(Limits))
 
 #: The default budgets used when a caller passes ``limits=None``.
 DEFAULT_LIMITS = Limits()

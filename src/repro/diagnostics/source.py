@@ -1,13 +1,13 @@
 """Source text, positions, and spans.
 
-The lexer produces tokens tagged with :class:`Span` values; parsers propagate
-them onto AST nodes so that type errors can point back into the program text.
-A :class:`Span` is a named tuple of two character offsets and the
-:class:`SourceText` they index: the lexer builds one per token, and a tuple
-is the cheapest immutable record to build.  The line and column of its
-``start`` and ``end`` (:class:`Position` values) are computed from the
-line-start index only when something reads them, which for most tokens is
-never.
+The parsers tag AST nodes and diagnostics with :class:`Span` values so that
+errors can point back into the program text.  A :class:`Span` is a named
+tuple of two character offsets and the :class:`SourceText` they index: the
+lexer keeps only each token's start offset and text, and a parser builds a
+span only for a token that a node or a diagnostic keeps.  The line and
+column of its ``start`` and ``end`` (:class:`Position` values) are
+computed from the line-start index only when something reads them, which
+for most spans is never.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ class BatchPolicy:
         this policy or to :class:`~repro.diagnostics.limits.Limits` now
         shows up here without anyone remembering to add it.
         """
-        from dataclasses import asdict, fields
+        from dataclasses import fields
 
         blob: Dict[str, object] = {}
         for spec in fields(self):
@@ -157,9 +157,9 @@ class BatchPolicy:
                     value.to_json() if value is not None else None
                 )
             elif spec.name == "limits":
-                blob[spec.name] = asdict(
+                blob[spec.name] = (
                     value if value is not None else DEFAULT_LIMITS
-                )
+                ).to_json()
             else:
                 blob[spec.name] = value
         return blob

@@ -310,14 +310,12 @@ def task_payload(
     ``telemetry`` is the :func:`telemetry_request` stanza (``None`` keeps
     workers instrumentation-free, the fast path).
     """
-    from dataclasses import asdict
-
     limits = check_kwargs.get("limits")
     return {
         "text": text,
         "filename": filename,
         "check_kwargs": dict(
-            check_kwargs, limits=None if limits is None else asdict(limits)
+            check_kwargs, limits=None if limits is None else limits.to_json()
         ),
         "exception_faults": list(exception_faults),
         "fault_specs": [spec.to_json() for spec in fault_specs],

@@ -7,7 +7,7 @@ Both share the lexer in :mod:`repro.syntax.lexer` and produce positioned
 ASTs; errors are :class:`repro.diagnostics.ParseError` with source excerpts.
 """
 
-from repro.syntax.lexer import Token, TokenStream, stream, tokenize
+from repro.syntax.lexer import Token, Tokens, TokenStream, stream, tokenize
 from repro.syntax.parser_f import parse_program as parse_f
 from repro.syntax.parser_f import parse_type as parse_f_type
 from repro.syntax.parser_fg import parse_program as parse_fg
@@ -17,6 +17,7 @@ from repro.syntax.parser_fg import parse_type as parse_fg_type
 __all__ = [
     "Token",
     "TokenStream",
+    "Tokens",
     "parse_f",
     "parse_f_type",
     "parse_fg",

@@ -18,21 +18,28 @@ with ``str.isalpha`` or ``_`` and continue with ``str.isalnum``, ``_`` or
 :data:`KEYWORDS`.  Integers are ``-?`` then ``str.isdecimal`` digits, which
 is exactly what ``int()`` accepts (``٣`` is 3; ``²`` is no digit).
 
-:func:`tokenize` matches one compiled ASCII pattern per skip run or token,
-and a token costs a pattern match and two tuples: the token and its
-offset :class:`~repro.diagnostics.source.Span`, whose line and column are
-worked out only if something reads them.  What the pattern cannot
-settle (a number or identifier touching a non-ASCII character, an
-unterminated comment, an unexpected character) goes to :func:`_lex_one`,
-which applies the same rules character by character.
+:func:`tokenize` matches one compiled ASCII pattern per skip run or token
+and writes the token into three parallel lists: its kind, its text and its
+start offset (its end is the start plus the length of its text).  A
+``str`` or an ``int`` is never tracked by the garbage collector, so a
+scan leaves the collector a fixed handful of objects however long the
+text is, not two tuples per token.  A :class:`Token` and its offset
+:class:`~repro.diagnostics.source.Span` are built only when something
+asks for one: an index into :class:`Tokens`, or
+:meth:`TokenStream.span` for a token an AST node or a diagnostic keeps.
+What the pattern cannot settle (a number or identifier touching a
+non-ASCII character, an unterminated comment, an unexpected character)
+goes to :func:`_lex_one`, which applies the same rules character by
+character.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Set
+from collections.abc import Sequence
+from typing import List, NamedTuple, Set
 
-from repro.diagnostics.errors import LexError
+from repro.diagnostics.errors import LexError, ParseError
 from repro.diagnostics.source import SourceText, Span
 
 #: Token kinds that stand for themselves.
@@ -117,12 +124,17 @@ _NUMBER, _WORD, _SYMBOL = 1, 2, 3
 
 
 def _lex_one(
-    source: SourceText, pos: int, tokens: List[Token], reporter
+    source: SourceText,
+    pos: int,
+    kinds: List[str],
+    texts: List[str],
+    starts: List[int],
+    reporter,
 ) -> int:
     """Lex what the ASCII pattern leaves at ``pos``: a number or identifier
     touching a non-ASCII character, an unterminated block comment, or an
-    unexpected character.  Appends the token, if any; returns the offset
-    lexing resumes at.
+    unexpected character.  Appends the token, if any, to the three lists;
+    returns the offset lexing resumes at.
     """
     text = source.text
     n = len(text)
@@ -133,15 +145,18 @@ def _lex_one(
         end = pos + 1
         while end < n and text[end].isdecimal():
             end += 1
-        tokens.append(Token("NUMBER", text[pos:end], source.span(pos, end)))
+        kinds.append("NUMBER")
+        texts.append(text[pos:end])
+        starts.append(pos)
         return end
     if ch.isalpha() or ch == "_":
         end = pos + 1
         while end < n and (text[end].isalnum() or text[end] in "_'"):
             end += 1
         word = text[pos:end]
-        kind = word if word in KEYWORDS else "IDENT"
-        tokens.append(Token(kind, word, source.span(pos, end)))
+        kinds.append(word if word in KEYWORDS else "IDENT")
+        texts.append(word)
+        starts.append(pos)
         return end
     if text.startswith("/*", pos):  # the pattern skips every closed one
         err = LexError("unterminated block comment", source.span(pos, pos + 2))
@@ -159,7 +174,50 @@ def _lex_one(
     return n if reporter.at_limit else end
 
 
-def tokenize(source: SourceText, reporter=None) -> List[Token]:
+class Tokens(Sequence):
+    """What :func:`tokenize` returns: the parallel ``kinds``, ``texts`` and
+    ``starts`` lists of ``source``'s tokens, ending with one ``EOF``.
+
+    It reads as the list of :class:`Token` values it stands for: ``len``,
+    indexing (negative indices too) and iteration build each ``Token`` when
+    it is read.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "source")
+
+    def __init__(
+        self,
+        kinds: List[str],
+        texts: List[str],
+        starts: List[int],
+        source: SourceText,
+    ):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.source = source
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        at = range(len(self.kinds))[index]
+        if isinstance(at, range):
+            return [self._token(i) for i in at]
+        return self._token(at)
+
+    def __iter__(self):
+        return map(self._token, range(len(self.kinds)))
+
+    def _token(self, i: int) -> Token:
+        text = self.texts[i]
+        start = self.starts[i]
+        return Token(
+            self.kinds[i], text, Span(start, start + len(text), self.source)
+        )
+
+
+def tokenize(source: SourceText, reporter=None) -> Tokens:
     """Tokenize ``source``; raises :class:`LexError` on malformed input.
 
     With a :class:`repro.diagnostics.DiagnosticReporter`, lex errors are
@@ -167,25 +225,29 @@ def tokenize(source: SourceText, reporter=None) -> List[Token]:
     hide every token after it (error *recovery* mode), until the reporter
     reaches its cap; then lexing stops.
 
-    The returned list ends with exactly one ``EOF`` token.
+    The returned tokens end with exactly one ``EOF`` token.
     """
     text = source.text
     n = len(text)
     match = _UNIT.match
-    new = tuple.__new__
     keywords = KEYWORDS
-    tokens: List[Token] = []
+    kinds: List[str] = []
+    texts: List[str] = []
+    starts: List[int] = []
+    add_kind, add_text, add_start = kinds.append, texts.append, starts.append
     pos = 0
     while pos < n:
         m = match(text, pos)
         kind = m and m.lastindex
         if not kind:
-            pos = m.end() if m else _lex_one(source, pos, tokens, reporter)
+            pos = m.end() if m else _lex_one(
+                source, pos, kinds, texts, starts, reporter
+            )
             continue
         start, end = m.span()
         if kind != _SYMBOL and end < n and text[end] > "\x7f":
             # A non-ASCII character may continue this number or word.
-            pos = _lex_one(source, start, tokens, reporter)
+            pos = _lex_one(source, start, kinds, texts, starts, reporter)
             continue
         word = m.group(kind)
         if kind == _WORD:
@@ -194,76 +256,88 @@ def tokenize(source: SourceText, reporter=None) -> List[Token]:
             kind = "NUMBER"
         else:
             kind = word
-        tokens.append(
-            new(Token, (kind, word, new(Span, (start, end, source))))
-        )
+        add_kind(kind)
+        add_text(word)
+        add_start(start)
         pos = end
-    tokens.append(Token("EOF", "", source.span(n, n)))
-    return tokens
+    add_kind("EOF")
+    add_text("")
+    add_start(n)
+    return Tokens(kinds, texts, starts, source)
 
 
-#: The parser's deepest lookahead: it calls ``peek(offset)`` with
+#: The parser's deepest lookahead: it calls ``kind(offset)`` with
 #: ``0 <= offset <= LOOKAHEAD``.
 LOOKAHEAD = 2
 
 
 class TokenStream:
-    """A cursor over a token list with bounded lookahead helpers.
+    """A cursor over :func:`tokenize`'s lists, read by token index.
 
-    The list is padded with ``LOOKAHEAD`` copies of its final ``EOF`` token,
-    so every lookahead is one index with no bounds check.
+    The lists are padded with ``LOOKAHEAD`` more ``EOF`` entries, so every
+    lookahead is one index with no bounds check; the cursor ``pos`` never
+    moves past the first ``EOF``.  :meth:`kind` and :meth:`at` read kinds;
+    :meth:`match` consumes a token of a kind and says whether it did;
+    :meth:`take` and :meth:`skip` consume one token and return its index,
+    whose :meth:`text` a parser reads.  :meth:`span` builds a
+    :class:`~repro.diagnostics.source.Span` only for the tokens an AST node
+    or a diagnostic keeps.
     """
 
-    def __init__(self, tokens: List[Token], source: SourceText):
-        self._tokens = tokens + tokens[-1:] * LOOKAHEAD
-        self._pos = 0
-        self.source = source
+    __slots__ = ("kinds", "texts", "starts", "source", "pos")
 
-    def peek(self, offset: int = 0) -> Token:
-        return self._tokens[self._pos + offset]
+    def __init__(self, tokens: Tokens):
+        self.kinds = tokens.kinds + ["EOF"] * LOOKAHEAD
+        self.texts = tokens.texts + [""] * LOOKAHEAD
+        self.starts = tokens.starts + tokens.starts[-1:] * LOOKAHEAD
+        self.source = tokens.source
+        self.pos = 0
+
+    def kind(self, offset: int = 0) -> str:
+        return self.kinds[self.pos + offset]
 
     def at(self, *kinds: str) -> bool:
-        return self._tokens[self._pos].kind in kinds
+        return self.kinds[self.pos] in kinds
 
-    def advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != "EOF":
-            self._pos += 1
-        return token
-
-    def match(self, kind: str) -> Optional[Token]:
-        token = self._tokens[self._pos]
-        if token.kind != kind:
-            return None
+    def match(self, kind: str) -> bool:
+        if self.kinds[self.pos] != kind:
+            return False
         if kind != "EOF":
-            self._pos += 1
-        return token
+            self.pos += 1
+        return True
 
-    def expect(self, kind: str, context: str = "") -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != kind:
-            from repro.diagnostics.errors import ParseError
-
+    def take(self, kind: str, context: str = "") -> int:
+        i = self.pos
+        found = self.kinds[i]
+        if found != kind:
+            text = self.texts[i]
             where = f" in {context}" if context else ""
             raise ParseError(
-                f"expected {kind!r}{where}, found {token.kind!r}"
-                + (f" ({token.text!r})" if token.text else ""),
-                token.span,
+                f"expected {kind!r}{where}, found {found!r}"
+                + (f" ({text!r})" if text else ""),
+                self.span(i),
             ).attach_source(self.source)
         if kind != "EOF":
-            self._pos += 1
-        return token
+            self.pos = i + 1
+        return i
+
+    def skip(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            self.pos = i + 1
+        return i
+
+    def text(self, i: int) -> str:
+        return self.texts[i]
+
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        return Span(start, start + len(self.texts[i]), self.source)
 
     def error(self, message: str):
-        from repro.diagnostics.errors import ParseError
-
-        raise ParseError(message, self.peek().span).attach_source(self.source)
-
-    def save(self) -> int:
-        return self._pos
-
-    def restore(self, state: int) -> None:
-        self._pos = state
+        raise ParseError(message, self.span(self.pos)).attach_source(
+            self.source
+        )
 
 
 def stream(text: str, filename: str = "<input>", reporter=None) -> TokenStream:
@@ -271,5 +345,4 @@ def stream(text: str, filename: str = "<input>", reporter=None) -> TokenStream:
 
     ``reporter`` enables lexer error recovery (see :func:`tokenize`).
     """
-    source = SourceText(text, filename)
-    return TokenStream(tokenize(source, reporter), source)
+    return TokenStream(tokenize(SourceText(text, filename), reporter))

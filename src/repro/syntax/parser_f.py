@@ -17,7 +17,7 @@ def parse_program(text: str, filename: str = "<input>") -> F.Term:
     """Parse a complete System F program (one expression)."""
     ts = stream(text, filename)
     term = _expr(ts)
-    ts.expect("EOF", "end of program")
+    ts.take("EOF", "end of program")
     return term
 
 
@@ -25,65 +25,53 @@ def parse_type(text: str, filename: str = "<type>") -> F.Type:
     """Parse a single System F type."""
     ts = stream(text, filename)
     t = _type(ts)
-    ts.expect("EOF", "end of type")
+    ts.take("EOF", "end of type")
     return t
 
 
 # -- types -------------------------------------------------------------------
 
 
-def _type(ts: TokenStream) -> F.Type:
-    if ts.at("forall"):
-        ts.advance()
-        names = [ts.expect("IDENT", "type parameter").text]
-        while ts.match(","):
-            names.append(ts.expect("IDENT", "type parameter").text)
-        ts.expect(".", "forall type")
-        return F.TForall(tuple(names), _type(ts))
-    if ts.at("fn"):
-        return _fn_type(ts)
-    if ts.at("list"):
-        ts.advance()
-        return F.TList(_type_atom(ts))
-    return _type_atom(ts)
-
-
 def _fn_type(ts: TokenStream) -> F.TFn:
-    ts.expect("fn")
-    ts.expect("(", "fn type")
+    ts.take("fn")
+    ts.take("(", "fn type")
     params: List[F.Type] = []
     if not ts.at(")"):
         params.append(_type(ts))
         while ts.match(","):
             params.append(_type(ts))
-    ts.expect(")", "fn type")
-    ts.expect("->", "fn type")
+    ts.take(")", "fn type")
+    ts.take("->", "fn type")
     return F.TFn(tuple(params), _type(ts))
 
 
-def _type_atom(ts: TokenStream) -> F.Type:
-    token = ts.peek()
-    if token.kind == "int":
-        ts.advance()
+def _type(ts: TokenStream) -> F.Type:
+    kind = ts.kind()
+    if kind == "int":
+        ts.skip()
         return F.INT
-    if token.kind == "bool":
-        ts.advance()
+    if kind == "bool":
+        ts.skip()
         return F.BOOL
-    if token.kind == "unit":
-        ts.advance()
+    if kind == "unit":
+        ts.skip()
         return F.TTuple(())
-    if token.kind == "fn":
+    if kind == "fn":
         return _fn_type(ts)
-    if token.kind == "list":
-        ts.advance()
-        return F.TList(_type_atom(ts))
-    if token.kind == "forall":
-        return _type(ts)
-    if token.kind == "IDENT":
-        ts.advance()
-        return F.TVar(token.text)
-    if token.kind == "(":
-        ts.advance()
+    if kind == "list":
+        ts.skip()
+        return F.TList(_type(ts))
+    if kind == "forall":
+        ts.skip()
+        names = [ts.text(ts.take("IDENT", "type parameter"))]
+        while ts.match(","):
+            names.append(ts.text(ts.take("IDENT", "type parameter")))
+        ts.take(".", "forall type")
+        return F.TForall(tuple(names), _type(ts))
+    if kind == "IDENT":
+        return F.TVar(ts.text(ts.skip()))
+    if kind == "(":
+        ts.skip()
         first = _type(ts)
         if ts.at("*"):
             items = [first]
@@ -91,11 +79,11 @@ def _type_atom(ts: TokenStream) -> F.Type:
                 if ts.at(")"):  # trailing '*' marks a 1-tuple: (t *)
                     break
                 items.append(_type(ts))
-            ts.expect(")", "tuple type")
+            ts.take(")", "tuple type")
             return F.TTuple(tuple(items))
-        ts.expect(")", "parenthesized type")
+        ts.take(")", "parenthesized type")
         return first
-    ts.error(f"expected a type, found {token.kind!r}")
+    ts.error(f"expected a type, found {kind!r}")
     raise AssertionError("unreachable")
 
 
@@ -103,38 +91,38 @@ def _type_atom(ts: TokenStream) -> F.Type:
 
 
 def _expr(ts: TokenStream) -> F.Term:
-    token = ts.peek()
-    if token.kind == "let":
-        span = ts.advance().span
-        name = ts.expect("IDENT", "let binding").text
-        ts.expect("=", "let binding")
+    kind = ts.kind()
+    if kind == "let":
+        span = ts.span(ts.skip())
+        name = ts.text(ts.take("IDENT", "let binding"))
+        ts.take("=", "let binding")
         bound = _expr(ts)
-        ts.expect("in", "let binding")
+        ts.take("in", "let binding")
         return F.Let(span=span, name=name, bound=bound, body=_expr(ts))
-    if token.kind == "\\":
-        span = ts.advance().span
+    if kind == "\\":
+        span = ts.span(ts.skip())
         params: List[Tuple[str, F.Type]] = []
         while True:
-            name = ts.expect("IDENT", "lambda parameter").text
-            ts.expect(":", "lambda parameter")
+            name = ts.text(ts.take("IDENT", "lambda parameter"))
+            ts.take(":", "lambda parameter")
             params.append((name, _type(ts)))
             if not ts.match(","):
                 break
-        ts.expect(".", "lambda")
+        ts.take(".", "lambda")
         return F.Lam(span=span, params=tuple(params), body=_expr(ts))
-    if token.kind == "/\\":
-        span = ts.advance().span
-        names = [ts.expect("IDENT", "type parameter").text]
+    if kind == "/\\":
+        span = ts.span(ts.skip())
+        names = [ts.text(ts.take("IDENT", "type parameter"))]
         while ts.match(","):
-            names.append(ts.expect("IDENT", "type parameter").text)
-        ts.expect(".", "type abstraction")
+            names.append(ts.text(ts.take("IDENT", "type parameter")))
+        ts.take(".", "type abstraction")
         return F.TyLam(span=span, vars=tuple(names), body=_expr(ts))
-    if token.kind == "if":
-        span = ts.advance().span
+    if kind == "if":
+        span = ts.span(ts.skip())
         cond = _expr(ts)
-        ts.expect("then", "if expression")
+        ts.take("then", "if expression")
         then = _expr(ts)
-        ts.expect("else", "if expression")
+        ts.take("else", "if expression")
         return F.If(span=span, cond=cond, then=then, else_=_expr(ts))
     return _postfix(ts)
 
@@ -142,51 +130,50 @@ def _expr(ts: TokenStream) -> F.Term:
 def _postfix(ts: TokenStream) -> F.Term:
     term = _atom(ts)
     while True:
-        if ts.at("("):
-            span = ts.advance().span
+        kind = ts.kind()
+        if kind == "(":
+            span = ts.span(ts.skip())
             args: List[F.Term] = []
             if not ts.at(")"):
                 args.append(_expr(ts))
                 while ts.match(","):
                     args.append(_expr(ts))
-            ts.expect(")", "application")
+            ts.take(")", "application")
             term = F.App(span=span, fn=term, args=tuple(args))
-        elif ts.at("["):
-            span = ts.advance().span
+        elif kind == "[":
+            span = ts.span(ts.skip())
             types = [_type(ts)]
             while ts.match(","):
                 types.append(_type(ts))
-            ts.expect("]", "type application")
+            ts.take("]", "type application")
             term = F.TyApp(span=span, fn=term, args=tuple(types))
         else:
             return term
 
 
 def _atom(ts: TokenStream) -> F.Term:
-    token = ts.peek()
-    if token.kind == "NUMBER":
-        ts.advance()
-        return F.IntLit(span=token.span, value=int(token.text))
-    if token.kind == "true":
-        ts.advance()
-        return F.BoolLit(span=token.span, value=True)
-    if token.kind == "false":
-        ts.advance()
-        return F.BoolLit(span=token.span, value=False)
-    if token.kind == "nth":
-        ts.advance()
+    kind = ts.kind()
+    if kind == "NUMBER":
+        i = ts.skip()
+        return F.IntLit(span=ts.span(i), value=int(ts.text(i)))
+    if kind == "true":
+        return F.BoolLit(span=ts.span(ts.skip()), value=True)
+    if kind == "false":
+        return F.BoolLit(span=ts.span(ts.skip()), value=False)
+    if kind == "nth":
+        span = ts.span(ts.skip())
         tuple_ = _postfix(ts)
-        index = ts.expect("NUMBER", "nth")
-        return F.Nth(span=token.span, tuple_=tuple_, index=int(index.text))
-    if token.kind == "fix":
+        index = ts.text(ts.take("NUMBER", "nth"))
+        return F.Nth(span=span, tuple_=tuple_, index=int(index))
+    if kind == "fix":
         # `fix` binds tighter than application.
-        ts.advance()
-        return F.Fix(span=token.span, fn=_atom(ts))
-    if token.kind == "IDENT":
-        ts.advance()
-        return F.Var(span=token.span, name=token.text)
-    if token.kind == "(":
-        ts.advance()
+        span = ts.span(ts.skip())
+        return F.Fix(span=span, fn=_atom(ts))
+    if kind == "IDENT":
+        i = ts.skip()
+        return F.Var(span=ts.span(i), name=ts.text(i))
+    if kind == "(":
+        i = ts.skip()
         first = _expr(ts)
         if ts.at(","):
             items = [first]
@@ -194,11 +181,11 @@ def _atom(ts: TokenStream) -> F.Term:
                 if ts.at(")"):
                     break
                 items.append(_expr(ts))
-            ts.expect(")", "tuple")
-            return F.Tuple_(span=token.span, items=tuple(items))
-        ts.expect(")", "parenthesized expression")
+            ts.take(")", "tuple")
+            return F.Tuple_(span=ts.span(i), items=tuple(items))
+        ts.take(")", "parenthesized expression")
         return first
-    if token.kind in ("\\", "/\\", "if", "let"):
+    if kind in ("\\", "/\\", "if", "let"):
         return _expr(ts)
-    ts.error(f"expected an expression, found {token.kind!r}")
+    ts.error(f"expected an expression, found {kind!r}")
     raise AssertionError("unreachable")

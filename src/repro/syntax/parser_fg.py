@@ -21,9 +21,8 @@ and (types)::
 
     type      ::= 'forall' tyvars [ 'where' clauses ] '.' type
                 | 'fn' '(' types ')' '->' type
-                | 'list' typeatom
-                | typeatom
-    typeatom  ::= 'int' | 'bool' | 'unit' | IDENT
+                | 'list' type
+                | 'int' | 'bool' | 'unit' | IDENT
                 | IDENT '<' types '>' '.' IDENT             -- associated type
                 | '(' type { '*' type } ')'
 
@@ -45,7 +44,7 @@ def parse_program(text: str, filename: str = "<input>") -> G.Term:
     """Parse a complete F_G program (one expression)."""
     ts = stream(text, filename)
     term = _expr(ts)
-    ts.expect("EOF", "end of program")
+    ts.take("EOF", "end of program")
     return term
 
 
@@ -77,7 +76,7 @@ def parse_program_resilient(
     while not reporter.at_limit:  # the lexer may have reached the cap
         try:
             term = _expr(ts)
-            ts.expect("EOF", "end of program")
+            ts.take("EOF", "end of program")
             break
         except ParseError as err:
             reporter.error(err)
@@ -94,15 +93,15 @@ def _resynchronize(ts: TokenStream) -> bool:
     consumed; declaration keywords (``let``, ``model``, ``concept``) are
     left in place — they begin the re-parsed expression.
     """
-    ts.advance()
+    ts.skip()
     while not ts.at("EOF"):
-        kind = ts.peek().kind
+        kind = ts.kind()
         if kind in (";", "}", "in"):
-            ts.advance()
+            ts.skip()
             return not ts.at("EOF")
         if kind in ("let", "model", "concept"):
             return True
-        ts.advance()
+        ts.skip()
     return False
 
 
@@ -110,7 +109,7 @@ def parse_type(text: str, filename: str = "<type>") -> G.FGType:
     """Parse a single F_G type."""
     ts = stream(text, filename)
     t = _type(ts)
-    ts.expect("EOF", "end of type")
+    ts.take("EOF", "end of type")
     return t
 
 
@@ -119,67 +118,56 @@ def parse_type(text: str, filename: str = "<type>") -> G.FGType:
 # ---------------------------------------------------------------------------
 
 
-def _type(ts: TokenStream) -> G.FGType:
-    if ts.at("forall"):
-        return _forall_type(ts)
-    if ts.at("fn"):
-        return _fn_type(ts)
-    if ts.at("list"):
-        ts.advance()
-        return G.TList(_type_atom(ts))
-    return _type_atom(ts)
-
-
 def _forall_type(ts: TokenStream) -> G.TForall:
-    ts.expect("forall")
+    ts.take("forall")
     vars_ = _tyvar_list(ts)
     reqs, sames = _where_clauses(ts)
-    ts.expect(".", "forall type")
+    ts.take(".", "forall type")
     body = _type(ts)
     return G.TForall(vars_, reqs, sames, body)
 
 
 def _fn_type(ts: TokenStream) -> G.TFn:
-    ts.expect("fn")
-    ts.expect("(", "fn type")
+    ts.take("fn")
+    ts.take("(", "fn type")
     params: List[G.FGType] = []
     if not ts.at(")"):
         params.append(_type(ts))
         while ts.match(","):
             params.append(_type(ts))
-    ts.expect(")", "fn type")
-    ts.expect("->", "fn type")
+    ts.take(")", "fn type")
+    ts.take("->", "fn type")
     return G.TFn(tuple(params), _type(ts))
 
 
-def _type_atom(ts: TokenStream) -> G.FGType:
-    token = ts.peek()
-    if token.kind == "int":
-        ts.advance()
+def _type(ts: TokenStream) -> G.FGType:
+    kind = ts.kind()
+    if kind == "int":
+        ts.skip()
         return G.INT
-    if token.kind == "bool":
-        ts.advance()
+    if kind == "bool":
+        ts.skip()
         return G.BOOL
-    if token.kind == "unit":
-        ts.advance()
+    if kind == "unit":
+        ts.skip()
         return G.TTuple(())
-    if token.kind == "fn":
+    if kind == "fn":
         return _fn_type(ts)
-    if token.kind == "list":
-        ts.advance()
-        return G.TList(_type_atom(ts))
-    if token.kind == "forall":
+    if kind == "list":
+        ts.skip()
+        return G.TList(_type(ts))
+    if kind == "forall":
         return _forall_type(ts)
-    if token.kind == "IDENT":
-        ts.advance()
+    if kind == "IDENT":
+        name = ts.text(ts.skip())
         if ts.at("<"):
             args = _type_args(ts)
-            ts.expect(".", "associated type")
-            member = ts.expect("IDENT", "associated type").text
-            return G.TAssoc(token.text, args, member)
-        return G.TVar(token.text)
-    if token.kind == "(":
-        ts.advance()
+            ts.take(".", "associated type")
+            member = ts.text(ts.take("IDENT", "associated type"))
+            return G.TAssoc(name, args, member)
+        return G.TVar(name)
+    if kind == "(":
+        ts.skip()
         first = _type(ts)
         if ts.at("*"):
             items = [first]
@@ -187,27 +175,27 @@ def _type_atom(ts: TokenStream) -> G.FGType:
                 if ts.at(")"):  # trailing '*' marks a 1-tuple: (t *)
                     break
                 items.append(_type(ts))
-            ts.expect(")", "tuple type")
+            ts.take(")", "tuple type")
             return G.TTuple(tuple(items))
-        ts.expect(")", "parenthesized type")
+        ts.take(")", "parenthesized type")
         return first
-    ts.error(f"expected a type, found {token.kind!r}")
+    ts.error(f"expected a type, found {kind!r}")
     raise AssertionError("unreachable")
 
 
 def _type_args(ts: TokenStream) -> Tuple[G.FGType, ...]:
-    ts.expect("<", "type arguments")
+    ts.take("<", "type arguments")
     args = [_type(ts)]
     while ts.match(","):
         args.append(_type(ts))
-    ts.expect(">", "type arguments")
+    ts.take(">", "type arguments")
     return tuple(args)
 
 
 def _tyvar_list(ts: TokenStream) -> Tuple[str, ...]:
-    names = [ts.expect("IDENT", "type parameter").text]
+    names = [ts.text(ts.take("IDENT", "type parameter"))]
     while ts.match(","):
-        names.append(ts.expect("IDENT", "type parameter").text)
+        names.append(ts.text(ts.take("IDENT", "type parameter")))
     return tuple(names)
 
 
@@ -244,16 +232,12 @@ def _requirement_or_type(ts: TokenStream) -> G.FGType:
     clause.  We take it as an associated type only when ``== `` follows —
     terms can never begin with ``ident ==``, so this lookahead is safe.
     """
-    if ts.at("IDENT") and ts.peek(1).kind == "<":
-        name = ts.advance().text
+    if ts.at("IDENT") and ts.kind(1) == "<":
+        name = ts.text(ts.skip())
         args = _type_args(ts)
-        if (
-            ts.at(".")
-            and ts.peek(1).kind == "IDENT"
-            and ts.peek(2).kind == "=="
-        ):
-            ts.advance()
-            member = ts.expect("IDENT", "associated type").text
+        if ts.at(".") and ts.kind(1) == "IDENT" and ts.kind(2) == "==":
+            ts.skip()
+            member = ts.text(ts.take("IDENT", "associated type"))
             return G.TAssoc(name, args, member)
         return G.ConceptReq(name, args)
     return _type(ts)
@@ -271,66 +255,66 @@ def _as_type(ts: TokenStream, t: G.FGType) -> G.FGType:
 
 
 def _expr(ts: TokenStream) -> G.Term:
-    token = ts.peek()
-    if token.kind == "let":
+    kind = ts.kind()
+    if kind == "let":
         return _let(ts)
-    if token.kind == "type":
+    if kind == "type":
         return _type_alias(ts)
-    if token.kind == "concept":
+    if kind == "concept":
         return _concept(ts)
-    if token.kind == "model":
+    if kind == "model":
         return _model(ts)
-    if token.kind == "use":
+    if kind == "use":
         return _use_models(ts)
-    if token.kind == "overload":
+    if kind == "overload":
         return _overload(ts)
-    if token.kind == "\\":
+    if kind == "\\":
         return _lambda(ts)
-    if token.kind == "/\\":
+    if kind == "/\\":
         return _tylambda(ts)
-    if token.kind == "if":
+    if kind == "if":
         return _if(ts)
     return _postfix(ts)
 
 
 def _let(ts: TokenStream) -> G.Term:
-    span = ts.expect("let").span
-    name = ts.expect("IDENT", "let binding").text
-    ts.expect("=", "let binding")
+    span = ts.span(ts.take("let"))
+    name = ts.text(ts.take("IDENT", "let binding"))
+    ts.take("=", "let binding")
     bound = _expr(ts)
-    ts.expect("in", "let binding")
+    ts.take("in", "let binding")
     body = _expr(ts)
     return G.Let(span=span, name=name, bound=bound, body=body)
 
 
 def _type_alias(ts: TokenStream) -> G.Term:
-    span = ts.expect("type").span
-    name = ts.expect("IDENT", "type alias").text
-    ts.expect("=", "type alias")
+    span = ts.span(ts.take("type"))
+    name = ts.text(ts.take("IDENT", "type alias"))
+    ts.take("=", "type alias")
     aliased = _type(ts)
-    ts.expect("in", "type alias")
+    ts.take("in", "type alias")
     body = _expr(ts)
     return G.TypeAlias(span=span, name=name, aliased=aliased, body=body)
 
 
 def _lambda(ts: TokenStream) -> G.Term:
-    span = ts.expect("\\").span
+    span = ts.span(ts.take("\\"))
     params: List[Tuple[str, G.FGType]] = []
     while True:
-        name = ts.expect("IDENT", "lambda parameter").text
-        ts.expect(":", "lambda parameter")
+        name = ts.text(ts.take("IDENT", "lambda parameter"))
+        ts.take(":", "lambda parameter")
         params.append((name, _type(ts)))
         if not ts.match(","):
             break
-    ts.expect(".", "lambda")
+    ts.take(".", "lambda")
     return G.Lam(span=span, params=tuple(params), body=_expr(ts))
 
 
 def _tylambda(ts: TokenStream) -> G.Term:
-    span = ts.expect("/\\").span
+    span = ts.span(ts.take("/\\"))
     vars_ = _tyvar_list(ts)
     reqs, sames = _where_clauses(ts)
-    ts.expect(".", "type abstraction")
+    ts.take(".", "type abstraction")
     return G.TyLam(
         span=span,
         vars=vars_,
@@ -341,11 +325,11 @@ def _tylambda(ts: TokenStream) -> G.Term:
 
 
 def _if(ts: TokenStream) -> G.Term:
-    span = ts.expect("if").span
+    span = ts.span(ts.take("if"))
     cond = _expr(ts)
-    ts.expect("then", "if expression")
+    ts.take("then", "if expression")
     then = _expr(ts)
-    ts.expect("else", "if expression")
+    ts.take("else", "if expression")
     else_ = _expr(ts)
     return G.If(span=span, cond=cond, then=then, else_=else_)
 
@@ -353,59 +337,58 @@ def _if(ts: TokenStream) -> G.Term:
 def _postfix(ts: TokenStream) -> G.Term:
     term = _atom(ts)
     while True:
-        if ts.at("("):
-            span = ts.advance().span
+        kind = ts.kind()
+        if kind == "(":
+            span = ts.span(ts.skip())
             args: List[G.Term] = []
             if not ts.at(")"):
                 args.append(_expr(ts))
                 while ts.match(","):
                     args.append(_expr(ts))
-            ts.expect(")", "application")
+            ts.take(")", "application")
             term = G.App(span=span, fn=term, args=tuple(args))
-        elif ts.at("["):
-            span = ts.advance().span
+        elif kind == "[":
+            span = ts.span(ts.skip())
             types = [_type(ts)]
             while ts.match(","):
                 types.append(_type(ts))
-            ts.expect("]", "instantiation")
+            ts.take("]", "instantiation")
             term = G.TyApp(span=span, fn=term, args=tuple(types))
         else:
             return term
 
 
 def _atom(ts: TokenStream) -> G.Term:
-    token = ts.peek()
-    if token.kind == "NUMBER":
-        ts.advance()
-        return G.IntLit(span=token.span, value=int(token.text))
-    if token.kind == "true":
-        ts.advance()
-        return G.BoolLit(span=token.span, value=True)
-    if token.kind == "false":
-        ts.advance()
-        return G.BoolLit(span=token.span, value=False)
-    if token.kind == "nth":
-        ts.advance()
+    kind = ts.kind()
+    if kind == "NUMBER":
+        i = ts.skip()
+        return G.IntLit(span=ts.span(i), value=int(ts.text(i)))
+    if kind == "true":
+        return G.BoolLit(span=ts.span(ts.skip()), value=True)
+    if kind == "false":
+        return G.BoolLit(span=ts.span(ts.skip()), value=False)
+    if kind == "nth":
+        span = ts.span(ts.skip())
         tuple_ = _postfix(ts)
-        index = ts.expect("NUMBER", "nth")
-        return G.Nth(span=token.span, tuple_=tuple_, index=int(index.text))
-    if token.kind == "fix":
+        index = ts.text(ts.take("NUMBER", "nth"))
+        return G.Nth(span=span, tuple_=tuple_, index=int(index))
+    if kind == "fix":
         # `fix` binds tighter than application: fix (\f. ...)(x) applies
         # the fixpoint to x.
-        ts.advance()
-        return G.Fix(span=token.span, fn=_atom(ts))
-    if token.kind == "IDENT":
-        ts.advance()
+        span = ts.span(ts.skip())
+        return G.Fix(span=span, fn=_atom(ts))
+    if kind == "IDENT":
+        i = ts.skip()
         if ts.at("<"):
             args = _type_args(ts)
-            ts.expect(".", "member access")
-            member = ts.expect("IDENT", "member access").text
+            ts.take(".", "member access")
+            member = ts.text(ts.take("IDENT", "member access"))
             return G.MemberAccess(
-                span=token.span, concept=token.text, args=args, member=member
+                span=ts.span(i), concept=ts.text(i), args=args, member=member
             )
-        return G.Var(span=token.span, name=token.text)
-    if token.kind == "(":
-        ts.advance()
+        return G.Var(span=ts.span(i), name=ts.text(i))
+    if kind == "(":
+        i = ts.skip()
         first = _expr(ts)
         if ts.at(","):
             items = [first]
@@ -413,14 +396,14 @@ def _atom(ts: TokenStream) -> G.Term:
                 if ts.at(")"):  # allow a trailing comma for 1-tuples
                     break
                 items.append(_expr(ts))
-            ts.expect(")", "tuple")
-            return G.Tuple_(span=token.span, items=tuple(items))
-        ts.expect(")", "parenthesized expression")
+            ts.take(")", "tuple")
+            return G.Tuple_(span=ts.span(i), items=tuple(items))
+        ts.take(")", "parenthesized expression")
         return first
     # Allow a lambda/type-abstraction/if directly in argument position.
-    if token.kind in ("\\", "/\\", "if", "let"):
+    if kind in ("\\", "/\\", "if", "let"):
         return _expr(ts)
-    ts.error(f"expected an expression, found {token.kind!r}")
+    ts.error(f"expected an expression, found {kind!r}")
     raise AssertionError("unreachable")
 
 
@@ -430,12 +413,12 @@ def _atom(ts: TokenStream) -> G.Term:
 
 
 def _concept(ts: TokenStream) -> G.Term:
-    span = ts.expect("concept").span
-    name = ts.expect("IDENT", "concept declaration").text
-    ts.expect("<", "concept parameters")
+    span = ts.span(ts.take("concept"))
+    name = ts.text(ts.take("IDENT", "concept declaration"))
+    ts.take("<", "concept parameters")
     params = _tyvar_list(ts)
-    ts.expect(">", "concept parameters")
-    ts.expect("{", "concept body")
+    ts.take(">", "concept parameters")
+    ts.take("{", "concept body")
     assoc: List[str] = []
     refines: List[G.ConceptReq] = []
     members: List[Tuple[str, G.FGType]] = []
@@ -444,43 +427,43 @@ def _concept(ts: TokenStream) -> G.Term:
     defaults: List[Tuple[str, G.Term]] = []
     while not ts.at("}"):
         if ts.match("types"):
-            assoc.append(ts.expect("IDENT", "associated type").text)
+            assoc.append(ts.text(ts.take("IDENT", "associated type")))
             while ts.match(","):
-                assoc.append(ts.expect("IDENT", "associated type").text)
-            ts.expect(";", "associated types")
+                assoc.append(ts.text(ts.take("IDENT", "associated type")))
+            ts.take(";", "associated types")
         elif ts.match("refines"):
-            rname = ts.expect("IDENT", "refinement").text
+            rname = ts.text(ts.take("IDENT", "refinement"))
             args = _type_args(ts)
             refines.append(G.ConceptReq(rname, args))
-            ts.expect(";", "refinement")
+            ts.take(";", "refinement")
         elif ts.match("require"):
             # `require C<taus>;` is a nested requirement (paper section 6);
             # `require tau == tau;` is a same-type requirement.
-            if ts.at("IDENT") and ts.peek(1).kind == "<":
-                rname = ts.advance().text
+            if ts.at("IDENT") and ts.kind(1) == "<":
+                rname = ts.text(ts.skip())
                 rargs = _type_args(ts)
                 if ts.at(";"):
                     nested.append(G.ConceptReq(rname, rargs))
                 else:
-                    ts.expect(".", "requirement")
-                    member = ts.expect("IDENT", "associated type").text
+                    ts.take(".", "requirement")
+                    member = ts.text(ts.take("IDENT", "associated type"))
                     left = G.TAssoc(rname, rargs, member)
-                    ts.expect("==", "same-type requirement")
+                    ts.take("==", "same-type requirement")
                     sames.append(G.SameType(left, _type(ts)))
             else:
                 left = _type(ts)
-                ts.expect("==", "same-type requirement")
+                ts.take("==", "same-type requirement")
                 sames.append(G.SameType(left, _type(ts)))
-            ts.expect(";", "requirement")
+            ts.take(";", "requirement")
         else:
-            mname = ts.expect("IDENT", "concept member").text
-            ts.expect(":", "concept member")
+            mname = ts.text(ts.take("IDENT", "concept member"))
+            ts.take(":", "concept member")
             members.append((mname, _type(ts)))
             if ts.match("="):  # member default (section 6 extension)
                 defaults.append((mname, _expr(ts)))
-            ts.expect(";", "concept member")
-    ts.expect("}", "concept body")
-    ts.expect("in", "concept declaration")
+            ts.take(";", "concept member")
+    ts.take("}", "concept body")
+    ts.take("in", "concept declaration")
     body = _expr(ts)
     cdef = G.ConceptDef(
         name,
@@ -496,64 +479,64 @@ def _concept(ts: TokenStream) -> G.Term:
 
 
 def _model(ts: TokenStream) -> G.Term:
-    span = ts.expect("model").span
+    span = ts.span(ts.take("model"))
     # Extension forms (section 6):
     #   model NAME = C<taus> { ... } in e     -- named model
     #   model forall t... [where ...]. C<taus> { ... } in e
     if ts.at("forall"):
         return _param_model(ts, span)
-    if ts.at("IDENT") and ts.peek(1).kind == "=":
+    if ts.at("IDENT") and ts.kind(1) == "=":
         return _named_model(ts, span)
     mdef = _model_def(ts)
-    ts.expect("in", "model declaration")
+    ts.take("in", "model declaration")
     body = _expr(ts)
     return G.ModelExpr(span=span, model=mdef, body=body)
 
 
 def _model_def(ts: TokenStream) -> G.ModelDef:
     """Parse ``C<taus> { types s = t; member = e; ... }``."""
-    name = ts.expect("IDENT", "model declaration").text
+    name = ts.text(ts.take("IDENT", "model declaration"))
     args = _type_args(ts)
-    ts.expect("{", "model body")
+    ts.take("{", "model body")
     type_assignments: List[Tuple[str, G.FGType]] = []
     member_defs: List[Tuple[str, G.Term]] = []
     while not ts.at("}"):
         if ts.match("types"):
             while True:
-                tname = ts.expect("IDENT", "type assignment").text
-                ts.expect("=", "type assignment")
+                tname = ts.text(ts.take("IDENT", "type assignment"))
+                ts.take("=", "type assignment")
                 type_assignments.append((tname, _type(ts)))
                 if not ts.match(","):
                     break
-            ts.expect(";", "type assignment")
+            ts.take(";", "type assignment")
         else:
-            mname = ts.expect("IDENT", "member definition").text
-            ts.expect("=", "member definition")
+            mname = ts.text(ts.take("IDENT", "member definition"))
+            ts.take("=", "member definition")
             member_defs.append((mname, _expr(ts)))
-            ts.expect(";", "member definition")
-    ts.expect("}", "model body")
+            ts.take(";", "member definition")
+    ts.take("}", "model body")
     return G.ModelDef(name, args, tuple(type_assignments), tuple(member_defs))
 
 
 def _named_model(ts: TokenStream, span) -> G.Term:
     from repro.extensions.ast import NamedModelExpr
 
-    name = ts.expect("IDENT", "named model").text
-    ts.expect("=", "named model")
+    name = ts.text(ts.take("IDENT", "named model"))
+    ts.take("=", "named model")
     mdef = _model_def(ts)
-    ts.expect("in", "named model")
+    ts.take("in", "named model")
     return NamedModelExpr(span=span, name=name, model=mdef, body=_expr(ts))
 
 
 def _param_model(ts: TokenStream, span) -> G.Term:
     from repro.extensions.ast import ParamModelExpr
 
-    ts.expect("forall", "parameterized model")
+    ts.take("forall", "parameterized model")
     vars_ = _tyvar_list(ts)
     reqs, sames = _where_clauses(ts)
-    ts.expect(".", "parameterized model")
+    ts.take(".", "parameterized model")
     mdef = _model_def(ts)
-    ts.expect("in", "parameterized model")
+    ts.take("in", "parameterized model")
     return ParamModelExpr(
         span=span,
         vars=vars_,
@@ -567,15 +550,15 @@ def _param_model(ts: TokenStream, span) -> G.Term:
 def _overload(ts: TokenStream) -> G.Term:
     from repro.extensions.ast import OverloadExpr
 
-    span = ts.expect("overload").span
-    name = ts.expect("IDENT", "overload").text
-    ts.expect("{", "overload")
+    span = ts.span(ts.take("overload"))
+    name = ts.text(ts.take("IDENT", "overload"))
+    ts.take("{", "overload")
     alternatives: List[G.Term] = []
     while not ts.at("}"):
         alternatives.append(_expr(ts))
-        ts.expect(";", "overload alternative")
-    ts.expect("}", "overload")
-    ts.expect("in", "overload")
+        ts.take(";", "overload alternative")
+    ts.take("}", "overload")
+    ts.take("in", "overload")
     return OverloadExpr(
         span=span,
         name=name,
@@ -587,9 +570,9 @@ def _overload(ts: TokenStream) -> G.Term:
 def _use_models(ts: TokenStream) -> G.Term:
     from repro.extensions.ast import UseModelsExpr
 
-    span = ts.expect("use").span
-    names = [ts.expect("IDENT", "use").text]
+    span = ts.span(ts.take("use"))
+    names = [ts.text(ts.take("IDENT", "use"))]
     while ts.match(","):
-        names.append(ts.expect("IDENT", "use").text)
-    ts.expect("in", "use")
+        names.append(ts.text(ts.take("IDENT", "use")))
+    ts.take("in", "use")
     return UseModelsExpr(span=span, names=tuple(names), body=_expr(ts))

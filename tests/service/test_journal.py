@@ -7,9 +7,11 @@ interleaved daemon lifetimes, and the begin-without-done replay set.
 
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
+from repro.diagnostics.limits import DEFAULT_LIMITS, Limits
 from repro.service import journal as journal_mod
 from repro.service.journal import (
     Journal,
@@ -23,6 +25,15 @@ from repro.service.journal import (
     rotate,
 )
 from repro.service.policy import BatchPolicy
+from repro.service.worker import task_payload
+
+#: Default and non-default budgets, every field moved off its default.
+LIMITS = [
+    None,
+    Limits(),
+    Limits(max_check_depth=7, max_congruence_nodes=None, max_eval_steps=900,
+           python_stack_limit=20_000, deadline_ms=12.5),
+]
 
 
 def _write(tmp_path, *payloads):
@@ -163,6 +174,29 @@ def test_policy_echo_round_trips_through_the_journal(tmp_path):
     (record,) = replay(path).unfinished
     rebuilt = BatchPolicy.from_json(record["policy"])
     assert rebuilt.to_json() == policy.to_json()
+
+
+@pytest.mark.parametrize("limits", LIMITS)
+def test_limits_projection_is_asdict(limits):
+    """``Limits.to_json`` is ``asdict`` without the deep copy: the same
+    dict in the same key order, so every echo of it keeps its bytes."""
+    limits = limits or DEFAULT_LIMITS
+    assert list(limits.to_json().items()) == list(asdict(limits).items())
+    payload = task_payload("a.fg", "1", {"limits": limits}, [], (), 0.0)
+    assert payload["check_kwargs"]["limits"] == asdict(limits)
+
+
+@pytest.mark.parametrize("limits", LIMITS)
+def test_begin_record_bytes_are_unchanged(limits):
+    """A begin record's policy echo encodes to the bytes the ``asdict``
+    projection gave."""
+    policy = BatchPolicy(jobs=2, deadline_ms=250.0, limits=limits)
+    echo = policy.to_json()
+    reference = dict(echo, limits=asdict(limits or DEFAULT_LIMITS))
+    assert list(echo) == list(reference)
+    assert encode_record(
+        begin_record(1, [("a.fg", "1")], echo, None)
+    ) == encode_record(begin_record(1, [("a.fg", "1")], reference, None))
 
 
 def test_legacy_subprocess_isolation_replays_as_pool(tmp_path):

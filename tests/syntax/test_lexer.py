@@ -122,21 +122,21 @@ class TestErrorsAndSpans:
 class TestTokenStream:
     def test_lookahead_past_the_end_is_eof(self):
         ts = stream("a b")
-        assert [ts.peek(i).kind for i in range(LOOKAHEAD + 1)] == [
+        assert [ts.kind(i) for i in range(LOOKAHEAD + 1)] == [
             "IDENT", "IDENT", "EOF",
         ]
-        ts.advance()
-        ts.advance()
-        assert [ts.peek(i).kind for i in range(LOOKAHEAD + 1)] == [
+        ts.skip()
+        ts.skip()
+        assert [ts.kind(i) for i in range(LOOKAHEAD + 1)] == [
             "EOF",
         ] * (LOOKAHEAD + 1)
 
     def test_cursor_stops_at_eof(self):
         ts = stream("a")
-        assert ts.expect("IDENT").text == "a"
-        at_eof = ts.save()
-        assert ts.advance().kind == "EOF"
-        assert ts.match("EOF").kind == "EOF"
-        assert ts.expect("EOF").kind == "EOF"
-        assert ts.save() == at_eof
-        assert ts.match("IDENT") is None
+        assert ts.text(ts.take("IDENT")) == "a"
+        at_eof = ts.pos
+        assert ts.kinds[ts.skip()] == "EOF"
+        assert ts.match("EOF")
+        assert ts.kinds[ts.take("EOF")] == "EOF"
+        assert ts.pos == at_eof
+        assert not ts.match("IDENT")

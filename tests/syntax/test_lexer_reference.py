@@ -2,10 +2,12 @@
 
 The reference below is the front end as it was before the lexer scanned with
 one compiled pattern: :func:`ref_tokenize` walks the text one character at a
-time, and :class:`RefTokenStream` clamps every lookahead against an unpadded
-list.  The reference also counts every line and column itself, one character
-at a time (:func:`ref_positions`), and tags its tokens with eager
-:class:`RefSpan` values; the real tokens carry offset spans whose positions
+time into a list of :class:`Token` values, and :class:`RefTokenStream`
+serves the parsers' index API over that list, clamping every lookahead
+against its end instead of padding it.  The reference also counts every
+line and column itself, one character at a time (:func:`ref_positions`),
+and tags its tokens with eager :class:`RefSpan` values; the real lexer
+keeps kinds, texts and offsets, and builds offset spans whose positions
 :class:`SourceText` works out when read.  For each input the test compares
 
 - every token (kind, text, start and end line/column/offset, filename),
@@ -32,7 +34,7 @@ import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 from hypothesis import HealthCheck, given, settings
 
@@ -164,31 +166,32 @@ class RefTokenStream(lexer.TokenStream):
 
     def __init__(self, tokens: List[Token], source: SourceText):
         self._tokens = tokens
-        self._pos = 0
+        self.pos = 0
         self.source = source
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def kind(self, offset: int = 0) -> str:
+        index = min(self.pos + offset, len(self._tokens) - 1)
+        return self._tokens[index].kind
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.kind() in kinds
 
-    def advance(self) -> Token:
-        token = self.peek()
-        if token.kind != "EOF":
-            self._pos += 1
-        return token
+    def skip(self) -> int:
+        index = self.pos
+        if self.kind() != "EOF":
+            self.pos += 1
+        return index
 
-    def match(self, kind: str) -> Optional[Token]:
+    def match(self, kind: str) -> bool:
         if self.at(kind):
-            return self.advance()
-        return None
+            self.skip()
+            return True
+        return False
 
-    def expect(self, kind: str, context: str = "") -> Token:
+    def take(self, kind: str, context: str = "") -> int:
         from repro.diagnostics.errors import ParseError
 
-        token = self.peek()
+        token = self._tokens[self.pos]
         if token.kind != kind:
             where = f" in {context}" if context else ""
             raise ParseError(
@@ -196,7 +199,13 @@ class RefTokenStream(lexer.TokenStream):
                 + (f" ({token.text!r})" if token.text else ""),
                 token.span,
             ).attach_source(self.source)
-        return self.advance()
+        return self.skip()
+
+    def text(self, i: int) -> str:
+        return self._tokens[i].text
+
+    def span(self, i: int):
+        return self._tokens[i].span
 
 
 def ref_stream(text: str, filename: str = "<input>", reporter=None):
