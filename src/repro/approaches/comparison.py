@@ -51,7 +51,6 @@ def _expect_type_error(thunk: Callable[[], object]) -> bool:
 
 def _probe_fg_scoped_models() -> bool:
     """Figure 6: overlapping monoids coexist in separate lexical scopes."""
-    from repro import fg_run
     from repro.prelude import run
 
     result = run(

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.diagnostics.errors import TypeError_
 from repro.extensions import ast as X
 from repro.fg import ast as G
-from repro.fg.concepts import assoc_slots
+from repro.fg.concepts import refinements
 from repro.fg.env import Env, ModelInfo
 from repro.fg.typecheck import Checker
 from repro.systemf import ast as F
@@ -187,14 +187,20 @@ class ExtChecker(Checker):
         tyargs = [
             self.translate_type(theta[v], env) for v in pmodel.vars
         ]
-        for slot in assoc_slots(env, pmodel.requirements, theta):
-            sub = self.find_model(slot.concept, slot.actual_args, env)
-            if sub is None:
-                return None
-            assignment = sub.assoc.get(slot.assoc_name)
-            if assignment is None:
-                return None
-            tyargs.append(self.translate_type(assignment, env))
+        seen: set = set()
+        closure = [
+            entry for req in pmodel.requirements
+            for entry in refinements(env, req, seen, theta)
+        ]
+        for concept, cdef, _, actual, _ in closure:
+            for s in cdef.assoc_types:
+                sub = self.find_model(concept, actual, env)
+                if sub is None:
+                    return None
+                assignment = sub.assoc.get(s)
+                if assignment is None:
+                    return None
+                tyargs.append(self.translate_type(assignment, env))
         prebuilt: F.Term = F.TyApp(
             fn=F.Var(name=pmodel.dict_var), args=tuple(tyargs)
         )
@@ -452,19 +458,13 @@ class ExtChecker(Checker):
     def _requirement_closure(self, ftype: G.TForall, args, env: Env):
         """The set of (concept, arg-reps) reachable from the where clause —
         the specificity order is set inclusion on these closures."""
-        from repro.fg.concepts import refinement_closure
-
         subst = dict(zip(ftype.vars, args))
-        out = set()
-        for req in ftype.requirements:
-            actual = tuple(G.substitute(a, subst) for a in req.args)
-            for concept, cargs, _ in refinement_closure(env, req.concept, actual):
-                key = (
-                    concept,
-                    tuple(str(self.rep(a, env)) for a in cargs),
-                )
-                out.add(key)
-        return out
+        seen: set = set()
+        return {
+            (entry.concept, tuple(str(self.rep(a, env)) for a in entry.actual))
+            for req in ftype.requirements
+            for entry in refinements(env, req, seen, subst)
+        }
 
     # ------------------------------------------------------------------
     # Concept-member defaults

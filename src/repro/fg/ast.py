@@ -489,86 +489,95 @@ def substitute_term_types(term: "Term", subst) -> "Term":
     body renames a binder that would capture a substituted variable, as
     :func:`substitute` does at a ``forall``.
     """
-    if not subst:
-        return term
+    return _substitute_term(term, subst) if subst else term
 
-    def sub_t(t: FGType) -> FGType:
-        return substitute(t, subst)
 
-    def go(e: "Term") -> "Term":
-        if isinstance(e, (Var, IntLit, BoolLit)):
-            return e
-        if isinstance(e, Lam):
-            return Lam(
-                span=e.span,
-                params=tuple((n, sub_t(t)) for n, t in e.params),
-                body=go(e.body),
-            )
-        if isinstance(e, App):
-            return App(span=e.span, fn=go(e.fn), args=tuple(go(a) for a in e.args))
-        if isinstance(e, TyLam):
-            # A term does not store its free type variables, so binders
-            # here avoid only what ``_under_binders`` always avoids.  A
-            # default's body is source text, which cannot spell a renamed
-            # binder (``rename_binders``' ``#``); the only such names in it
-            # come from ``subst``, and those are avoided.
-            vars_, inner = _under_binders(e.vars, _EMPTY, subst)
-            if not inner:
-                return e
-            return TyLam(
-                span=e.span,
-                vars=vars_,
-                requirements=tuple(substitute(r, inner) for r in e.requirements),
-                same_types=_substitute_sames(e.same_types, inner),
-                body=substitute_term_types(e.body, inner),
-            )
-        if isinstance(e, TyApp):
-            return TyApp(
-                span=e.span, fn=go(e.fn), args=tuple(sub_t(t) for t in e.args)
-            )
-        if isinstance(e, Let):
-            return Let(span=e.span, name=e.name, bound=go(e.bound), body=go(e.body))
-        if isinstance(e, Tuple_):
-            return Tuple_(span=e.span, items=tuple(go(i) for i in e.items))
-        if isinstance(e, Nth):
-            return Nth(span=e.span, tuple_=go(e.tuple_), index=e.index)
-        if isinstance(e, If):
-            return If(span=e.span, cond=go(e.cond), then=go(e.then), else_=go(e.else_))
-        if isinstance(e, Fix):
-            return Fix(span=e.span, fn=go(e.fn))
-        if isinstance(e, MemberAccess):
-            return MemberAccess(
-                span=e.span,
-                concept=e.concept,
-                args=tuple(sub_t(a) for a in e.args),
-                member=e.member,
-            )
-        if isinstance(e, TypeAlias):
-            # The alias binds its name in the body, as a type abstraction
-            # binds its variables.
-            (name,), inner = _under_binders((e.name,), _EMPTY, subst)
-            return TypeAlias(
-                span=e.span, name=name, aliased=sub_t(e.aliased),
-                body=substitute_term_types(e.body, inner),
-            )
-        # Concept/model expressions and extension nodes inside defaults are
-        # rare; handle the general declaration forms conservatively.
-        if isinstance(e, ConceptExpr):
-            return ConceptExpr(span=e.span, concept=e.concept, body=go(e.body))
-        if isinstance(e, ModelExpr):
-            mdef = e.model
-            new_mdef = ModelDef(
-                mdef.concept,
-                tuple(sub_t(a) for a in mdef.args),
-                tuple((n, sub_t(t)) for n, t in mdef.type_assignments),
-                tuple((n, go(d)) for n, d in mdef.member_defs),
-            )
-            return ModelExpr(span=e.span, model=new_mdef, body=go(e.body))
-        raise AssertionError(
-            f"substitute_term_types: unsupported node {type(e).__name__}"
+def _substitute_term(e: "Term", subst) -> "Term":
+    """:func:`substitute_term_types` for a non-empty ``subst``."""
+    if isinstance(e, (Var, IntLit, BoolLit)):
+        return e
+    go = _substitute_term
+    if isinstance(e, Lam):
+        return Lam(
+            span=e.span,
+            params=tuple((n, substitute(t, subst)) for n, t in e.params),
+            body=go(e.body, subst),
         )
-
-    return go(term)
+    if isinstance(e, App):
+        return App(
+            span=e.span,
+            fn=go(e.fn, subst),
+            args=tuple(go(a, subst) for a in e.args),
+        )
+    if isinstance(e, TyLam):
+        # A term does not store its free type variables, so binders
+        # here avoid only what ``_under_binders`` always avoids.  A
+        # default's body is source text, which cannot spell a renamed
+        # binder (``rename_binders``' ``#``); the only such names in it
+        # come from ``subst``, and those are avoided.
+        vars_, inner = _under_binders(e.vars, _EMPTY, subst)
+        if not inner:
+            return e
+        return TyLam(
+            span=e.span,
+            vars=vars_,
+            requirements=tuple(substitute(r, inner) for r in e.requirements),
+            same_types=_substitute_sames(e.same_types, inner),
+            body=go(e.body, inner),
+        )
+    if isinstance(e, TyApp):
+        return TyApp(
+            span=e.span,
+            fn=go(e.fn, subst),
+            args=tuple(substitute(t, subst) for t in e.args),
+        )
+    if isinstance(e, Let):
+        return Let(
+            span=e.span, name=e.name,
+            bound=go(e.bound, subst), body=go(e.body, subst),
+        )
+    if isinstance(e, Tuple_):
+        return Tuple_(span=e.span, items=tuple(go(i, subst) for i in e.items))
+    if isinstance(e, Nth):
+        return Nth(span=e.span, tuple_=go(e.tuple_, subst), index=e.index)
+    if isinstance(e, If):
+        return If(
+            span=e.span, cond=go(e.cond, subst),
+            then=go(e.then, subst), else_=go(e.else_, subst),
+        )
+    if isinstance(e, Fix):
+        return Fix(span=e.span, fn=go(e.fn, subst))
+    if isinstance(e, MemberAccess):
+        return MemberAccess(
+            span=e.span,
+            concept=e.concept,
+            args=tuple(substitute(a, subst) for a in e.args),
+            member=e.member,
+        )
+    if isinstance(e, TypeAlias):
+        # The alias binds its name in the body, as a type abstraction
+        # binds its variables.
+        (name,), inner = _under_binders((e.name,), _EMPTY, subst)
+        return TypeAlias(
+            span=e.span, name=name, aliased=substitute(e.aliased, subst),
+            body=substitute_term_types(e.body, inner),
+        )
+    # Concept/model expressions and extension nodes inside defaults are
+    # rare; handle the general declaration forms conservatively.
+    if isinstance(e, ConceptExpr):
+        return ConceptExpr(span=e.span, concept=e.concept, body=go(e.body, subst))
+    if isinstance(e, ModelExpr):
+        mdef = e.model
+        new_mdef = ModelDef(
+            mdef.concept,
+            tuple(substitute(a, subst) for a in mdef.args),
+            tuple((n, substitute(t, subst)) for n, t in mdef.type_assignments),
+            tuple((n, go(d, subst)) for n, d in mdef.member_defs),
+        )
+        return ModelExpr(span=e.span, model=new_mdef, body=go(e.body, subst))
+    raise AssertionError(
+        f"substitute_term_types: unsupported node {type(e).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
-"""Concept-structure helpers: the paper's ``b``, ``ba``, and the
-refinement-closure walks shared by the checker and the translator.
+"""Concept-structure helpers: the paper's ``b``, ``ba`` and ``bm``.
+
+:func:`refinements` is the one walk over a where clause's refinement
+closure.  The abstraction (TABS) reads it to mint associated-type variables
+and register proxy models, and every instantiation reads it to supply the
+same slots in the same order: TAPP, a parameterized model's instantiation
+and overload specificity.  :func:`members_with_paths` is not a where-clause
+walk: it collects the members a concept exports, without de-duplication.
 
 A concept's members and associated types are declared against its formal
 parameters; using them at particular type arguments requires the *qualifying
@@ -11,7 +17,7 @@ reference ``c<taus>.s``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.diagnostics.errors import TypeError_
 from repro.fg import ast as G
@@ -98,96 +104,67 @@ def find_member(
     )
 
 
-def same_type_requirements(
-    env: Env, concept: str, args: Tuple[G.FGType, ...]
-) -> List[G.SameType]:
-    """All same-type requirements of ``concept`` (and refinements), qualified."""
-    cdef = concept_def(env, concept)
-    check_concept_arity(cdef, args)
-    subst = qualifying_subst(cdef, args)
-    out: List[G.SameType] = []
-    for req in cdef.refines + cdef.nested:
-        refined_args = tuple(G.substitute(a, subst) for a in req.args)
-        out.extend(same_type_requirements(env, req.concept, refined_args))
-    for same in cdef.same_types:
-        out.append(
-            G.SameType(
-                G.substitute(same.left, subst), G.substitute(same.right, subst)
-            )
-        )
-    return out
+class Refinement(NamedTuple):
+    """One concept of a where-clause requirement's refinement closure.
 
-
-@dataclass(frozen=True)
-class AssocSlot:
-    """One associated-type slot introduced by a where clause.
-
-    ``formal_args`` are the concept arguments as written in the where clause
-    (used for the de-duplication key, which must agree between a type
-    abstraction and every instantiation of it); ``actual_args`` carry the
-    instantiated arguments at a TAPP site (identical to ``formal_args`` at
-    the TABS site itself).
+    ``formal`` are its arguments as the where clause spells them, ``actual``
+    the same under an instantiation's substitution (equal to ``formal``
+    without one), and ``path`` leads from the requirement's dictionary to
+    this concept's.
     """
 
     concept: str
-    formal_args: Tuple[G.FGType, ...]
-    actual_args: Tuple[G.FGType, ...]
-    assoc_name: str
+    cdef: G.ConceptDef
+    formal: Tuple[G.FGType, ...]
+    actual: Tuple[G.FGType, ...]
+    path: Tuple[int, ...]
 
 
-def assoc_slots(
+def refinements(
     env: Env,
-    requirements: Tuple[G.ConceptReq, ...],
+    req: G.ConceptReq,
+    seen: Set[Tuple[str, Tuple[G.FGType, ...]]],
     subst: Optional[Dict[str, G.FGType]] = None,
-) -> List[AssocSlot]:
-    """The ordered associated-type slots of a where clause.
+    span=None,
+) -> Iterator[Refinement]:
+    """The refinement closure of one where-clause requirement (paper's ``bm``).
 
-    Walks each requirement's refinement closure depth-first (own associated
-    types first, then refinements, matching the paper's ``bm``), de-duplicated
-    by ``(concept, formal arguments)`` to handle refinement diamonds
-    (paper 5.2).  ``subst`` instantiates the formal arguments at a TAPP site;
-    crucially, de-duplication still keys on the *formal* arguments so the slot
-    list always has the same shape the TABS translation produced.
+    Depth-first, each concept before the ones it refines, following
+    ``refines`` and then nested requirements in declaration order.  A
+    ``(concept, formal arguments)`` pair already in ``seen`` is skipped and
+    each visited one is added, so a caller that passes one set for a whole
+    where clause reaches a concept shared by a refinement diamond once
+    (paper 5.2).  The key is the *formal* arguments even at an instantiation
+    (``subst``), so the abstraction (TABS) and every instantiation of it
+    (TAPP) read the same entries in the same order: one associated-type slot
+    per ``cdef.assoc_types`` entry.
     """
-    seen = set()
-    slots: List[AssocSlot] = []
-
-    def walk(concept: str, formal: Tuple[G.FGType, ...],
-             actual: Tuple[G.FGType, ...]) -> None:
+    actual = tuple(G.substitute(a, subst) for a in req.args) if subst else req.args
+    stack = [(req.concept, req.args, actual, ())]
+    while stack:
+        concept, formal, actual, path = stack.pop()
         key = (concept, formal)
         if key in seen:
-            return
+            continue
         seen.add(key)
-        cdef = concept_def(env, concept)
-        check_concept_arity(cdef, formal)
-        for s in cdef.assoc_types:
-            slots.append(AssocSlot(concept, formal, actual, s))
+        cdef = concept_def(env, concept, span)
+        check_concept_arity(cdef, formal, span)
+        yield Refinement(concept, cdef, formal, actual, path)
+        refined = cdef.refines + cdef.nested
+        if not refined:
+            continue
         formal_subst = qualifying_subst(cdef, formal)
-        actual_subst = qualifying_subst(cdef, actual)
-        for req in cdef.refines + cdef.nested:
-            walk(
-                req.concept,
-                tuple(G.substitute(a, formal_subst) for a in req.args),
-                tuple(G.substitute(a, actual_subst) for a in req.args),
-            )
-
-    for req in requirements:
-        actual_args = (
-            tuple(G.substitute(a, subst) for a in req.args) if subst else req.args
+        actual_subst = (
+            formal_subst if actual is formal else qualifying_subst(cdef, actual)
         )
-        walk(req.concept, req.args, actual_args)
-    return slots
-
-
-def refinement_closure(
-    env: Env, concept: str, args: Tuple[G.FGType, ...]
-) -> List[Tuple[str, Tuple[G.FGType, ...], Tuple[int, ...]]]:
-    """Every ``(concept, args, path)`` reachable by refinement, self first."""
-    out = [(concept, args, ())]
-    cdef = concept_def(env, concept)
-    subst = qualifying_subst(cdef, args)
-    for i, req in enumerate(cdef.refines + cdef.nested):
-        refined_args = tuple(G.substitute(a, subst) for a in req.args)
-        for name, rargs, path in refinement_closure(env, req.concept, refined_args):
-            out.append((name, rargs, (i,) + path))
-    return out
+        # Pushed last to first, so the first refinement is visited next.
+        for i in range(len(refined) - 1, -1, -1):
+            args = refined[i].args
+            child = tuple(G.substitute(a, formal_subst) for a in args)
+            stack.append((
+                refined[i].concept,
+                child,
+                child if actual_subst is formal_subst
+                else tuple(G.substitute(a, actual_subst) for a in args),
+                path + (i,),
+            ))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.diagnostics.errors import Diagnostic, TypeError_
+from repro.diagnostics.errors import TypeError_
 from repro.diagnostics.limits import (
     Budget,
     Limits,
@@ -29,12 +29,11 @@ from repro.diagnostics.limits import (
 from repro.diagnostics.reporter import DiagnosticReport, DiagnosticReporter
 from repro.fg import ast as G
 from repro.fg.concepts import (
-    assoc_slots,
     check_concept_arity,
     concept_def,
     find_member,
-    members_with_paths,
     qualifying_subst,
+    refinements,
 )
 from repro.fg.env import Env, ModelInfo, SolverCache
 from repro.observability import (
@@ -432,55 +431,10 @@ class Checker:
                 span,
             )
         env = env.bind_tyvars(vars_)
-        seen = set()
+        seen: set = set()
         assoc_vars: List[str] = []
         fresh_to_assoc: Dict[str, G.FGType] = {}
         req_dict_vars: List[str] = []
-
-        def register(concept: str, args: Tuple[G.FGType, ...],
-                     dict_var: str, path: Tuple[int, ...]) -> None:
-            nonlocal env
-            key = (concept, args)
-            if key in seen:
-                return
-            seen.add(key)
-            if self._explain is not None:
-                what = (
-                    "requirement" if not path
-                    else f"refinement (dictionary path {path})"
-                )
-                self._explain.refinement(
-                    f"where-clause {what}: proxy model "
-                    f"{concept}<{', '.join(map(str, args))}> registered"
-                )
-            cdef = concept_def(env, concept, span)
-            check_concept_arity(cdef, args, span)
-            assoc_map = {
-                s: G.TAssoc(concept, args, s) for s in cdef.assoc_types
-            }
-            equalities = []
-            fresh_names = []
-            for s in cdef.assoc_types:
-                fresh = self._fresh(s)
-                fresh_names.append(fresh)
-                assoc_vars.append(fresh)
-                fresh_to_assoc[fresh] = G.TAssoc(concept, args, s)
-                equalities.append((G.TVar(fresh), G.TAssoc(concept, args, s)))
-            subst = qualifying_subst(cdef, args)
-            for same in cdef.same_types:
-                equalities.append(
-                    (G.substitute(same.left, subst),
-                     G.substitute(same.right, subst))
-                )
-            env = env.bind_tyvars(fresh_names)
-            env = env.add_model(
-                ModelInfo(concept, args, dict_var, path, assoc_map)
-            )
-            env = env.add_equalities(equalities)
-            for i, req in enumerate(cdef.refines + cdef.nested):
-                refined_args = tuple(G.substitute(a, subst) for a in req.args)
-                register(req.concept, refined_args, dict_var, path + (i,))
-
         for req in requirements:
             cdef = concept_def(env, req.concept, span)
             check_concept_arity(cdef, req.args, span)
@@ -488,7 +442,42 @@ class Checker:
                 self.check_type_wf(a, env, span)
             dict_var = self._fresh_dict(req.concept)
             req_dict_vars.append(dict_var)
-            register(req.concept, req.args, dict_var, ())
+            # A proxy model per concept of the requirement's closure, with
+            # a fresh variable for each associated type: ``fresh = c<taus>.s``.
+            for concept, cdef, args, _, path in refinements(
+                env, req, seen, span=span
+            ):
+                if self._explain is not None:
+                    what = (
+                        "requirement" if not path
+                        else f"refinement (dictionary path {path})"
+                    )
+                    self._explain.refinement(
+                        f"where-clause {what}: proxy model "
+                        f"{concept}<{', '.join(map(str, args))}> registered"
+                    )
+                assoc_map: Dict[str, G.FGType] = {}
+                equalities = []
+                fresh_names = []
+                for s in cdef.assoc_types:
+                    fresh = self._fresh(s)
+                    assoc = assoc_map[s] = G.TAssoc(concept, args, s)
+                    fresh_names.append(fresh)
+                    fresh_to_assoc[fresh] = assoc
+                    equalities.append((G.TVar(fresh), assoc))
+                assoc_vars.extend(fresh_names)
+                if cdef.same_types:
+                    subst = qualifying_subst(cdef, args)
+                    for same in cdef.same_types:
+                        equalities.append(
+                            (G.substitute(same.left, subst),
+                             G.substitute(same.right, subst))
+                        )
+                env = env.bind_tyvars(fresh_names)
+                env = env.add_model(
+                    ModelInfo(concept, args, dict_var, path, assoc_map)
+                )
+                env = env.add_equalities(equalities)
 
         for same in same_types:
             self.check_type_wf(same.left, env, span)
@@ -745,19 +734,21 @@ class Checker:
         sf_tyargs = [self.translate_type(a, env, span) for a in args]
         # One extra type argument per associated-type slot, in the exact
         # order the abstraction's translation minted fresh variables.
-        slots = assoc_slots(env, fn_type.requirements, subst)
-        for slot in slots:
-            info = self.require_model(
-                slot.concept, slot.actual_args, env, span
-            )
-            assigned = info.assoc.get(slot.assoc_name)
-            if assigned is None:
-                raise TypeError_(
-                    f"model of {slot.concept} lacks associated type "
-                    f"'{slot.assoc_name}'",
-                    span,
-                )
-            sf_tyargs.append(self.translate_type(assigned, env, span))
+        seen: set = set()
+        closure = [
+            entry for req in fn_type.requirements
+            for entry in refinements(env, req, seen, subst)
+        ]
+        for concept, cdef, _, actual, _ in closure:
+            for s in cdef.assoc_types:
+                info = self.require_model(concept, actual, env, span)
+                assigned = info.assoc.get(s)
+                if assigned is None:
+                    raise TypeError_(
+                        f"model of {concept} lacks associated type '{s}'",
+                        span,
+                    )
+                sf_tyargs.append(self.translate_type(assigned, env, span))
         # Requirement dictionaries.
         dict_args = []
         for req in fn_type.requirements:

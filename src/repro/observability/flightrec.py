@@ -44,7 +44,7 @@ import sys
 import time
 import traceback as _traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: The crash-bundle format written by :func:`dump` / :func:`write_bundle`.
 SCHEMA = "repro/crash-bundle v1"

@@ -45,7 +45,11 @@ from repro.diagnostics.errors import TypeError_
 from repro.diagnostics.limits import Limits
 from repro.extensions import ExtChecker
 from repro.fg import ast as G
-from repro.fg.concepts import assoc_slots
+from repro.fg.concepts import (
+    check_concept_arity,
+    concept_def,
+    qualifying_subst,
+)
 from repro.fg.typecheck import Checker, _poison_term
 from repro.observability import ExplainLog, Instrumentation, MetricsRegistry
 from repro.pipeline import check_source
@@ -67,6 +71,40 @@ from fg_gen import program_specs  # noqa: E402
 
 
 # -- the reference: TAPP judged at every occurrence ---------------------------
+
+
+def assoc_slots(env, requirements, subst=None):
+    """The where clause's associated-type slots as TAPP read them before the
+    memo: ``(concept, formal args, actual args, associated type)`` from a
+    depth-first walk of each requirement's refinement closure, de-duplicated
+    on ``(concept, formal args)`` across the clause."""
+    seen = set()
+    slots = []
+
+    def walk(concept, formal, actual):
+        key = (concept, formal)
+        if key in seen:
+            return
+        seen.add(key)
+        cdef = concept_def(env, concept)
+        check_concept_arity(cdef, formal)
+        for s in cdef.assoc_types:
+            slots.append((concept, formal, actual, s))
+        formal_subst = qualifying_subst(cdef, formal)
+        actual_subst = qualifying_subst(cdef, actual)
+        for req in cdef.refines + cdef.nested:
+            walk(
+                req.concept,
+                tuple(G.substitute(a, formal_subst) for a in req.args),
+                tuple(G.substitute(a, actual_subst) for a in req.args),
+            )
+
+    for req in requirements:
+        actual_args = (
+            tuple(G.substitute(a, subst) for a in req.args) if subst else req.args
+        )
+        walk(req.concept, req.args, actual_args)
+    return slots
 
 
 class _NoReuse(Checker):
@@ -99,15 +137,13 @@ class _NoReuse(Checker):
         subst = dict(zip(fn_type.vars, term.args))
         sf_tyargs = [self.translate_type(a, env, term.span) for a in term.args]
         slots = assoc_slots(env, fn_type.requirements, subst)
-        for slot in slots:
-            info = self.require_model(
-                slot.concept, slot.actual_args, env, term.span
-            )
-            assigned = info.assoc.get(slot.assoc_name)
+        for concept, _, actual, assoc_name in slots:
+            info = self.require_model(concept, actual, env, term.span)
+            assigned = info.assoc.get(assoc_name)
             if assigned is None:
                 raise TypeError_(
-                    f"model of {slot.concept} lacks associated type "
-                    f"'{slot.assoc_name}'",
+                    f"model of {concept} lacks associated type "
+                    f"'{assoc_name}'",
                     term.span,
                 )
             sf_tyargs.append(self.translate_type(assigned, env, term.span))

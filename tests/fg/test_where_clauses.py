@@ -2,7 +2,7 @@
 de-duplication, and proxy-model reuse (paper sections 3-5)."""
 
 from repro.fg import ast as G
-from repro.fg.concepts import assoc_slots
+from repro.fg.concepts import refinements
 from repro.fg.env import Env
 from repro.testing import reject_src, run_src, verify_src
 
@@ -61,10 +61,14 @@ class TestDiamondDeduplication:
         )
         for c in (top, left, right, bottom):
             env = env.add_concept(c)
-        slots = assoc_slots(env, (G.ConceptReq("Bottom", (t,)),))
+        slots = [
+            (entry.concept, s)
+            for entry in refinements(env, G.ConceptReq("Bottom", (t,)), set())
+            for s in entry.cdef.assoc_types
+        ]
         # Top<t>.s reached twice via the diamond, minted once (paper 5.2).
         assert len(slots) == 1
-        assert slots[0].concept == "Top"
+        assert slots[0][0] == "Top"
 
     def test_diamond_program_runs(self):
         src = self.DIAMOND + r"""
