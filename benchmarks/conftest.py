@@ -17,14 +17,24 @@ CI perf gate).
 
 Recursion headroom is scoped (``resource_scope``), never a module-level
 ``sys.setrecursionlimit`` — PR 1 removed every permanent limit bump.
+
+The session runs on one CPU, as fgbench does: a host that moves work
+between CPUs of different speed moves the rows with it.  The pin holds
+for every child process the benchmarks start.
 """
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
+
+
+def pytest_configure(config):
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 @pytest.fixture(autouse=True)

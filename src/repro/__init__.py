@@ -28,39 +28,55 @@ Subpackages:
 - :mod:`repro.approaches` — Figure 1's four pre-existing approaches,
 - :mod:`repro.extensions` — the section 6 extensions (named and
   parameterized models, member defaults, nested requirements).
+
+Importing a package loads only what every user of it runs; the rest of
+its public names load on first access (see DESIGN.md, "Cold start").
 """
 
-from repro.fg.pretty import pretty_term as fg_pretty_term
-from repro.fg.pretty import pretty_type as fg_pretty_type
-from repro.fg.typecheck import Checker as _Checker
-from repro.prelude.context import context_for as _context_for
-from repro.syntax import parse_f, parse_fg
-from repro.systemf import evaluate as f_evaluate
-from repro.systemf import pretty_term as f_pretty_term
-from repro.systemf import pretty_type as f_pretty_type
-from repro.systemf import type_of as f_type_of
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+#: Re-exports, loaded on first access: importing ``repro`` (which every
+#: submodule import does first) loads no checker, parser or printer.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "f_evaluate": ("repro.systemf", "evaluate"),
+    "f_pretty_term": ("repro.systemf", "pretty_term"),
+    "f_pretty_type": ("repro.systemf", "pretty_type"),
+    "f_type_of": ("repro.systemf", "type_of"),
+    "fg_pretty_term": ("repro.fg.pretty", "pretty_term"),
+    "fg_pretty_type": ("repro.fg.pretty", "pretty_type"),
+    "parse_f": ("repro.syntax", "parse_f"),
+    "parse_fg": ("repro.syntax", "parse_fg"),
+})
+
+
+def _library(use_prelude: bool):
+    """The library context (core checker) a program is checked at."""
+    from repro.fg.typecheck import Checker
+    from repro.prelude.context import context_for
+
+    return context_for(Checker, use_prelude)
 
 
 def fg_check(program: str, use_prelude: bool = False):
     """Typecheck an F_G source program; returns its F_G type."""
-    return _context_for(_Checker, use_prelude).typecheck(program)[0]
+    return _library(use_prelude).typecheck(program)[0]
 
 
 def fg_translate(program: str, use_prelude: bool = False):
     """Translate an F_G source program to a System F term."""
-    return _context_for(_Checker, use_prelude).typecheck(program)[1]
+    return _library(use_prelude).typecheck(program)[1]
 
 
 def fg_run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate an F_G source program."""
-    return _context_for(_Checker, use_prelude).run(program)
+    return _library(use_prelude).run(program)
 
 
 def fg_verify(program: str, use_prelude: bool = False):
     """Run the executable Theorem 1/2 check on an F_G source program."""
-    return _context_for(_Checker, use_prelude).verify(program)
+    return _library(use_prelude).verify(program)
 
 
 def fg_check_all(program: str, use_prelude: bool = False, **options):

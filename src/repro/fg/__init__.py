@@ -11,13 +11,18 @@ Public surface:
   image; the paper gives F_G its semantics exactly this way),
 - :class:`Env` — the four-part environment Gamma (plus equalities),
 - :class:`CongruenceSolver` — type equality with same-type constraints.
+
+The checker loads with the package; the direct interpreter
+(:func:`interpret`) and the printers (:func:`pretty_term`,
+:func:`pretty_type`) load on first access.  ``typecheck`` stays eager: the
+entry-point function of that name shadows the submodule, and binding it
+here, after the submodule has loaded, is what keeps it the function.
 """
 
+from repro._lazy import lazy_exports
 from repro.fg import ast
 from repro.fg.congruence import CongruenceSolver, solver_for_equalities
 from repro.fg.env import Env, ModelInfo
-from repro.fg.interp import interpret
-from repro.fg.pretty import pretty_term, pretty_type
 from repro.fg.typecheck import (
     Checker,
     evaluate,
@@ -28,6 +33,11 @@ from repro.fg.typecheck import (
     verify_translation,
 )
 
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "interpret": ("repro.fg.interp", "interpret"),
+    "pretty_term": ("repro.fg.pretty", "pretty_term"),
+    "pretty_type": ("repro.fg.pretty", "pretty_type"),
+})
 
 __all__ = [
     "Checker",

@@ -32,13 +32,18 @@ the machinery observable without touching its semantics:
   bounded flight recorder and ``repro/crash-bundle v1`` crash forensics
   (``fg doctor``, ``fg debug bundle``; see docs/DIAGNOSTICS.md).
 
-Everything here is standard library only.
+Everything here is standard library only.  The tracer, metrics, explain
+log and flight recorder load with the package (every instrumented run
+writes to them); the exporters, the profiler and the cross-process
+telemetry load on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from repro._lazy import lazy_exports
 
 # flightrec sits below tracer/metrics/telemetry in the import graph (they
 # call its record hooks), so it must be initialized first.
@@ -53,34 +58,24 @@ from repro.observability.flightrec import (
     write_bundle,
 )
 from repro.observability.explain import ExplainLog, format_span
-from repro.observability.exporters import (
-    chrome_trace,
-    chrome_trace_json,
-    prometheus_text,
-    render_tree,
-    spans_from_jsonl,
-    to_jsonl,
-)
-from repro.observability.telemetry import (
-    OpsLog,
-    ServerTelemetry,
-    WindowReservoir,
-    clock_offset_ns,
-    fold_worker_flightrec,
-    graft_spans,
-    merge_worker_telemetry,
-    read_ops_log,
-    spans_to_wire,
-)
 from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.observability.profiler import (
-    HotSpot,
-    MemoryAccountant,
-    Profile,
-    format_profile,
-    profile_tracer,
-)
 from repro.observability.tracer import NULL_TRACER, NullTracer, Span, Tracer
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    **{name: ("repro.observability.exporters", name) for name in (
+        "chrome_trace", "chrome_trace_json", "prometheus_text",
+        "render_tree", "spans_from_jsonl", "to_jsonl",
+    )},
+    **{name: ("repro.observability.profiler", name) for name in (
+        "HotSpot", "MemoryAccountant", "Profile", "format_profile",
+        "profile_tracer",
+    )},
+    **{name: ("repro.observability.telemetry", name) for name in (
+        "OpsLog", "ServerTelemetry", "WindowReservoir", "clock_offset_ns",
+        "fold_worker_flightrec", "graft_spans", "merge_worker_telemetry",
+        "read_ops_log", "spans_to_wire",
+    )},
+})
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,8 @@ class Instrumentation:
                 explain: bool = False,
                 memory: bool = False) -> "Instrumentation":
         """A live bundle with the requested parts turned on."""
+        if memory:
+            from repro.observability.profiler import MemoryAccountant
         return cls(
             tracer=Tracer() if trace else NULL_TRACER,
             metrics=MetricsRegistry() if metrics else None,

@@ -15,96 +15,42 @@ budgets.  :func:`check_source` is that driver:
 - the only exceptions that escape are genuine bugs — the crash-resilience
   suite (``tests/properties/test_crash_resilience.py``) fuzzes this contract.
 
-:func:`inject_fault` plants an artificial internal error at a named stage so
-the CLI's "internal error" path (exit code 3) is testable.  Fault state is
-**thread-local**: a fault injected in one thread never fires in a batch
-worker running concurrently in another.  :func:`current_faults` /
-:func:`install_faults` move a fault table across a thread boundary on
-purpose (the batch service does this for its watchdogged workers), and
-:mod:`repro.service.faults` serializes declarative fault specs across the
-process boundary for ``isolate="pool"`` workers.
+:func:`inject_fault` plants an artificial internal error at a named stage
+so the CLI's "internal error" path (exit code 3) is testable.  The
+thread-local fault table and its helpers live in :mod:`repro.faultinject`
+(which loads nothing of the checker, so the batch service can move fault
+tables without loading it) and are re-exported here; each stage reads the
+table through :func:`_maybe_fault`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.diagnostics.errors import Diagnostic
 from repro.diagnostics.limits import Budget, Limits, resource_scope
 from repro.diagnostics.reporter import DiagnosticReport, DiagnosticReporter
-from repro.fg import ast as G
+from repro.faultinject import (  # noqa: F401 — re-exported
+    STAGES,
+    _FAULT_STATE,
+    current_faults,
+    inject_fault,
+    install_faults,
+)
 from repro.observability import Instrumentation, NULL_TRACER
-from repro.systemf import ast as F
 
-#: Pipeline stages, in order; :func:`inject_fault` targets one by name.
-STAGES = ("parse", "check", "evaluate", "verify")
+# The stages' modules load with the pipeline, so no attempt's deadline
+# clock pays for them.  Each stage still looks its names up when it runs.
+import repro.fg.typecheck  # noqa: F401
+import repro.prelude.context  # noqa: F401
+import repro.syntax.parser_fg  # noqa: F401
 
-
-class _FaultState(threading.local):
-    """Per-thread fault table (stage name → exception or callable)."""
-
-    def __init__(self):
-        self.faults: Dict[str, object] = {}
-
-
-_FAULT_STATE = _FaultState()
-
-_MISSING = object()
-
-
-@contextmanager
-def inject_fault(stage: str, exc):
-    """Fire ``exc`` when *this thread's* pipeline reaches ``stage``.
-
-    ``exc`` is either an exception instance (raised at the stage) or a
-    zero-argument callable (called at the stage — the chaos harness uses
-    this to inject hangs via ``time.sleep``).  State is thread-local; use
-    :func:`current_faults`/:func:`install_faults` to hand a fault table to
-    a worker thread.  Nested injections at the same stage restore the outer
-    fault on exit.
-    """
-    if stage not in STAGES:
-        raise ValueError(f"unknown pipeline stage: {stage!r}")
-    faults = _FAULT_STATE.faults
-    prior = faults.get(stage, _MISSING)
-    faults[stage] = exc
-    try:
-        yield
-    finally:
-        if prior is _MISSING:
-            faults.pop(stage, None)
-        else:
-            faults[stage] = prior
-
-
-def current_faults() -> Dict[str, object]:
-    """A snapshot of the calling thread's fault table (for propagation)."""
-    return dict(_FAULT_STATE.faults)
-
-
-@contextmanager
-def install_faults(faults: Optional[Dict[str, object]]):
-    """Install a whole fault table in the current thread; restore on exit.
-
-    Worker threads (and the subprocess child entry point) run their task
-    under this so faults injected by the coordinating thread — or shipped
-    in a chaos schedule — fire inside the isolated worker.
-    """
-    if not faults:
-        yield
-        return
-    state = _FAULT_STATE.faults
-    saved = dict(state)
-    state.update(faults)
-    try:
-        yield
-    finally:
-        state.clear()
-        state.update(saved)
+if TYPE_CHECKING:
+    from repro.fg import ast as G
+    from repro.systemf import ast as F
 
 
 def _maybe_fault(stage: str) -> None:

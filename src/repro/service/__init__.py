@@ -24,61 +24,46 @@ which replays deterministic :class:`FaultSchedule` plans and asserts the
 batch always terminates, never loses a result, and reports every injected
 fault exactly once.  Schemas and exit codes are documented in
 docs/DIAGNOSTICS.md.
+
+Importing this package loads none of its modules; each name below loads
+its own module on first access (DESIGN.md, "Cold start").
 """
 
-from repro.service.batch import check_batch
-from repro.service.client import (
-    ClientError,
-    ConnectionLost,
-    ProtocolError,
-    ServerUnavailable,
-    check_remote,
-    debug_bundle,
-    events,
-    health,
-    request_shutdown,
-    stats,
-)
-from repro.service.journal import Journal, JournalError, replay
-from repro.service.server import (
-    ServeError,
-    ServeOptions,
-    Server,
-    resolve_policy,
-)
-from repro.service.signals import (
-    TERMINATION_SIGNALS,
-    TerminationRequested,
-    notify_on_termination,
-    raise_on_termination,
-)
-from repro.service.faults import (
-    CHAOS_KINDS,
-    ChaosCrash,
-    FAULT_CRASH,
-    FAULT_DEADLINE,
-    FAULT_MEMORY,
-    FAULT_WORKER_LOST,
-    FaultSchedule,
-    FaultSpec,
-    WorkerKillSpec,
-    is_retryable,
-)
-from repro.service.policy import ISOLATION_MODES, BatchPolicy, RetryPolicy
-from repro.service.pool import PersistentPool, PoolStats
-from repro.service.report import (
-    EXIT_DEADLINE,
-    EXIT_OVERLOAD,
-    EXIT_PARTIAL,
-    AttemptRecord,
-    BatchReport,
-    CrashReport,
-    FileOutcome,
-    TIMING_FIELDS,
-    VOLATILE_POOL_FIELDS,
-    canonicalize,
-)
-from repro.service.worker import run_with_deadline
+from repro._lazy import lazy_exports
+
+#: The client needs only the wire protocol, the daemon never loads the
+#: checker, and a pool worker loads only its own modules.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    name: (f"repro.service.{module}", name)
+    for module, names in {
+        "batch": ("check_batch",),
+        "client": (
+            "ClientError", "ConnectionLost", "ProtocolError",
+            "ServerUnavailable", "check_remote", "debug_bundle", "events",
+            "health", "request_shutdown", "stats",
+        ),
+        "journal": ("Journal", "JournalError", "replay"),
+        "server": ("ServeError", "ServeOptions", "Server", "resolve_policy"),
+        "signals": (
+            "TERMINATION_SIGNALS", "TerminationRequested",
+            "notify_on_termination", "raise_on_termination",
+        ),
+        "faults": (
+            "CHAOS_KINDS", "ChaosCrash", "FAULT_CRASH", "FAULT_DEADLINE",
+            "FAULT_MEMORY", "FAULT_WORKER_LOST", "FaultSchedule", "FaultSpec",
+            "WorkerKillSpec", "is_retryable",
+        ),
+        "policy": ("ISOLATION_MODES", "BatchPolicy", "RetryPolicy"),
+        "pool": ("PersistentPool", "PoolStats"),
+        "report": (
+            "EXIT_DEADLINE", "EXIT_OVERLOAD", "EXIT_PARTIAL", "AttemptRecord",
+            "BatchReport", "CrashReport", "FileOutcome", "TIMING_FIELDS",
+            "VOLATILE_POOL_FIELDS", "canonicalize",
+        ),
+        "worker": ("run_with_deadline",),
+    }.items()
+    for name in names
+})
 
 __all__ = [
     "AttemptRecord",

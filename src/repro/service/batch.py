@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.faultinject import current_faults
 from repro.observability import (
     Instrumentation,
     NULL_TRACER,
@@ -86,8 +87,6 @@ def check_batch(
     warm workers.  Without one, a pool batch opens its own pool, sized to
     the batch, and closes it before returning.
     """
-    from repro.pipeline import current_faults
-
     policy = policy if policy is not None else BatchPolicy()
     items = list(sources)
     ambient = current_faults()
@@ -313,6 +312,9 @@ def run_in_process(
     own books.  :func:`check_batch` drives fresh tasks through it; the
     pool's degraded tail continues the tasks its workers left unfinished.
     """
+    # Load the checker before the first attempt's deadline clock starts.
+    import repro.pipeline  # noqa: F401
+
     check_kwargs = policy.check_kwargs()
     while not task.done:
         wait = task.ready_at - time.monotonic()

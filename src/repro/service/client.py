@@ -14,7 +14,7 @@ import socket
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service import proto
-from repro.service.server import TERMINAL_RESPONSES
+from repro.service.proto import TERMINAL_RESPONSES
 
 
 class ClientError(Exception):

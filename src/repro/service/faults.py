@@ -80,7 +80,7 @@ class FaultSpec:
     attempts: Optional[FrozenSet[int]] = None
 
     def __post_init__(self):
-        from repro.pipeline import STAGES
+        from repro.faultinject import STAGES
 
         if self.stage not in STAGES:
             raise ValueError(f"unknown pipeline stage: {self.stage!r}")

@@ -40,6 +40,13 @@ MAGIC = b"\xabFG1"
 #: fail fast, not allocate unboundedly).
 MAX_FRAME = 64 * 1024 * 1024
 
+#: ``fg serve`` response frame types that end a request (everything except
+#: "accepted").  The client reads them here so it loads only the protocol.
+TERMINAL_RESPONSES = (
+    "report", "overload", "shed", "draining", "error", "health", "stats",
+    "events", "debug-bundle", "shutdown",
+)
+
 _HEADER = struct.Struct(">I")
 _HEADER_LEN = len(MAGIC) + _HEADER.size
 

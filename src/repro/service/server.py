@@ -92,10 +92,7 @@ REQUEST_TYPES = (
 )
 
 #: Response frame types that end a request (everything except "accepted").
-TERMINAL_RESPONSES = (
-    "report", "overload", "shed", "draining", "error", "health", "stats",
-    "events", "debug-bundle", "shutdown",
-)
+TERMINAL_RESPONSES = proto.TERMINAL_RESPONSES
 
 
 class ServeError(Exception):

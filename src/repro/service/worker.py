@@ -37,6 +37,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.faultinject import current_faults, install_faults
 from repro.service.faults import FaultSpec
 from repro.service.report import CrashReport
 
@@ -187,8 +188,6 @@ def run_with_deadline(fn, deadline_ms: Optional[float]):
     With ``deadline_ms=None`` this degenerates to a plain guarded call on
     the current thread — no watchdog thread is spawned.
     """
-    from repro.pipeline import current_faults, install_faults
-
     if deadline_ms is None:
         try:
             return ("ok", fn())
@@ -250,7 +249,7 @@ def run_attempt(
     ``(KeyboardInterrupt, SystemExit)`` so deliberate kills still end the
     process, while the thread wall contains them as crashes.
     """
-    from repro.pipeline import check_source, install_faults
+    from repro.pipeline import check_source
 
     instrumentation = build_task_instrumentation(telemetry)
 

@@ -7,8 +7,12 @@ Public surface:
 - :func:`evaluate` — a call-by-value evaluator,
 - :func:`pretty_type` / :func:`pretty_term` — concrete-syntax printers,
 - :data:`BUILTIN_TYPES` — the primitive constants the paper's examples use.
+
+The verify and evaluate path (AST, builtins, checker, evaluator) loads with
+the package; the printers load on first access.
 """
 
+from repro._lazy import lazy_exports
 from repro.systemf.ast import (
     BOOL,
     INT,
@@ -38,8 +42,12 @@ from repro.systemf.ast import (
 )
 from repro.systemf.builtins import BUILTIN_TYPES, make_prim_values
 from repro.systemf.eval import Env, evaluate
-from repro.systemf.pretty import pretty_term, pretty_type
 from repro.systemf.typecheck import TypeEnv, type_of
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "pretty_term": ("repro.systemf.pretty", "pretty_term"),
+    "pretty_type": ("repro.systemf.pretty", "pretty_type"),
+})
 
 __all__ = [
     "App",

@@ -66,6 +66,18 @@ class FixThunk:
 Value = Union[int, bool, List, tuple, Closure, TyClosure, FixThunk, PrimValue]
 
 
+def render_value(value) -> str:
+    """An evaluated F_G or System F value in surface syntax (the REPL's and
+    the ``fg`` driver's one value printer)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "[" + ", ".join(render_value(v) for v in value) + "]"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(render_value(v) for v in value) + ")"
+    return str(value)
+
+
 class Env:
     """A persistent runtime environment (linked frames).
 

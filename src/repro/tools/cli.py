@@ -103,12 +103,6 @@ import time
 from repro.diagnostics.errors import Diagnostic
 from repro.diagnostics.limits import DEFAULT_LIMITS, Limits
 from repro.diagnostics.reporter import DiagnosticReport, diagnostic_to_dict
-from repro.fg import pretty_type as fg_pretty_type
-from repro.syntax import parse_f
-from repro.systemf import evaluate as f_evaluate
-from repro.systemf import pretty_term as f_pretty_term
-from repro.systemf import type_of as f_type_of
-from repro.tools.repl import render_value
 
 #: Exit codes of the ``fg`` driver (documented contract).  4 and 5 extend
 #: the original 0–3 contract for deadlines and batch partial failure; they
@@ -339,17 +333,25 @@ def _run_fg_command(args: argparse.Namespace) -> int:
                 print(_render_stats({"timings_ms": timings}))
         return EXIT_OK
     if args.command == "check":
+        from repro.fg.pretty import pretty_type as fg_pretty_type
+
         if args.json:
             _print_json({"diagnostics": [],
                          "type": fg_pretty_type(outcome.type_)}, extras)
         else:
             print(fg_pretty_type(outcome.type_))
     elif args.command == "translate":
+        from repro.systemf.pretty import pretty_term as f_pretty_term
+
         print(f_pretty_term(outcome.translation))
     elif args.command == "verify":
+        from repro.fg.pretty import pretty_type as fg_pretty_type
+
         print(f"F_G type:      {fg_pretty_type(outcome.type_)}")
         print("translation preserves typing: OK")
     else:  # run
+        from repro.systemf.eval import render_value
+
         if args.json:
             _print_json({"diagnostics": [],
                          "value": render_value(outcome.value)}, extras)
@@ -366,6 +368,10 @@ def _run_runf(args: argparse.Namespace) -> int:
     from repro.diagnostics.limits import Budget
     from repro.observability import NULL_TRACER
     from repro.pipeline import _stage
+    from repro.syntax.parser_f import parse_program as parse_f
+    from repro.systemf import evaluate as f_evaluate
+    from repro.systemf import type_of as f_type_of
+    from repro.systemf.eval import render_value
 
     inst = _instrumentation(args)
     text = _read_program(args)

@@ -45,21 +45,10 @@ from repro.fg import pretty_type
 from repro.observability import Instrumentation, MetricsRegistry
 from repro.syntax import parse_fg
 from repro.systemf import pretty_term as f_pretty_term
+from repro.systemf.eval import render_value
 
 #: Keywords that begin a declaration the REPL should accumulate.
 _DECL_KEYWORDS = ("concept", "model", "let", "type", "use", "overload")
-
-
-def render_value(value) -> str:
-    """An evaluated F_G or System F value in surface syntax (the REPL's and
-    the ``fg`` driver's one value printer)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return "[" + ", ".join(render_value(v) for v in value) + "]"
-    if isinstance(value, tuple):
-        return "(" + ", ".join(render_value(v) for v in value) + ")"
-    return str(value)
 
 
 @dataclass
