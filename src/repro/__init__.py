@@ -29,6 +29,10 @@ Subpackages:
 - :mod:`repro.extensions` — the section 6 extensions (named and
   parameterized models, member defaults, nested requirements).
 
+Each function here that takes F_G source text runs
+:func:`repro.pipeline.check_source`; the fail-fast ones stop it at its
+first diagnostic and raise it (DESIGN.md, "One driver").
+
 Importing a package loads only what every user of it runs; the rest of
 its public names load on first access (see DESIGN.md, "Cold start").
 """
@@ -51,32 +55,36 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 })
 
 
-def _library(use_prelude: bool):
-    """The library context (core checker) a program is checked at."""
-    from repro.fg.typecheck import Checker
-    from repro.prelude.context import context_for
+def _first(program: str, use_prelude: bool, **stages):
+    """The pipeline stopped at its first diagnostic: raises it, or returns
+    the accepted outcome.  Every fail-fast text entry point calls this."""
+    from repro.pipeline import check_source
 
-    return context_for(Checker, use_prelude)
+    return check_source(
+        program, prelude=use_prelude, max_errors=1, **stages
+    ).raise_first()
 
 
 def fg_check(program: str, use_prelude: bool = False):
     """Typecheck an F_G source program; returns its F_G type."""
-    return _library(use_prelude).typecheck(program)[0]
+    return _first(program, use_prelude).type_
 
 
 def fg_translate(program: str, use_prelude: bool = False):
     """Translate an F_G source program to a System F term."""
-    return _library(use_prelude).typecheck(program)[1]
+    return _first(program, use_prelude).translation
 
 
 def fg_run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate an F_G source program."""
-    return _library(use_prelude).run(program)
+    return _first(program, use_prelude, evaluate=True).value
 
 
 def fg_verify(program: str, use_prelude: bool = False):
-    """Run the executable Theorem 1/2 check on an F_G source program."""
-    return _library(use_prelude).verify(program)
+    """Run the executable Theorem 1/2 check on an F_G source program;
+    returns its F_G type and the System F type of its translation."""
+    outcome = _first(program, use_prelude, verify=True)
+    return outcome.type_, outcome.sf_type
 
 
 def fg_check_all(program: str, use_prelude: bool = False, **options):

@@ -13,19 +13,21 @@ Features:
 - **nested requirements** live in core F_G already (``require C<assoc>;``
   inside a concept) since they reuse the refinement machinery.
 
-Entry points mirror :mod:`repro.fg` but use :class:`ExtChecker`; like
-them, every program is checked at a library context
-(:mod:`repro.prelude.context`), and "no prelude" is the empty library::
+Term-level entry points mirror :mod:`repro.fg` but use :class:`ExtChecker`;
+like them, every program is checked at a library context
+(:mod:`repro.prelude.context`), and "no prelude" is the empty library.
+The source-text functions :func:`check`, :func:`run` and :func:`verify` are
+the pipeline with ``ext=True``, stopped at its first diagnostic::
 
     from repro import extensions as ext
     ext.run("model m = Monoid<int> { ... } in use m in accumulate[int](...)")
 """
 
+from repro import _first
 from repro.extensions import ast
 from repro.extensions.checker import ExtChecker
 from repro.fg import ast as G
 from repro.fg.typecheck import EntryPoints
-from repro.prelude.context import context_for
 
 _EXT = EntryPoints(ExtChecker)
 typecheck = _EXT.typecheck
@@ -38,17 +40,19 @@ verify_translation = _EXT.verify_translation
 
 def check(program: str, use_prelude: bool = False) -> G.FGType:
     """Typecheck extended-F_G source; returns the program type."""
-    return context_for(ExtChecker, use_prelude).typecheck(program)[0]
+    return _first(program, use_prelude, ext=True).type_
 
 
 def run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate extended-F_G source."""
-    return context_for(ExtChecker, use_prelude).run(program)
+    return _first(program, use_prelude, ext=True, evaluate=True).value
 
 
 def verify(program: str, use_prelude: bool = False):
-    """Translation-preserves-typing check on extended-F_G source."""
-    return context_for(ExtChecker, use_prelude).verify(program)
+    """Translation-preserves-typing check on extended-F_G source; returns
+    its F_G type and the System F type of its translation."""
+    outcome = _first(program, use_prelude, ext=True, verify=True)
+    return outcome.type_, outcome.sf_type
 
 
 __all__ = [

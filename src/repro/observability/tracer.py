@@ -18,6 +18,7 @@ null-object pattern), and the hottest call sites additionally guard on
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.observability.flightrec import record_span as _flightrec_span
@@ -227,3 +228,21 @@ class NullTracer:
 
 #: The shared disabled tracer every instrumented module defaults to.
 NULL_TRACER = NullTracer()
+
+
+@contextmanager
+def stage_span(name: str, tracer, timings: Optional[Dict[str, float]],
+               memory=None):
+    """Wrap one pipeline stage in a tracer span, optional timing, and
+    (when a :class:`~repro.observability.MemoryAccountant` is threaded
+    through) per-stage peak-memory accounting.  ``fg runf`` shares it
+    without loading the F_G pipeline."""
+    start = time.perf_counter_ns() if timings is not None else 0
+    accounting = memory.stage(name) if memory is not None else nullcontext()
+    with tracer.span(f"pipeline.{name}"), accounting:
+        try:
+            yield
+        finally:
+            if timings is not None:
+                elapsed = (time.perf_counter_ns() - start) / 1e6
+                timings[name] = round(timings.get(name, 0.0) + elapsed, 3)

@@ -1,9 +1,8 @@
 """The fault-tolerant checking pipeline: lex → parse → check → run.
 
-Library entry points (:func:`repro.fg_check` etc.) are fail-fast: they raise
-the first :class:`~repro.diagnostics.Diagnostic`.  Tools want the opposite —
-report *every* independent problem, never crash, and stay within resource
-budgets.  :func:`check_source` is that driver:
+:func:`check_source` is the one driver from F_G source text to a verdict:
+it reports every independent problem, never crashes, and keeps resource
+budgets:
 
 - the resilient parser resynchronizes at statement boundaries, so several
   syntax errors surface in one run;
@@ -14,6 +13,9 @@ budgets.  :func:`check_source` is that driver:
   ``sys.getrecursionlimit()`` is untouched afterwards;
 - the only exceptions that escape are genuine bugs — the crash-resilience
   suite (``tests/properties/test_crash_resilience.py``) fuzzes this contract.
+
+The fail-fast entry points (:func:`repro.fg_check` and its kin, the REPL)
+are ``check_source(..., max_errors=1).raise_first()``.
 
 :func:`inject_fault` plants an artificial internal error at a named stage
 so the CLI's "internal error" path (exit code 3) is testable.  The
@@ -26,7 +28,6 @@ table through :func:`_maybe_fault`.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -41,6 +42,7 @@ from repro.faultinject import (  # noqa: F401 — re-exported
     install_faults,
 )
 from repro.observability import Instrumentation, NULL_TRACER
+from repro.observability.tracer import stage_span
 
 # The stages' modules load with the pipeline, so no attempt's deadline
 # clock pays for them.  Each stage still looks its names up when it runs.
@@ -68,8 +70,9 @@ class CheckOutcome:
 
     ``term``/``type_``/``translation`` are best-effort partial results and
     are only trustworthy when ``ok``; ``value`` is set when evaluation was
-    requested and succeeded, ``verified`` when the Theorem 1/2 check of the
-    emitted translation was requested and passed.
+    requested and succeeded, ``verified`` (and ``sf_type``, the System F
+    type of the translation) when the Theorem 1/2 check of the emitted
+    translation was requested and passed.
     """
 
     report: DiagnosticReport
@@ -79,6 +82,7 @@ class CheckOutcome:
     value: object = None
     evaluated: bool = False
     verified: bool = False
+    sf_type: Optional[F.Type] = None
     #: Observability snapshot (``None`` unless instrumentation was passed):
     #: ``{"timings_ms": {stage: ms, "total": ms}, "counters": {...},
     #: "histograms": {...}}`` plus ``"memory_peak_kb"`` per stage when a
@@ -93,22 +97,12 @@ class CheckOutcome:
     def ok(self) -> bool:
         return self.report.ok
 
-
-@contextmanager
-def _stage(name: str, tracer, timings: Optional[Dict[str, float]],
-           memory=None):
-    """Wrap one pipeline stage in a tracer span, optional timing, and
-    (when a :class:`~repro.observability.MemoryAccountant` is threaded
-    through) per-stage peak-memory accounting."""
-    start = time.perf_counter_ns() if timings is not None else 0
-    accounting = memory.stage(name) if memory is not None else nullcontext()
-    with tracer.span(f"pipeline.{name}"), accounting:
-        try:
-            yield
-        finally:
-            if timings is not None:
-                elapsed = (time.perf_counter_ns() - start) / 1e6
-                timings[name] = round(timings.get(name, 0.0) + elapsed, 3)
+    def raise_first(self) -> "CheckOutcome":
+        """Fail-fast: raise the report's first error unless the run is ok;
+        otherwise return the outcome."""
+        if not self.ok:
+            raise self.report.errors[0]
+        return self
 
 
 def check_source(
@@ -184,7 +178,7 @@ def _run_stages(
     try:
         # The parser recurses on nesting depth; the scope converts a stack
         # overflow on pathological input into a ResourceLimitError.
-        with _stage("parse", tracer, timings, memory), \
+        with stage_span("parse", tracer, timings, memory), \
                 resource_scope(limits):
             term, _ = parse_program_resilient(
                 text, filename, max_errors=max_errors, reporter=reporter
@@ -205,7 +199,7 @@ def _run_stages(
         from repro.extensions import ExtChecker as checker_cls
     else:
         from repro.fg.typecheck import Checker as checker_cls
-    with _stage("check", tracer, timings, memory):
+    with stage_span("check", tracer, timings, memory):
         # The program is checked at the position its library leaves for
         # it: the pre-checked prelude (built on first use) or the empty
         # library.
@@ -225,6 +219,7 @@ def _run_stages(
         return outcome
 
     verified = False
+    sf_type = None
     if verify:
         _maybe_fault("verify")
         try:
@@ -232,8 +227,8 @@ def _run_stages(
             # translation, no second F_G check.  Only the program's part is
             # typed, inside the context's typed prefix (empty without the
             # prelude).
-            with _stage("verify", tracer, timings, memory):
-                verify_emitted(
+            with stage_span("verify", tracer, timings, memory):
+                sf_type = verify_emitted(
                     type_, translation, checker=checker_cls(limits=limits),
                     context=context,
                 )
@@ -258,7 +253,7 @@ def _run_stages(
         try:
             # Only the program's part runs, inside the runtime environment
             # the context recorded; the budget is charged the prefix's steps.
-            with _stage("evaluate", tracer, timings, memory):
+            with stage_span("evaluate", tracer, timings, memory):
                 value = context.evaluate(translation, budget)
             evaluated = True
         except Diagnostic as err:
@@ -269,6 +264,7 @@ def _run_stages(
                 type_=type_,
                 translation=translation,
                 verified=verified,
+                sf_type=sf_type,
             )
         finally:
             if metrics is not None:
@@ -282,4 +278,5 @@ def _run_stages(
         value=value,
         evaluated=evaluated,
         verified=verified,
+        sf_type=sf_type,
     )

@@ -34,6 +34,9 @@ library leaves in scope for the program after it is a plain value.  A
   text, and resource trips are reported at the program's own root span;
   its ``rt_env`` is the builtins' environment, shared by every run.
 
+A context reads no source text: every check of text at a context,
+fail-fast ones included, is :func:`repro.pipeline.check_source`'s.
+
 The prelude is built lazily, on first use, under a lock; contexts are
 immutable, so threads share them freely.
 """
@@ -160,27 +163,6 @@ class PreludeContext:
         budget.resume(self.depth, self.peak_depth)
         checker._names = self.counter
         return self.env
-
-    def typecheck(self, program: str) -> Tuple[G.FGType, F.Term]:
-        """Fail-fast parse and check of ``program`` under the library."""
-        return self.check(self.checker_cls(), parse_fg(program))
-
-    def run(self, program: str):
-        """Fail-fast parse, check and evaluation of ``program`` under the
-        library."""
-        return self.evaluate(self.typecheck(program)[1], Budget())
-
-    def verify(self, program: str) -> Tuple[G.FGType, F.Type]:
-        """Theorems 1/2 for ``program`` under the library: its F_G type and
-        the System F type of its translation, typed inside the library's
-        System F prefix."""
-        from repro.fg.typecheck import verify_emitted
-
-        checker = self.checker_cls()
-        fg_type, sf_term = self.check(checker, parse_fg(program))
-        return fg_type, verify_emitted(
-            fg_type, sf_term, checker=checker, context=self
-        )
 
 
 class _StepRecorder(Budget):

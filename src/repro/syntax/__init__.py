@@ -5,18 +5,21 @@
 
 Both share the lexer in :mod:`repro.syntax.lexer` and produce positioned
 ASTs; errors are :class:`repro.diagnostics.ParseError` with source excerpts.
-The System F parser, which no F_G check runs, loads on first access.
+Each parser runs under :func:`~repro.diagnostics.resource_scope`, so too
+deep a nesting is a :class:`~repro.diagnostics.ResourceLimitError`.  Both
+load on first access: ``fg runf`` needs no F_G, an F_G check no System F.
 """
 
 from repro._lazy import lazy_exports
 from repro.syntax.lexer import Token, Tokens, TokenStream, stream, tokenize
-from repro.syntax.parser_fg import parse_program as parse_fg
-from repro.syntax.parser_fg import parse_program_resilient as parse_fg_resilient
-from repro.syntax.parser_fg import parse_type as parse_fg_type
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "parse_f": ("repro.syntax.parser_f", "parse_program"),
     "parse_f_type": ("repro.syntax.parser_f", "parse_type"),
+    "parse_fg": ("repro.syntax.parser_fg", "parse_program"),
+    "parse_fg_resilient": ("repro.syntax.parser_fg",
+                           "parse_program_resilient"),
+    "parse_fg_type": ("repro.syntax.parser_fg", "parse_type"),
 })
 
 __all__ = [

@@ -9,23 +9,26 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.diagnostics.limits import resource_scope
 from repro.syntax.lexer import TokenStream, stream
 from repro.systemf import ast as F
 
 
 def parse_program(text: str, filename: str = "<input>") -> F.Term:
     """Parse a complete System F program (one expression)."""
-    ts = stream(text, filename)
-    term = _expr(ts)
-    ts.take("EOF", "end of program")
+    with resource_scope():
+        ts = stream(text, filename)
+        term = _expr(ts)
+        ts.take("EOF", "end of program")
     return term
 
 
 def parse_type(text: str, filename: str = "<type>") -> F.Type:
     """Parse a single System F type."""
-    ts = stream(text, filename)
-    t = _type(ts)
-    ts.take("EOF", "end of type")
+    with resource_scope():
+        ts = stream(text, filename)
+        t = _type(ts)
+        ts.take("EOF", "end of type")
     return t
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.diagnostics.errors import ParseError
+from repro.diagnostics.limits import resource_scope
 from repro.diagnostics.reporter import DiagnosticReport, DiagnosticReporter
 from repro.fg import ast as G
 from repro.syntax.lexer import TokenStream, stream
@@ -42,9 +43,10 @@ from repro.syntax.lexer import TokenStream, stream
 
 def parse_program(text: str, filename: str = "<input>") -> G.Term:
     """Parse a complete F_G program (one expression)."""
-    ts = stream(text, filename)
-    term = _expr(ts)
-    ts.take("EOF", "end of program")
+    with resource_scope():
+        ts = stream(text, filename)
+        term = _expr(ts)
+        ts.take("EOF", "end of program")
     return term
 
 
@@ -107,9 +109,10 @@ def _resynchronize(ts: TokenStream) -> bool:
 
 def parse_type(text: str, filename: str = "<type>") -> G.FGType:
     """Parse a single F_G type."""
-    ts = stream(text, filename)
-    t = _type(ts)
-    ts.take("EOF", "end of type")
+    with resource_scope():
+        ts = stream(text, filename)
+        t = _type(ts)
+        ts.take("EOF", "end of type")
     return t
 
 

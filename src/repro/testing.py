@@ -1,8 +1,8 @@
 """Helpers for testing F_G programs (used by the test suite; public API).
 
-These wrap the parse/typecheck/translate/evaluate pipeline with the calls a
-test (or a downstream user's test) makes constantly, plus the deterministic
-mutation fuzzer behind the crash-resilience suite
+These are the calls a test (or a downstream user's test) makes constantly,
+each the pipeline stopped at its first diagnostic (as :func:`repro.fg_run`),
+plus the deterministic mutation fuzzer behind the crash-resilience suite
 (``tests/properties/test_crash_resilience.py``): :func:`mutate_source`
 corrupts a known-good program at the token level and :func:`run_fuzz`
 asserts the fault-tolerant pipeline never lets anything but a
@@ -28,29 +28,27 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro import _first, fg_run, fg_verify
 from repro.diagnostics.errors import Diagnostic, TypeError_
 from repro.diagnostics.limits import Limits
 from repro.fg import ast as G
-from repro.fg import evaluate as _fg_evaluate
-from repro.fg import typecheck as _fg_typecheck
-from repro.fg import verify_translation as _verify
-from repro.syntax import parse_fg
 from repro.systemf import ast as F
 
 
 def run_src(source: str):
     """Parse, typecheck, translate, and evaluate F_G source."""
-    return _fg_evaluate(parse_fg(source))
+    return fg_run(source)
 
 
 def check_src(source: str) -> Tuple[G.FGType, F.Term]:
     """Parse and typecheck F_G source; returns (fg_type, sf_term)."""
-    return _fg_typecheck(parse_fg(source))
+    outcome = _first(source, False)
+    return outcome.type_, outcome.translation
 
 
 def verify_src(source: str):
     """Theorem 1/2 check on F_G source; returns (fg_type, sf_type)."""
-    return _verify(parse_fg(source))
+    return fg_verify(source)
 
 
 def reject_src(source: str) -> TypeError_:

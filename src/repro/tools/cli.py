@@ -367,7 +367,7 @@ def _run_runf(args: argparse.Namespace) -> int:
     spans, timings and ``eval.steps`` still apply."""
     from repro.diagnostics.limits import Budget
     from repro.observability import NULL_TRACER
-    from repro.pipeline import _stage
+    from repro.observability.tracer import stage_span
     from repro.syntax.parser_f import parse_program as parse_f
     from repro.systemf import evaluate as f_evaluate
     from repro.systemf import type_of as f_type_of
@@ -381,11 +381,11 @@ def _run_runf(args: argparse.Namespace) -> int:
     budget = Budget(_limits(args, args.deadline_ms))
     total_start = time.perf_counter_ns()
     with tracer.span("pipeline.runf", filename=filename):
-        with _stage("parse", tracer, timings):
+        with stage_span("parse", tracer, timings):
             term = parse_f(text, filename)
-        with _stage("check", tracer, timings):
+        with stage_span("check", tracer, timings):
             f_type_of(term)
-        with _stage("evaluate", tracer, timings):
+        with stage_span("evaluate", tracer, timings):
             value = f_evaluate(term, budget=budget)
     total_ms = round((time.perf_counter_ns() - total_start) / 1e6, 3)
     print(render_value(value))

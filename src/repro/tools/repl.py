@@ -17,7 +17,8 @@ Commands: ``:type e``, ``:translate e``, ``:errors e``, ``:explain e``,
 ``:fuel N``, ``:maxerrors N``, ``:stats``, ``:trace on|off``, ``:quit``.
 Incomplete input (unexpected end of file) continues on the next line.
 
-Every entry is checked at a library context (:mod:`repro.prelude.context`):
+Every entry is :func:`repro.pipeline.check_source` stopped at its first
+diagnostic, at a library context (:mod:`repro.prelude.context`):
 ``:prelude`` switches from the empty library to the pre-checked prelude, so
 only the session's own declarations and the entry are parsed and checked,
 and diagnostics point at ``<repl>`` lines.
@@ -41,8 +42,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.diagnostics.errors import Diagnostic, ParseError
+from repro.diagnostics.limits import Limits
 from repro.fg import pretty_type
-from repro.observability import Instrumentation, MetricsRegistry
+from repro.observability import (
+    NULL_TRACER, Instrumentation, MetricsRegistry, Tracer,
+)
+from repro.pipeline import check_source
 from repro.syntax import parse_fg
 from repro.systemf import pretty_term as f_pretty_term
 from repro.systemf.eval import render_value
@@ -72,26 +77,22 @@ class Repl:
     def _program(self, expr: str) -> str:
         return "\n".join(self.decls + [expr])
 
-    def _context(self):
-        """The session's library context."""
-        if self.use_ext:
-            from repro.extensions import ExtChecker as checker_cls
-        else:
-            from repro.fg.typecheck import Checker as checker_cls
-        from repro.prelude.context import context_for
+    def _run(self, expr: str, **options):
+        """``expr`` after the session's declarations, through the pipeline
+        at the session's library."""
+        return check_source(
+            self._program(expr), "<repl>", prelude=self.prelude,
+            ext=self.use_ext, **options,
+        )
 
-        return context_for(checker_cls, self.prelude)
-
-    def _typecheck(self, program: str, instrumentation):
-        """Fail-fast check of ``program`` at the session's library."""
-        context = self._context()
-        checker = context.checker_cls(instrumentation=instrumentation)
-        return context.check(checker, parse_fg(program, "<repl>"))
-
-    def _check(self, expr: str, tracer=None):
-        inst = Instrumentation(metrics=self.metrics) if tracer is None else \
-            Instrumentation(tracer=tracer, metrics=self.metrics)
-        return self._typecheck(self._program(expr), inst)
+    def _check(self, expr: str, *, evaluate: bool = False,
+               tracer=NULL_TRACER):
+        """:meth:`_run` stopped at its first diagnostic."""
+        return self._run(
+            expr, max_errors=1, limits=Limits(max_eval_steps=self.fuel),
+            evaluate=evaluate,
+            instrumentation=Instrumentation(tracer, self.metrics),
+        ).raise_first()
 
     # -- the interface ---------------------------------------------------------
 
@@ -185,25 +186,13 @@ class Repl:
             ends_with_in = re.search(r"\bin\s*$", text) is not None
             candidate = text if ends_with_in else text + " in"
             # Validate by checking a trivial body under the new prefix.
-            self._typecheck(
-                "\n".join(self.decls + [candidate, "0"]),
-                Instrumentation(metrics=self.metrics),
-            )
+            self._check(candidate + "\n0")
             self.decls.append(candidate)
             return f"-- declared ({first_word})"
-        tracer = None
+        tracer = Tracer() if self.trace_on else NULL_TRACER
+        outcome = self._check(text, evaluate=True, tracer=tracer)
+        out = f"{render_value(outcome.value)} : {pretty_type(outcome.type_)}"
         if self.trace_on:
-            from repro.observability import Tracer
-
-            tracer = Tracer()
-        fg_type, sf = self._check(text, tracer=tracer)
-        from repro.diagnostics.limits import Budget, Limits
-
-        budget = Budget(Limits(max_eval_steps=self.fuel))
-        value = self._context().evaluate(sf, budget)
-        self.metrics.inc("eval.steps", budget.steps_taken)
-        out = f"{render_value(value)} : {pretty_type(fg_type)}"
-        if tracer is not None:
             from repro.observability.exporters import render_tree
 
             out += "\n-- trace:\n" + render_tree(tracer)
@@ -218,23 +207,15 @@ class Repl:
         if command == ":type":
             if not arg:
                 return "usage: :type <expr>"
-            fg_type, _ = self._check(arg)
-            return pretty_type(fg_type)
+            return pretty_type(self._check(arg).type_)
         if command == ":translate":
             if not arg:
                 return "usage: :translate <expr>"
-            _, sf = self._check(arg)
-            return f_pretty_term(sf)
+            return f_pretty_term(self._check(arg).translation)
         if command == ":errors":
             if not arg:
                 return "usage: :errors <expr>"
-            from repro.pipeline import check_source
-
-            outcome = check_source(
-                self._program(arg), "<repl>", prelude=self.prelude,
-                ext=self.use_ext,
-                max_errors=self.max_errors,
-            )
+            outcome = self._run(arg, max_errors=self.max_errors)
             if outcome.ok:
                 return "-- no errors"
             return outcome.report.render()
@@ -242,13 +223,10 @@ class Repl:
             if not arg:
                 return "usage: :explain <expr>"
             from repro.observability import ExplainLog
-            from repro.pipeline import check_source
 
             log = ExplainLog()
-            outcome = check_source(
-                self._program(arg), "<repl>", prelude=self.prelude,
-                ext=self.use_ext,
-                max_errors=self.max_errors,
+            outcome = self._run(
+                arg, max_errors=self.max_errors,
                 instrumentation=Instrumentation(
                     metrics=self.metrics, explain=log
                 ),
@@ -263,15 +241,12 @@ class Repl:
             if not arg:
                 return "usage: :profile <expr>"
             from repro.observability import (
-                MemoryAccountant, Tracer, format_profile, profile_tracer,
+                MemoryAccountant, format_profile, profile_tracer,
             )
-            from repro.pipeline import check_source
 
             tracer, memory = Tracer(), MemoryAccountant()
-            outcome = check_source(
-                self._program(arg), "<repl>", prelude=self.prelude,
-                ext=self.use_ext,
-                max_errors=self.max_errors, evaluate=True,
+            outcome = self._run(
+                arg, max_errors=self.max_errors, evaluate=True,
                 instrumentation=Instrumentation(
                     tracer=tracer, metrics=self.metrics, memory=memory,
                 ),

@@ -38,7 +38,7 @@ from repro.observability import Instrumentation, MetricsRegistry
 from repro.pipeline import check_source
 from repro.prelude import PRELUDE, context_for, wrap
 from repro.prelude import context as prelude_context
-from repro.syntax import parse_fg_resilient
+from repro.syntax import parse_fg, parse_fg_resilient
 from repro.systemf import ast as F
 from repro.systemf import evaluate, pretty_term, pretty_type
 from repro.systemf import type_of as sf_type_of
@@ -114,6 +114,12 @@ def pre_checked(text, filename="<input>", limits=None, ext=False):
         "peak_depth": counters.get("check.peak_depth"),
         "diagnostics": _diag_rows(outcome.report),
     }
+
+
+def _typecheck(context, text):
+    """Fail-fast parse and check of ``text`` at ``context``: its type and
+    spliced translation."""
+    return context.check(context.checker_cls(), parse_fg(text))
 
 
 def _parse_edit(text):
@@ -295,7 +301,7 @@ class TestVerifyTrustsOnlyTheContextsPrefix:
 
     def _translation(self):
         context = context_for()
-        fg_type, sf_term = context.typecheck("accumulate[int](range(1, 11))")
+        fg_type, sf_term = _typecheck(context, "accumulate[int](range(1, 11))")
         user = sf_term
         for _ in context.prefix:
             user = user.body
@@ -402,7 +408,7 @@ class TestRuntimePrefix:
         context = context_for(checker_cls, prelude)
         trips = set()
         for text in EVAL_PROGRAMS[prelude]:
-            _, sf_term = context.typecheck(text)
+            _, sf_term = _typecheck(context, text)
             for fuel in range(len(context.eval_spans) + 65):
                 limits = Limits(max_eval_steps=fuel)
                 new = _evaluation(context.evaluate, sf_term, limits)
@@ -420,7 +426,7 @@ class TestRuntimePrefix:
 
     def test_the_prefix_steps_are_counted(self):
         context = context_for()
-        _, sf_term = context.typecheck("square[int](7)")
+        _, sf_term = _typecheck(context, "square[int](7)")
         result, steps, _ = _evaluation(context.evaluate, sf_term, None)
         assert result == ("value", 49)
         assert len(context.eval_spans) < steps
@@ -430,7 +436,8 @@ class TestRuntimePrefix:
                              ids=["prelude", "empty"])
     def test_a_stack_trip_is_reported_at_the_whole_term(self, prelude):
         context = context_for(Checker, prelude)
-        _, sf_term = context.typecheck(
+        _, sf_term = _typecheck(
+            context,
             "let f = fix (\\f : fn(int) -> int. \\n : int. "
             "if ieq(n, 0) then 0 else iadd(1, f(isub(n, 1)))) in f(100000)"
         )
@@ -444,7 +451,7 @@ class TestRuntimePrefix:
 
     def test_a_foreign_prefix_is_refused(self):
         context = context_for()
-        _, sf_term = context.typecheck("square[int](7)")
+        _, sf_term = _typecheck(context, "square[int](7)")
         with pytest.raises(ValueError, match="System F prefix"):
             context.evaluate(sf_term.body, Budget())
 
@@ -464,7 +471,7 @@ class TestRuntimePrefix:
 
     def test_threads_share_the_environment(self):
         context = context_for()
-        terms = [context.typecheck(case.text)[1]
+        terms = [_typecheck(context, case.text)[1]
                  for case in _prelude_lib_cases() if case.prelude]
         serial = [_evaluation(context.evaluate, t, None) for t in terms]
         before = _frames(context.rt_env)

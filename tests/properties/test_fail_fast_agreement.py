@@ -4,12 +4,14 @@ Every recovery point of the checker hands its type error to
 ``Checker._report``, which raises it when no reporter is installed and
 records it otherwise; nothing else tells the two modes apart.  So for a
 program that parses, checking it fail-fast (``context.check`` with a
-reporter-less checker, what ``repro.fg_check`` runs) must raise the very
-diagnostic, class and rendered text, that ``check_source(...,
-max_errors=1)`` reports, and must give the same type and translation when
-the program is accepted.  The lexer stops at the reporter's cap, so a
-program that fails in the lexer is compared too: fail-fast parsing raises
-its first lex error, the one a one-error run reports.
+reporter-less checker) must raise the very diagnostic, class and rendered
+text, that ``check_source(..., max_errors=1)`` reports, and must give the
+same type and translation when the program is accepted.  The lexer and the
+resilient parser stop at the reporter's cap, so a program that fails in
+the lexer or the parser is compared too: fail-fast parsing raises its first
+lex or parse error, the one a one-error run reports.  This agreement is
+what lets every fail-fast entry point (``repro.fg_check`` and its kin) be
+``check_source(..., max_errors=1)`` stopped at its first diagnostic.
 
 Compared for the core and the extended checker, at the empty library and at
 the prelude, over
@@ -17,7 +19,8 @@ the prelude, over
 - ``examples/fg`` and the in-process fgbench workloads at seeds 1-3;
 - ``mutate_source`` mutants of ``FUZZ_SEEDS``: the first
   ``FG_FUZZ_MUTANTS`` (default 500) one-mutation mutants that still parse,
-  and the first fifth as many that fail in the lexer;
+  as many that fail in the parser, and a fifth as many that fail in the
+  lexer;
 - ``fg_gen`` programs, as generated and with their first integer literal
   turned into ``true``.
 """
@@ -33,7 +36,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.diagnostics.errors import LexError, TypeError_
+from repro.diagnostics.errors import (
+    Diagnostic, LexError, ParseError, TypeError_,
+)
 from repro.diagnostics.limits import Limits, ResourceLimitError
 from repro.extensions import ExtChecker
 from repro.fg.typecheck import Checker
@@ -65,7 +70,7 @@ def fail_fast(text, name, prelude, ext):
         fg_type, translation = context.check(
             checker_cls(limits=LIMITS), parse_fg(text, name)
         )
-    except (LexError, TypeError_, ResourceLimitError) as err:
+    except (LexError, ParseError, TypeError_, ResourceLimitError) as err:
         return type(err).__name__, str(err)
     return "ok", str(fg_type), translation
 
@@ -83,7 +88,7 @@ def collecting(text, name, prelude, ext):
 def parses(text) -> bool:
     try:
         parse_fg(text)
-    except Exception:  # noqa: BLE001 - only programs that parse are compared
+    except Diagnostic:
         return False
     return True
 
@@ -101,8 +106,6 @@ def disagreements(programs):
     how many checks agreed and how many of those were rejections."""
     diffs, rejected, checked = [], 0, 0
     for name, text in programs:
-        if not (parses(text) or lex_fails(text)):
-            continue
         for prelude in (False, True):
             for ext in (False, True):
                 want = fail_fast(text, name, prelude, ext)
@@ -158,6 +161,14 @@ def test_fuzz_mutants():
     diffs, rejected, checked = disagreements(mutants(MUTANTS, parses))
     assert diffs == []
     assert checked == 4 * MUTANTS and rejected > checked // 4
+
+
+def test_mutants_that_fail_in_the_parser():
+    diffs, rejected, checked = disagreements(
+        mutants(MUTANTS, lambda text: not (parses(text) or lex_fails(text)))
+    )
+    assert diffs == []
+    assert checked == rejected == 4 * MUTANTS
 
 
 def test_mutants_that_fail_in_the_lexer():

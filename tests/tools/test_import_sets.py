@@ -11,6 +11,7 @@ loaded everything) and reads the set of ``repro`` modules it loaded:
 - the client loads the wire protocol, not the daemon;
 - ``fg run`` and ``fg check`` load neither the REPL nor the printers the
   subcommand does not print with;
+- ``fg runf``, which checks and runs System F only, loads no F_G module;
 - every package's public names resolve to the objects the eager imports
   gave before the package inits re-exported on demand.
 """
@@ -125,6 +126,16 @@ def test_one_shot_commands_load_no_repl(command, printer, unused):
     assert printer in loaded
     assert not _under(loaded, "repro.tools.repl", "repro.fg.interp",
                       "repro.syntax.parser_f", *unused)
+
+
+def test_runf_loads_no_f_g_module():
+    loaded = _loaded("""
+        from repro.tools.cli import main
+        assert main(["runf", "-e", "iadd(1, 2)"]) == 0
+    """)
+    assert {"repro.syntax.parser_f", "repro.systemf.eval"} <= loaded
+    assert not _under(loaded, "repro.fg", "repro.prelude", "repro.pipeline",
+                      "repro.extensions", "repro.syntax.parser_fg")
 
 
 #: Each package's ``__all__`` and the object every name gave when the
