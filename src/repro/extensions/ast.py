@@ -9,13 +9,12 @@ AST — *defaults for concept members*.  The core checker rejects these nodes;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
+from repro.diagnostics.source import Span
 from repro.fg.ast import ConceptReq, ModelDef, SameType, Term
 
 
-@dataclass(frozen=True)
 class NamedModelExpr(Term):
     """``model name = C<taus> { ... } in body``.
 
@@ -25,20 +24,28 @@ class NamedModelExpr(Term):
     overlapping models the paper points to (section 6, "named models").
     """
 
-    name: str = ""
-    model: ModelDef = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("name", "model", "body")
+
+    def __init__(self, span: Optional[Span] = None, name: str = "",
+                 model: ModelDef = None, body: Term = None) -> None:
+        self.span = span
+        self.name = name
+        self.model = model
+        self.body = body
 
 
-@dataclass(frozen=True)
 class UseModelsExpr(Term):
     """``use m1, m2 in body`` — adopt named models for implicit lookup."""
 
-    names: Tuple[str, ...] = ()
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("names", "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 names: Tuple[str, ...] = (), body: Term = None) -> None:
+        self.span = span
+        self.names = names
+        self.body = body
 
 
-@dataclass(frozen=True)
 class OverloadExpr(Term):
     """``overload f { alt1; alt2; ... } in body`` — algorithm specialization.
 
@@ -51,12 +58,17 @@ class OverloadExpr(Term):
     specialization"; Jarvi, Willcock & Lumsdaine 2004).
     """
 
-    name: str = ""
-    alternatives: Tuple[Term, ...] = ()
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("name", "alternatives", "body")
+
+    def __init__(self, span: Optional[Span] = None, name: str = "",
+                 alternatives: Tuple[Term, ...] = (),
+                 body: Term = None) -> None:
+        self.span = span
+        self.name = name
+        self.alternatives = alternatives
+        self.body = body
 
 
-@dataclass(frozen=True)
 class ParamModelExpr(Term):
     """``model forall t... where reqs. C<taus> { ... } in body``.
 
@@ -67,8 +79,17 @@ class ParamModelExpr(Term):
     type arguments and the dictionaries its own where clause demands.
     """
 
-    vars: Tuple[str, ...] = ()
-    requirements: Tuple[ConceptReq, ...] = ()
-    same_types: Tuple[SameType, ...] = ()
-    model: ModelDef = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("vars", "requirements", "same_types", "model",
+                           "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 vars: Tuple[str, ...] = (),
+                 requirements: Tuple[ConceptReq, ...] = (),
+                 same_types: Tuple[SameType, ...] = (),
+                 model: ModelDef = None, body: Term = None) -> None:
+        self.span = span
+        self.vars = vars
+        self.requirements = requirements
+        self.same_types = same_types
+        self.model = model
+        self.body = body

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.diagnostics.source import Span
-from repro.systemf.ast import rename_binders
+from repro.systemf.ast import Node, rename_binders
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +297,14 @@ class ConceptReq(FGType):
         return f"{self.concept}<{', '.join(map(str, self.args))}>"
 
 
-@dataclass(frozen=True)
-class SameType:
+class SameType(Node):
     """A same-type constraint ``tau == tau'`` (paper section 5)."""
 
-    left: FGType
-    right: FGType
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: FGType, right: FGType) -> None:
+        self.left = left
+        self.right = right
 
     def __str__(self) -> str:
         return f"{self.left} == {self.right}"
@@ -585,8 +586,7 @@ def _substitute_term(e: "Term", subst) -> "Term":
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConceptDef:
+class ConceptDef(Node):
     """The payload of ``concept c<t...> { ... }``.
 
     ``assoc_types`` are required nested type names; ``refines`` lists refined
@@ -596,157 +596,254 @@ class ConceptDef:
     requirements on associated types (paper section 6, "nested
     requirements") — e.g. a container's iterator type must itself model
     Iterator.  Nested requirements contribute dictionary components after
-    the refinements and before the members.
+    the refinements and before the members.  ``defaults`` are default
+    member bodies (section 6 extension); keys must name members.  Core F_G
+    ignores defaults — they take effect under :mod:`repro.extensions`.
     """
 
-    name: str
-    params: Tuple[str, ...]
-    assoc_types: Tuple[str, ...] = ()
-    refines: Tuple[ConceptReq, ...] = ()
-    members: Tuple[Tuple[str, FGType], ...] = ()
-    same_types: Tuple[SameType, ...] = ()
-    nested: Tuple[ConceptReq, ...] = ()
-    #: Default member bodies (section 6 extension); keys must name members.
-    #: Core F_G ignores defaults — they take effect under
-    #: :mod:`repro.extensions`.
-    defaults: Tuple[Tuple[str, "Term"], ...] = ()
+    __slots__ = _fields = ("name", "params", "assoc_types", "refines",
+                           "members", "same_types", "nested", "defaults")
+
+    def __init__(
+        self,
+        name: str,
+        params: Tuple[str, ...],
+        assoc_types: Tuple[str, ...] = (),
+        refines: Tuple[ConceptReq, ...] = (),
+        members: Tuple[Tuple[str, FGType], ...] = (),
+        same_types: Tuple[SameType, ...] = (),
+        nested: Tuple[ConceptReq, ...] = (),
+        defaults: Tuple[Tuple[str, "Term"], ...] = (),
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.assoc_types = assoc_types
+        self.refines = refines
+        self.members = members
+        self.same_types = same_types
+        self.nested = nested
+        self.defaults = defaults
 
     def member_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.members)
 
 
-@dataclass(frozen=True)
-class ModelDef:
+class ModelDef(Node):
     """The payload of ``model c<tau...> { ... }``.
 
     ``type_assignments`` give each required associated type a definition;
     ``member_defs`` give each required operation an implementation.
     """
 
-    concept: str
-    args: Tuple[FGType, ...]
-    type_assignments: Tuple[Tuple[str, FGType], ...] = ()
-    member_defs: Tuple[Tuple[str, "Term"], ...] = ()
+    __slots__ = _fields = ("concept", "args", "type_assignments",
+                           "member_defs")
+
+    def __init__(
+        self,
+        concept: str,
+        args: Tuple[FGType, ...],
+        type_assignments: Tuple[Tuple[str, FGType], ...] = (),
+        member_defs: Tuple[Tuple[str, "Term"], ...] = (),
+    ) -> None:
+        self.concept = concept
+        self.args = args
+        self.type_assignments = type_assignments
+        self.member_defs = member_defs
 
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
+#
+# Each constructor takes ``span`` first, then the fields in ``_fields``
+# order, each with a default, so keyword and positional calls both work.
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Node):
     """Base class of F_G terms."""
 
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None) -> None:
+        self.span = span
+
+    def __reduce__(self):
+        # The constructor takes the span first.
+        return (type(self),
+                (self.span, *[getattr(self, f) for f in self._fields]))
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str = ""
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, span: Optional[Span] = None, name: str = "") -> None:
+        self.span = span
+        self.name = name
 
 
-@dataclass(frozen=True)
 class IntLit(Term):
-    value: int = 0
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, span: Optional[Span] = None, value: int = 0) -> None:
+        self.span = span
+        self.value = value
 
 
-@dataclass(frozen=True)
 class BoolLit(Term):
-    value: bool = False
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, span: Optional[Span] = None,
+                 value: bool = False) -> None:
+        self.span = span
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     """``\\x1:t1, ..., xn:tn. body``."""
 
-    params: Tuple[Tuple[str, FGType], ...] = ()
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("params", "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 params: Tuple[Tuple[str, FGType], ...] = (),
+                 body: Term = None) -> None:
+        self.span = span
+        self.params = params
+        self.body = body
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term = None  # type: ignore[assignment]
-    args: Tuple[Term, ...] = ()
+    __slots__ = _fields = ("fn", "args")
+
+    def __init__(self, span: Optional[Span] = None, fn: Term = None,
+                 args: Tuple[Term, ...] = ()) -> None:
+        self.span = span
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
 class TyLam(Term):
     """``/\\t... where reqs; sames. body`` — generic function (Figs. 4, 11)."""
 
-    vars: Tuple[str, ...] = ()
-    requirements: Tuple[ConceptReq, ...] = ()
-    same_types: Tuple[SameType, ...] = ()
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("vars", "requirements", "same_types", "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 vars: Tuple[str, ...] = (),
+                 requirements: Tuple[ConceptReq, ...] = (),
+                 same_types: Tuple[SameType, ...] = (),
+                 body: Term = None) -> None:
+        self.span = span
+        self.vars = vars
+        self.requirements = requirements
+        self.same_types = same_types
+        self.body = body
 
 
-@dataclass(frozen=True)
 class TyApp(Term):
     """Instantiation ``e[tau...]``: triggers model lookup."""
 
-    fn: Term = None  # type: ignore[assignment]
-    args: Tuple[FGType, ...] = ()
+    __slots__ = _fields = ("fn", "args")
+
+    def __init__(self, span: Optional[Span] = None, fn: Term = None,
+                 args: Tuple[FGType, ...] = ()) -> None:
+        self.span = span
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
 class Let(Term):
-    name: str = ""
-    bound: Term = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("name", "bound", "body")
+
+    def __init__(self, span: Optional[Span] = None, name: str = "",
+                 bound: Term = None, body: Term = None) -> None:
+        self.span = span
+        self.name = name
+        self.bound = bound
+        self.body = body
 
 
-@dataclass(frozen=True)
 class Tuple_(Term):
-    items: Tuple[Term, ...] = ()
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, span: Optional[Span] = None,
+                 items: Tuple[Term, ...] = ()) -> None:
+        self.span = span
+        self.items = items
 
 
-@dataclass(frozen=True)
 class Nth(Term):
-    tuple_: Term = None  # type: ignore[assignment]
-    index: int = 0
+    __slots__ = _fields = ("tuple_", "index")
+
+    def __init__(self, span: Optional[Span] = None, tuple_: Term = None,
+                 index: int = 0) -> None:
+        self.span = span
+        self.tuple_ = tuple_
+        self.index = index
 
 
-@dataclass(frozen=True)
 class If(Term):
-    cond: Term = None  # type: ignore[assignment]
-    then: Term = None  # type: ignore[assignment]
-    else_: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("cond", "then", "else_")
+
+    def __init__(self, span: Optional[Span] = None, cond: Term = None,
+                 then: Term = None, else_: Term = None) -> None:
+        self.span = span
+        self.cond = cond
+        self.then = then
+        self.else_ = else_
 
 
-@dataclass(frozen=True)
 class Fix(Term):
-    fn: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("fn",)
+
+    def __init__(self, span: Optional[Span] = None, fn: Term = None) -> None:
+        self.span = span
+        self.fn = fn
 
 
-@dataclass(frozen=True)
 class ConceptExpr(Term):
     """``concept c<t...> { ... } in body`` — scoped concept declaration."""
 
-    concept: ConceptDef = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("concept", "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 concept: ConceptDef = None, body: Term = None) -> None:
+        self.span = span
+        self.concept = concept
+        self.body = body
 
 
-@dataclass(frozen=True)
 class ModelExpr(Term):
     """``model c<tau...> { ... } in body`` — scoped model declaration."""
 
-    model: ModelDef = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("model", "body")
+
+    def __init__(self, span: Optional[Span] = None, model: ModelDef = None,
+                 body: Term = None) -> None:
+        self.span = span
+        self.model = model
+        self.body = body
 
 
-@dataclass(frozen=True)
 class MemberAccess(Term):
     """``c<tau...>.x`` — extract an operation from a model (MEM rule)."""
 
-    concept: str = ""
-    args: Tuple[FGType, ...] = ()
-    member: str = ""
+    __slots__ = _fields = ("concept", "args", "member")
+
+    def __init__(self, span: Optional[Span] = None, concept: str = "",
+                 args: Tuple[FGType, ...] = (), member: str = "") -> None:
+        self.span = span
+        self.concept = concept
+        self.args = args
+        self.member = member
 
 
-@dataclass(frozen=True)
 class TypeAlias(Term):
     """``type t = tau in body`` (Fig. 11, ALS rule)."""
 
-    name: str = ""
-    aliased: FGType = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("name", "aliased", "body")
+
+    def __init__(self, span: Optional[Span] = None, name: str = "",
+                 aliased: FGType = None, body: Term = None) -> None:
+        self.span = span
+        self.name = name
+        self.aliased = aliased
+        self.body = body

@@ -52,7 +52,7 @@ class _ErrorLimit(Exception):
 
 def _poison_term(span=None) -> F.Term:
     """The System F placeholder standing in for an unchecked definition."""
-    return F.Tuple_(span=span, items=())
+    return F.Tuple_(span, ())
 
 
 def _register_model(env: Env, info: ModelInfo, equalities) -> Env:
@@ -337,9 +337,9 @@ class Checker:
         """The System F expression for a model's dictionary: ``nth ... d``."""
         if info.prebuilt is not None:
             return info.prebuilt  # type: ignore[return-value]
-        expr: F.Term = F.Var(name=info.dict_var)
+        expr: F.Term = F.Var(None, info.dict_var)
         for index in info.path:
-            expr = F.Nth(tuple_=expr, index=index)
+            expr = F.Nth(None, expr, index)
         return expr
 
     # ------------------------------------------------------------------
@@ -589,13 +589,13 @@ class Checker:
         t = env.lookup_var(term.name)
         if t is None:
             raise TypeError_(f"unbound variable '{term.name}'", term.span)
-        return t, F.Var(span=term.span, name=term.name)
+        return t, F.Var(term.span, term.name)
 
     def _check_int(self, term: G.IntLit, env: Env):
-        return G.INT, F.IntLit(span=term.span, value=term.value)
+        return G.INT, F.IntLit(term.span, term.value)
 
     def _check_bool(self, term: G.BoolLit, env: Env):
-        return G.BOOL, F.BoolLit(span=term.span, value=term.value)
+        return G.BOOL, F.BoolLit(term.span, term.value)
 
     # -- ABS / APP ----------------------------------------------------------
 
@@ -609,7 +609,7 @@ class Checker:
         body_type, body_sf = self.check(term.body, inner)
         return (
             G.TFn(tuple(pt for _, pt in term.params), body_type),
-            F.Lam(span=term.span, params=tuple(sf_params), body=body_sf),
+            F.Lam(term.span, tuple(sf_params), body_sf),
         )
 
     def _check_app(self, term: G.App, env: Env):
@@ -641,9 +641,7 @@ class Checker:
                     arg.span or term.span,
                 )
             sf_args.append(arg_sf)
-        return fn_type.result, F.App(
-            span=term.span, fn=fn_sf, args=tuple(sf_args)
-        )
+        return fn_type.result, F.App(term.span, fn_sf, tuple(sf_args))
 
     # -- TABS / TAPP ----------------------------------------------------------
 
@@ -666,14 +664,8 @@ class Checker:
             G.substitute(body_type, requalify),
         )
         if term.requirements:
-            body_sf = F.Lam(
-                span=term.span, params=where.dict_params, body=body_sf
-            )
-        sf = F.TyLam(
-            span=term.span,
-            vars=tuple(term.vars) + where.assoc_vars,
-            body=body_sf,
-        )
+            body_sf = F.Lam(term.span, where.dict_params, body_sf)
+        sf = F.TyLam(term.span, tuple(term.vars) + where.assoc_vars, body_sf)
         return result_type, sf
 
     def _check_tyapp(self, term: G.TyApp, env: Env):
@@ -699,9 +691,9 @@ class Checker:
             self._metrics.inc("typecheck.instantiations")
             self._metrics.inc("typecheck.substitutions", len(term.args))
         result_type, sf_tyargs, dict_args = instance
-        sf: F.Term = F.TyApp(span=term.span, fn=fn_sf, args=sf_tyargs)
+        sf: F.Term = F.TyApp(term.span, fn_sf, sf_tyargs)
         if dict_args is not None:
-            sf = F.App(span=term.span, fn=sf, args=dict_args)
+            sf = F.App(term.span, sf, dict_args)
         return result_type, sf
 
     def _instantiate(self, fn_type: G.FGType, args: Tuple[G.FGType, ...],
@@ -802,9 +794,7 @@ class Checker:
         body_type, body_sf = self.check(
             term.body, env.bind_var(term.name, bound_type)
         )
-        return body_type, F.Let(
-            span=term.span, name=term.name, bound=bound_sf, body=body_sf
-        )
+        return body_type, F.Let(term.span, term.name, bound_sf, body_sf)
 
     def _check_tuple(self, term: G.Tuple_, env: Env):
         types = []
@@ -813,9 +803,7 @@ class Checker:
             t, sf = self.check(item, env)
             types.append(t)
             terms.append(sf)
-        return G.TTuple(tuple(types)), F.Tuple_(
-            span=term.span, items=tuple(terms)
-        )
+        return G.TTuple(tuple(types)), F.Tuple_(term.span, tuple(terms))
 
     def _check_nth(self, term: G.Nth, env: Env):
         tuple_type, tuple_sf = self.check(term.tuple_, env)
@@ -831,7 +819,7 @@ class Checker:
                 f"tuple index {term.index} out of range", term.span
             )
         return tuple_type.items[term.index], F.Nth(
-            span=term.span, tuple_=tuple_sf, index=term.index
+            term.span, tuple_sf, term.index
         )
 
     def _check_if(self, term: G.If, env: Env):
@@ -850,9 +838,7 @@ class Checker:
                 f"{self.rep(else_type, env)}",
                 term.span,
             )
-        return then_type, F.If(
-            span=term.span, cond=cond_sf, then=then_sf, else_=else_sf
-        )
+        return then_type, F.If(term.span, cond_sf, then_sf, else_sf)
 
     def _check_fix(self, term: G.Fix, env: Env):
         fn_type, fn_sf = self.check(term.fn, env)
@@ -871,7 +857,7 @@ class Checker:
                 f"fix is restricted to function-typed fixpoints (got {result})",
                 term.span,
             )
-        return result, F.Fix(span=term.span, fn=fn_sf)
+        return result, F.Fix(term.span, fn_sf)
 
     # -- CPT: concept declaration (Figures 9 and 13) ---------------------------
 
@@ -984,11 +970,9 @@ class Checker:
         inner = enter(env, info, equalities)
         body_type, body_sf = self.check(term.body, inner)
         result_type = self.leave_model(body_type, inner, env, term.span)
-        out: F.Term = F.Let(
-            span=term.span, name=info.dict_var, bound=dictionary, body=body_sf
-        )
+        out: F.Term = F.Let(term.span, info.dict_var, dictionary, body_sf)
         for var, bound in reversed(bindings):
-            out = F.Let(span=term.span, name=var, bound=bound, body=out)
+            out = F.Let(term.span, var, bound, out)
         return result_type, out
 
     def leave_model(self, body_type: G.FGType, inner: Env, env: Env,
@@ -1112,8 +1096,8 @@ class Checker:
         )
         info = ModelInfo(cdef.name, mdef.args, dict_var, (), assigned)
         dictionary = F.Tuple_(
-            span=span,
-            items=tuple(self.dict_expr(i) for i in refined_infos)
+            span,
+            tuple(self.dict_expr(i) for i in refined_infos)
             + tuple(member_exprs),
         )
         return info, equalities, bindings, dictionary
@@ -1187,10 +1171,10 @@ class Checker:
                     "members)",
                     term.span,
                 )
-            return self.rep(entry.type, env), F.Var(span=term.span, name=bound)
+            return self.rep(entry.type, env), F.Var(term.span, bound)
         expr: F.Term = self.dict_expr(info)
         for index in entry.path:
-            expr = F.Nth(span=term.span, tuple_=expr, index=index)
+            expr = F.Nth(term.span, expr, index)
         return self.rep(entry.type, env), expr
 
     # -- ALS: type alias (Figure 13) ----------------------------------------------
@@ -1307,11 +1291,13 @@ class EntryPoints:
         the error unwound past every recovery point, and are only
         trustworthy when ``report.ok``.
         """
-        return _run_collecting(
-            self.checker_cls, term, self._context(env),
-            max_errors=max_errors, limits=limits, reporter=reporter,
-            instrumentation=instrumentation,
+        if reporter is None:
+            reporter = DiagnosticReporter(max_errors=max_errors)
+        result_type, sf_term = _run_collecting(
+            self.checker_cls, term, self._context(env), reporter=reporter,
+            limits=limits, instrumentation=instrumentation,
         )
+        return result_type, sf_term, reporter.finish()
 
     def type_of(self, term: G.Term, env: Optional[Env] = None) -> G.FGType:
         """The F_G type of ``term``."""
@@ -1354,16 +1340,13 @@ def _run_collecting(
     term: G.Term,
     context,
     *,
-    max_errors: int,
+    reporter: DiagnosticReporter,
     limits: Optional[Limits],
-    reporter: Optional[DiagnosticReporter],
     instrumentation: Optional[Instrumentation] = None,
-) -> Tuple[Optional[G.FGType], Optional[F.Term], DiagnosticReport]:
+) -> Tuple[Optional[G.FGType], Optional[F.Term]]:
     """Shared engine behind :func:`typecheck_all` and the pipeline: check
     ``term`` at ``context`` (a :class:`repro.prelude.context.PreludeContext`)
-    and collect its diagnostics."""
-    if reporter is None:
-        reporter = DiagnosticReporter(max_errors=max_errors)
+    and collect its diagnostics in ``reporter``."""
     checker = checker_cls(
         reporter=reporter, limits=limits, instrumentation=instrumentation
     )
@@ -1379,7 +1362,7 @@ def _run_collecting(
         instrumentation.metrics.set_max(
             "check.peak_depth", checker._budget.peak_depth
         )
-    return result_type, sf_term, reporter.finish()
+    return result_type, sf_term
 
 
 _THEOREM_VIOLATION = (

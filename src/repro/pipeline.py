@@ -27,6 +27,7 @@ table through :func:`_maybe_fault`.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional
@@ -45,10 +46,14 @@ from repro.observability import Instrumentation, NULL_TRACER
 from repro.observability.tracer import stage_span
 
 # The stages' modules load with the pipeline, so no attempt's deadline
-# clock pays for them.  Each stage still looks its names up when it runs.
-import repro.fg.typecheck  # noqa: F401
-import repro.prelude.context  # noqa: F401
-import repro.syntax.parser_fg  # noqa: F401
+# clock pays for them.  Each stage still looks its names up on the module
+# when it runs, so a name patched there is the one that runs.
+import repro.prelude.context as _context
+import repro.syntax.parser_fg as _parser
+
+#: The checker module (the package attribute ``repro.fg.typecheck`` is the
+#: entry-point function of that name).
+_checker = importlib.import_module("repro.fg.typecheck")
 
 if TYPE_CHECKING:
     from repro.fg import ast as G
@@ -170,8 +175,6 @@ def _run_stages(
     timings: Optional[Dict[str, float]],
     instrumentation: Optional[Instrumentation],
 ) -> CheckOutcome:
-    from repro.syntax.parser_fg import parse_program_resilient
-
     memory = instrumentation.memory if instrumentation is not None else None
     reporter = DiagnosticReporter(max_errors=max_errors)
     _maybe_fault("parse")
@@ -180,43 +183,36 @@ def _run_stages(
         # overflow on pathological input into a ResourceLimitError.
         with stage_span("parse", tracer, timings, memory), \
                 resource_scope(limits):
-            term, _ = parse_program_resilient(
-                text, filename, max_errors=max_errors, reporter=reporter
-            )
+            term = _parser.parse_recovering(text, filename, reporter)
     except Diagnostic as err:
         # Lexer errors surface through the reporter; this is a backstop for
         # diagnostics raised outside the resilient loop.
         reporter.error(err)
         term = None
-    if term is None or not reporter.finish().ok:
+    if term is None or reporter.error_count:
         return CheckOutcome(report=reporter.finish(), term=term)
 
     _maybe_fault("check")
-    from repro.fg.typecheck import _run_collecting, verify_emitted
-    from repro.prelude.context import context_for
-
     if ext:
         from repro.extensions import ExtChecker as checker_cls
     else:
-        from repro.fg.typecheck import Checker as checker_cls
+        checker_cls = _checker.Checker
     with stage_span("check", tracer, timings, memory):
         # The program is checked at the position its library leaves for
         # it: the pre-checked prelude (built on first use) or the empty
         # library.
-        context = context_for(checker_cls, prelude)
-        type_, translation, _ = _run_collecting(
-            checker_cls, term, context, max_errors=max_errors,
-            limits=limits, reporter=reporter,
+        context = _context.context_for(checker_cls, prelude)
+        type_, translation = _checker._run_collecting(
+            checker_cls, term, context, reporter=reporter, limits=limits,
             instrumentation=instrumentation,
         )
-    outcome = CheckOutcome(
-        report=reporter.finish(),
-        term=term,
-        type_=type_,
-        translation=translation,
-    )
-    if not outcome.ok or translation is None:
-        return outcome
+    if reporter.error_count or translation is None:
+        return CheckOutcome(
+            report=reporter.finish(),
+            term=term,
+            type_=type_,
+            translation=translation,
+        )
 
     verified = False
     sf_type = None
@@ -228,7 +224,7 @@ def _run_stages(
             # typed, inside the context's typed prefix (empty without the
             # prelude).
             with stage_span("verify", tracer, timings, memory):
-                sf_type = verify_emitted(
+                sf_type = _checker.verify_emitted(
                     type_, translation, checker=checker_cls(limits=limits),
                     context=context,
                 )

@@ -118,9 +118,7 @@ class PreludeContext:
                         fg_type, frame.inner, frame.outer, decl.span
                     )
         for let in reversed(self.prefix):
-            sf_term = F.Let(
-                span=let.span, name=let.name, bound=let.bound, body=sf_term
-            )
+            sf_term = F.Let(let.span, let.name, let.bound, sf_term)
         return fg_type, sf_term
 
     def program_part(self, sf_term: F.Term) -> Optional[F.Term]:
@@ -288,11 +286,20 @@ def empty_context(checker_cls, env: Optional[Env] = None) -> PreludeContext:
     )
 
 
+#: The empty library, per checker class: a context is immutable, so one
+#: serves every program.
+_EMPTY_CONTEXTS: Dict[type, PreludeContext] = {}
+
+
 def context_for(checker_cls=Checker, prelude: bool = True) -> PreludeContext:
     """The prelude checked by ``checker_cls``, built once per process; or,
-    without ``prelude``, the empty library."""
+    without ``prelude``, the empty library, also built once."""
     if not prelude:
-        return empty_context(checker_cls)
+        context = _EMPTY_CONTEXTS.get(checker_cls)
+        if context is None:
+            context = _EMPTY_CONTEXTS.setdefault(
+                checker_cls, empty_context(checker_cls))
+        return context
     context = _CONTEXTS.get(checker_cls)
     if context is None:
         with _LOCK:

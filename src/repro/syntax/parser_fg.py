@@ -73,6 +73,14 @@ def parse_program_resilient(
     """
     if reporter is None:
         reporter = DiagnosticReporter(max_errors=max_errors)
+    return parse_recovering(text, filename, reporter), reporter.finish()
+
+
+def parse_recovering(
+    text: str, filename: str, reporter: DiagnosticReporter
+) -> Optional[G.Term]:
+    """:func:`parse_program_resilient`'s parse: every error lands in
+    ``reporter``, and the result is the best-effort term alone."""
     ts = stream(text, filename, reporter)
     term: Optional[G.Term] = None
     while not reporter.at_limit:  # the lexer may have reached the cap
@@ -84,7 +92,7 @@ def parse_program_resilient(
             reporter.error(err)
             if reporter.at_limit or not _resynchronize(ts):
                 break
-    return term, reporter.finish()
+    return term
 
 
 def _resynchronize(ts: TokenStream) -> bool:
@@ -287,7 +295,7 @@ def _let(ts: TokenStream) -> G.Term:
     bound = _expr(ts)
     ts.take("in", "let binding")
     body = _expr(ts)
-    return G.Let(span=span, name=name, bound=bound, body=body)
+    return G.Let(span, name, bound, body)
 
 
 def _type_alias(ts: TokenStream) -> G.Term:
@@ -297,7 +305,7 @@ def _type_alias(ts: TokenStream) -> G.Term:
     aliased = _type(ts)
     ts.take("in", "type alias")
     body = _expr(ts)
-    return G.TypeAlias(span=span, name=name, aliased=aliased, body=body)
+    return G.TypeAlias(span, name, aliased, body)
 
 
 def _lambda(ts: TokenStream) -> G.Term:
@@ -310,7 +318,7 @@ def _lambda(ts: TokenStream) -> G.Term:
         if not ts.match(","):
             break
     ts.take(".", "lambda")
-    return G.Lam(span=span, params=tuple(params), body=_expr(ts))
+    return G.Lam(span, tuple(params), _expr(ts))
 
 
 def _tylambda(ts: TokenStream) -> G.Term:
@@ -318,13 +326,7 @@ def _tylambda(ts: TokenStream) -> G.Term:
     vars_ = _tyvar_list(ts)
     reqs, sames = _where_clauses(ts)
     ts.take(".", "type abstraction")
-    return G.TyLam(
-        span=span,
-        vars=vars_,
-        requirements=reqs,
-        same_types=sames,
-        body=_expr(ts),
-    )
+    return G.TyLam(span, vars_, reqs, sames, _expr(ts))
 
 
 def _if(ts: TokenStream) -> G.Term:
@@ -334,7 +336,7 @@ def _if(ts: TokenStream) -> G.Term:
     then = _expr(ts)
     ts.take("else", "if expression")
     else_ = _expr(ts)
-    return G.If(span=span, cond=cond, then=then, else_=else_)
+    return G.If(span, cond, then, else_)
 
 
 def _postfix(ts: TokenStream) -> G.Term:
@@ -349,14 +351,14 @@ def _postfix(ts: TokenStream) -> G.Term:
                 while ts.match(","):
                     args.append(_expr(ts))
             ts.take(")", "application")
-            term = G.App(span=span, fn=term, args=tuple(args))
+            term = G.App(span, term, tuple(args))
         elif kind == "[":
             span = ts.span(ts.skip())
             types = [_type(ts)]
             while ts.match(","):
                 types.append(_type(ts))
             ts.take("]", "instantiation")
-            term = G.TyApp(span=span, fn=term, args=tuple(types))
+            term = G.TyApp(span, term, tuple(types))
         else:
             return term
 
@@ -365,31 +367,29 @@ def _atom(ts: TokenStream) -> G.Term:
     kind = ts.kind()
     if kind == "NUMBER":
         i = ts.skip()
-        return G.IntLit(span=ts.span(i), value=int(ts.text(i)))
+        return G.IntLit(ts.span(i), int(ts.text(i)))
     if kind == "true":
-        return G.BoolLit(span=ts.span(ts.skip()), value=True)
+        return G.BoolLit(ts.span(ts.skip()), True)
     if kind == "false":
-        return G.BoolLit(span=ts.span(ts.skip()), value=False)
+        return G.BoolLit(ts.span(ts.skip()), False)
     if kind == "nth":
         span = ts.span(ts.skip())
         tuple_ = _postfix(ts)
         index = ts.text(ts.take("NUMBER", "nth"))
-        return G.Nth(span=span, tuple_=tuple_, index=int(index))
+        return G.Nth(span, tuple_, int(index))
     if kind == "fix":
         # `fix` binds tighter than application: fix (\f. ...)(x) applies
         # the fixpoint to x.
         span = ts.span(ts.skip())
-        return G.Fix(span=span, fn=_atom(ts))
+        return G.Fix(span, _atom(ts))
     if kind == "IDENT":
         i = ts.skip()
         if ts.at("<"):
             args = _type_args(ts)
             ts.take(".", "member access")
             member = ts.text(ts.take("IDENT", "member access"))
-            return G.MemberAccess(
-                span=ts.span(i), concept=ts.text(i), args=args, member=member
-            )
-        return G.Var(span=ts.span(i), name=ts.text(i))
+            return G.MemberAccess(ts.span(i), ts.text(i), args, member)
+        return G.Var(ts.span(i), ts.text(i))
     if kind == "(":
         i = ts.skip()
         first = _expr(ts)
@@ -400,7 +400,7 @@ def _atom(ts: TokenStream) -> G.Term:
                     break
                 items.append(_expr(ts))
             ts.take(")", "tuple")
-            return G.Tuple_(span=ts.span(i), items=tuple(items))
+            return G.Tuple_(ts.span(i), tuple(items))
         ts.take(")", "parenthesized expression")
         return first
     # Allow a lambda/type-abstraction/if directly in argument position.
@@ -478,7 +478,7 @@ def _concept(ts: TokenStream) -> G.Term:
         tuple(nested),
         tuple(defaults),
     )
-    return G.ConceptExpr(span=span, concept=cdef, body=body)
+    return G.ConceptExpr(span, cdef, body)
 
 
 def _model(ts: TokenStream) -> G.Term:
@@ -493,7 +493,7 @@ def _model(ts: TokenStream) -> G.Term:
     mdef = _model_def(ts)
     ts.take("in", "model declaration")
     body = _expr(ts)
-    return G.ModelExpr(span=span, model=mdef, body=body)
+    return G.ModelExpr(span, mdef, body)
 
 
 def _model_def(ts: TokenStream) -> G.ModelDef:

@@ -8,17 +8,85 @@ we include those directly: literals, ``If`` and ``Fix`` as term forms, and the
 list primitives as polymorphic constants bound in the initial environment
 (see :mod:`repro.systemf.builtins`).
 
-All nodes are immutable dataclasses carrying an optional source span.
-Multi-parameter functions and type abstractions are primitive, exactly as the
-paper uses them to ease the F_G translation.
+Every node is a plain slotted class (see :class:`Node`); terms carry an
+optional source span.  Multi-parameter functions and type abstractions are
+primitive, exactly as the paper uses them to ease the F_G translation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from repro.diagnostics.source import Span
+
+
+# ---------------------------------------------------------------------------
+# Nodes
+# ---------------------------------------------------------------------------
+
+
+def _eq_and_hash(fields: Tuple[str, ...]):
+    """``__eq__`` and ``__hash__`` for a node class with ``fields``: equal
+    when of one class with equal fields, hashed as the tuple of fields.
+
+    Each reads the fields through one getter built here, once per class;
+    a class with one field compares its value alone, not a 1-tuple.
+    """
+    if len(fields) == 1:
+        value = attrgetter(fields[0])
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return value(self) == value(other)
+
+        def __hash__(self) -> int:
+            return hash((value(self),))
+    else:
+        values = attrgetter(*fields) if fields else lambda node: ()
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __hash__(self) -> int:
+            return hash(values(self))
+    return __eq__, __hash__
+
+
+class Node:
+    """Base class of the syntax-tree nodes of F_G, System F and the
+    extensions (the F_G *types* are hash-consed, see
+    :class:`repro.fg.ast.FGType`).
+
+    A node is a plain slotted class whose constructor stores each field
+    with one assignment.  ``_fields`` names the fields in constructor
+    order; a term's ``span`` is not one.  Equality, hashing and ``repr``
+    read the fields and agree with a frozen dataclass's: two nodes are
+    equal when they are of one class and their fields are equal, the hash
+    is the hash of the tuple of fields, and ``repr`` is
+    ``Name(field=value, ...)``.  Nodes are never changed once built;
+    ``tests/test_node_contract.py`` holds every check to that, in place of
+    a ``__setattr__`` guard that every construction would pay for.
+    """
+
+    __slots__ = ()
+    #: Field names, in constructor order.
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__eq__, cls.__hash__ = _eq_and_hash(cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copies and pickles (every protocol) go through the constructor.
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
 
 
 # ---------------------------------------------------------------------------
@@ -26,26 +94,31 @@ from repro.diagnostics.source import Span
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Type:
+class Type(Node):
     """Base class of System F types."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class TVar(Type):
     """A type variable ``t``."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class TBase(Type):
     """A base type such as ``int`` or ``bool``."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
@@ -57,33 +130,39 @@ INT = TBase("int")
 BOOL = TBase("bool")
 
 
-@dataclass(frozen=True)
 class TList(Type):
     """The list type constructor ``list t``."""
 
-    elem: Type
+    __slots__ = _fields = ("elem",)
+
+    def __init__(self, elem: Type) -> None:
+        self.elem = elem
 
     def __str__(self) -> str:
         return f"list {self.elem}"
 
 
-@dataclass(frozen=True)
 class TFn(Type):
     """A multi-parameter function type ``fn(t1, ..., tn) -> t``."""
 
-    params: Tuple[Type, ...]
-    result: Type
+    __slots__ = _fields = ("params", "result")
+
+    def __init__(self, params: Tuple[Type, ...], result: Type) -> None:
+        self.params = params
+        self.result = result
 
     def __str__(self) -> str:
         params = ", ".join(str(p) for p in self.params)
         return f"fn({params}) -> {self.result}"
 
 
-@dataclass(frozen=True)
 class TTuple(Type):
     """A product type ``t1 * ... * tn`` (used for dictionaries)."""
 
-    items: Tuple[Type, ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: Tuple[Type, ...]) -> None:
+        self.items = items
 
     def __str__(self) -> str:
         if not self.items:
@@ -91,12 +170,21 @@ class TTuple(Type):
         return "(" + " * ".join(_paren_tuple_item(i) for i in self.items) + ")"
 
 
-@dataclass(frozen=True)
 class TForall(Type):
-    """A polymorphic type ``forall t1, ..., tn. t``."""
+    """A polymorphic type ``forall t1, ..., tn. t``.
 
-    vars: Tuple[str, ...]
-    body: Type
+    ``_instances`` is not a field: it is the memo of this type's closed
+    instantiations that :func:`repro.systemf.typecheck._instantiate_closed`
+    keeps (``None`` until the first one).
+    """
+
+    _fields = ("vars", "body")
+    __slots__ = _fields + ("_instances",)
+
+    def __init__(self, vars: Tuple[str, ...], body: Type) -> None:
+        self.vars = vars
+        self.body = body
+        self._instances = None
 
     def __str__(self) -> str:
         return f"forall {', '.join(self.vars)}. {self.body}"
@@ -253,110 +341,163 @@ def _alpha_eq(a: Type, b: Type, env_a: Dict[str, int], env_b: Dict[str, int]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Node):
     """Base class of System F terms."""
 
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None) -> None:
+        self.span = span
+
+    def __reduce__(self):
+        # The constructor takes the span first.
+        return (type(self),
+                (self.span, *[getattr(self, f) for f in self._fields]))
 
 
-@dataclass(frozen=True)
 class Var(Term):
     """A term variable reference."""
 
-    name: str = ""
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, span: Optional[Span] = None, name: str = "") -> None:
+        self.span = span
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class IntLit(Term):
     """An integer literal."""
 
-    value: int = 0
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, span: Optional[Span] = None, value: int = 0) -> None:
+        self.span = span
+        self.value = value
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class BoolLit(Term):
     """A boolean literal."""
 
-    value: bool = False
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, span: Optional[Span] = None,
+                 value: bool = False) -> None:
+        self.span = span
+        self.value = value
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     """A multi-parameter lambda ``\\x1:t1, ..., xn:tn. body``."""
 
-    params: Tuple[Tuple[str, Type], ...] = ()
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("params", "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 params: Tuple[Tuple[str, Type], ...] = (),
+                 body: Term = None) -> None:
+        self.span = span
+        self.params = params
+        self.body = body
 
 
-@dataclass(frozen=True)
 class App(Term):
     """A (multi-argument) application ``f(e1, ..., en)``."""
 
-    fn: Term = None  # type: ignore[assignment]
-    args: Tuple[Term, ...] = ()
+    __slots__ = _fields = ("fn", "args")
+
+    def __init__(self, span: Optional[Span] = None, fn: Term = None,
+                 args: Tuple[Term, ...] = ()) -> None:
+        self.span = span
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
 class TyLam(Term):
     """A type abstraction ``/\\t1, ..., tn. body``."""
 
-    vars: Tuple[str, ...] = ()
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("vars", "body")
+
+    def __init__(self, span: Optional[Span] = None,
+                 vars: Tuple[str, ...] = (), body: Term = None) -> None:
+        self.span = span
+        self.vars = vars
+        self.body = body
 
 
-@dataclass(frozen=True)
 class TyApp(Term):
     """A type application ``e[t1, ..., tn]``."""
 
-    fn: Term = None  # type: ignore[assignment]
-    args: Tuple[Type, ...] = ()
+    __slots__ = _fields = ("fn", "args")
+
+    def __init__(self, span: Optional[Span] = None, fn: Term = None,
+                 args: Tuple[Type, ...] = ()) -> None:
+        self.span = span
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
 class Let(Term):
     """``let x = e1 in e2`` (paper's LET rule)."""
 
-    name: str = ""
-    bound: Term = None  # type: ignore[assignment]
-    body: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("name", "bound", "body")
+
+    def __init__(self, span: Optional[Span] = None, name: str = "",
+                 bound: Term = None, body: Term = None) -> None:
+        self.span = span
+        self.name = name
+        self.bound = bound
+        self.body = body
 
 
-@dataclass(frozen=True)
 class Tuple_(Term):
     """A tuple ``(e1, ..., en)`` — the dictionary representation."""
 
-    items: Tuple[Term, ...] = ()
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, span: Optional[Span] = None,
+                 items: Tuple[Term, ...] = ()) -> None:
+        self.span = span
+        self.items = items
 
 
-@dataclass(frozen=True)
 class Nth(Term):
     """Tuple projection ``nth e i`` (0-based, as in the paper)."""
 
-    tuple_: Term = None  # type: ignore[assignment]
-    index: int = 0
+    __slots__ = _fields = ("tuple_", "index")
+
+    def __init__(self, span: Optional[Span] = None, tuple_: Term = None,
+                 index: int = 0) -> None:
+        self.span = span
+        self.tuple_ = tuple_
+        self.index = index
 
 
-@dataclass(frozen=True)
 class If(Term):
     """Conditional ``if c then e1 else e2``."""
 
-    cond: Term = None  # type: ignore[assignment]
-    then: Term = None  # type: ignore[assignment]
-    else_: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("cond", "then", "else_")
+
+    def __init__(self, span: Optional[Span] = None, cond: Term = None,
+                 then: Term = None, else_: Term = None) -> None:
+        self.span = span
+        self.cond = cond
+        self.then = then
+        self.else_ = else_
 
 
-@dataclass(frozen=True)
 class Fix(Term):
     """Fixpoint ``fix e`` where ``e : fn(A) -> A`` and ``A`` is a function type."""
 
-    fn: Term = None  # type: ignore[assignment]
+    __slots__ = _fields = ("fn",)
+
+    def __init__(self, span: Optional[Span] = None, fn: Term = None) -> None:
+        self.span = span
+        self.fn = fn

@@ -106,13 +106,15 @@ def _instantiate_closed(fn_type: F.TForall, args: tuple) -> F.Type:
     across programs; an open tuple names one program's type variables, so
     ``type_of`` substitutes it afresh rather than churn the memo.
     """
-    memo = fn_type.__dict__.get("_instances")
+    memo = fn_type._instances
     result = memo.get(args) if memo is not None else None
     if result is None:
         result = F.substitute(fn_type.body, dict(zip(fn_type.vars, args)))
         with _INSTANCES_LOCK:
-            memo = fn_type.__dict__.setdefault("_instances", {})
-            if len(memo) >= _INSTANCES_BOUND:
+            memo = fn_type._instances
+            if memo is None:
+                memo = fn_type._instances = {}
+            elif len(memo) >= _INSTANCES_BOUND:
                 memo.clear()
             memo[args] = result
     return result

@@ -115,15 +115,17 @@ class Repl:
         stripped = text.strip()
         if not stripped:
             return None
-        if stripped.startswith(":"):
-            return self._command(stripped)
-        if self._brackets_open(stripped):
+        # A command's argument never continues on the next line.
+        command = stripped.startswith(":")
+        if not command and self._brackets_open(stripped):
             self._pending = text
             return None
         try:
+            if command:
+                return self._command(stripped)
             return self._evaluate_or_declare(stripped)
         except ParseError as err:
-            if self._looks_incomplete(err):
+            if not command and self._looks_incomplete(err):
                 self._pending = text
                 return None
             return str(err)

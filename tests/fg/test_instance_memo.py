@@ -32,7 +32,6 @@ import itertools
 import re
 import sys
 from contextlib import ExitStack
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -199,8 +198,8 @@ def _span(span):
 def _spans(term, out):
     """Every node's class and span, in preorder."""
     out.append((type(term).__name__, _span(term.span)))
-    for f in fields(term):
-        value = getattr(term, f.name)
+    for name in term._fields:
+        value = getattr(term, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, F.Term):
                 _spans(item, out)

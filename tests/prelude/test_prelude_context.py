@@ -12,7 +12,6 @@ what typing the whole spliced translation gives.  That whole-term
 reference lives only in this file too.
 """
 
-import dataclasses
 import importlib
 import io
 import json
@@ -288,6 +287,12 @@ class TestVerifyDifferential:
         assert kind == "resource limit"
 
 
+def _rebuilt(node, **changes):
+    """A new System F term equal to ``node`` but for ``changes``."""
+    return type(node)(node.span, *(changes.get(name, getattr(node, name))
+                                   for name in node._fields))
+
+
 def _spliced(lets, body):
     for let in reversed(lets):
         body = F.Let(span=let.span, name=let.name, bound=let.bound,
@@ -323,9 +328,7 @@ class TestVerifyTrustsOnlyTheContextsPrefix:
     def test_a_rebuilt_first_binding_is_rejected(self):
         context, fg_type, user = self._translation()
         first, *rest = context.prefix
-        rebuilt = dataclasses.replace(
-            first, bound=dataclasses.replace(first.bound)
-        )
+        rebuilt = _rebuilt(first, bound=_rebuilt(first.bound))
         assert rebuilt.bound == first.bound
         assert rebuilt.bound is not first.bound
         self._rejects(context, fg_type, _spliced((rebuilt, *rest), user))
@@ -556,6 +559,35 @@ class TestBuiltOnce:
                 assert outcome.verified and outcome.value == 3
         assert fresh_contexts == []
         assert prelude_context._CONTEXTS == {}
+
+    @pytest.mark.parametrize("ext", [False, True], ids=["core", "ext"])
+    def test_the_empty_library_is_built_once(self, ext):
+        checker_cls = ExtChecker if ext else Checker
+        first = context_for(checker_cls, False)
+        assert check_source("iadd(1, 2)", ext=ext, evaluate=True).value == 3
+        assert context_for(checker_cls, False) is first
+        assert first.checker_cls is checker_cls and first.prefix == ()
+
+    @pytest.mark.parametrize("text, fuel, verify_rejects, kind", [
+        ("iadd(1,,)", None, False, "parse error"),
+        ("iadd(1, true)", None, False, "type error"),
+        ("iadd(1, 2)", None, True, "type error"),
+        ("iadd(1, 2)", 1, False, "resource limit"),
+        ("iadd(1, 2)", None, False, None),
+    ], ids=["parse", "check", "verify", "evaluate", "accepted"])
+    def test_every_pipeline_exit_freezes_one_report(
+            self, text, fuel, verify_rejects, kind):
+        verify = mock.Mock(side_effect=TypeError_("rejected", None)) \
+            if verify_rejects else verify_emitted
+        with mock.patch.object(DiagnosticReporter, "finish", autospec=True,
+                               side_effect=DiagnosticReporter.finish) \
+                as finish, \
+                mock.patch.object(fg_typecheck, "verify_emitted", verify):
+            outcome = check_source(text, verify=True, evaluate=True,
+                                   limits=Limits(max_eval_steps=fuel))
+        assert finish.call_count == 1
+        kinds = [d.kind for d in outcome.report.diagnostics]
+        assert kinds == ([kind] if kind else [])
 
     def test_warm_up_builds_the_context(self, fresh_contexts):
         from repro.service.subproc import warm_up

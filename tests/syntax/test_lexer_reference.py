@@ -29,7 +29,6 @@ always did and is compared like any other input.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import sys
 from contextlib import contextmanager
@@ -41,9 +40,11 @@ from hypothesis import HealthCheck, given, settings
 from repro.diagnostics.errors import Diagnostic, LexError
 from repro.diagnostics.reporter import DiagnosticReporter
 from repro.diagnostics.source import Position, SourceText, Span
+from repro.fg import ast as G
 from repro.prelude import PRELUDE
 from repro.syntax import lexer, parser_f, parser_fg
 from repro.syntax.lexer import KEYWORDS, SYMBOLS, Token
+from repro.systemf import ast as F
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "properties"))
 from fg_gen import program_specs  # noqa: E402
@@ -231,10 +232,13 @@ def explicit(node):
     """``node`` with its spans spelled out: AST ``==`` ignores spans."""
     if isinstance(node, (Span, RefSpan)):
         return ("Span", tuple(node.start), tuple(node.end), node.filename)
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+    if isinstance(node, F.Node):
+        # Every field, a term's span first.
+        names = node._fields
+        if isinstance(node, (G.Term, F.Term)):
+            names = ("span",) + names
         return (type(node).__name__,) + tuple(
-            (f.name, explicit(getattr(node, f.name)))
-            for f in dataclasses.fields(node)
+            (name, explicit(getattr(node, name))) for name in names
         )
     if isinstance(node, (list, tuple)):
         return tuple(explicit(item) for item in node)

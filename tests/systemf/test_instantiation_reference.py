@@ -77,7 +77,7 @@ def outcome(term, env):
 
 
 def memo_of(t: F.TForall) -> dict:
-    return t.__dict__.get("_instances", {})
+    return t._instances or {}
 
 
 # -- generated applications ---------------------------------------------------

@@ -111,6 +111,32 @@ class TestCommands:
         repl.feed("model Eq<int> { eq = ieq; }")
         assert repl.feed("Eq<int>.neq(1, 1)") == "false : bool"
 
+    @pytest.mark.parametrize("ext", [False, True], ids=["core", "ext"])
+    @pytest.mark.parametrize("command", [":type", ":translate"])
+    @pytest.mark.parametrize("expr, kind", [
+        ("iadd(1, true)", "type error"),
+        ("iadd(1,,)", "parse error"),
+        ("iadd(1, 2", "parse error"),
+    ], ids=["type-error", "parse-error", "unclosed"])
+    def test_a_rejected_command_reports_and_the_session_goes_on(
+            self, repl, ext, command, expr, kind):
+        if ext:
+            repl.feed(":ext")
+        out = repl.feed(f"{command} {expr}")
+        assert out.startswith("<repl>:1:") and kind in out, out
+        assert not repl.pending
+        assert repl.feed("iadd(1, 2)") == "3 : int"
+
+    def test_a_failing_command_prints_the_internal_error_banner(
+            self, repl, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr("repro.tools.repl.f_pretty_term", broken)
+        out = repl.feed(":translate iadd(1, 2)")
+        assert out.startswith("-- internal error") and "injected" in out
+        assert repl.feed("iadd(1, 2)") == "3 : int"
+
     def test_quit_raises_system_exit(self, repl):
         with pytest.raises(SystemExit):
             repl.feed(":quit")
