@@ -15,16 +15,25 @@ interpreter's start-up, the same in every row):
 The children inherit the environment, so they compile from source or
 read cached bytecode exactly as the session does; compare rows only
 between records taken at the same bytecode state.
+
+The parent waits on each child without polling: ``Popen.wait`` with a
+timeout sleeps in steps that grow to 50 ms, which would round every row
+to that step.  A blocking wait returns when the child exits, and a timer
+kills a child that outlives the 120 s bound.
 """
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Seconds a child may run before it is killed and the round fails.
+_TIMEOUT_S = 120.0
 
 _FIRST_VERDICT = (
     "from repro.pipeline import check_source\n"
@@ -39,8 +48,23 @@ def _spawn(code: str) -> None:
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=120)
+    child = subprocess.Popen([sys.executable, "-c", code], env=env)
+    expired = threading.Event()
+
+    def expire() -> None:
+        expired.set()
+        child.kill()
+
+    timer = threading.Timer(_TIMEOUT_S, expire)
+    timer.start()
+    try:
+        returncode = child.wait()
+    finally:
+        timer.cancel()
+    if expired.is_set():
+        raise subprocess.TimeoutExpired(child.args, _TIMEOUT_S)
+    if returncode:
+        raise subprocess.CalledProcessError(returncode, child.args)
 
 
 @pytest.mark.benchmark(group="cold-start")

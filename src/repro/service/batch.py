@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -144,6 +143,10 @@ def check_batch(
             if policy.jobs == 1 or len(items) <= 1:
                 outcomes = [check_one(i) for i in range(len(items))]
             else:
+                # Only here: the daemon's pool path never loads a thread
+                # pool of its own.
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(
                     max_workers=policy.jobs, thread_name_prefix="fg-batch"
                 ) as executor:

@@ -34,7 +34,6 @@ A request with a ``begin`` but neither ``done`` nor ``cancel`` is
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -42,6 +41,17 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+# The interpreter's own SHA-256 (``_sha2`` on 3.12+, ``_sha256`` before):
+# ``hashlib`` would load OpenSSL into the daemon to hash one small report
+# per request.  Same digest bytes; ``hashlib`` only where neither exists.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 #: Journal record preamble (first byte invalid UTF-8, like the wire magic,
 #: but a distinct tag so streams and journals are never confused).
@@ -164,29 +174,78 @@ def replay(path: str, *, repair: bool = True) -> Replay:
     records: List[Dict[str, object]] = []
     offset = 0
     while True:
-        header = data[offset:offset + _HEADER_LEN]
-        if len(header) < _HEADER_LEN:
-            break
-        if header[:len(MAGIC)] != MAGIC:
-            break
-        length, crc = _HEADER.unpack(header[len(MAGIC):])
-        if length > MAX_RECORD:
-            break
-        end = offset + _HEADER_LEN + length
-        blob = data[offset + _HEADER_LEN:end]
-        if len(blob) < length or zlib.crc32(blob) != crc:
+        end = _frame_end(data, offset)
+        if end is None:
             break
         try:
-            payload = json.loads(blob.decode("utf-8"))
+            records.append(_payload(data, offset, end))
         except (UnicodeDecodeError, json.JSONDecodeError):
             break
-        records.append(payload)
         offset = end
     truncated = len(data) - offset
     if truncated and repair:
         with open(path, "r+b") as handle:
             handle.truncate(offset)
     return Replay(records=records, truncated_bytes=truncated)
+
+
+def tail(path: str, limit: int = 20,
+         window: int = 64 * 1024) -> List[Dict[str, object]]:
+    """The last ``limit`` intact records among the file's final ``window``
+    bytes, for crash-bundle context.
+
+    The window may open mid-record, and a record may be half-written
+    while it is read: each candidate is checked as :func:`replay` checks
+    it (magic, length, CRC, JSON), and the scan resumes at the next magic
+    after one that fails.  A record that starts before the window is not
+    returned.  Only the last ``limit`` framed records are parsed: the
+    daemon rebuilds its black box every second.  Runs inside fault paths,
+    so it never raises: an unreadable journal has no tail.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(max(0, handle.seek(0, os.SEEK_END) - window))
+            data = handle.read()
+    except OSError:
+        return []
+    frames: List[Tuple[int, int]] = []
+    offset = data.find(MAGIC)
+    while offset >= 0:
+        end = _frame_end(data, offset)
+        if end is None:
+            offset = data.find(MAGIC, offset + 1)
+        else:
+            frames.append((offset, end))
+            offset = data.find(MAGIC, end)
+    records: List[Dict[str, object]] = []
+    for start, end in reversed(frames):
+        if len(records) == limit:
+            break
+        try:
+            records.append(_payload(data, start, end))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            continue
+    return records[::-1]
+
+
+def _frame_end(data: bytes, offset: int) -> Optional[int]:
+    """Where the record framed at ``offset`` ends, when its magic, length
+    cap and CRC hold; else ``None``."""
+    header = data[offset:offset + _HEADER_LEN]
+    if len(header) < _HEADER_LEN or header[:len(MAGIC)] != MAGIC:
+        return None
+    length, crc = _HEADER.unpack(header[len(MAGIC):])
+    end = offset + _HEADER_LEN + length
+    if length > MAX_RECORD or end > len(data):
+        return None
+    if zlib.crc32(memoryview(data)[offset + _HEADER_LEN:end]) != crc:
+        return None
+    return end
+
+
+def _payload(data: bytes, offset: int, end: int) -> Dict[str, object]:
+    """The JSON payload of the framed record at ``offset``."""
+    return json.loads(data[offset + _HEADER_LEN:end].decode("utf-8"))
 
 
 def rotate(path: str) -> Optional[str]:
@@ -207,7 +266,7 @@ def rotate(path: str) -> Optional[str]:
 def report_digest(canonical_report: str) -> str:
     """SHA-256 over a canonical report string — the identity replays are
     checked against."""
-    return hashlib.sha256(canonical_report.encode("utf-8")).hexdigest()
+    return _sha256(canonical_report.encode("utf-8")).hexdigest()
 
 
 def begin_record(

@@ -53,7 +53,6 @@ the resumed canonical reports byte-identical to the uninterrupted run.
 from __future__ import annotations
 
 import collections
-import json
 import os
 import selectors
 import socket
@@ -68,7 +67,6 @@ from repro.observability import (
     NULL_TRACER,
     OpsLog,
     ServerTelemetry,
-    prometheus_text,
 )
 from repro.observability import diskguard, flightrec
 from repro.service import journal as journal_mod
@@ -80,10 +78,10 @@ from repro.service.journal import (
     begin_record,
     cancel_record,
     done_record,
-    report_digest,
 )
 from repro.service.policy import ISOLATION_MODES, BatchPolicy
 from repro.service.pool import PersistentPool
+from repro.service.report import canonicalize
 from repro.service.signals import notify_on_termination
 
 #: Request frame types a client may send.
@@ -454,11 +452,13 @@ class Server:
                 )
                 return {"type": "error", "request": req.id, "internal": True,
                         "message": f"{type(exc).__name__}: {exc}"}
-        canonical = report.canonical_json()
-        digest = report_digest(canonical)
-        self._journal_append(done_record(
-            req.id, report.exit_code, canonical, resumed=req.resumed,
-        ))
+        projected = report.to_json()
+        done = done_record(
+            req.id, report.exit_code, canonicalize(projected),
+            resumed=req.resumed,
+        )
+        self._journal_append(done)
+        digest = done["digest"]
         self.served += 1
         finished = time.monotonic()
         self.telemetry.observe_request(
@@ -477,7 +477,7 @@ class Server:
             "request": req.id,
             "exit_code": report.exit_code,
             "digest": digest,
-            "report": report.to_json(),
+            "report": projected,
         }
 
     def _executor(self) -> None:
@@ -644,31 +644,6 @@ class Server:
             "disk_headroom": self.disk_headroom,
         }
 
-    def _journal_tail(self, limit: int = 20) -> List[Dict[str, object]]:
-        """The journal's last few records, for crash-bundle context.
-
-        Reads at most the final 64 KiB of the file and parses tolerantly
-        (a torn tail line is skipped, not fatal) — this runs inside fault
-        paths, where forensics must never add a second failure.
-        """
-        try:
-            with open(self.options.effective_journal_path(), "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                fh.seek(max(0, size - 65536))
-                data = fh.read()
-        except OSError:
-            return []
-        records: List[Dict[str, object]] = []
-        for line in data.splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records[-limit:]
-
     def _crash_context(self) -> Dict[str, object]:
         """The daemon-side sections of a crash bundle: effective policy,
         last health snapshot, ops-log and journal tails, worker state."""
@@ -676,7 +651,9 @@ class Server:
             "policy": self.policy.to_json(),
             "health": self._health_payload(),
             "ops_tail": self.ops.tail(50) if self.ops is not None else [],
-            "journal_tail": self._journal_tail(),
+            "journal_tail": journal_mod.tail(
+                self.options.effective_journal_path()
+            ),
             "pool": (
                 {
                     "alive": self.pool.alive_workers,
@@ -914,6 +891,8 @@ class Server:
         ):
             self._note_metrics_unwritable("below disk-headroom floor")
             return
+        from repro.observability.exporters import prometheus_text
+
         tmp = self.options.metrics_file + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:

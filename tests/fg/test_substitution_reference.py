@@ -4,8 +4,10 @@ answers as the counter-based substitution did, up to alpha.
 The reference is the substitution of System F and of F_G as they were when
 a renamed binder took its number from one process-wide counter
 (``ref_f_substitute``, ``ref_g_substitute``, verbatim but for the counter,
-which is local here).  The shipped ones name a renamed binder by
-``repro.systemf.ast.rename_binders``.  The tests compare, up to alpha:
+which is local here and skips a name already in play at the binder: a
+counter name like ``elem%1`` can also be a key of the substitution).  The
+shipped ones name a renamed binder by ``repro.systemf.ast.rename_binders``.
+The tests compare, up to alpha:
 
 - generated types and substitutions over a few names, so binders collide
   with the free variables of the substituted types, for System F
@@ -38,8 +40,14 @@ from repro.systemf import pretty_term
 _counter = itertools.count()
 
 
-def ref_fresh(base: str) -> str:
-    return f"{base}%{next(_counter)}"
+def ref_fresh(base: str, taken) -> str:
+    """The next counter name for ``base`` that is not ``taken``: a name
+    free in the ``forall``, bound beside it, substituted for or free in
+    what replaces it would be captured or replaced."""
+    while True:
+        name = f"{base}%{next(_counter)}"
+        if name not in taken:
+            return name
 
 
 def ref_f_substitute(t: F.Type, subst) -> F.Type:
@@ -65,11 +73,12 @@ def ref_f_substitute(t: F.Type, subst) -> F.Type:
         captured = frozenset()
         for v in inner.values():
             captured |= F.free_type_vars(v)
+        taken = captured | set(inner) | set(t.vars) | F.free_type_vars(t)
         new_vars = []
         renaming = {}
         for var in t.vars:
             if var in captured:
-                fresh = ref_fresh(var.split("%")[0])
+                fresh = ref_fresh(var.split("%")[0], taken)
                 renaming[var] = F.TVar(fresh)
                 new_vars.append(fresh)
             else:
@@ -106,11 +115,12 @@ def ref_g_substitute(t: G.FGType, subst) -> G.FGType:
         captured = frozenset()
         for v in inner.values():
             captured |= v.free_vars
+        taken = captured | set(inner) | set(t.vars) | t.free_vars
         renaming = {}
         new_vars = []
         for var in t.vars:
             if var in captured:
-                fresh = ref_fresh(var.split("%")[0])
+                fresh = ref_fresh(var.split("%")[0], taken)
                 renaming[var] = G.TVar(fresh)
                 new_vars.append(fresh)
             else:

@@ -24,6 +24,7 @@ from repro.service import (
     Server,
     WorkerKillSpec,
     check_batch,
+    check_remote,
     debug_bundle,
     events,
     health,
@@ -173,6 +174,25 @@ class TestDaemonBundles:
             assert path is not None and os.path.exists(path)
             on_disk = flightrec.read_bundle(path)
             assert on_disk["fault"]["kind"] == "manual"
+
+    def test_debug_bundle_carries_the_journal_tail(self):
+        """The tail is read with the journal's own framing: after three
+        answered requests it ends with the third's begin and done."""
+        with _Daemon(blackbox_interval_s=60.0) as daemon:
+            responses = [
+                check_remote(daemon.socket_path, [(f"r{i}.fg", GOOD)])
+                for i in range(3)
+            ]
+            bundle = debug_bundle(daemon.socket_path)["bundle"]
+        last = responses[-1]
+        assert last["type"] == "report"
+        begin, done = bundle["journal_tail"][-2:]
+        assert begin["op"] == "begin" and done["op"] == "done"
+        assert begin["request"] == done["request"] == last["request"]
+        assert begin["sources"] == [["r2.fg", GOOD]]
+        assert done["digest"] == last["digest"]
+        assert [r["op"] for r in bundle["journal_tail"]] == [
+            "begin", "done"] * 3
 
     def test_blackbox_written_live_and_removed_on_clean_exit(self):
         with _Daemon(blackbox_interval_s=0.05) as daemon:

@@ -2,12 +2,18 @@
 
 The journal is the serve daemon's durability story, so the tests major on
 the crash cases: torn tails at every byte offset, checksum-flipped bytes,
-interleaved daemon lifetimes, and the begin-without-done replay set.
+interleaved daemon lifetimes, and the begin-without-done replay set.  The
+crash-bundle tail reads the same framing from a window that may open
+mid-record, and the report digest, hashed with the interpreter's built-in
+SHA-256, must equal ``hashlib``'s on every interpreter.
 """
 
+import hashlib
 import json
 import os
+import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +29,7 @@ from repro.service.journal import (
     replay,
     report_digest,
     rotate,
+    tail,
 )
 from repro.service.policy import BatchPolicy
 from repro.service.worker import task_payload
@@ -144,6 +151,129 @@ def test_rotate_moves_the_old_journal_aside(tmp_path):
     assert not os.path.exists(path)
     assert replay(backup).records == [cancel_record(1, "x")]
     assert rotate(str(tmp_path / "absent.journal")) is None
+
+
+def _tail_journal(tmp_path):
+    """A journal of varied records, and each one's start offset."""
+    records = [
+        begin_record(1, [("a.fg", "1")], {"jobs": 2}, None),
+        done_record(1, 0, '{"files": []}'),
+        begin_record(2, [("b.fg", "let x = 2 in x")], {}, None),
+        cancel_record(2, "client-disconnected"),
+        begin_record(3, [("c.fg", "3")], {}, None),
+        done_record(3, 1, '{"files": [{"status": "diagnostics"}]}'),
+    ]
+    path = _write(tmp_path, *records)
+    starts, offset = [], 0
+    for record in records:
+        starts.append(offset)
+        offset += len(encode_record(record))
+    return path, records, starts
+
+
+def test_tail_returns_the_last_records_in_append_order(tmp_path):
+    path, records, _ = _tail_journal(tmp_path)
+    assert tail(path) == records
+    assert tail(path, limit=2) == records[-2:]
+
+
+def test_tail_window_opening_mid_record_skips_the_torn_prefix(tmp_path):
+    """Every window size: exactly the records that start inside it."""
+    path, records, starts = _tail_journal(tmp_path)
+    size = os.path.getsize(path)
+    for window in range(size + 2):
+        expected = [r for r, start in zip(records, starts)
+                    if start >= size - window]
+        assert tail(path, window=window) == expected, window
+
+
+@pytest.mark.parametrize("prefix", [
+    b"",
+    b"not a journal\n{\"op\": \"begin\"}\n",
+    journal_mod.MAGIC + b"\x00\x00\x00\x05junk",
+    journal_mod.MAGIC * 3,
+    bytes(range(256)),
+])
+@pytest.mark.parametrize("cut", [0, 1, 11, 30])
+def test_tail_skips_foreign_prefixes_and_torn_ends(tmp_path, prefix, cut):
+    path, records, _ = _tail_journal(tmp_path)
+    with open(path, "rb") as handle:
+        intact = handle.read()
+    torn = encode_record(cancel_record(4, "never landed"))[:cut]
+    with open(path, "wb") as handle:
+        handle.write(prefix + intact + torn)
+    assert tail(path) == records
+
+
+def test_tail_skips_a_corrupt_record_and_keeps_the_rest(tmp_path):
+    path, records, starts = _tail_journal(tmp_path)
+    with open(path, "r+b") as handle:
+        handle.seek(starts[2] + 12)  # first payload byte of record 3
+        byte = handle.read(1)
+        handle.seek(starts[2] + 12)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    assert tail(path) == records[:2] + records[3:]
+    assert replay(path, repair=False).records == records[:2]
+
+
+def test_tail_skips_a_framed_record_that_is_not_json(tmp_path):
+    path, records, _ = _tail_journal(tmp_path)
+    blob = b"{not json"
+    framed = journal_mod.MAGIC + journal_mod._HEADER.pack(
+        len(blob), zlib.crc32(blob)) + blob
+    with open(path, "ab") as handle:
+        handle.write(framed + encode_record(cancel_record(4, "late")))
+    assert tail(path) == records + [cancel_record(4, "late")]
+    assert tail(path, limit=1) == [cancel_record(4, "late")]
+    assert replay(path, repair=False).records == records
+
+
+def test_tail_of_a_missing_or_unreadable_journal_is_empty(tmp_path):
+    assert tail(str(tmp_path / "never-written.journal")) == []
+    assert tail(str(tmp_path)) == []  # a directory: open() fails
+    empty = tmp_path / "empty.journal"
+    empty.write_bytes(b"")
+    assert tail(str(empty)) == []
+
+
+def _equals_hashlib(text):
+    assert report_digest(text) == hashlib.sha256(
+        text.encode("utf-8")
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "déjà vu: λx. x ∀α. α → α 𝔽_G \u00ab\u00bb \U0001f600",
+    "x" * (1024 * 1024),
+    "\u00e9" * (512 * 1024),  # 1 MiB of UTF-8 from 2-byte characters
+], ids=["empty", "non-ascii", "1mib-ascii", "1mib-utf8"])
+def test_report_digest_is_hashlib_sha256(text):
+    _equals_hashlib(text)
+
+
+def test_report_digest_of_a_chaos_round_report():
+    """A ``run_chaos(rounds=1, seed=0)`` round's canonical report, rebuilt
+    with the harness's own files, schedule and policy."""
+    from repro.service import RetryPolicy, check_batch
+    from repro.testing import FUZZ_SEEDS, chaos_schedule
+
+    files = [(f"<chaos{i}>", src) for i, src in enumerate(FUZZ_SEEDS)]
+    schedule = chaos_schedule(len(files), 0, hang_s=1.2)
+    policy = BatchPolicy(jobs=2, deadline_ms=400.0,
+                         retry=RetryPolicy(max_retries=1))
+    report = check_batch(files, policy, fault_schedule=schedule)
+    _equals_hashlib(report.canonical_json())
+
+
+def test_report_digest_of_the_examples_report():
+    from repro.service import check_batch
+
+    examples = Path(__file__).resolve().parents[2] / "examples" / "fg"
+    files = [(path.name, path.read_text(encoding="utf-8"))
+             for path in sorted(examples.glob("*.fg"))]
+    assert files
+    _equals_hashlib(check_batch(files, BatchPolicy()).canonical_json())
 
 
 def test_journal_magic_is_distinct_from_the_wire_magic():

@@ -1,13 +1,17 @@
 """Each entry point loads only the modules its own work runs.
 
 Every case runs a fresh child interpreter (this process has long since
-loaded everything) and reads the set of ``repro`` modules it loaded:
+loaded everything) and reads every module it loaded, standard library
+included:
 
 - a library verdict (``check_source`` with the prelude, verify and
   evaluate) loads no interpreter, printer, System F parser, exporter,
   profiler, telemetry or tool module;
 - a pool-mode ``fg serve`` daemon that has answered a request holds no
-  checker module: its workers check, it only forwards;
+  checker module: its workers check, it only forwards; nor OpenSSL
+  (``hashlib``), a thread pool or the exporters, which it never runs;
+  with ``--metrics-file`` it loads the exporters and writes valid
+  Prometheus text;
 - the client loads the wire protocol, not the daemon;
 - ``fg run`` and ``fg check`` load neither the REPL nor the printers the
   subcommand does not print with;
@@ -18,6 +22,7 @@ loaded everything) and reads the set of ``repro`` modules it loaded:
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -30,8 +35,7 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 _REPORT = textwrap.dedent("""
     import json as _json, sys as _sys
-    print(_json.dumps(sorted(m for m in _sys.modules
-                             if m == "repro" or m.startswith("repro."))))
+    print(_json.dumps(sorted(_sys.modules)))
 """)
 
 
@@ -50,7 +54,7 @@ def _child(code: str, tmp_path=None) -> str:
 
 
 def _loaded(code: str, tmp_path=None) -> set:
-    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    """The modules a fresh interpreter holds after ``code``."""
     out = _child(textwrap.dedent(code) + _REPORT, tmp_path)
     return set(json.loads(out.strip().splitlines()[-1]))
 
@@ -77,32 +81,79 @@ def test_a_verdict_loads_no_tool_printer_or_interpreter():
     )
 
 
-def test_a_pool_daemon_that_answered_holds_no_checker(tmp_path):
-    loaded = _loaded("""
-        import threading
-        from repro.service import (
-            BatchPolicy, ServeOptions, Server, check_remote, request_shutdown,
-        )
-        server = Server(BatchPolicy(isolate="pool", pool_workers=1),
-                        ServeOptions(socket_path="fg.sock"))
-        thread = threading.Thread(target=server.serve, daemon=True)
-        thread.start()
-        assert server.ready.wait(30.0)
-        response = check_remote(
-            "fg.sock", [("id.fg", "let id = \\\\x : int. x in id(41)")],
-            timeout=60.0,
-        )
-        assert response["type"] == "report", response
-        assert response["exit_code"] == 0, response
-        request_shutdown("fg.sock")
-        thread.join(30.0)
-        assert not thread.is_alive()
-    """, tmp_path)
-    assert {"repro.service.server", "repro.service.pool"} <= loaded
-    assert not _under(
-        loaded, "repro.fg", "repro.systemf", "repro.syntax", "repro.prelude",
-        "repro.pipeline", "repro.extensions", "repro.tools",
+#: A pool-mode daemon, in this process, that answers one request and
+#: drains; ``{options}`` adds ``ServeOptions`` fields.
+_POOL_DAEMON = """
+    import threading
+    from repro.service import (
+        BatchPolicy, ServeOptions, Server, check_remote, request_shutdown,
     )
+    server = Server(BatchPolicy(isolate="pool", pool_workers=1),
+                    ServeOptions(socket_path="fg.sock"{options}))
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    assert server.ready.wait(30.0)
+    response = check_remote(
+        "fg.sock", [("id.fg", "let id = \\\\x : int. x in id(41)")],
+        timeout=60.0,
+    )
+    assert response["type"] == "report", response
+    assert response["exit_code"] == 0, response
+    request_shutdown("fg.sock")
+    thread.join(30.0)
+    assert not thread.is_alive()
+"""
+
+
+@pytest.fixture(scope="module")
+def pool_daemon(tmp_path_factory):
+    """The modules a pool-mode daemon holds after answering a request."""
+    return _loaded(_POOL_DAEMON.format(options=""),
+                   tmp_path_factory.mktemp("daemon"))
+
+
+def test_a_pool_daemon_that_answered_holds_no_checker(pool_daemon):
+    assert {"repro.service.server", "repro.service.pool"} <= pool_daemon
+    assert not _under(
+        pool_daemon, "repro.fg", "repro.systemf", "repro.syntax",
+        "repro.prelude", "repro.pipeline", "repro.extensions", "repro.tools",
+    )
+
+
+def test_a_pool_daemon_loads_no_openssl_thread_pool_or_exporter(
+        pool_daemon):
+    assert "repro.service.journal" in pool_daemon
+    assert not _under(
+        pool_daemon, "hashlib", "_hashlib", "concurrent.futures",
+        "repro.observability.exporters",
+    )
+
+
+#: One Prometheus text sample: a gauge, an optional quantile label, a
+#: number.
+_SAMPLE = re.compile(
+    r'fg_[a-z_]+(\{quantile="[0-9.]+"\})? -?[0-9.]+(e[+-]?[0-9]+)?'
+)
+
+
+def test_a_metrics_file_loads_the_exporter_and_writes_prometheus_text(
+        tmp_path):
+    loaded = _loaded(_POOL_DAEMON.format(
+        options=", metrics_file='fg.prom'"
+    ), tmp_path)
+    assert "repro.observability.exporters" in loaded
+    lines = (tmp_path / "fg.prom").read_text().splitlines()
+    assert "fg_served 1" in lines
+    families = set()
+    for i, line in enumerate(lines):
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            assert kind == "gauge"
+            assert lines[i - 1].startswith(f"# HELP {name} ")
+            families.add(name)
+        elif not line.startswith("# HELP "):
+            assert _SAMPLE.fullmatch(line), line
+            assert line.split("{")[0].split(" ")[0] in families, line
 
 
 def test_the_client_loads_only_the_wire_protocol():
