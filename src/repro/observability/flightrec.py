@@ -267,21 +267,14 @@ BUNDLE_KEYS = (
 _dump_seq = 0
 
 
-def build_bundle(
+def _document(
     kind: str,
-    detail: Optional[Dict[str, object]] = None,
-    *,
-    rec: Optional[FlightRecorder] = None,
-    context: Optional[Dict[str, object]] = None,
-    traceback_lines: Optional[List[str]] = None,
+    detail: Optional[Dict[str, object]],
+    rec: Optional[FlightRecorder],
+    context: Optional[Dict[str, object]],
+    traceback_lines: Optional[List[str]],
 ) -> Dict[str, object]:
-    """Assemble a ``repro/crash-bundle v1`` document from the recorder.
-
-    ``context`` overlays the coordinator-side sections (``journal_tail``,
-    ``ops_tail``, ``pool``, ``policy``, ``health`` — or anything else a
-    dump site knows); absent sections stay at their empty defaults so
-    the schema is total.
-    """
+    """The ``repro/crash-bundle v1`` sections, not yet made JSON-safe."""
     source = rec if rec is not None else _recorder
     bundle: Dict[str, object] = {
         "schema": SCHEMA,
@@ -300,10 +293,36 @@ def build_bundle(
     }
     if context:
         bundle.update(context)
-    # JSON-safe by construction: ring attrs and context sections can carry
-    # arbitrary objects (span attrs are caller-supplied), and a bundle must
-    # survive both the framed wire (plain json.dumps) and the disk writer.
-    return json.loads(json.dumps(bundle, default=str))
+    return bundle
+
+
+def _encode(bundle: Dict[str, object]) -> str:
+    """A bundle file's text: one line of JSON from the C encoder.  Ring
+    attrs and context sections can carry arbitrary objects (span attrs are
+    caller-supplied); ``default=str`` makes them strings."""
+    return json.dumps(bundle, default=str)
+
+
+def build_bundle(
+    kind: str,
+    detail: Optional[Dict[str, object]] = None,
+    *,
+    rec: Optional[FlightRecorder] = None,
+    context: Optional[Dict[str, object]] = None,
+    traceback_lines: Optional[List[str]] = None,
+) -> Dict[str, object]:
+    """Assemble a ``repro/crash-bundle v1`` document from the recorder.
+
+    ``context`` overlays the coordinator-side sections (``journal_tail``,
+    ``ops_tail``, ``pool``, ``policy``, ``health`` — or anything else a
+    dump site knows); absent sections stay at their empty defaults so
+    the schema is total.  The document is JSON-safe: it is what reading
+    back its bundle file gives, so it survives both the framed wire
+    (plain ``json.dumps``) and the disk writer.
+    """
+    return json.loads(_encode(
+        _document(kind, detail, rec, context, traceback_lines)
+    ))
 
 
 def validate_bundle(bundle) -> List[str]:
@@ -342,7 +361,28 @@ def validate_bundle(bundle) -> List[str]:
 
 def write_bundle(bundle: Dict[str, object], directory: str,
                  name: Optional[str] = None) -> str:
-    """Atomically write a bundle file; returns its path.
+    """Atomically write a bundle file; returns its path."""
+    return _write(_encode(bundle), bundle, directory, name)
+
+
+def write_snapshot(
+    kind: str,
+    detail: Optional[Dict[str, object]],
+    directory: str,
+    *,
+    context: Optional[Dict[str, object]] = None,
+    name: Optional[str] = None,
+    traceback_lines: Optional[List[str]] = None,
+) -> str:
+    """:func:`build_bundle` then :func:`write_bundle`, with the document
+    serialized once; returns the file's path."""
+    bundle = _document(kind, detail, None, context, traceback_lines)
+    return _write(_encode(bundle), bundle, directory, name)
+
+
+def _write(text: str, bundle: Dict[str, object], directory: str,
+           name: Optional[str]) -> str:
+    """Write ``text``, the encoding of ``bundle``, as a bundle file.
 
     The write goes through a same-directory temp file and ``os.replace``
     so a reader (or a SIGKILL landing mid-write) never sees a torn
@@ -358,7 +398,7 @@ def write_bundle(bundle: Dict[str, object], directory: str,
     path = os.path.join(directory, name)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(bundle, fh, indent=2, default=str)
+        fh.write(text)
         fh.write("\n")
     os.replace(tmp, path)
     return path
@@ -449,9 +489,8 @@ def dump(
             prune_bundles(target)
             if not diskguard.has_headroom(target, need_bytes=1 << 20):
                 return None
-        bundle = build_bundle(kind, detail, context=context,
-                              traceback_lines=traceback_lines)
-        path = write_bundle(bundle, target, name=name)
+        path = write_snapshot(kind, detail, target, context=context,
+                              name=name, traceback_lines=traceback_lines)
         prune_bundles(target)
         return path
     except Exception:  # noqa: BLE001 — advisory by contract

@@ -952,16 +952,14 @@ class Server:
         self._blackbox_due = now + max(
             0.05, self.options.blackbox_interval_s
         )
-        bundle = flightrec.build_bundle(
-            "hard-death",
-            {"note": "live blackbox snapshot (removed on clean drain; "
-                     "still present after the process is gone means the "
-                     "daemon was killed without draining)"},
-            context=self._crash_context(),
-        )
+        detail = {"note": "live blackbox snapshot (removed on clean drain; "
+                          "still present after the process is gone means "
+                          "the daemon was killed without draining)"}
         try:
-            self._blackbox_path = flightrec.write_bundle(
-                bundle, directory, name=f"live-{os.getpid()}.bundle.json"
+            self._blackbox_path = flightrec.write_snapshot(
+                "hard-death", detail, directory,
+                context=self._crash_context(),
+                name=f"live-{os.getpid()}.bundle.json",
             )
         except OSError:
             pass  # forensics are advisory; never take the daemon down

@@ -18,26 +18,37 @@ with ``str.isalpha`` or ``_`` and continue with ``str.isalnum``, ``_`` or
 :data:`KEYWORDS`.  Integers are ``-?`` then ``str.isdecimal`` digits, which
 is exactly what ``int()`` accepts (``٣`` is 3; ``²`` is no digit).
 
-:func:`tokenize` matches one compiled ASCII pattern per skip run or token
-and writes the token into three parallel lists: its kind, its text and its
-start offset (its end is the start plus the length of its text).  A
-``str`` or an ``int`` is never tracked by the garbage collector, so a
-scan leaves the collector a fixed handful of objects however long the
+:func:`tokenize` writes each token into three parallel lists: its kind,
+its text and its start offset (its end is the start plus the length of its
+text).  A ``str`` or an ``int`` is never tracked by the garbage collector,
+so a scan leaves the collector a fixed handful of objects however long the
 text is, not two tuples per token.  A :class:`Token` and its offset
-:class:`~repro.diagnostics.source.Span` are built only when something
-asks for one: an index into :class:`Tokens`, or
-:meth:`TokenStream.span` for a token an AST node or a diagnostic keeps.
-What the pattern cannot settle (a number or identifier touching a
-non-ASCII character, an unterminated comment, an unexpected character)
-goes to :func:`_lex_one`, which applies the same rules character by
-character.
+:class:`~repro.diagnostics.source.Span` are built only when something asks
+for one: an index into :class:`Tokens`, or :meth:`TokenStream.span` for a
+token an AST node or a diagnostic keeps.
+
+Both scans read one compiled token pattern: a comment, a number, a word or
+a symbol, each starting with an ASCII character.  :func:`split` splits the
+whole text on it in one call; the tokens are the odd pieces, each kind
+comes from a dictionary lookup of the token or of its first character, and
+each start is a running sum of piece lengths, so no ``Match`` object is
+built.  It answers only when every gap between tokens is space, tab, CR and
+LF (exactly those: ``str.isspace`` accepts more), and then its lists are
+:func:`scan`'s.  Any other text (a non-ASCII identifier or digit, a stray
+character, a form feed) goes to :func:`scan`, and so does a text with a
+``/*`` after its last ``*/``, from which the split would retry the comment
+to the end of the text.  :func:`scan` skips each run of space, matches one
+token, and hands what the pattern cannot settle to :func:`_lex_one`, the
+same rules applied character by character.  Every lex error and all of
+error recovery happen there.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from typing import List, NamedTuple, Set
+from itertools import accumulate, compress
+from typing import List, NamedTuple, Optional, Set
 
 from repro.diagnostics.errors import LexError, ParseError
 from repro.diagnostics.source import SourceText, Span
@@ -105,22 +116,37 @@ class Token(NamedTuple):
         return f"{self.kind}({self.text!r})"
 
 
-#: One match per skip run or token, tried in this order: a whitespace run,
-#: a line comment, a closed block comment, an integer, an identifier or
-#: keyword, a symbol (longest first).  Every alternative is ASCII-only;
-#: whatever it cannot classify falls to :func:`_lex_one`.  Each call matches
-#: a single unit from its start, so no alternative can backtrack into a
-#: comment or a shorter identifier of an earlier unit.
-_UNIT = re.compile(
-    r"[ \t\r\n]+"
-    r"|//[^\n]*\n?"
+#: One token, tried in this order: a line comment, a closed block comment,
+#: an integer, an identifier or keyword, a symbol (longest first).  Every
+#: alternative starts with an ASCII character and matches only ASCII outside
+#: a comment.  :func:`split` splits the whole text on it; :func:`scan`
+#: matches it where each run of space ends.
+_TOKEN = re.compile(
+    r"(//[^\n]*\n?"
     r"|/\*.*?\*/"
-    r"|(-?[0-9]+)"
-    r"|([A-Za-z_][A-Za-z0-9_']*)"
-    r"|(" + "|".join(re.escape(sym) for sym in SYMBOLS) + ")",
+    r"|-?[0-9]+"
+    r"|[A-Za-z_][A-Za-z0-9_']*"
+    r"|" + "|".join(re.escape(sym) for sym in SYMBOLS) + ")",
     re.DOTALL,
 )
-_NUMBER, _WORD, _SYMBOL = 1, 2, 3
+
+#: The kind of a symbol or keyword match: the match itself.
+_FIXED = {word: word for word in [*SYMBOLS, *KEYWORDS]}
+#: The kind of any other match, by its first character: ``None`` for a
+#: comment (``/\\`` is fixed), else a number or an identifier (``->`` is
+#: fixed).
+_BY_FIRST = {
+    "/": None,
+    "-": "NUMBER",
+    **dict.fromkeys("0123456789", "NUMBER"),
+    **dict.fromkeys(
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "IDENT"
+    ),
+}
+#: What may separate two tokens: space, tab, CR and LF, and nothing else
+#: ``str.isspace`` accepts.
+_SPACE = " \t\r\n"
+_SPACE_RUN = re.compile(f"[{_SPACE}]*")
 
 
 def _lex_one(
@@ -131,7 +157,7 @@ def _lex_one(
     starts: List[int],
     reporter,
 ) -> int:
-    """Lex what the ASCII pattern leaves at ``pos``: a number or identifier
+    """Lex what the token pattern leaves at ``pos``: a number or identifier
     touching a non-ASCII character, an unterminated block comment, or an
     unexpected character.  Appends the token, if any, to the three lists;
     returns the offset lexing resumes at.
@@ -225,41 +251,81 @@ def tokenize(source: SourceText, reporter=None) -> Tokens:
     hide every token after it (error *recovery* mode), until the reporter
     reaches its cap; then lexing stops.
 
-    The returned tokens end with exactly one ``EOF`` token.
+    The returned tokens end with exactly one ``EOF`` token.  They are
+    :func:`split`'s when it accepts the text, else :func:`scan`'s.
+    """
+    tokens = split(source)
+    return scan(source, reporter) if tokens is None else tokens
+
+
+def split(source: SourceText) -> Optional[Tokens]:
+    """The tokens of ``source`` from one split on the token pattern, or
+    ``None`` when something other than :data:`_SPACE` lies between two
+    matches or a ``/*`` follows the last ``*/``.
+
+    The pieces alternate between gaps and tokens, so each token's start
+    offset is the sum of the lengths of the pieces before it.  When every
+    gap is space, the matches are :func:`scan`'s: each token begins where
+    the space before it ends, and no token touches a non-ASCII character
+    outside a comment.
+    """
+    text = source.text
+    closed = text.rfind("*/")
+    if text.find("/*", max(closed - 1, 0)) != -1:
+        # A "/*" with no "*/" after it: the split would retry the block
+        # comment from each such "/*" to the end of the text.
+        return None
+    pieces = _TOKEN.split(text)
+    if "".join(pieces[0::2]).strip(_SPACE):
+        return None
+    texts = pieces[1::2]
+    fixed, by_first = _FIXED.get, _BY_FIRST
+    kinds = [fixed(word) or by_first[word[0]] for word in texts]
+    starts = list(accumulate(map(len, pieces)))[0:-1:2]
+    if None in kinds:  # drop the comments
+        texts = list(compress(texts, kinds))
+        starts = list(compress(starts, kinds))
+        kinds = list(filter(None, kinds))
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(len(text))
+    return Tokens(kinds, texts, starts, source)
+
+
+def scan(source: SourceText, reporter=None) -> Tokens:
+    """Tokenize ``source`` one token at a time: skip a run of space, match
+    the token pattern, and hand whatever it cannot settle to
+    :func:`_lex_one`.  Every lex error and all of error recovery happen
+    here (see :func:`tokenize`).
     """
     text = source.text
     n = len(text)
-    match = _UNIT.match
-    keywords = KEYWORDS
+    skip, match = _SPACE_RUN.match, _TOKEN.match
+    fixed, by_first = _FIXED.get, _BY_FIRST
     kinds: List[str] = []
     texts: List[str] = []
     starts: List[int] = []
     add_kind, add_text, add_start = kinds.append, texts.append, starts.append
-    pos = 0
+    pos = skip(text).end()
     while pos < n:
         m = match(text, pos)
-        kind = m and m.lastindex
-        if not kind:
-            pos = m.end() if m else _lex_one(
-                source, pos, kinds, texts, starts, reporter
-            )
-            continue
-        start, end = m.span()
-        if kind != _SYMBOL and end < n and text[end] > "\x7f":
-            # A non-ASCII character may continue this number or word.
-            pos = _lex_one(source, start, kinds, texts, starts, reporter)
-            continue
-        word = m.group(kind)
-        if kind == _WORD:
-            kind = word if word in keywords else "IDENT"
-        elif kind == _NUMBER:
-            kind = "NUMBER"
+        if m is None:
+            pos = _lex_one(source, pos, kinds, texts, starts, reporter)
         else:
-            kind = word
-        add_kind(kind)
-        add_text(word)
-        add_start(start)
-        pos = end
+            word = m[1]
+            end = m.end()
+            kind = fixed(word) or by_first[word[0]]
+            if kind is None:  # a comment
+                pos = end
+            elif end < n and text[end] > "\x7f" and word not in SYMBOLS:
+                # A non-ASCII character may continue this number or word.
+                pos = _lex_one(source, pos, kinds, texts, starts, reporter)
+            else:
+                add_kind(kind)
+                add_text(word)
+                add_start(pos)
+                pos = end
+        pos = skip(text, pos).end()
     add_kind("EOF")
     add_text("")
     add_start(n)

@@ -215,6 +215,32 @@ class TestBundles:
         bundle = build_bundle("manual")
         json.dumps(bundle, default=str)
 
+    def test_snapshot_file_reads_back_as_the_built_bundle(
+        self, fresh_recorder, tmp_path
+    ):
+        # One encoding, written as it is: the file is a single line of
+        # JSON that reads back as build_bundle's document, arbitrary ring
+        # attrs (made strings) and non-string keys (made strings) included.
+        fresh_recorder.record_span("s", 0, 1, {"obj": 7j, 3: "three"})
+        context = {"journal_tail": [{"op": "begin", "request": 1}],
+                   "policy": {"jobs": 2}}
+        path = flightrec.write_snapshot(
+            "hard-death", {"note": "é"}, str(tmp_path), context=context,
+            name="live-1.bundle.json",
+        )
+        assert path == str(tmp_path / "live-1.bundle.json")
+        text = (tmp_path / "live-1.bundle.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        loaded = read_bundle(path)
+        built = build_bundle("hard-death", {"note": "é"}, context=context)
+        assert validate_bundle(loaded) == []
+        loaded.pop("created_ts_ms"), built.pop("created_ts_ms")
+        assert loaded == built
+        assert loaded["rings"]["spans"][0]["attrs"] == {
+            "obj": "7j", "3": "three"
+        }
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
 
 class TestWireFold:
     def test_wire_tail_shape_and_caps(self):
