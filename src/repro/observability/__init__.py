@@ -72,8 +72,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     )},
     **{name: ("repro.observability.telemetry", name) for name in (
         "OpsLog", "ServerTelemetry", "WindowReservoir", "clock_offset_ns",
-        "fold_worker_flightrec", "graft_spans", "merge_worker_telemetry",
-        "read_ops_log", "spans_to_wire",
+        "graft_spans", "merge_worker_telemetry", "read_ops_log",
+        "spans_to_wire",
     )},
 })
 
@@ -138,7 +138,6 @@ __all__ = [
     "chrome_trace_json",
     "clock_offset_ns",
     "flight_recorder",
-    "fold_worker_flightrec",
     "format_profile",
     "format_span",
     "graft_spans",

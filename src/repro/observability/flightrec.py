@@ -78,10 +78,6 @@ FAULT_KINDS = (
     "manual",              # forced via fg debug bundle / the debug request
 )
 
-#: How many ring entries a worker ships back on every result frame.
-WIRE_SPANS = 16
-WIRE_OPS = 8
-
 
 def ring_capacity_from_env(default: int = DEFAULT_CAPACITY) -> int:
     raw = os.environ.get(ENV_RING)
@@ -153,25 +149,6 @@ class FlightRecorder:
                 for name, value in list(self._metrics)
             ],
             "resolutions": list(self._resolutions),
-        }
-
-    def wire_tail(self, spans: int = WIRE_SPANS,
-                  ops: int = WIRE_OPS) -> Optional[Dict[str, object]]:
-        """The compact stanza a worker attaches to each result frame:
-        the last few spans and ops events plus this process's clock so
-        the supervisor can normalize timestamps (same NTP-style bracket
-        PR 8 uses for grafted spans).  ``None`` when the ring is off."""
-        if not self.capacity:
-            return None
-        snap_spans = [
-            {"name": name, "start_ns": start, "end_ns": end, "attrs": attrs}
-            for name, start, end, attrs in list(self._spans)[-spans:]
-        ]
-        return {
-            "pid": os.getpid(),
-            "clock_ns": time.perf_counter_ns(),
-            "spans": snap_spans,
-            "ops": list(self._events)[-ops:],
         }
 
     def clear(self) -> None:

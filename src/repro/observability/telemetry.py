@@ -192,54 +192,6 @@ def merge_worker_telemetry(
     )
 
 
-def fold_worker_flightrec(
-    rec,
-    wire: Optional[Dict[str, object]],
-    *,
-    send_ns: Optional[int] = None,
-    recv_ns: Optional[int] = None,
-) -> int:
-    """Fold a worker's shipped flight-recorder tail into a coordinator
-    :class:`~repro.observability.flightrec.FlightRecorder`.
-
-    Result frames carry a ``flightrec`` stanza (last few spans and ops
-    events plus the worker's ``clock_ns``); the supervisor keeps the most
-    recent stanza per seat so that when the worker later dies it still
-    has the dead process's final execution state.  Timestamps are
-    normalized with the same midpoint bracket :func:`clock_offset_ns`
-    uses for grafted spans — ``clock_ns`` was taken at ship time, so the
-    dispatch..receive bracket of the frame that carried it bounds the
-    worker clock sample on the coordinator timeline.  Returns the number
-    of ring entries folded.
-    """
-    if not wire or rec is None:
-        return 0
-    offset = 0
-    clock = wire.get("clock_ns")
-    if clock is not None and send_ns is not None and recv_ns is not None:
-        offset = clock_offset_ns(send_ns, recv_ns, int(clock), int(clock))
-    pid = wire.get("pid")
-    folded = 0
-    for span in wire.get("spans") or ():
-        attrs = dict(span.get("attrs") or {})
-        if pid is not None:
-            attrs.setdefault("worker_pid", pid)
-        rec.record_span(
-            str(span.get("name", "?")),
-            int(span.get("start_ns", 0)) + offset,
-            int(span.get("end_ns", span.get("start_ns", 0))) + offset,
-            attrs,
-        )
-        folded += 1
-    for event in wire.get("ops") or ():
-        record = dict(event)
-        if pid is not None:
-            record.setdefault("worker_pid", pid)
-        rec.record_event(record)
-        folded += 1
-    return folded
-
-
 # ---------------------------------------------------------------------------
 # Rolling-window reservoirs
 

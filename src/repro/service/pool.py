@@ -60,12 +60,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.observability import (
-    NULL_TRACER,
-    fold_worker_flightrec,
-    merge_worker_telemetry,
-)
-from repro.observability import flightrec
+from repro.observability import NULL_TRACER, flightrec, merge_worker_telemetry
 from repro.service import proto
 from repro.service.batch import TaskState, run_in_process
 from repro.service.faults import FAULT_WORKER_LOST, FaultSchedule
@@ -154,8 +149,8 @@ class _WorkerSlot:
 
     __slots__ = ("slot", "proc", "task_w", "result_r", "reader", "queue",
                  "current", "warmed", "last_beat", "retired", "tasks_done",
-                 "last_flightrec", "last_flightrec_ns", "rss_bytes",
-                 "tasks_since_spawn", "recycle_pending")
+                 "last_task", "rss_bytes", "tasks_since_spawn",
+                 "recycle_pending")
 
     def __init__(self, slot: int):
         self.slot = slot
@@ -174,12 +169,11 @@ class _WorkerSlot:
         self.last_beat = 0.0
         self.retired = False
         self.tasks_done = 0
-        # The occupant's most recent flight-recorder stanza (shipped on
-        # every result frame) and the dispatch..receive ns bracket of the
-        # frame that carried it — the dead process's black box when this
-        # seat later suffers a worker-lost or deadline kill.
-        self.last_flightrec: Optional[Dict[str, object]] = None
-        self.last_flightrec_ns: Optional[Tuple[int, int]] = None
+        # The occupant's last completed attempt as ``worker.task`` span
+        # arguments: its dispatch..receive ns bracket and its file,
+        # attempt and worker pid.  A crash bundle for this seat records
+        # it, so the bundle names the dead process's last finished work.
+        self.last_task: Optional[Tuple[int, int, Dict[str, object]]] = None
         # Resource-governor state for the occupant: its last self-sampled
         # RSS (from heartbeat frames), how many tasks this *process* has
         # completed (tasks_done is per-seat and survives respawns), and
@@ -265,6 +259,7 @@ def _spawn_process(slot: _WorkerSlot, policy: BatchPolicy) -> None:
     slot.warmed = False
     slot.retired = False
     slot.last_beat = time.monotonic()
+    slot.last_task = None
     slot.rss_bytes = None
     slot.tasks_since_spawn = 0
     slot.recycle_pending = False
@@ -464,20 +459,15 @@ class _Supervisor:
     def _dump_crash(self, kind: str, detail: Dict[str, object],
                     slot: Optional[_WorkerSlot] = None) -> None:
         """Write a crash bundle for a pool fault (advisory; no crash dir
-        configured → no-op).  The dead worker's last shipped flight ring
-        is folded into the coordinator recorder first — clock-normalized
-        through the dispatch..receive bracket that carried it — so the
-        bundle holds the dead *process's* final spans and ops events,
-        not just the supervisor's view."""
+        configured → no-op).  The seat's last completed attempt is
+        recorded first, as one ``worker.task`` span on this clock tagged
+        ``worker_pid``, so the bundle names the worker's last finished
+        work even when no trace grafted its spans."""
         if flightrec.bundle_directory() is None:
             return
-        if slot is not None and slot.last_flightrec:
-            send_ns, recv_ns = slot.last_flightrec_ns or (None, None)
-            fold_worker_flightrec(
-                flightrec.recorder(), slot.last_flightrec,
-                send_ns=send_ns, recv_ns=recv_ns,
-            )
-            slot.last_flightrec = None  # folded once, never duplicated
+        if slot is not None and slot.last_task is not None:
+            flightrec.record_span("worker.task", *slot.last_task)
+            slot.last_task = None  # recorded once, never duplicated
         flightrec.dump(kind, detail, context={
             "pool": self.stats.to_json(),
             "policy": self.policy.to_json(),
@@ -734,6 +724,11 @@ class _Supervisor:
             if (frame.get("id") != task.index
                     or frame.get("attempt") != task.attempt):
                 return
+            recv_ns = time.perf_counter_ns()
+            slot.last_task = (send_ns, recv_ns, {
+                "file": task.filename, "attempt": task.attempt,
+                "worker_pid": slot.proc.pid,
+            })
             slot.current = None
             slot.tasks_done += 1
             slot.tasks_since_spawn += 1
@@ -757,10 +752,6 @@ class _Supervisor:
                     "attempt": task.attempt,
                     "max_worker_mem_mb": self.spawn_policy.max_worker_mem_mb,
                 }, slot=slot)
-            recv_ns = time.perf_counter_ns()
-            if frame.get("flightrec"):
-                slot.last_flightrec = frame["flightrec"]
-                slot.last_flightrec_ns = (send_ns, recv_ns)
             # The stitch point: merge what the worker saw — spans offset
             # into this clock, metrics, explain — the moment the result
             # lands, so a later death of this worker loses nothing.
@@ -776,13 +767,6 @@ class _Supervisor:
                 )
             self._finish_attempt(task, result, injected)
         elif kind == "heartbeat":
-            # Heartbeats carry the worker's flight-recorder tail too, so
-            # a worker that dies before its first result still has a
-            # black box here.  No dispatch bracket exists for a
-            # heartbeat, so its spans fold without clock normalization.
-            if frame.get("flightrec"):
-                slot.last_flightrec = frame["flightrec"]
-                slot.last_flightrec_ns = None
             rss = slot.rss_bytes
             if rss is not None:
                 if rss > self.stats.rss_bytes:
@@ -893,12 +877,12 @@ class PersistentPool:
     seats (:meth:`ensure`), lends the seats to one supervised batch, and
     gets the surviving warm workers back.
 
-    Idle workers keep writing heartbeats, each carrying the worker's
-    flight-recorder tail: from about 1.3 KB/s for a fresh worker to about
-    15 KB/s for one that has run 50 tasks (Linux, x86-64), so an unread
-    64 KiB result pipe fills within seconds to a minute.  Nothing reads
-    it between batches except :meth:`flush`, which the daemon calls only
-    for ``--max-rss-mb`` admission and each batch calls before it starts.
+    Idle workers keep writing heartbeats: 61 bytes each, about 0.6 KB/s
+    at the default 100 ms period however many tasks the worker has run
+    (Linux, x86-64), so an unread 64 KiB result pipe fills in about
+    100 s.  Nothing reads it between batches except :meth:`flush`, which
+    the daemon calls only for ``--max-rss-mb`` admission and each batch
+    calls before it starts.
     A full pipe is harmless: the worker's heartbeat thread blocks until
     the next batch reads the backlog.
 

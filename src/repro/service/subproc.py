@@ -72,22 +72,12 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
 
     def heartbeat() -> None:
         while not stop.wait(heartbeat_ms / 1000.0):
-            # The black box also rides heartbeats, so a worker killed
-            # before its first result still leaves its ring with the
-            # supervisor.  Snapshotting races task-thread appends; a
-            # torn snapshot is dropped, never a dead heartbeat.
-            try:
-                tail = flightrec.recorder().wire_tail()
-            except RuntimeError:
-                tail = None
             message = {"type": "heartbeat", "pid": os.getpid()}
             # Self-sampled RSS rides every heartbeat so the supervisor
             # can recycle bloated workers without touching /proc itself.
             rss = sample_rss_bytes()
             if rss is not None:
                 message["rss_bytes"] = rss
-            if tail is not None:
-                message["flightrec"] = tail
             try:
                 send(message)
             except OSError:
@@ -124,8 +114,8 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
                     )
                 finally:
                     # Always-on forensics: one coarse span per task, so
-                    # the flight ring has worker history even with
-                    # instrumentation off (the common case).
+                    # a bundle this worker dumps itself (its hard-death
+                    # net) has its history even with instrumentation off.
                     flightrec.record_span(
                         "worker.task", start_ns, time.perf_counter_ns(),
                         {"file": frame["filename"],
@@ -134,10 +124,6 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
                 send(dict(
                     result.to_json(), type="result", id=frame.get("id"),
                     attempt=frame.get("attempt"),
-                    # The worker's black box rides every result frame:
-                    # when this process is later SIGKILLed mid-task, the
-                    # supervisor still holds its last-known ring.
-                    flightrec=flightrec.recorder().wire_tail(),
                 ))
             elif kind == "shutdown":
                 flightrec.disarm()

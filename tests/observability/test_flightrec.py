@@ -1,8 +1,8 @@
 """The always-on flight recorder: rings, hooks, bundles, and the net.
 
 Everything here is single-process and deterministic.  The cross-process
-story — worker rings shipped over the result protocol, supervisor folds,
-crash bundles from real faults — lives in
+story — worker spans grafted from result frames, the supervisor's record
+of a dead worker's last task, crash bundles from real faults — lives in
 ``tests/service/test_crash_bundles.py``.
 """
 
@@ -21,7 +21,6 @@ from repro.observability import (
     OpsLog,
     Tracer,
     build_bundle,
-    fold_worker_flightrec,
     read_bundle,
     validate_bundle,
     write_bundle,
@@ -63,7 +62,6 @@ class TestRing:
             "capacity": 0, "spans": [], "ops": [], "metrics": [],
             "resolutions": [],
         }
-        assert rec.wire_tail() is None
 
     def test_null_recorder_is_capacity_zero(self):
         assert NullFlightRecorder().capacity == 0
@@ -240,56 +238,6 @@ class TestBundles:
             "obj": "7j", "3": "three"
         }
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
-
-
-class TestWireFold:
-    def test_wire_tail_shape_and_caps(self):
-        rec = FlightRecorder(capacity=64)
-        for i in range(40):
-            rec.record_span(f"s{i}", i, i + 1)
-            rec.record_event({"event": f"e{i}"})
-        tail = rec.wire_tail()
-        assert tail["pid"] == os.getpid()
-        assert isinstance(tail["clock_ns"], int)
-        assert len(tail["spans"]) == flightrec.WIRE_SPANS
-        assert len(tail["ops"]) == flightrec.WIRE_OPS
-        assert tail["spans"][-1]["name"] == "s39"
-
-    def test_fold_normalizes_clocks_and_tags_pid(self):
-        rec = FlightRecorder(capacity=16)
-        # Worker clock runs 1000ns ahead of the supervisor's bracket
-        # midpoint: send=0, recv=200 -> midpoint 100, worker clock 1100.
-        wire = {
-            "pid": 4242,
-            "clock_ns": 1100,
-            "spans": [{"name": "worker.task", "start_ns": 1000,
-                       "end_ns": 1050, "attrs": {"file": "a.fg"}}],
-            "ops": [{"event": "x"}],
-        }
-        folded = fold_worker_flightrec(rec, wire, send_ns=0, recv_ns=200)
-        assert folded == 2
-        span = rec.snapshot()["spans"][0]
-        assert span["start_ns"] == 0 and span["end_ns"] == 50
-        assert span["attrs"]["worker_pid"] == 4242
-        assert span["attrs"]["file"] == "a.fg"
-        assert rec.snapshot()["ops"] == \
-            [{"event": "x", "worker_pid": 4242}]
-
-    def test_fold_without_bracket_keeps_raw_clocks(self):
-        rec = FlightRecorder(capacity=16)
-        wire = {"pid": 1, "clock_ns": 999,
-                "spans": [{"name": "s", "start_ns": 10, "end_ns": 20,
-                           "attrs": None}],
-                "ops": []}
-        fold_worker_flightrec(rec, wire)
-        span = rec.snapshot()["spans"][0]
-        assert span["start_ns"] == 10 and span["end_ns"] == 20
-
-    def test_fold_none_or_empty_is_noop(self):
-        rec = FlightRecorder(capacity=16)
-        assert fold_worker_flightrec(rec, None) == 0
-        assert fold_worker_flightrec(rec, {}) == 0
-        assert len(rec) == 0
 
 
 class TestRetention:

@@ -7,6 +7,7 @@ checks the resulting ``repro/crash-bundle v1`` names the fault and holds
 the dead process's last recorded activity.
 """
 
+import collections
 import json
 import os
 import tempfile
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from repro.observability import flightrec
+from repro.observability import Instrumentation, Tracer, flightrec
 from repro.service import (
     BatchPolicy,
     FaultSchedule,
@@ -55,8 +56,8 @@ def _bundles_by_kind(directory):
 
 class TestPoolBundles:
     def test_worker_kill_dumps_schema_valid_bundle(self, crash_dir):
-        # The worker completes file 0 (its ring ships on that result),
-        # then dies at the dispatch of file 1.
+        # The worker completes file 0 (the supervisor keeps that
+        # attempt), then dies at the dispatch of file 1.
         schedule = FaultSchedule(kills=(WorkerKillSpec(index=1),))
         policy = BatchPolicy(isolate="pool", pool_workers=1)
         report = check_batch(
@@ -70,11 +71,11 @@ class TestPoolBundles:
         assert flightrec.validate_bundle(bundle) == []
         assert bundle["fault"]["detail"]["file"] == "b.fg"
         assert bundle["pool"] is not None
-        # The dead worker's black box: its last completed task span,
-        # clock-normalized and tagged with the worker pid.  The ring is
-        # process-global recent history, so earlier pool runs in the same
-        # process may contribute older worker spans too — the span from
-        # *this* run must be among them.
+        # The dead worker's last completed task, recorded by the
+        # supervisor on its own clock and tagged with the worker pid.  The
+        # ring is process-global recent history, so earlier pool runs in
+        # the same process may contribute older worker spans too — the
+        # span from *this* run must be among them.
         spans = bundle["rings"]["spans"]
         worker_files = [
             (s.get("attrs") or {}).get("file")
@@ -83,6 +84,34 @@ class TestPoolBundles:
             and (s.get("attrs") or {}).get("worker_pid")
         ]
         assert "a.fg" in worker_files, spans
+
+    def test_traced_worker_kill_bundle_holds_each_worker_span_once(
+            self, crash_dir):
+        # Under a trace the worker's spans reach this process only by
+        # being grafted from the result frame (tagged ``pid``); the
+        # bundle must not hold a second copy of any of them.
+        schedule = FaultSchedule(kills=(WorkerKillSpec(index=1),))
+        policy = BatchPolicy(isolate="pool", pool_workers=1)
+        report = check_batch(
+            [("a.fg", GOOD), ("b.fg", GOOD)], policy,
+            fault_schedule=schedule,
+            instrumentation=Instrumentation(tracer=Tracer()),
+        )
+        assert report.files[0].ok
+        (bundle,) = _bundles_by_kind(crash_dir)["worker-lost"]
+        pid = bundle["fault"]["detail"]["pid"]
+        spans = [
+            s for s in bundle["rings"]["spans"]
+            if pid in ((s.get("attrs") or {}).get("pid"),
+                       (s.get("attrs") or {}).get("worker_pid"))
+        ]
+        assert any(s["name"] == "pipeline.parse"
+                   and s["attrs"].get("pid") == pid for s in spans), spans
+        names = collections.Counter(s["name"] for s in spans)
+        assert all(count == 1 for count in names.values()), names
+        assert [s["attrs"]["file"] for s in spans
+                if s["name"] == "worker.task"
+                and s["attrs"].get("worker_pid") == pid] == ["a.fg"], spans
 
     def test_deadline_kill_dumps_bundle(self, crash_dir):
         schedule = FaultSchedule(

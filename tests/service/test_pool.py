@@ -462,6 +462,41 @@ def test_a_garbled_result_frame_costs_one_attempt_not_a_stop_wait(
     assert elapsed < STOP_WAIT_S
 
 
+@pytest.mark.slow
+def test_worker_frames_carry_no_flight_ring(monkeypatch):
+    """A worker's spans reach the supervisor only as telemetry: result and
+    heartbeat frames carry no flight-recorder stanza, so an idle
+    heartbeat stays a few dozen bytes however many tasks ran before."""
+    import time
+
+    from repro.service import PersistentPool, proto
+
+    real_feed = proto.FrameReader.feed
+    frames = []
+
+    def feed(self, data):
+        parsed = list(real_feed(self, data))
+        frames.extend(parsed)
+        return iter(parsed)
+
+    monkeypatch.setattr(proto.FrameReader, "feed", feed)
+    with PersistentPool(pool_policy(pool_workers=1,
+                                    heartbeat_ms=20)) as pool:
+        report = check_batch([(f"f{i}.fg", TINY) for i in range(3)],
+                             pool_policy(pool_workers=1), pool=pool)
+        busy = len(frames)
+        time.sleep(0.3)
+        pool.flush()
+    assert [f.status for f in report.files] == ["ok"] * 3
+    results = [f for f in frames if f.get("type") == "result"]
+    idle = [f for f in frames[busy:] if f.get("type") == "heartbeat"]
+    assert len(results) == 3 and idle
+    for frame in results + idle:
+        assert "flightrec" not in frame
+    for frame in idle:
+        assert len(proto.encode_frame(frame)) < 100, frame
+
+
 def test_pool_block_and_counters_come_from_the_stats_fields():
     """The report's ``pool`` block lists every :class:`PoolStats` field
     in declaration order; ``check_batch``'s ``pool.*`` counters are the

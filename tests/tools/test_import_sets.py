@@ -256,7 +256,6 @@ PARENT_EXPORTS = {
         "repro.observability.telemetry": ("OpsLog", "ServerTelemetry",
                                           "WindowReservoir",
                                           "clock_offset_ns",
-                                          "fold_worker_flightrec",
                                           "graft_spans",
                                           "merge_worker_telemetry",
                                           "read_ops_log", "spans_to_wire"),
